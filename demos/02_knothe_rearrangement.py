@@ -21,7 +21,7 @@ print(f"  marginal range  [{marginal.values.min():.3f}, {marginal.values.max():.
 print(f"  fiber at x1=0.3 range  [{fiber(0.3).values.min():.3f}, "
       f"{fiber(0.3).values.max():.3f}]")
 
-print("building the rearrangement (one 1D transport per fiber) ...")
+print("building the rearrangement (all fiber transports as one batch) ...")
 sol = tot.knothe_solution(pair)
 m1, m2 = sol.potentials.margins
 print(f"  monotonicity margins: 1 - u1'' >= {m1:.3f},  1 - d22 u2 >= {m2:.3f}")

@@ -74,6 +74,15 @@ class ContinuationOptions:
             raise ValueError("grading_ratio must exceed 1")
         if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
+        if not (isinstance(self.max_newton, int) and self.max_newton >= 1):
+            raise ValueError("max_newton must be a positive integer")
+        if not self.solver_tol > 0.0:
+            raise ValueError("solver_tol must be positive")
+        if not self.t_switch >= 0.0:
+            raise ValueError("t_switch must be non-negative")
+        # K < 1 leaves no test functions: the certificate would pass vacuously
+        if not (isinstance(self.pushforward_k, int) and self.pushforward_k >= 1):
+            raise ValueError("pushforward_k must be a positive integer")
         return self
 
 

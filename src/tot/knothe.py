@@ -8,8 +8,9 @@ that dominates every tolerance downstream).  Each 1D transport also
 yields its scalar potential, so the construction simultaneously delivers
 the map and the potential pair (u1, u2) whose derivative reproduces it.
 
-Fibers are independent; the loop over rows is embarrassingly parallel
-and has no cross-fiber state.
+Fibers are independent, so all of them are one row-batched 1D transport:
+the conditionals of every row form one stack of circle densities, and
+each row gets its own shift, Newton iterate and checks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def marginal_and_conditionals(f):
 
     Returns the marginal as a CircleDensity on n1 nodes and a callable
     giving the (unit-mass) conditional density on the fiber over any real
-    x1, sampled on n2 nodes.
+    x1, sampled on n2 nodes; an array of x1 values gives the stack of
+    their conditionals, one row each.
     """
     if f.closed_form is None:
         raise ValueError("marginal/conditional split needs a closed-form density")
@@ -41,8 +43,10 @@ def marginal_and_conditionals(f):
 
     def conditional(x1):
         fiber = poly.slice_x1(x1)
-        if fiber.const <= 0.0:
-            raise PositivityError(f"marginal vanishes at x1={x1:g}")
+        vanishing = np.asarray(fiber.const) <= 0.0
+        if np.any(vanishing):
+            at = np.asarray(x1)[vanishing].flat[0]
+            raise PositivityError(f"marginal vanishes at x1={at:g}")
         return circle_density(closed_form=fiber.normalized(), m=n2)
 
     return marginal, conditional
@@ -68,15 +72,12 @@ class KnothePotentials:
 
 @dataclass
 class KnotheSolution:
-    """Rearrangement maps and potentials built in one pass over fibers."""
+    """Rearrangement maps and potentials from one batched fiber transport."""
 
     grid: object
     r1: CircleMap
     r2_displacement: np.ndarray
     potentials: KnothePotentials
-
-    def fiber_map(self, i):
-        return CircleMap(self.r2_displacement[i])
 
     def map_field(self):
         """The rearrangement as a vector field of map values on the grid."""
@@ -89,7 +90,6 @@ class KnotheSolution:
 def knothe_solution(pair):
     """Build the full rearrangement (maps and potentials) for a pair."""
     grid = pair.grid
-    n1, n2 = grid.shape
     f1, f_fiber = marginal_and_conditionals(pair.f)
     g1, g_fiber = marginal_and_conditionals(pair.g)
 
@@ -97,20 +97,15 @@ def knothe_solution(pair):
     u1 = potential_from_map(r1)
     images = r1.map_values()
 
-    x1_nodes = grid.nodes1()
-    r2_disp = np.empty((n1, n2))
-    u2 = np.empty((n1, n2))
-    for i in range(n1):
-        fiber_map = monotone_circle_map(f_fiber(x1_nodes[i]), g_fiber(images[i]))
-        r2_disp[i] = fiber_map.displacement
-        u2[i] = potential_from_map(fiber_map)
+    fibers = monotone_circle_map(f_fiber(grid.nodes1()), g_fiber(images))
+    u2 = potential_from_map(fibers)
 
     potentials = KnothePotentials(u1, ScalarField(grid, u2))
     m1, m2 = potentials.margins
     if m1 <= 0.0 or m2 <= 0.0:
         raise ConstructionError(
             f"Knothe potentials violate monotonicity margins: ({m1:.3g}, {m2:.3g})")
-    return KnotheSolution(grid, r1, r2_disp, potentials)
+    return KnotheSolution(grid, r1, fibers.displacement, potentials)
 
 
 def knothe_rearrangement(pair):
@@ -130,13 +125,9 @@ def fiber_pushforward_error(pair, solution, n_fibers=8, n_quantiles=256):
     _, g_fiber = marginal_and_conditionals(pair.g)
     images = solution.r1.map_values()
     idx = np.linspace(0, grid.n1 - 1, n_fibers).astype(int)
-    worst = 0.0
-    for i in idx:
-        err = pushforward_quantile_error(
-            f_fiber(grid.nodes1()[i]), g_fiber(images[i]),
-            solution.fiber_map(i), n_quantiles)
-        worst = max(worst, err)
-    return worst
+    return pushforward_quantile_error(
+        f_fiber(grid.nodes1()[idx]), g_fiber(images[idx]),
+        CircleMap(solution.r2_displacement[idx]), n_quantiles)
 
 
 def l2_map_distance(tmap, rmap, f):

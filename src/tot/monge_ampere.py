@@ -294,6 +294,8 @@ def pushforward_residual(tmap, pair, K):
     The quadrature is the grid trapezoid rule; ghat comes from g's closed
     form.  This is the quantitative certificate that T pushes f onto g.
     """
+    if K < 1:
+        raise ValueError(f"pushforward_residual needs K >= 1, got {K}")
     f = pair.f_values
     t1 = tmap.v1.values
     t2 = tmap.v2.values

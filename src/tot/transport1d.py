@@ -5,8 +5,14 @@ circle is T_theta = Ginv(F + theta) for any shift theta of the cumulative
 functions.  Among those, exactly one shift makes the displacement
 x - T(x) have zero mean; that is the map of the form id - psi' with psi a
 periodic potential, and it is also the cheapest one for the quadratic
-cost (verified by property test, not assumed).  The shift is found by
-bisection on the strictly decreasing shift-to-mean-displacement function.
+cost (verified by property test, not assumed).  The shift is the root of
+the strictly decreasing shift-to-mean-displacement function h, found by
+safeguarded Newton: h'(theta) = -mean(1/g(T_theta)) is exact, and a
+bracket from the slope bounds catches every step that leaves it.
+
+Every function here works on one density (samples of shape (m,)) or on a
+stack of them (shape (rows, m)), all rows at once; the single density is
+the one-row case of the same code.  Stacks need closed forms.
 
 Cumulative functions are exact primitives of the closed form when the
 density carries one, otherwise of the trigonometric interpolant of the
@@ -42,7 +48,7 @@ class CircleDensity:
 
     @property
     def m(self):
-        return len(self.values)
+        return self.values.shape[-1]
 
     def nodes(self):
         return np.arange(self.m) / self.m
@@ -55,7 +61,7 @@ class CircleDensity:
 
 
 def circle_density(values=None, closed_form=None, m=None):
-    """Build a validated, unit-mass CircleDensity.
+    """Build a validated, unit-mass CircleDensity (or stack, row by row).
 
     Provide samples, a closed form plus a sample count, or both.
     """
@@ -65,14 +71,14 @@ def circle_density(values=None, closed_form=None, m=None):
         closed_form = closed_form.normalized()
         values = closed_form(np.arange(m) / m)
     values = np.asarray(values, float).copy()
-    if values.ndim != 1 or len(values) < 4:
-        raise ValueError("need a 1D array of at least 4 samples")
+    if values.ndim not in (1, 2) or values.shape[-1] < 4:
+        raise ValueError("need 1D (or rows of) arrays of at least 4 samples")
     if np.min(values) <= 0.0:
         raise PositivityError(
             f"density not positive: min = {np.min(values):.3g}")
-    mean = values.mean()
-    values /= mean
-    if closed_form is not None and abs(mean - 1.0) > 1e-9:
+    mean = values.mean(axis=-1)
+    values /= mean[..., None]
+    if closed_form is not None and np.any(np.abs(mean - 1.0) > 1e-9):
         closed_form = closed_form.scaled(1.0 / mean)
     return CircleDensity(values, closed_form)
 
@@ -124,7 +130,10 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real.  Vectorized
     safeguarded Newton: a bisection bracket guards every step and the
-    density lower bound makes the iteration globally convergent.
+    density lower bound makes the iteration globally convergent.  A point
+    stays where it is once converged, so an exact start (an integer level
+    w, or a warm start at the root) comes back unchanged and the slowest
+    point alone sets the iteration count.
     """
     w = np.asarray(w, float)
     base = np.floor(w)
@@ -138,14 +147,14 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
     err = cdf_at(d, y) - r
     for _ in range(max_iter):
         # a point is done when its residual is small or its bracket collapsed
-        done = (np.abs(err) <= tol) | (hi - lo <= 1e-15)
-        if np.all(done):
+        active = (np.abs(err) > tol) & (hi - lo > 1e-15)
+        if not np.any(active):
             break
         lo = np.where(err < 0, y, lo)
         hi = np.where(err > 0, y, hi)
         candidate = y - err / density_at(d, y)
         outside = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
-        y = np.where(outside, 0.5 * (lo + hi), candidate)
+        y = np.where(active, np.where(outside, 0.5 * (lo + hi), candidate), y)
         err = cdf_at(d, y) - r
     else:
         raise ConvergenceError("cdf inversion did not converge",
@@ -166,7 +175,7 @@ class CircleMap:
 
     @property
     def m(self):
-        return len(self.displacement)
+        return self.displacement.shape[-1]
 
     def nodes(self):
         return np.arange(self.m) / self.m
@@ -179,7 +188,7 @@ class CircleMap:
         c = np.fft.fft(self.displacement) / self.m
         k = wavenumbers(self.m)
         phase = np.exp(2j * np.pi * np.multiply.outer(np.mod(np.asarray(x, float), 1.0), k))
-        return (phase @ c).real
+        return (phase @ c[..., None])[..., 0].real
 
     def __call__(self, x):
         return np.asarray(x, float) - self.displacement_at(x)
@@ -187,7 +196,7 @@ class CircleMap:
 
 def _check_map(displacement, m):
     tmap = np.arange(m) / m - displacement
-    increments = np.diff(np.append(tmap, tmap[0] + 1.0))
+    increments = np.diff(tmap, axis=-1, append=tmap[..., :1] + 1.0)
     if np.min(increments) <= 0.0:
         raise ConstructionError("transport map is not strictly increasing")
     if np.max(np.abs(displacement)) >= MAX_DISPLACEMENT:
@@ -202,12 +211,14 @@ def monotone_circle_map(f, g):
     Parameters
     ----------
     f, g : CircleDensity
-        Positive unit-mass densities; the map is sampled at f's nodes.
+        Positive unit-mass densities, or stacks of as many rows each; the
+        map is sampled at f's nodes.
 
     Returns
     -------
     CircleMap
-        Map with ``sup |x - T(x)| < 1/2`` and mean displacement below 1e-12.
+        Map with ``sup |x - T(x)| < 1/2`` and mean displacement below 1e-12,
+        row by row for stacks.
     """
     for d in (f, g):
         if np.min(d.values) <= 0.0:
@@ -215,40 +226,43 @@ def monotone_circle_map(f, g):
     m = f.m
     x = np.arange(m) / m
     s = cdf_at(f, x)
-
-    y = invert_lifted_cdf(g, s)
-    mean0 = float(np.mean(x - y))
-    if abs(mean0) <= SHIFT_TOL:
-        theta, ymap = 0.0, y
-    else:
-        gmax = float(np.max(g.values))
-        # mean displacement is strictly decreasing in theta with slope in
-        # [-1/min g, -1/max g], so the root lies within |mean0| * max g
-        if mean0 > 0:
-            lo, hi = 0.0, mean0 * gmax * 1.001 + 1e-12
-        else:
-            lo, hi = mean0 * gmax * 1.001 - 1e-12, 0.0
-        theta, ymap = _bisect_shift(g, s, x, lo, hi, y)
+    theta, y = _newton_shift(g, s, x)
     # polish at full precision with the selected shift
-    ymap = invert_lifted_cdf(g, s + theta, x0=ymap, tol=1e-15)
+    ymap = invert_lifted_cdf(g, s + theta[..., None], x0=y, tol=1e-15)
     displacement = x - ymap
     _check_map(displacement, m)
     return CircleMap(displacement)
 
 
-def _bisect_shift(g, s, x, lo, hi, y_warm):
-    y = y_warm
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        y = invert_lifted_cdf(g, s + theta, x0=y)
-        mean = float(np.mean(x - y))
-        if abs(mean) <= SHIFT_TOL or (hi - lo) <= 1e-15:
+def _newton_shift(g, s, x, max_iter=100):
+    """Per row, the shift theta with mean(x - Ginv(s + theta)) = 0.
+
+    Returns theta (one per row) and the inverse at it.  The mean
+    displacement h is strictly decreasing with slope -mean(1/g(y)) in
+    [-1/min g, -1/max g], so the root lies within |h(0)| * max g of 0; that
+    bracket shrinks with every evaluated shift and takes a bisection step
+    whenever Newton leaves it.  Converged rows keep their shift.
+    """
+    y = invert_lifted_cdf(g, s)
+    mean = np.mean(x - y, axis=-1)
+    theta = np.zeros_like(mean)
+    reach = np.abs(mean) * np.max(g.values, axis=-1) * 1.001 + 1e-12
+    lo = np.where(mean > 0, 0.0, -reach)
+    hi = np.where(mean > 0, reach, 0.0)
+    for _ in range(max_iter):
+        active = (np.abs(mean) > SHIFT_TOL) & (hi - lo > 1e-15)
+        if not np.any(active):
             return theta, y
-        if mean > 0:
-            lo = theta
-        else:
-            hi = theta
-    raise ConvergenceError("shift bisection did not converge", residual=mean)
+        lo = np.where(mean > 0, theta, lo)
+        hi = np.where(mean < 0, theta, hi)
+        candidate = theta + mean / np.mean(1.0 / density_at(g, y), axis=-1)
+        outside = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
+        theta = np.where(active, np.where(outside, 0.5 * (lo + hi), candidate),
+                         theta)
+        y = invert_lifted_cdf(g, s + theta[..., None], x0=y)
+        mean = np.mean(x - y, axis=-1)
+    raise ConvergenceError("shift Newton did not converge",
+                           residual=float(np.max(np.abs(mean))))
 
 
 def potential_1d(f, g):
@@ -262,8 +276,9 @@ def potential_1d(f, g):
 
 
 def potential_from_map(tmap):
-    d = tmap.displacement - np.mean(tmap.displacement)
-    return antideriv_values(d, axis=0)
+    """Row by row, the zero-mean primitive of the centred displacement."""
+    d = tmap.displacement
+    return antideriv_values(d - np.mean(d, axis=-1, keepdims=True), axis=-1)
 
 
 def transport_cost(f, g, displacement):
@@ -275,11 +290,12 @@ def pushforward_quantile_error(f, g, tmap, n_quantiles=256):
     """max_u |Glift(T(Finv(u))) - u - theta| over interior quantiles u.
 
     Zero (to solver accuracy) exactly when T pushes f forward to g; used
-    as the module's pushforward certificate.
+    as the module's pushforward certificate.  For stacks, theta is fitted
+    per row and the maximum runs over all rows.
     """
     u = (np.arange(n_quantiles) + 0.5) / n_quantiles
-    x = invert_lifted_cdf(f, u)
+    x = invert_lifted_cdf(f, np.broadcast_to(u, f.values.shape[:-1] + u.shape))
     tx = tmap(x)
     values = np.floor(tx) + cdf_at(g, np.mod(tx, 1.0)) - cdf_at(f, np.mod(x, 1.0))
-    theta = np.mean(values)
+    theta = np.mean(values, axis=-1, keepdims=True)
     return float(np.max(np.abs(values - theta)))

@@ -21,7 +21,13 @@ def _cos(frac, phase):
 
 @dataclass(frozen=True)
 class TrigPoly1D:
-    """const + sum_j amps[j] * cos(2*pi*freqs[j]*x + phases[j]), freqs >= 1."""
+    """const + sum_j amps[j] * cos(2*pi*freqs[j]*x + phases[j]), freqs >= 1.
+
+    A stack of polynomials sharing ``freqs`` has ``const`` of shape (rows,)
+    and ``amps``/``phases`` of shape (rows, modes); it evaluates on
+    (rows, m) arrays (or on (m,) points shared by every row), one pass per
+    mode.
+    """
 
     const: float
     freqs: np.ndarray
@@ -45,36 +51,47 @@ class TrigPoly1D:
         return TrigPoly1D(c, np.asarray(ks, dtype=int),
                           np.asarray(amps, float), np.asarray(phases, float))
 
+    @property
+    def _stacked(self):
+        return np.ndim(self.const) > 0
+
+    def _modes(self):
+        # (freq, amplitude, phase) per mode; a stack's amplitudes and phases
+        # become (rows, 1) columns against its (rows, m) points
+        amps, phases = self.amps, self.phases
+        if self._stacked:
+            amps, phases = amps[:, None, :], phases[:, None, :]
+        for j, k in enumerate(self.freqs):
+            yield k, amps[..., j], phases[..., j]
+
+    def _const(self):
+        return self.const[:, None] if self._stacked else self.const
+
     def __call__(self, x):
         x = np.asarray(x, float)
-        out = np.full(x.shape, self.const)
-        for k, a, p in zip(self.freqs, self.amps, self.phases):
+        out = self._const() + np.zeros(x.shape)
+        for k, a, p in self._modes():
             out += a * _cos(np.mod(k * x, 1.0), p)
         return out
 
     def antiderivative(self, x):
         """Exact primitive from 0: int_0^x of the polynomial."""
         x = np.asarray(x, float)
-        out = self.const * x
-        for k, a, p in zip(self.freqs, self.amps, self.phases):
+        out = self._const() * x
+        for k, a, p in self._modes():
             w = TWO_PI * k
             out += (a / w) * (np.sin(TWO_PI * np.mod(k * x, 1.0) + p) - np.sin(p))
         return out
 
-    def derivative(self, x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        for k, a, p in zip(self.freqs, self.amps, self.phases):
-            out -= a * TWO_PI * k * np.sin(TWO_PI * np.mod(k * x, 1.0) + p)
-        return out
-
     def scaled(self, factor):
+        """Multiply by ``factor``: a scalar, or one factor per row."""
+        factor = np.asarray(factor, float)
         return TrigPoly1D(self.const * factor, self.freqs,
-                          self.amps * factor, self.phases)
+                          self.amps * factor[..., None], self.phases)
 
     def normalized(self):
-        """Rescale so the mean (= const) is exactly 1."""
-        if not self.const > 0.0:
+        """Rescale so the mean (= const) is exactly 1, row by row."""
+        if not np.all(self.const > 0.0):
             raise ValueError("cannot normalize: mean is not positive")
         return self.scaled(1.0 / self.const)
 
@@ -146,17 +163,19 @@ class TrigPoly2D:
         return TrigPoly1D.from_modes(modes, const=self.const)
 
     def slice_x1(self, x1):
-        """The 1-variable polynomial x2 -> self(x1, x2) at fixed real x1."""
-        x1 = float(x1)
-        const = self.const
-        modes = []
-        for k1, k2, a, p in zip(self.k1, self.k2, self.amps, self.phases):
-            shifted = TWO_PI * np.mod(k1 * x1, 1.0) + p
-            if k2 == 0:
-                const += a * np.cos(shifted)
-            else:
-                modes.append((k2, a, shifted))
-        return TrigPoly1D.from_modes(modes, const=const)
+        """The 1-variable polynomials x2 -> self(x1, x2) at fixed real x1.
+
+        A scalar x1 gives one TrigPoly1D; an array of x1 values gives the
+        stack with one row per value, modes in the order of ``self``.
+        """
+        x1 = np.asarray(x1, float)
+        shifted = TWO_PI * np.mod(np.multiply.outer(x1, self.k1), 1.0) + self.phases
+        flat = self.k2 == 0          # modes constant along the fiber
+        const = self.const + np.sum(self.amps[flat] * np.cos(shifted[..., flat]),
+                                    axis=-1)
+        k2, phases = self.k2[~flat], shifted[..., ~flat]
+        amps = np.broadcast_to(self.amps[~flat], phases.shape).copy()
+        return TrigPoly1D(const, np.abs(k2), amps, np.sign(k2) * phases)
 
     def fourier_coefficient(self, k1, k2):
         """int exp(-2i*pi*(k1*x1 + k2*x2)) * self(x) dx, exactly."""
@@ -169,6 +188,16 @@ class TrigPoly2D:
         return out
 
     def min_on_grid(self, n1, n2):
+        """Minimum over the nodes (i/n1, j/n2).
+
+        Each mode splits as cos(a + b) = cos a cos b - sin a sin b with a
+        in x1 (phase included) and b in x2, so the whole grid is one
+        matrix product of (n1, 2 modes) and (2 modes, n2) factors.
+        """
         x1 = np.arange(n1) / n1
         x2 = np.arange(n2) / n2
-        return float(np.min(self(x1[:, None], x2[None, :])))
+        a = TWO_PI * np.mod(np.multiply.outer(x1, self.k1), 1.0) + self.phases
+        b = TWO_PI * np.mod(np.multiply.outer(x2, self.k2), 1.0)
+        left = np.hstack([self.amps * np.cos(a), -self.amps * np.sin(a)])
+        right = np.hstack([np.cos(b), np.sin(b)])
+        return float(self.const + np.min(left @ right.T))

@@ -208,6 +208,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["pushforward_k = 0", "pushforward_k = -1",
+                                   "max_newton = 0", "solver_tol = 0",
+                                   "solver_tol = -1e-11", "t_switch = -0.01"])
+def test_exit_code_invalid_option(tmp_path, capsys, entry):
+    cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n" + entry + "\n")
+    assert run_cli("continue", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    assert f"options: {entry.split()[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_solver_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
 f.name = standard_f

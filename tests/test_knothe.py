@@ -3,7 +3,9 @@ import pytest
 
 import tot
 from tot.grid import deriv_values
-from tot.trig import TrigPoly1D
+from tot.trig import TrigPoly1D, TrigPoly2D
+
+from tests.test_transport1d import oracle_map
 
 
 def test_marginal_and_conditionals_uniform(grid64):
@@ -34,6 +36,43 @@ def test_marginal_and_conditionals_shear(grid64):
     y = grid64.nodes2()
     expected = 1.0 + 0.3 * np.cos(2 * np.pi * (x1 + y))
     assert np.max(np.abs(fiber(x1).values - expected)) < 1e-13
+
+
+def test_batched_slice_matches_scalar_slices():
+    poly = TrigPoly2D.from_modes([(1, 0, 0.2, 0.3), (0, -2, 0.1, 1.0),
+                                  (2, -1, 0.15, -0.5), (-1, 3, 0.05, 2.0)])
+    x1 = np.array([0.0, 0.13, 0.5, 0.91])
+    x2 = np.arange(32) / 32
+    stack = poly.slice_x1(x1)
+    assert stack.amps.shape == stack.phases.shape == (4, 3)
+    values = stack(x2)
+    for i, a in enumerate(x1):
+        assert np.max(np.abs(values[i] - poly.slice_x1(a)(x2))) < 1e-15
+        assert np.max(np.abs(values[i] - poly(a, x2))) < 1e-14
+
+
+def test_min_on_grid_matches_direct_evaluation():
+    # k1 = 0, k2 < 0, and mixed signs, each with a phase
+    poly = TrigPoly2D.from_modes([(0, 1, 0.2, 0.4), (1, -2, 0.15, 1.1),
+                                  (-3, 1, 0.1, -0.7), (2, 2, 0.05, 2.5),
+                                  (1, 0, 0.1, 0.2)])
+    for n1, n2 in ((64, 64), (96, 40)):
+        x1 = np.arange(n1) / n1
+        x2 = np.arange(n2) / n2
+        direct = np.min(poly(x1[:, None], x2[None, :]))
+        assert abs(poly.min_on_grid(n1, n2) - direct) < 1e-14
+
+
+def test_fibers_match_fine_grid_oracle(pair64, knothe64):
+    # an independent oracle: fine-grid cdf tables of the exact conditionals
+    # at the exact real image point, inverted by interpolation
+    grid = pair64.grid
+    images = knothe64.r1.map_values()
+    for i in (0, 21, 50):
+        x1 = grid.nodes1()[i]
+        disp = oracle_map(lambda x2: pair64.f_poly(x1, x2),
+                          lambda x2: pair64.g_poly(images[i], x2), grid.n2)
+        assert np.max(np.abs(knothe64.r2_displacement[i] - disp)) < 1e-8
 
 
 def test_rearrangement_identity(grid64):

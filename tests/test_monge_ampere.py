@@ -208,3 +208,16 @@ def test_pushforward_detects_wrong_map(uniform_pair64, grid64):
     u = tot.field(grid64, admissible_potential(grid64, 2, rng))
     tmap = tot.transport_map(tot.identity_cost(), u)
     assert tot.pushforward_residual(tmap, uniform_pair64, 4) > 1e-6
+
+
+def test_pushforward_residual_rejects_empty_test_set(grid64):
+    # with K = -1 there are no test functions, so 0.0 would certify anything
+    pair = tot.make_density_pair(tot.CATALOG["standard_f"],
+                                 tot.CATALOG["standard_g"], grid64)
+    x1, x2 = grid64.mesh()
+    identity = tot.VectorField(tot.field(grid64, x1 + 0 * x2),
+                               tot.field(grid64, x2 + 0 * x1))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="K >= 1"):
+            tot.pushforward_residual(identity, pair, k)
+    assert tot.pushforward_residual(identity, pair, 1) > 0.1

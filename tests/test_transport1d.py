@@ -90,6 +90,15 @@ def test_cdf_sampled_bimodal_vs_cumsum_oracle():
     assert np.max(np.abs(F(probe) - expected)) < 1e-9
 
 
+def test_inversion_keeps_exact_integer_levels():
+    # the root of every integer level sits on its bracket end, x = 0; a
+    # converged point must stay there while the others iterate
+    g = trig_density([(1, 0.25, -0.4), (3, 0.1, 0.0)])
+    y = invert_lifted_cdf(g, np.array([0.0, 0.3, 1.0, 2.0]))
+    assert y[0] == 0.0 and y[2] == 1.0 and y[3] == 2.0
+    assert abs(cdf_at(g, y[1]) - 0.3) <= 1e-14
+
+
 def test_cdf_rejects_nonpositive():
     with pytest.raises(PositivityError):
         tot.circle_density(values=1.0 + np.cos(2 * np.pi * np.arange(64) / 64) * 2.0)
