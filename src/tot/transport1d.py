@@ -73,6 +73,8 @@ def circle_density(values=None, closed_form=None, m=None):
     values = np.asarray(values, float).copy()
     if values.ndim not in (1, 2) or values.shape[-1] < 4:
         raise ValueError("need 1D (or rows of) arrays of at least 4 samples")
+    if values.ndim == 2 and closed_form is None:
+        raise ValueError("a stack of densities needs a closed form")
     if np.min(values) <= 0.0:
         raise PositivityError(
             f"density not positive: min = {np.min(values):.3g}")
@@ -129,37 +131,46 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real.  Vectorized
-    safeguarded Newton: a bisection bracket guards every step and the
-    density lower bound makes the iteration globally convergent.  A point
-    stays where it is once converged, so an exact start (an integer level
-    w, or a warm start at the root) comes back unchanged and the slowest
-    point alone sets the iteration count.
+    safeguarded Newton on [0, 1] after removing the integer part of w; the
+    density lower bound makes the iteration globally convergent.  An exact
+    start (an integer level w, or a warm start at the root) comes back
+    unchanged.
     """
     w = np.asarray(w, float)
     base = np.floor(w)
     r = w - base
-    lo = np.zeros_like(r)
-    hi = np.ones_like(r)
     if x0 is not None:
         y = np.clip(np.asarray(x0, float) - base, 0.0, 1.0)
     else:
         y = r.copy()
-    err = cdf_at(d, y) - r
+    y = _safeguarded_newton(lambda y: cdf_at(d, y) - r, lambda y: density_at(d, y),
+                            y, cdf_at(d, y) - r, np.zeros_like(r), np.ones_like(r),
+                            tol, max_iter, "cdf inversion")
+    return base + y
+
+
+def _safeguarded_newton(residual, slope, y, err, lo, hi, tol, max_iter, what):
+    """Entrywise root of an increasing function, bracketed in [lo, hi].
+
+    ``err`` is ``residual(y)`` at the start; ``slope`` is only called at the
+    point of the latest residual evaluation.  The bracket shrinks with every
+    evaluation and takes a bisection step whenever Newton leaves it.  An
+    entry stays where it is once its residual is within ``tol`` or its
+    bracket has collapsed, so the slowest entry alone sets the iteration
+    count.
+    """
     for _ in range(max_iter):
-        # a point is done when its residual is small or its bracket collapsed
         active = (np.abs(err) > tol) & (hi - lo > 1e-15)
         if not np.any(active):
-            break
+            return y
         lo = np.where(err < 0, y, lo)
         hi = np.where(err > 0, y, hi)
-        candidate = y - err / density_at(d, y)
+        candidate = y - err / slope(y)
         outside = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
         y = np.where(active, np.where(outside, 0.5 * (lo + hi), candidate), y)
-        err = cdf_at(d, y) - r
-    else:
-        raise ConvergenceError("cdf inversion did not converge",
-                               residual=float(np.max(np.abs(err))))
-    return base + y
+        err = residual(y)
+    raise ConvergenceError(f"{what} did not converge",
+                           residual=float(np.max(np.abs(err))))
 
 
 @dataclass
@@ -234,35 +245,27 @@ def monotone_circle_map(f, g):
     return CircleMap(displacement)
 
 
-def _newton_shift(g, s, x, max_iter=100):
+def _newton_shift(g, s, x):
     """Per row, the shift theta with mean(x - Ginv(s + theta)) = 0.
 
-    Returns theta (one per row) and the inverse at it.  The mean
-    displacement h is strictly decreasing with slope -mean(1/g(y)) in
-    [-1/min g, -1/max g], so the root lies within |h(0)| * max g of 0; that
-    bracket shrinks with every evaluated shift and takes a bisection step
-    whenever Newton leaves it.  Converged rows keep their shift.
+    Returns theta (one per row) and the inverse at it.  The residual
+    mean(Ginv(s + theta) - x) is strictly increasing with slope
+    mean(1/g(y)) in [1/max g, 1/min g], so the root lies within
+    |residual(0)| * max g of 0, which is the starting bracket.
     """
     y = invert_lifted_cdf(g, s)
-    mean = np.mean(x - y, axis=-1)
-    theta = np.zeros_like(mean)
-    reach = np.abs(mean) * np.max(g.values, axis=-1) * 1.001 + 1e-12
-    lo = np.where(mean > 0, 0.0, -reach)
-    hi = np.where(mean > 0, reach, 0.0)
-    for _ in range(max_iter):
-        active = (np.abs(mean) > SHIFT_TOL) & (hi - lo > 1e-15)
-        if not np.any(active):
-            return theta, y
-        lo = np.where(mean > 0, theta, lo)
-        hi = np.where(mean < 0, theta, hi)
-        candidate = theta + mean / np.mean(1.0 / density_at(g, y), axis=-1)
-        outside = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
-        theta = np.where(active, np.where(outside, 0.5 * (lo + hi), candidate),
-                         theta)
+    err = np.mean(y - x, axis=-1)
+    reach = np.abs(err) * np.max(g.values, axis=-1) * 1.001 + 1e-12
+
+    def residual(theta):
+        nonlocal y
         y = invert_lifted_cdf(g, s + theta[..., None], x0=y)
-        mean = np.mean(x - y, axis=-1)
-    raise ConvergenceError("shift Newton did not converge",
-                           residual=float(np.max(np.abs(mean))))
+        return np.mean(y - x, axis=-1)
+
+    theta = _safeguarded_newton(
+        residual, lambda theta: np.mean(1.0 / density_at(g, y), axis=-1),
+        np.zeros_like(err), err, -reach, reach, SHIFT_TOL, 100, "shift Newton")
+    return theta, y
 
 
 def potential_1d(f, g):

@@ -99,6 +99,12 @@ def test_inversion_keeps_exact_integer_levels():
     assert abs(cdf_at(g, y[1]) - 0.3) <= 1e-14
 
 
+def test_sampled_stack_is_rejected():
+    # the sampled (interpolant) path handles one density only
+    with pytest.raises(ValueError):
+        tot.circle_density(values=np.ones((8, 8)))
+
+
 def test_cdf_rejects_nonpositive():
     with pytest.raises(PositivityError):
         tot.circle_density(values=1.0 + np.cos(2 * np.pi * np.arange(64) / 64) * 2.0)
