@@ -8,7 +8,7 @@ certified against the Monge-Ampere residual.
 
 from .continuation import (ContinuationOptions, InitResult, NewtonResult,
                            SplitNewtonResult, Trajectory, TrajectoryRecord,
-                           decompose, init_from_knothe, newton_correct,
+                           init_from_knothe, newton_correct,
                            newton_correct_split, run, trajectory_summary_csv,
                            velocity)
 from .densities import (CATALOG, DensityPair, DensitySpec, density_field,
@@ -22,15 +22,15 @@ from .grid import (PeriodicGrid, ScalarField, SymMatrixField, VectorField,
                    build_grid, eval_periodic, field, integrate_mean,
                    project_zero_mean, spectral_derivative, zero_field)
 from .knothe import (KnothePotentials, KnotheSolution, fiber_pushforward_error,
-                     knothe_potentials, knothe_rearrangement, knothe_solution,
-                     l2_map_distance, marginal_and_conditionals)
+                     knothe_solution, l2_map_distance,
+                     marginal_and_conditionals)
 from .linearized import (SplitCoefficients, apply_linearized,
                          apply_linearized_t0, cost_rate_rhs,
                          elliptic_coefficients, solve_linearized,
                          solve_linearized_iterations, solve_linearized_small_t,
                          solve_linearized_t0, split_coefficients)
 from .monge_ampere import (CostMatrix, CostSchedule, c_concavity_margin,
-                           check_admissible, decomposed_residual,
+                           check_admissible, decompose, decomposed_residual,
                            identity_cost, monge_ampere_residual,
                            pushforward_residual, t0_margins, transport_map)
 from .transport1d import (CircleCdf, CircleDensity, CircleMap, cdf,

@@ -70,7 +70,6 @@ _SCHEMA = {
     "step_grading": (str, "geometric"),
     "grading_ratio": (float, None),
     "solver_tol": (float, 1e-11),
-    "t_switch": (float, 1e-2),
     "pushforward_k": (int, 4),
     "out": (str, "out"),
     "emit.csv": (_parse_bool, True),
@@ -187,7 +186,7 @@ def config_from_entries(entries, overrides=None):
         newton_tol=merged["newton_tol"], max_newton=merged["max_newton"],
         predictor=merged["predictor"], step_grading=merged["step_grading"],
         grading_ratio=merged["grading_ratio"], solver_tol=merged["solver_tol"],
-        t_switch=merged["t_switch"], pushforward_k=merged["pushforward_k"])
+        pushforward_k=merged["pushforward_k"])
     try:
         options.validated()
     except ValueError as exc:

@@ -12,8 +12,12 @@ exact (to tolerance) Monge-Ampere solution - the trajectory's accuracy is
 certified pointwise rather than by step-size analysis.  Stepping is
 geometric toward t0 by default, matching the lambda_t = t degeneration.
 
-t0 stays strictly positive: the t = 0 state is represented by the Knothe
-potentials themselves, and ``init_from_knothe`` bridges the gap.
+The state is carried from t0 to t1 in the decomposed coordinates
+psi = u1(x1) + lambda_t u2(x1, x2), in which the residual, its
+linearization and the velocity stay O(1) as lambda_t -> 0; the assembled
+psi is formed only for the records.  t0 stays strictly positive: the
+t = 0 state is represented by the Knothe potentials themselves, and
+``init_from_knothe`` bridges the gap.
 """
 
 from __future__ import annotations
@@ -24,19 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ConcavityError, ConstructionError,
-                     ConvergenceError, InitializationError, StepCollapseError)
-from .grid import ScalarField, deriv_values, project_zero_mean
+from .errors import (ConcavityError, ConstructionError, ConvergenceError,
+                     InitializationError, StepCollapseError)
+# deriv_values is not called here; bench/test_repeatability.py checks that
+# the tracer rebinds and restores this module's binding of it
+from .grid import ScalarField, deriv_values  # noqa: F401
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (_kernels, _solve_with_coefficients, coefficient_arrays,
-                         solve_linearized_small_t, split_coefficients)
-from .monge_ampere import (CostSchedule, check_admissible,
-                           pushforward_residual, residual_state,
-                           split_residual_values, transport_map)
+                         _cost_rate_values, solve_linearized_small_t)
+from .monge_ampere import (CostSchedule, decompose, pushforward_residual,
+                           residual_state, split_residual_state,
+                           transport_map)
 
 __all__ = [
     "ContinuationOptions", "NewtonResult", "InitResult", "TrajectoryRecord",
-    "Trajectory", "decompose", "velocity", "newton_correct",
+    "Trajectory", "velocity", "newton_correct",
     "newton_correct_split", "init_from_knothe", "run",
     "trajectory_summary_csv",
 ]
@@ -57,7 +63,6 @@ class ContinuationOptions:
     step_grading: str = "geometric"
     grading_ratio: float | None = None
     solver_tol: float = 1e-11
-    t_switch: float = 1e-2
     pushforward_k: int = 4
 
     def validated(self):
@@ -78,81 +83,95 @@ class ContinuationOptions:
             raise ValueError("max_newton must be a positive integer")
         if not self.solver_tol > 0.0:
             raise ValueError("solver_tol must be positive")
-        if not self.t_switch >= 0.0:
-            raise ValueError("t_switch must be non-negative")
         # K < 1 leaves no test functions: the certificate would pass vacuously
         if not (isinstance(self.pushforward_k, int) and self.pushforward_k >= 1):
             raise ValueError("pushforward_k must be a positive integer")
         return self
 
 
-def decompose(t, psi, schedule=None):
-    """Split psi into (psi1(x1), psi2(x1,x2)) with psi = psi1 + lambda*psi2
-    up to the overall mean; psi1 is zero-mean, psi2 fiberwise zero-mean.
-
-    Rejects t = 0, where the split has no lambda-free representation.
-    """
-    if not t > 0.0:
-        raise ValueError("decompose is defined for t > 0 only")
-    schedule = schedule or CostSchedule.linear()
-    lam = schedule.lam(t)
-    row = psi.values.mean(axis=1)
-    psi1 = row - row.mean()
-    psi2 = (psi.values - row[:, None]) / lam
-    return psi1, ScalarField(psi.grid, psi2)
-
-
 def _velocity_split(t, u1, u2, pair, schedule, tol, warn=True):
     """Velocity in decomposed coordinates: (v1, v2) with psi_dot = v1 +
-    lambda v2.  Works entirely on (u1, u2), so no 1/lambda cancellation
-    ever touches the small component."""
-    cost = schedule.matrix(t)
-    sup = float(np.max(np.abs(split_residual_values(t, u1, u2.values, pair,
-                                                    schedule))))
-    if warn and sup > RESIDUAL_WARN:
+    lambda v2.  The cost-rate right-hand side comes from the decomposed
+    derivatives, so no 1/lambda cancellation touches the small component."""
+    st = split_residual_state(t, u1, u2.values, pair, schedule)
+    if warn and st.sup_residual > RESIDUAL_WARN:
         warnings.warn(
-            f"velocity evaluated at sup|residual| = {sup:.3g} > "
+            f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
             f"{RESIDUAL_WARN:g}; the state is far from solved", stacklevel=3)
-    split = split_coefficients(t, u1, u2, pair, schedule)
-    # B (0, (a22dot/a22) d2 psi) = (U12 * s2, V22 * s2 / lambda), s2 = a22dot d2 u2
-    s2 = cost.a22dot * deriv_values(u2.values, 1, 1)
-    kern = _kernels(*pair.grid.shape)
-    rhs = kern.div(split.u_matrix.m12.values * s2,
-                   split.v22.values * s2 / split.lam)
-    rhs_field = ScalarField(pair.grid, rhs, zero_mean=True)
-    return solve_linearized_small_t(t, u1, u2, pair, rhs_field, tol=tol,
+    rhs = ScalarField(pair.grid, _cost_rate_values(st), zero_mean=True)
+    return solve_linearized_small_t(t, u1, u2, pair, rhs, tol=tol,
                                     schedule=schedule)
 
 
-def velocity(t, psi, pair, schedule=None, *, t_switch=1e-2, tol=1e-11,
-             warn=True):
+def _assemble(t, u1, u2, schedule):
+    """Zero-mean potential u1 + lambda_t u2 on the grid."""
+    values = u1[:, None] + schedule.lam(t) * u2.values
+    return ScalarField(u2.grid, values - np.mean(values), zero_mean=True)
+
+
+def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
     """Potential velocity psi_dot at an (approximately) solved state.
 
-    Solves the linearized equation with the cost-rate right-hand side.
-    Above ``t_switch`` this is the plain preconditioned CG solve; below,
-    the decomposed small-t solver, reassembled as v1 + lambda * v2.
+    Solves the linearized equation with the cost-rate right-hand side in
+    the decomposed coordinates of psi and reassembles v1 + lambda v2.
     Warns if the state's residual exceeds 1e-6 (the equation then drifts
     from the evolution it is meant to follow).
     """
     schedule = schedule or CostSchedule.linear()
-    if t <= t_switch:
-        u1, u2 = decompose(t, psi, schedule)
-        v1, v2 = _velocity_split(t, u1, u2, pair, schedule, tol, warn=warn)
-        v = v1[:, None] + schedule.lam(t) * v2.values
-        return ScalarField(pair.grid, v, zero_mean=True)
-    cost = schedule.matrix(t)
-    st = residual_state(cost, psi.values, pair)
-    if warn and st.sup_residual > RESIDUAL_WARN:
-        warnings.warn(
-            f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
-            f"{RESIDUAL_WARN:g}; the state is far from solved", stacklevel=2)
-    b11, b12, b22 = coefficient_arrays(st)
-    s2 = (cost.a22dot / cost.a22) * st.grad2
-    kern = _kernels(*pair.grid.shape)
-    rhs = kern.div(b12 * s2, b22 * s2)
-    v, _ = _solve_with_coefficients(pair.grid, b11, b12, b22, rhs,
-                                    tol, None, None)
-    return ScalarField(pair.grid, v, zero_mean=True)
+    u1, u2 = decompose(t, psi, schedule)
+    v1, v2 = _velocity_split(t, u1, u2, pair, schedule, tol, warn=warn)
+    return _assemble(t, v1, v2, schedule)
+
+
+def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol):
+    """Damped Newton on an iterate x given as a tuple of arrays.
+
+    ``evaluate(x)`` returns the residual state at x and raises
+    ``ConcavityError`` where the margin is not positive; ``solve(st, q,
+    inner_tol)`` returns the direction, shaped like x, that solves the
+    linearized equation at st for the zero-mean residual q.  Each step
+    backtracks (s halved from 1) until the sup-residual decreases and the
+    margin stays positive.  Returns (x, state, iterations).
+    """
+    st = evaluate(x)
+    for iteration in range(max_iter + 1):
+        sup = st.sup_residual
+        if sup <= tol:
+            return x, st, iteration
+        if iteration == max_iter:
+            break
+        q = st.residual - np.mean(st.residual)
+        inner_tol = solver_tol if solver_tol is not None else \
+            min(1e-2, max(1e-12, 1e-2 * sup))
+        delta = solve(st, q, inner_tol)
+        s = 1.0
+        while s >= 2.0 ** -20:
+            candidate = tuple(a - s * d for a, d in zip(x, delta))
+            try:
+                cand_st = evaluate(candidate)
+            except ConcavityError:
+                s *= 0.5
+                continue
+            if cand_st.sup_residual < sup:
+                x, st = candidate, cand_st
+                break
+            s *= 0.5
+        else:
+            raise ConvergenceError(
+                f"newton line search stalled at iteration {iteration} "
+                f"(sup|residual| = {sup:.3g}, margin = {st.margin:.3g})",
+                residual=sup, iterations=iteration)
+    raise ConvergenceError(
+        f"newton did not reach {tol:g} in {max_iter} iterations "
+        f"(sup|residual| = {st.sup_residual:.3g})",
+        residual=st.sup_residual, iterations=max_iter)
+
+
+def _solve_at(grid, st, q, tol):
+    """PCG solve of the linearized equation with the coefficients of st."""
+    v, _ = _solve_with_coefficients(grid, *coefficient_arrays(st), q, tol,
+                                    None, None)
+    return v
 
 
 @dataclass
@@ -191,42 +210,12 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     # start in the solver subspace: updates live there, so any Nyquist-row
     # contamination in the initial guess could never be corrected
     values = _kernels(*grid.shape).project_solvable(psi_init.values)
-    st = residual_state(cost, values, pair)
-    for iteration in range(max_iter + 1):
-        sup = st.sup_residual
-        if sup <= tol:
-            return NewtonResult(ScalarField(grid, values, zero_mean=True),
-                                iteration, sup, st.margin)
-        if iteration == max_iter:
-            break
-        q = st.residual - np.mean(st.residual)
-        inner_tol = solver_tol if solver_tol is not None else \
-            min(1e-2, max(1e-12, 1e-2 * sup))
-        delta, _ = _solve_with_coefficients(
-            grid, *coefficient_arrays(st), q, inner_tol, None, None)
-        s = 1.0
-        accepted = False
-        while s >= 2.0 ** -20:
-            candidate = values - s * delta
-            try:
-                cand_st = residual_state(cost, candidate, pair)
-            except ConcavityError:
-                s *= 0.5
-                continue
-            if cand_st.sup_residual < sup:
-                values, st = candidate, cand_st
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"newton line search stalled at iteration {iteration} "
-                f"(sup|residual| = {sup:.3g}, margin = {st.margin:.3g})",
-                residual=sup, iterations=iteration)
-    raise ConvergenceError(
-        f"newton did not reach {tol:g} in {max_iter} iterations "
-        f"(sup|residual| = {st.sup_residual:.3g})",
-        residual=st.sup_residual, iterations=max_iter)
+    (values,), st, iterations = _damped_newton(
+        (values,), lambda x: residual_state(cost, x[0], pair),
+        lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
+        tol, max_iter, solver_tol)
+    return NewtonResult(ScalarField(grid, values, zero_mean=True),
+                        iterations, st.sup_residual, st.margin)
 
 
 @dataclass
@@ -238,71 +227,32 @@ class SplitNewtonResult:
     margin: float
 
 
-def _split_margin(t, u1, u2, schedule):
-    """min eig(A_t - D^2(u1 + lambda u2)) assembled from decomposed
-    derivatives (no precision loss at small lambda)."""
-    lam = schedule.lam(t)
-    m11 = 1.0 - deriv_values(u1, 0, 2)[:, None] - lam * deriv_values(u2.values, 0, 2)
-    m12 = -lam * deriv_values(deriv_values(u2.values, 0, 1), 1, 1)
-    m22 = lam * (1.0 - deriv_values(u2.values, 1, 2))
-    half_trace = 0.5 * (m11 + m22)
-    radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + m12 ** 2)
-    return float(np.min(half_trace - radius))
-
-
 def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
                          max_iter=20, *, solver_tol=None):
-    """Damped Newton on the decomposed residual at small fixed t > 0.
+    """Damped Newton on the decomposed potential u1 + lambda_t u2, t > 0.
 
     Same iteration as :func:`newton_correct` but in the (u1, u2)
-    coordinates: the assembled potential stores the fiber component a
-    factor lambda below the marginal one, so at small t float64 cannot
-    represent it accurately enough to push the residual below roughly
-    eps * (pi n)^2 / lambda; the decomposed iteration has no such floor.
+    coordinates: states come from ``split_residual_state`` and every
+    direction v is split as v1 = int v dx2, v2 = (v - v1) / lambda.  The
+    assembled potential stores the fiber component a factor lambda below
+    the marginal one, so at small t float64 cannot represent it accurately
+    enough to push the residual below roughly eps * (pi n)^2 / lambda; the
+    decomposed iteration has no such floor.
     """
     schedule = schedule or CostSchedule.linear()
-    u1 = np.asarray(u1, float).copy()
-    check_admissible(t, u1, u2.values, schedule)
-    residual = split_residual_values(t, u1, u2.values, pair, schedule)
-    for iteration in range(max_iter + 1):
-        sup = float(np.max(np.abs(residual)))
-        if sup <= tol:
-            return SplitNewtonResult(u1, u2, iteration, sup,
-                                     _split_margin(t, u1, u2, schedule))
-        if iteration == max_iter:
-            break
-        q = ScalarField(pair.grid, residual - np.mean(residual),
-                        zero_mean=True)
-        inner_tol = solver_tol if solver_tol is not None else \
-            min(1e-2, max(1e-12, 1e-2 * sup))
-        v1, v2 = solve_linearized_small_t(t, u1, u2, pair, q,
-                                          tol=inner_tol, schedule=schedule)
-        s = 1.0
-        accepted = False
-        while s >= 2.0 ** -20:
-            cand1 = u1 - s * v1
-            cand2 = ScalarField(pair.grid, u2.values - s * v2.values)
-            try:
-                check_admissible(t, cand1, cand2.values, schedule)
-            except AdmissibilityError:
-                s *= 0.5
-                continue
-            cand_res = split_residual_values(t, cand1, cand2.values, pair,
-                                             schedule)
-            if float(np.max(np.abs(cand_res))) < sup:
-                u1, u2, residual = cand1, cand2, cand_res
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"decomposed newton line search stalled at iteration "
-                f"{iteration} (sup|residual| = {sup:.3g})",
-                residual=sup, iterations=iteration)
-    raise ConvergenceError(
-        f"decomposed newton did not reach {tol:g} in {max_iter} iterations "
-        f"(sup|residual| = {float(np.max(np.abs(residual))):.3g})",
-        residual=float(np.max(np.abs(residual))), iterations=max_iter)
+    grid = pair.grid
+
+    def direction(st, q, inner_tol):
+        v = ScalarField(grid, _solve_at(grid, st, q, inner_tol))
+        v1, v2 = decompose(t, v, schedule)
+        return v1, v2.values
+
+    (u1, u2_values), st, iterations = _damped_newton(
+        (np.asarray(u1, float).copy(), u2.values),
+        lambda x: split_residual_state(t, x[0], x[1], pair, schedule),
+        direction, tol, max_iter, solver_tol)
+    return SplitNewtonResult(u1, ScalarField(grid, u2_values), iterations,
+                             st.sup_residual, st.margin)
 
 
 @dataclass
@@ -312,8 +262,9 @@ class InitResult:
     iterations: int
     sup_residual: float
     knothe: KnotheSolution
-    u1: np.ndarray = None
-    u2: ScalarField = None
+    u1: np.ndarray
+    u2: ScalarField
+    margin: float
 
 
 def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
@@ -334,14 +285,12 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
             res = newton_correct_split(t, kn.potentials.u1, kn.potentials.u2,
                                        pair, schedule, tol=newton_tol,
                                        max_iter=max_newton)
-        except (ConvergenceError, ConcavityError, AdmissibilityError):
+        except (ConvergenceError, ConcavityError):
             t *= 0.5
             continue
-        assembled = ScalarField(
-            pair.grid, res.u1[:, None] + schedule.lam(t) * res.u2.values)
-        assembled = project_zero_mean(assembled)
-        return InitResult(assembled, t, res.iterations, res.sup_residual,
-                          kn, res.u1, res.u2)
+        return InitResult(_assemble(t, res.u1, res.u2, schedule), t,
+                          res.iterations, res.sup_residual, kn, res.u1,
+                          res.u2, res.margin)
     raise InitializationError(
         f"could not initialize from the rearrangement down to t0 = {t * 2:.3g}; "
         "try a larger grid or smoother densities")
@@ -411,31 +360,24 @@ def _fixed_ladder(t0, t1, steps, grading, ratio):
 
 @dataclass
 class _State:
-    """Current continuation state.  Below t_switch the decomposed pair is
-    authoritative (the assembled field cannot represent the fiber
-    component accurately); above, only the assembled field is kept."""
+    """Current continuation state: the decomposed pair at t and its
+    velocity (v1, v2), computed on first use."""
 
     t: float
-    psi: ScalarField
-    u1: np.ndarray = None
-    u2: ScalarField = None
-    velocity: ScalarField = None          # assembled psi_dot, lazy
-    velocity_split: tuple = None          # (v1, v2), lazy
-
-    @property
-    def split(self):
-        return self.u1 is not None
+    u1: np.ndarray
+    u2: ScalarField
+    velocity: tuple = None
 
 
 def run(pair, schedule=None, options=None):
     """Integrate the potential from t0 to t1 with Newton defect correction.
 
-    Returns a :class:`Trajectory`.  Steps are accepted only if Newton
-    converges and the margin stays positive; rejected steps are split
-    (halved in adaptive mode, bisected in fixed mode) and the run aborts
-    with :class:`StepCollapseError` - carrying the partial trajectory -
-    if the step size falls below 1e-8.  Below ``t_switch`` the state is
-    carried and corrected in decomposed coordinates.  At t1 = 1 under the
+    Returns a :class:`Trajectory`.  The state is carried and corrected in
+    the decomposed coordinates (u1, u2) throughout.  Steps are accepted
+    only if Newton converges and the margin stays positive; rejected steps
+    are split (halved in adaptive mode, bisected in fixed mode) and the
+    run aborts with :class:`StepCollapseError` - carrying the partial
+    trajectory - if the step size falls below 1e-8.  At t1 = 1 under the
     linear schedule the final record's map is the Brenier map for
     A = diag(1,1).
     """
@@ -448,118 +390,57 @@ def run(pair, schedule=None, options=None):
     knothe_field = kn.map_field()
     records = []
 
-    def record(state, iterations, sup_residual, margin):
-        if not (sup_residual <= opts.newton_tol and margin > 0.0):
+    def accept(t, result):
+        """Record a corrected state (init or step result) and return it."""
+        if not (result.sup_residual <= opts.newton_tol and result.margin > 0.0):
             raise ConstructionError("attempted to record an uncertified state")
-        cost = schedule.matrix(state.t)
-        if state.split:
-            psi1 = state.u1 - np.mean(state.u1)
-            psi2 = state.u2
-        else:
-            psi1, psi2 = decompose(state.t, state.psi, schedule)
-        tmap = transport_map(cost, state.psi)
+        psi = _assemble(t, result.u1, result.u2, schedule)
+        tmap = transport_map(schedule.matrix(t), psi)
         records.append(TrajectoryRecord(
-            state.t, state.psi, psi1, psi2, margin, sup_residual,
+            t, psi, result.u1 - np.mean(result.u1), result.u2, result.margin,
+            result.sup_residual,
             pushforward_residual(tmap, pair, opts.pushforward_k),
             l2_map_distance(tmap, knothe_field, pair.f),
-            iterations))
+            result.iterations))
+        return _State(t, result.u1, result.u2)
 
-    def assemble(t, u1, u2):
-        lam = schedule.lam(t)
-        values = u1[:, None] + lam * u2.values
-        return ScalarField(pair.grid, values - np.mean(values), zero_mean=True)
-
-    def make_state(t, result):
-        if isinstance(result, SplitNewtonResult):
-            return _State(t, assemble(t, result.u1, result.u2),
-                          result.u1, result.u2)
-        return _State(t, result.potential)
-
-    def state_velocity(state):
-        if state.split:
-            if state.velocity_split is None:
-                state.velocity_split = _velocity_split(
-                    state.t, state.u1, state.u2, pair, schedule,
-                    opts.solver_tol)
-            return state.velocity_split
-        if state.velocity is None:
-            state.velocity = velocity(state.t, state.psi, pair, schedule,
-                                      t_switch=opts.t_switch,
-                                      tol=opts.solver_tol)
-        return state.velocity
-
-    def predict_split(state, t_next):
+    def predict(state, t_next):
         # exact decomposed arithmetic: u1 += dt v1,
         # u2 -> (lam_t (u2 + dt v2)) / lam_next
         dt = t_next - state.t
         lam_t = schedule.lam(state.t)
         lam_next = schedule.lam(t_next)
-        v1, v2 = state_velocity(state)
+        if state.velocity is None:
+            state.velocity = _velocity_split(state.t, state.u1, state.u2,
+                                             pair, schedule, opts.solver_tol)
+        v1, v2 = state.velocity
         p1 = state.u1 + dt * v1
         p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next
         if opts.predictor == "heun":
-            try:
-                w1, w2 = _velocity_split(t_next, p1, ScalarField(pair.grid, p2v),
-                                         pair, schedule, opts.solver_tol,
-                                         warn=False)
-            except (ConcavityError, ConvergenceError, AdmissibilityError):
-                return None
+            w1, w2 = _velocity_split(t_next, p1, ScalarField(pair.grid, p2v),
+                                     pair, schedule, opts.solver_tol,
+                                     warn=False)
             p1 = state.u1 + 0.5 * dt * (v1 + w1)
             p2v = (lam_t * state.u2.values
                    + 0.5 * dt * (lam_t * v2.values + lam_next * w2.values)) / lam_next
         return p1, ScalarField(pair.grid, p2v - p2v.mean(axis=1, keepdims=True))
 
-    def predict_full(state, t_next):
-        dt = t_next - state.t
-        v0 = state_velocity(state)
-        if state.split:
-            v0 = ScalarField(pair.grid,
-                             v0[0][:, None] + schedule.lam(state.t) * v0[1].values)
-        predicted = state.psi.values + dt * v0.values
-        if opts.predictor == "heun":
-            try:
-                v1 = velocity(t_next, ScalarField(pair.grid, predicted),
-                              pair, schedule, t_switch=opts.t_switch,
-                              tol=opts.solver_tol, warn=False)
-            except (ConcavityError, ConvergenceError, AdmissibilityError):
-                return None
-            predicted = state.psi.values + 0.5 * dt * (v0.values + v1.values)
-        return ScalarField(pair.grid, predicted)
-
     def attempt(state, t_next):
         """One predictor-corrector trial; None signals rejection."""
         try:
-            if t_next <= opts.t_switch and state.split:
-                predicted = predict_split(state, t_next)
-                if predicted is None:
-                    return None
-                return newton_correct_split(
-                    t_next, predicted[0], predicted[1], pair, schedule,
-                    tol=opts.newton_tol, max_iter=opts.max_newton)
-            predicted = predict_full(state, t_next)
-            if predicted is None:
-                return None
-            return newton_correct(schedule.matrix(t_next), predicted, pair,
-                                  tol=opts.newton_tol,
-                                  max_iter=opts.max_newton)
-        except (ConcavityError, ConvergenceError, AdmissibilityError):
+            return newton_correct_split(
+                t_next, *predict(state, t_next), pair, schedule,
+                tol=opts.newton_tol, max_iter=opts.max_newton)
+        except (ConcavityError, ConvergenceError):
             return None
 
-    state = _State(init.t0, init.potential, init.u1, init.u2)
-    record(state, init.iterations, init.sup_residual,
-           _split_margin(init.t0, init.u1, init.u2, schedule))
+    state = accept(init.t0, init)
 
     def collapse(dt):
         partial = Trajectory(records, kn, opts, schedule)
         raise StepCollapseError(
             f"continuation step collapsed to dt = {dt:.3g} at t = "
             f"{state.t:.6g}", trajectory=partial)
-
-    def advance(t_next, result):
-        nonlocal state
-        new = make_state(t_next, result)
-        record(new, result.iterations, result.sup_residual, result.margin)
-        state = new
 
     if opts.steps == "adaptive":
         dt = state.t
@@ -572,7 +453,7 @@ def run(pair, schedule=None, options=None):
                 if dt < 1e-8:
                     collapse(dt)
                 continue
-            advance(t_next, result)
+            state = accept(t_next, result)
             easy_streak = easy_streak + 1 if result.iterations <= 3 else 0
             if easy_streak >= 3:
                 dt *= 2.0
@@ -592,6 +473,6 @@ def run(pair, schedule=None, options=None):
                     pending.insert(0, 0.5 * (state.t + t_next))
                 continue
             pending.pop(0)
-            advance(t_next, result)
+            state = accept(t_next, result)
 
     return Trajectory(records, kn, opts, schedule)

@@ -10,10 +10,12 @@ bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
+from .errors import GridSizeError
 from .grid import ScalarField, build_grid
 
 MAGIC = b"TOTF"
@@ -29,6 +31,12 @@ def write_field_binary(f, path):
 
 
 def read_field_binary(path):
+    """Read a field written by :func:`write_field_binary`.
+
+    The header's sizes must form a valid grid and match the file size
+    exactly; anything else raises ``ValueError`` (``GridSizeError`` for
+    the sizes) naming the path, before the payload is read.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -36,11 +44,17 @@ def read_field_binary(path):
         magic, n1, n2, flags = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
+        try:
+            grid = build_grid(n1, n2)
+        except GridSizeError as exc:
+            raise GridSizeError(f"{path}: {exc}") from exc
+        expected = _HEADER.size + 8 * n1 * n2
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, but a {n1} x {n2} field "
+                             f"takes {expected}")
         raw = fh.read(8 * n1 * n2)
-    if len(raw) != 8 * n1 * n2:
-        raise ValueError(f"{path}: truncated payload")
     values = np.frombuffer(raw, dtype="<f8").reshape(n1, n2).copy()
-    grid = build_grid(n1, n2)
     return ScalarField(grid, values, zero_mean=bool(flags & FLAG_ZERO_MEAN))
 
 

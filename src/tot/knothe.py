@@ -108,16 +108,6 @@ def knothe_solution(pair):
     return KnotheSolution(grid, r1, fibers.displacement, potentials)
 
 
-def knothe_rearrangement(pair):
-    """(marginal map, fiber maps as a displacement array)."""
-    sol = knothe_solution(pair)
-    return sol.r1, sol.r2_displacement
-
-
-def knothe_potentials(pair):
-    return knothe_solution(pair).potentials
-
-
 def fiber_pushforward_error(pair, solution, n_fibers=8, n_quantiles=256):
     """Max quantile-test error of the fiber maps over sampled fibers."""
     grid = pair.grid

@@ -20,11 +20,12 @@ works in the Nyquist-free, zero-mean subspace; smooth data has no
 content there beyond truncation noise, and Newton updates confined to
 that subspace converge quadratically to residual floors around 1e-12.
 
-Two companion solvers cover the degenerate regime in the decomposed
-coordinates (u1, u2): an exact triangular solve at t = 0 built from 1D
-primitives, and a block Gauss-Seidel iteration for small t based on the
-splitting B = U + V / lambda, whose fiber equation involves no 1/lambda
-at all.
+In the decomposed coordinates (u1, u2) the t = 0 operator has an exact
+triangular inverse built from 1D primitives.  At t > 0 the same
+preconditioned solve serves the decomposed coordinates too: its solution
+is split as v1 = int v dx2, v2 = (v - v1) / lambda.  The splitting
+B = U + V / lambda, every stored entry O(1) as t -> 0, is kept as an
+independent form of the operator for checking those solutions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grid import (ScalarField, SymMatrixField, antideriv_values, deriv_values,
                    wavenumbers)
-from .monge_ampere import CostSchedule, check_admissible, residual_state
+from .monge_ampere import (CostSchedule, check_admissible, decompose,
+                           residual_state)
 
 __all__ = [
     "elliptic_coefficients", "SplitCoefficients", "split_coefficients",
@@ -192,11 +194,14 @@ def cost_rate_rhs(cost, u, pair):
     At states with zero residual the coefficient equals f, recovering the
     evolution equation's right-hand side.
     """
-    st, b11, b12, b22 = _coefficient_values(cost, u.values, pair)
-    s2 = (cost.a22dot / cost.a22) * st.grad2
-    kern = _kernels(*pair.grid.shape)
-    out = kern.div(b12 * s2, b22 * s2)
+    out = _cost_rate_values(residual_state(cost, u.values, pair))
     return ScalarField(pair.grid, out, zero_mean=True)
+
+
+def _cost_rate_values(st):
+    _, b12, b22 = coefficient_arrays(st)
+    s2 = (st.cost.a22dot / st.cost.a22) * st.grad2
+    return _kernels(*st.residual.shape).div(b12 * s2, b22 * s2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +337,20 @@ def apply_linearized_t0(u1, u2, pair, v1, v2):
     return ScalarField(pair.grid, out, zero_mean=True)
 
 
-def _ratio_primitive_1d(coef, rhs, extra_flux=None):
-    """Solve d[coef * w] = rhs on the circle with w of zero mean, where the
-    flux may carry a known extra term: d[coef*w + extra_flux] = rhs.
+def _ratio_primitive_1d(coef, rhs):
+    """Solve d[coef * w] = rhs on the circle with w of zero mean.
     Returns w; the integration constant is fixed by mean(w) = 0."""
     flux = antideriv_values(rhs, 0)
-    if extra_flux is not None:
-        flux = flux - extra_flux
     c = -np.mean(flux / coef) / np.mean(1.0 / coef)
     return (flux + c) / coef
 
 
-def _ratio_primitive_rows(coef, rhs, extra_flux=None):
-    """Row-wise version: solve d2[coef * w] = rhs on every fiber, w of zero
-    mean along each row.  Row means of rhs are projected out (they vanish
+def _ratio_primitive_rows(coef, rhs, extra_flux):
+    """Row-wise version with a known extra flux term: solve
+    d2[coef * w + extra_flux] = rhs on every fiber, w of zero mean along
+    each row.  Row means of rhs are projected out (they vanish
     analytically; projecting enforces exact solvability)."""
-    flux = antideriv_values(rhs - rhs.mean(axis=1, keepdims=True), 1)
-    if extra_flux is not None:
-        flux = flux - extra_flux
+    flux = antideriv_values(rhs - rhs.mean(axis=1, keepdims=True), 1) - extra_flux
     c = -np.mean(flux / coef, axis=1, keepdims=True) \
         / np.mean(1.0 / coef, axis=1, keepdims=True)
     return (flux + c) / coef
@@ -382,93 +383,29 @@ def solve_linearized_t0(u1, u2, pair, q):
     v1 = antideriv_values(v1p, 0)
 
     rhs2 = qv - deriv_values(c11 * v1p[:, None], 0, 1)
-    v2p = _ratio_primitive_rows(c22, rhs2, extra_flux=c21 * v1p[:, None])
+    v2p = _ratio_primitive_rows(c22, rhs2, c21 * v1p[:, None])
     v2 = antideriv_values(v2p, 1)
     return v1, ScalarField(pair.grid, v2)
 
 
 # ---------------------------------------------------------------------------
-# small t: block Gauss-Seidel on the split equation
+# t > 0 in decomposed coordinates
 
-def solve_linearized_small_t(t, u1, u2, pair, q, tol=1e-10, schedule=None,
-                             max_sweeps=200, fall_back=True):
-    """Solve the decomposed linear system at small t > 0.
+def solve_linearized_small_t(t, u1, u2, pair, q, tol=1e-10, schedule=None):
+    """Solve the linearized equation at the decomposed state (u1, u2), t > 0.
 
-    Initializes with the t = 0 triangular solve, then sweeps block
-    Gauss-Seidel: the fiber equation d2[V22 d2 v2] = q - Div(U grad v)
-    updates v2, the x2-average of the full equation updates v1; both
-    blocks are 1D primitive solves and no 1/lambda appears anywhere.
-    Convergence is declared on the full-operator residual.  Returns the
-    same solution as ``solve_linearized`` followed by the splitting
-    v1 = int v dx2, v2 = (v - v1)/lambda (cross-checked by property test).
+    Runs :func:`solve_linearized` at the assembled potential u1 + lambda u2
+    and returns its solution split as (v1, v2): v1 = int v dx2 with zero
+    mean on n1 nodes, v2 = (v - v1) / lambda a ScalarField with zero mean
+    along every fiber, so that v = v1 + lambda v2 up to a constant.
 
-    The sweep treats the x1 coupling explicitly, so its contraction factor
-    grows like lambda * k1^2: it converges when lambda is small against
-    1 / (n1/2)^2 per unit coupling strength.  Divergence is detected from
-    the residual history, after which (or after ``max_sweeps``) the solver
-    falls back to the plain solve plus splitting.
+    Raises ``ConcavityError`` if the assembled margin is not positive and
+    ``ConvergenceError`` if the solve misses ``tol``.
     """
     schedule = schedule or CostSchedule.linear()
     if not 0.0 < t:
         raise ValueError("t must be positive (use solve_linearized_t0 at t = 0)")
-    u1 = np.asarray(u1, float)
-    check_admissible(t, u1, u2.values, schedule)
-    qv = q.values
-    grid = pair.grid
-    kern = _kernels(*grid.shape)
-    split = split_coefficients(t, u1, u2, pair, schedule)
-    lam = split.lam
-    u11 = split.u_matrix.m11.values
-    u12 = split.u_matrix.m12.values
-    v22 = split.v22.values
-    if np.min(v22) <= 0.0:
-        raise ConstructionError(
-            f"internal consistency: fiber coefficient V22 has min "
-            f"{np.min(v22):.3g} <= 0")
-    g_bar = u11.mean(axis=1)
-    qbar = qv.mean(axis=1)
-    norm_q = np.sqrt(float(np.mean(qv ** 2)))
-
-    def full_apply(v1, v2v):
-        vt1 = deriv_values(v1, 0, 1)[:, None] + lam * deriv_values(v2v, 0, 1)
-        d2v2 = deriv_values(v2v, 1, 1)
-        w1 = u11 * vt1 + lam * u12 * d2v2
-        w2 = u12 * vt1 + v22 * d2v2
-        return kern.div(w1, w2)
-
-    v1, v2f = solve_linearized_t0(u1, u2, pair, q)
-    v2 = v2f.values
-    if norm_q == 0.0:
-        return v1 * 0.0, ScalarField(grid, np.zeros(grid.shape))
-    best = np.inf
-    residual = np.inf
-    for _ in range(max_sweeps):
-        residual = np.sqrt(float(np.mean((full_apply(v1, v2) - qv) ** 2)))
-        if residual <= tol * norm_q:
-            return v1, ScalarField(grid, v2)
-        if residual < best:
-            best = residual
-        elif residual > 10.0 * best or not np.isfinite(residual):
-            break                       # diverging: high-k1 instability
-        # v2 from the fiber equation, given the current full direction
-        vt1 = deriv_values(v1, 0, 1)[:, None] + lam * deriv_values(v2, 0, 1)
-        d2v2 = deriv_values(v2, 1, 1)
-        rhs2 = qv - deriv_values(u11 * vt1 + lam * u12 * d2v2, 0, 1)
-        v2p = _ratio_primitive_rows(v22, rhs2, extra_flux=u12 * vt1)
-        v2 = antideriv_values(v2p, 1)
-        # v1 from the x2-average of the full equation, given the new v2
-        mean_flux = lam * np.mean(u11 * deriv_values(v2, 0, 1)
-                                  + u12 * deriv_values(v2, 1, 1), axis=1)
-        v1p = _ratio_primitive_1d(g_bar, qbar, extra_flux=mean_flux)
-        v1 = antideriv_values(v1p, 0)
-    if not fall_back:
-        raise ConvergenceError(
-            f"block Gauss-Seidel did not reach tol {tol:g} in {max_sweeps} sweeps",
-            residual=min(best, residual) / norm_q, iterations=max_sweeps)
-    cost = schedule.matrix(t)
-    combined = ScalarField(grid, u1[:, None] + lam * u2.values)
-    v = solve_linearized(cost, combined, pair, q, tol=tol)
-    row = v.values.mean(axis=1)
-    v1 = row - row.mean()
-    v2 = (v.values - row[:, None]) / lam
-    return v1, ScalarField(grid, v2)
+    combined = ScalarField(pair.grid, np.asarray(u1, float)[:, None]
+                           + schedule.lam(t) * u2.values)
+    v = solve_linearized(schedule.matrix(t), combined, pair, q, tol=tol)
+    return decompose(t, v, schedule)

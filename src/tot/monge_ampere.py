@@ -29,7 +29,7 @@ from .grid import ScalarField, VectorField, deriv_values
 
 __all__ = [
     "CostMatrix", "CostSchedule", "identity_cost", "c_concavity_margin",
-    "monge_ampere_residual", "decomposed_residual", "transport_map",
+    "monge_ampere_residual", "decompose", "decomposed_residual", "transport_map",
     "pushforward_residual", "t0_margins",
 ]
 
@@ -142,21 +142,47 @@ class ResidualState:
 
 
 def residual_state(cost, values, pair, require_margin=True):
-    grid = pair.grid
     # x2-derivatives are taken on the fiber-fluctuating part only (the row
     # mean has none analytically); this avoids machine noise from the
     # x1-only component being amplified by the 1/a22 divisions at small t
     fluct = values - values.mean(axis=1, keepdims=True)
-    u11 = deriv_values(values, 0, 2)
-    u12 = deriv_values(deriv_values(fluct, 0, 1), 1, 1)
-    u22 = deriv_values(fluct, 1, 2)
+    return _state_from_derivatives(
+        cost, pair, deriv_values(values, 0, 1), deriv_values(fluct, 1, 1),
+        deriv_values(values, 0, 2), deriv_values(deriv_values(fluct, 0, 1), 1, 1),
+        deriv_values(fluct, 1, 2), require_margin)
+
+
+def split_residual_state(t, u1_values, u2_values, pair, schedule=None):
+    """``residual_state`` of u1 + lambda_t u2 at t > 0, built from the
+    derivatives of u1 and u2 themselves.
+
+    The fiber component's derivatives are scaled by lambda only after
+    differentiation, so nothing is lost to rounding at small lambda (the
+    assembled field cannot carry it).  The margin therefore certifies
+    admissibility of the decomposed pair: min(1 - d11 u) is at least the
+    smaller eigenvalue, so a positive margin implies both inequalities of
+    ``check_admissible``.
+    """
+    schedule = schedule or CostSchedule.linear()
+    lam = schedule.lam(t)
+    u1_values = np.asarray(u1_values, float)
+    d1_u2 = deriv_values(u2_values, 0, 1)
+    return _state_from_derivatives(
+        schedule.matrix(t), pair,
+        deriv_values(u1_values, 0, 1)[:, None] + lam * d1_u2,
+        lam * deriv_values(u2_values, 1, 1),
+        deriv_values(u1_values, 0, 2)[:, None] + lam * deriv_values(u2_values, 0, 2),
+        lam * deriv_values(d1_u2, 1, 1),
+        lam * deriv_values(u2_values, 1, 2))
+
+
+def _state_from_derivatives(cost, pair, g1, g2, u11, u12, u22,
+                            require_margin=True):
     margin = margin_values(cost, u11, u12, u22)
     if require_margin and margin <= 0.0:
         raise ConcavityError(
             f"not c-concave: min eig(A - D2 u) = {margin:.3g} <= 0")
-    g1 = deriv_values(values, 0, 1)
-    g2 = deriv_values(fluct, 1, 1)
-    x1, x2 = grid.mesh()
+    x1, x2 = pair.grid.mesh()
     t1 = x1 - g1
     t2 = x2 - g2 / cost.a22
     g_at_t = pair.g_poly(np.mod(t1, 1.0), np.mod(t2, 1.0))
@@ -226,8 +252,8 @@ def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
 
     At lambda = 0 this is exactly the t = 0 limit operator.  The assembled
     evaluation loses the fiber component to rounding once lambda is small
-    (floor ~ eps * (pi n)^2 / lambda); this form has no such floor, so the
-    small-t solvers certify their states with it.
+    (floor ~ eps * (pi n)^2 / lambda); this form has no such floor, and
+    unlike ``split_residual_state`` it extends to t = 0.
     """
     schedule = schedule or CostSchedule.linear()
     lam = 0.0 if t == 0.0 else schedule.lam(t)
@@ -247,6 +273,22 @@ def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
     det = ((1.0 - d11_u1 - lam * d11_u2) * (1.0 - d22_u2)
            - lam * d12_u2 * d12_u2)
     return pair.f_values - g_at_t * det
+
+
+def decompose(t, psi, schedule=None):
+    """Split psi into (psi1(x1), psi2(x1,x2)) with psi = psi1 + lambda*psi2
+    up to the overall mean; psi1 is zero-mean, psi2 fiberwise zero-mean.
+
+    Rejects t = 0, where the split has no lambda-free representation.
+    """
+    if not t > 0.0:
+        raise ValueError("decompose is defined for t > 0 only")
+    schedule = schedule or CostSchedule.linear()
+    lam = schedule.lam(t)
+    row = psi.values.mean(axis=1)
+    psi1 = row - row.mean()
+    psi2 = (psi.values - row[:, None]) / lam
+    return psi1, ScalarField(psi.grid, psi2)
 
 
 def decomposed_residual(t, u1, u2, pair, schedule=None, eps=0.0):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import tot
+from tot.grid import deriv_values
+from tot.linearized import split_coefficients
 from tot.monge_ampere import hessian_values
 
 
@@ -32,6 +34,27 @@ def admissible_potential(grid, kmax, rng, margin_target=0.3, a22=1.0):
     bound = max(np.max(np.abs(h11)) + np.max(np.abs(h12)),
                 (np.max(np.abs(h22)) + np.max(np.abs(h12))) / a22)
     return (1.0 - margin_target) * min(1.0, a22) * v / bound
+
+
+def split_operator_residual(t, u1, u2, pair, q, v1, v2):
+    """Relative L2 residual of Div(B grad(v1 + lambda v2)) = q, with B in
+    the split form U + V / lambda of ``split_coefficients``.
+
+    Every term is formed from (v1, v2) and O(1) coefficients, so the check
+    does not share the assembled coefficients the PCG solve uses:
+
+        d1[U11 w + lambda U12 d2 v2] + d2[U12 w + V22 d2 v2],
+        w = d1 v1 + lambda d1 v2.
+    """
+    split = split_coefficients(t, u1, u2, pair)
+    lam = split.lam
+    u11 = split.u_matrix.m11.values
+    u12 = split.u_matrix.m12.values
+    w = deriv_values(v1, 0, 1)[:, None] + lam * deriv_values(v2.values, 0, 1)
+    d2v2 = deriv_values(v2.values, 1, 1)
+    out = (deriv_values(u11 * w + lam * u12 * d2v2, 0, 1)
+           + deriv_values(u12 * w + split.v22.values * d2v2, 1, 1))
+    return float(np.sqrt(np.mean((out - q.values) ** 2) / np.mean(q.values ** 2)))
 
 
 @pytest.fixture(scope="session")

@@ -210,12 +210,21 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", ["pushforward_k = 0", "pushforward_k = -1",
                                    "max_newton = 0", "solver_tol = 0",
-                                   "solver_tol = -1e-11", "t_switch = -0.01"])
+                                   "solver_tol = -1e-11"])
 def test_exit_code_invalid_option(tmp_path, capsys, entry):
     cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n" + entry + "\n")
     assert run_cli("continue", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
     assert f"options: {entry.split()[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_removed_t_switch_key(tmp_path, capsys):
+    # the run no longer switches representation, so the key is unknown
+    cfg = write_cfg(tmp_path, MINIMAL + "t_switch = 0.01\n")
+    assert run_cli("continue", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    assert "unknown key 't_switch'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

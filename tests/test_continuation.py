@@ -236,12 +236,16 @@ def test_run_heun_predictor(pair64):
 
 
 def test_run_aborts_with_partial_trajectory(pair64, monkeypatch):
-    # initialization succeeds (decomposed correction), every later step is
-    # forced to fail, so the step size collapses
-    def always_fails(*args, **kwargs):
-        raise ConvergenceError("forced failure")
+    # initialization succeeds (its correction at t0 runs), every later
+    # step's corrector is forced to fail, so the step size collapses
+    correct = continuation.newton_correct_split
 
-    monkeypatch.setattr(continuation, "newton_correct", always_fails)
+    def fails_after_t0(t, *args, **kwargs):
+        if t > 0.1:
+            raise ConvergenceError("forced failure")
+        return correct(t, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct_split", fails_after_t0)
     with pytest.raises(StepCollapseError) as info:
         tot.run(pair64, options=tot.ContinuationOptions(steps=4, t0=0.1))
     partial = info.value.trajectory
@@ -271,10 +275,8 @@ def test_options_validation():
     with pytest.raises(ValueError):
         tot.ContinuationOptions(step_grading="log").validated()
     for bad in ({"pushforward_k": 0}, {"pushforward_k": -1}, {"max_newton": 0},
-                {"solver_tol": 0.0}, {"solver_tol": -1e-11},
-                {"t_switch": -1e-2}):
+                {"solver_tol": 0.0}, {"solver_tol": -1e-11}):
         with pytest.raises(ValueError):
             tot.ContinuationOptions(**bad).validated()
     assert tot.ContinuationOptions(steps="adaptive").validated()
-    assert tot.ContinuationOptions(t_switch=0.0, pushforward_k=1,
-                                   max_newton=1).validated()
+    assert tot.ContinuationOptions(pushforward_k=1, max_newton=1).validated()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ def test_binary_round_trip_bit_exact(tmp_path):
     zf = tot.project_zero_mean(f)
     write_field_binary(zf, path)
     assert read_field_binary(path).zero_mean is True
+
+
+@pytest.mark.parametrize("n", [4294967295, 4294967294])
+def test_binary_rejects_oversize_header(tmp_path, n):
+    path = tmp_path / "huge.totf"
+    path.write_bytes(struct.pack("<4sIII", b"TOTF", n, n, 0) + bytes(64))
+    with pytest.raises(ValueError, match="huge.totf"):
+        read_field_binary(path)
+
+
+@pytest.mark.parametrize("extra", [-8, 8])
+def test_binary_rejects_payload_size_mismatch(tmp_path, extra):
+    g = tot.build_grid(8, 8)
+    path = tmp_path / "field.totf"
+    write_field_binary(tot.zero_field(g), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
+    with pytest.raises(ValueError, match="field.totf"):
+        read_field_binary(path)
 
 
 def test_csv_export_layout(tmp_path):

@@ -1,0 +1,111 @@
+"""Property-based tests of the input layer: config parsing and field files.
+
+Example counts are capped in ``FUZZ`` so the module adds about two seconds
+to the suite; raise ``max_examples`` there for a longer search.
+"""
+
+import itertools
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tot.config import _SCHEMA, _parse_lines
+from tot.errors import ConfigError
+from tot.fieldio import MAGIC, read_field_binary, write_field_binary
+from tot.grid import ScalarField, build_grid
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# config text: arbitrary lines mixed with lines that reach the value parsers
+_values = st.one_of(st.text(max_size=30), st.integers().map(str),
+                    st.floats().map(repr), st.sampled_from(
+                        ["adaptive", "true", "off", "t^2", "(1, 0, 0.3, 0)",
+                         "(1,0,0.3,0); (0,1,0.2,1.5)", "(1, 0, x, 0)"]))
+_lines = st.one_of(
+    st.text(max_size=60),
+    st.tuples(st.sampled_from(sorted(_SCHEMA)), _values).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"))
+
+
+@FUZZ
+@given(st.lists(_lines, max_size=8).map("\n".join))
+def test_parse_lines_raises_only_config_error(text):
+    try:
+        entries = _parse_lines(text)
+    except ConfigError:
+        return
+    assert set(entries) <= set(_SCHEMA)
+
+
+_even = st.integers(4, 16).map(lambda k: 2 * k)
+_file_ids = itertools.count()
+
+
+def fresh_path(directory):
+    # a new file per example: truncating an existing one is far slower on
+    # some file systems than creating one
+    return directory / f"field{next(_file_ids)}.totf"
+
+
+@st.composite
+def fields(draw):
+    grid = build_grid(draw(_even), draw(_even))
+    values = draw(arrays(np.float64, grid.shape))      # NaN, inf, -0.0 too
+    return ScalarField(grid, values, zero_mean=draw(st.booleans()))
+
+
+@FUZZ
+@given(fields())
+def test_binary_round_trip_is_bit_exact(tmp_path, field):
+    path = fresh_path(tmp_path)
+    write_field_binary(field, path)
+    back = read_field_binary(path)
+    assert back.grid == field.grid
+    assert back.zero_mean == field.zero_mean
+    assert back.values.astype("<f8").tobytes() == field.values.astype("<f8").tobytes()
+
+
+@FUZZ
+@given(fields(), st.data())
+def test_binary_truncation_raises_value_error(tmp_path, field, data):
+    path = fresh_path(tmp_path)
+    write_field_binary(field, path)
+    raw = path.read_bytes()
+    path = fresh_path(tmp_path)
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(ValueError):
+        read_field_binary(path)
+
+
+@FUZZ
+@given(st.one_of(st.binary(min_size=16, max_size=16),
+                 st.binary(min_size=12, max_size=12).map(lambda b: MAGIC + b)),
+       st.integers(0, 40).map(lambda n: 8 * n))
+def test_binary_random_header_raises_value_error(tmp_path, header, payload):
+    path = fresh_path(tmp_path)
+    path.write_bytes(header + bytes(payload))
+    with pytest.raises(ValueError):
+        read_field_binary(path)
+
+
+@FUZZ
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 2 ** 32 - 1),
+       st.integers(-2, 2))
+def test_binary_accepts_only_valid_sizes_matching_payload(tmp_path, n1, n2,
+                                                          flags, extra):
+    path = fresh_path(tmp_path)
+    count = max(0, n1 * n2 + extra)
+    path.write_bytes(struct.pack("<4sIII", MAGIC, n1, n2, flags)
+                     + bytes(8 * count))
+    valid = min(n1, n2) >= 8 and n1 % 2 == n2 % 2 == 0 and count == n1 * n2
+    try:
+        field = read_field_binary(path)
+    except ValueError:
+        assert not valid
+        return
+    assert valid and field.grid.shape == (n1, n2)

@@ -61,7 +61,7 @@ def test_explicit_grading_ratio(pair64):
     assert traj.final.t == 1.0
 
 
-def test_run_starting_above_t_switch(pair64):
+def test_run_starting_at_large_t0(pair64):
     traj = tot.run(pair64, options=tot.ContinuationOptions(steps=4, t0=0.5))
     assert traj.final.t == 1.0
     for rec in traj.records:
