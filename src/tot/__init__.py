@@ -18,23 +18,22 @@ from .errors import (AdmissibilityError, ConcavityError, ConfigError,
                      GridSizeError, InitializationError, PositivityError,
                      StepCollapseError, TransportError)
 from .fieldio import read_field_binary, write_field_binary, write_field_csv
-from .grid import (PeriodicGrid, ScalarField, SymMatrixField, VectorField,
-                   build_grid, eval_periodic, field, integrate_mean,
-                   project_zero_mean, spectral_derivative, zero_field)
+from .grid import (PeriodicGrid, ScalarField, VectorField, build_grid, field,
+                   integrate_mean, project_zero_mean, spectral_derivative,
+                   zero_field)
 from .knothe import (KnothePotentials, KnotheSolution, fiber_pushforward_error,
                      knothe_solution, l2_map_distance,
                      marginal_and_conditionals)
 from .linearized import (SplitCoefficients, apply_linearized,
-                         apply_linearized_t0, cost_rate_rhs,
-                         elliptic_coefficients, solve_linearized,
-                         solve_linearized_iterations, solve_linearized_small_t,
-                         solve_linearized_t0, split_coefficients)
+                         apply_linearized_t0, cost_rate_rhs, solve_linearized,
+                         solve_linearized_small_t, solve_linearized_t0,
+                         split_coefficients)
 from .monge_ampere import (CostMatrix, CostSchedule, c_concavity_margin,
                            check_admissible, decompose, decomposed_residual,
                            identity_cost, monge_ampere_residual,
                            pushforward_residual, t0_margins, transport_map)
-from .transport1d import (CircleCdf, CircleDensity, CircleMap, cdf,
-                          circle_density, monotone_circle_map, potential_1d,
+from .transport1d import (CircleDensity, CircleMap, circle_density,
+                          monotone_circle_map, potential_1d,
                           pushforward_quantile_error, transport_cost)
 from .trig import TrigPoly1D, TrigPoly2D
 

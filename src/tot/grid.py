@@ -2,10 +2,15 @@
 
 Fields live on uniform n1 x n2 grids with nodes (i/n1, j/n2); the first
 array index runs along x1 (row-major storage, x1 is the slow index).
-Differentiation acts on the trigonometric interpolant: first derivatives
-zero the Nyquist mode (odd symbol), second derivatives keep it with
-symbol -(pi*n)^2.  Off-grid evaluation is periodic bicubic by default and
-exact whenever the field carries a closed-form definition.
+Differentiation acts on the trigonometric interpolant through one table
+of real-FFT symbols per size (:func:`symbols`): first derivatives zero the
+Nyquist mode (odd symbol), second derivatives keep it with symbol
+-(pi*n)^2, and primitives drop the mean and Nyquist modes.  This module is
+the only place that knows the convention: the solver modules take their
+derivatives from :func:`deriv_values` along one axis or from
+:func:`derivative_bundle`, which returns all first and second derivatives
+of a 2D array from one forward transform, and ``linearized`` builds its
+operator kernels from the same table.
 
 All operations are pure: input fields are never mutated, so values may be
 shared read-only across threads.
@@ -15,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridSizeError
 from .trig import TrigPoly2D
@@ -69,7 +74,8 @@ class ScalarField:
 
     ``zero_mean`` marks fields normalized to zero average; ``closed_form``
     carries an exact trigonometric definition when one exists (densities),
-    used by :func:`eval_periodic` to bypass interpolation.
+    from which the Knothe construction takes exact marginals and
+    conditionals.
     """
 
     grid: PeriodicGrid
@@ -101,23 +107,6 @@ class VectorField:
         return self.v1.grid
 
 
-@dataclass
-class SymMatrixField:
-    """Symmetric 2x2 matrix field; only the upper triangle is stored."""
-
-    m11: ScalarField
-    m12: ScalarField
-    m22: ScalarField
-
-    def __post_init__(self):
-        if not (self.m11.grid == self.m12.grid == self.m22.grid):
-            raise ValueError("component grids differ")
-
-    @property
-    def grid(self):
-        return self.m11.grid
-
-
 def field(grid, values, zero_mean=False, closed_form=None):
     return ScalarField(grid, values, zero_mean=zero_mean, closed_form=closed_form)
 
@@ -134,48 +123,68 @@ def wavenumbers(n):
     return np.fft.fftfreq(n, d=1.0 / n)
 
 
+class Symbols(NamedTuple):
+    d1: np.ndarray
+    d2: np.ndarray
+    primitive: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _deriv_symbol(n, order):
-    k = wavenumbers(n)
-    if order == 1:
-        s = 2j * np.pi * k
-        s[n // 2] = 0.0          # Nyquist zeroed: odd symbol, keeps output real
-    elif order == 2:
-        s = -(2.0 * np.pi * k) ** 2 + 0j   # Nyquist kept: -(pi*n)^2
+def symbols(n, half=True):
+    """Fourier symbols of d/dx, d^2/dx^2 and the zero-mean primitive on n
+    nodes, over the rfft half spectrum k = 0..n/2 (read-only arrays).
+
+    The first derivative 2i pi k zeroes the Nyquist mode k = n/2 (an odd
+    symbol there would make the output complex); the second derivative
+    keeps it as -(pi n)^2; the primitive 1/(2i pi k) drops the mean and
+    Nyquist.  ``half=False`` unfolds the same symbols onto the full fft
+    spectrum, ordered as :func:`wavenumbers`.
+    """
+    if half:
+        k = np.arange(n // 2 + 1)
+        d1 = 2j * np.pi * k
+        d1[-1] = 0.0
+        primitive = np.zeros_like(d1)
+        primitive[1:-1] = 1.0 / d1[1:-1]
+        out = Symbols(d1, -(2.0 * np.pi * k) ** 2, primitive)
     else:
-        raise ValueError("order must be 1 or 2")
-    s.setflags(write=False)
-    return s
+        # -k mirrors k: odd symbols change sign, d2 does not
+        out = Symbols(*(np.concatenate([s, sign * s[-2:0:-1]])
+                        for s, sign in zip(symbols(n), (-1, 1, -1))))
+    for s in out:
+        s.setflags(write=False)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _antideriv_symbol(n):
-    k = wavenumbers(n)
-    s = np.zeros(n, dtype=complex)
-    nz = k != 0
-    s[nz] = 1.0 / (2j * np.pi * k[nz])
-    s[n // 2] = 0.0
-    s.setflags(write=False)
-    return s
-
-
-def _apply_symbol(values, symbol, axis):
+def _rfft_multiply(values, symbol, axis):
     shape = [1] * values.ndim
     shape[axis] = len(symbol)
-    spec = np.fft.fft(values, axis=axis) * symbol.reshape(shape)
-    return np.fft.ifft(spec, axis=axis).real
+    spec = np.fft.rfft(values, axis=axis) * symbol.reshape(shape)
+    return np.fft.irfft(spec, values.shape[axis], axis=axis)
 
 
 def deriv_values(values, axis, order=1):
     """Spectral derivative of a grid array along numpy axis 0 (x1) or 1 (x2);
     also works on 1D arrays with axis=0."""
-    return _apply_symbol(values, _deriv_symbol(values.shape[axis], order), axis)
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    table = symbols(values.shape[axis])
+    return _rfft_multiply(values, table.d1 if order == 1 else table.d2, axis)
 
 
 def antideriv_values(values, axis):
     """Zero-mean spectral primitive along an axis.  The input must have zero
     mean along that axis (its mean mode is discarded)."""
-    return _apply_symbol(values, _antideriv_symbol(values.shape[axis]), axis)
+    return _rfft_multiply(values, symbols(values.shape[axis]).primitive, axis)
+
+
+def derivative_bundle(values):
+    """(d1, d2, d11, d12, d22) of a 2D grid array from one rfft2."""
+    n1, n2 = values.shape
+    s1, s2 = symbols(n1, half=False), symbols(n2)
+    spec = np.fft.rfft2(values)
+    return tuple(np.fft.irfft2(spec * symbol, values.shape) for symbol in (
+        s1.d1[:, None], s2.d1, s1.d2[:, None], s1.d1[:, None] * s2.d1, s2.d2))
 
 
 # ---------------------------------------------------------------------------
@@ -209,33 +218,3 @@ def integrate_mean(f):
 def project_zero_mean(f):
     """Subtract the average; the result is flagged zero-mean."""
     return ScalarField(f.grid, f.values - np.mean(f.values), zero_mean=True)
-
-
-def _bicubic_eval(grid, values, x1, x2):
-    # tensor-product periodic cubic splines: interpolate rows in x2 first,
-    # then each point's column in x1
-    t2 = np.arange(grid.n2 + 1) / grid.n2
-    wrapped2 = np.concatenate([values, values[:, :1]], axis=1)
-    rows = CubicSpline(t2, wrapped2, axis=1, bc_type="periodic")(x2)  # (n1, P)
-    t1 = np.arange(grid.n1 + 1) / grid.n1
-    cols = np.concatenate([rows, rows[:1, :]], axis=0)                # (n1+1, P)
-    spline1 = CubicSpline(t1, cols, axis=0, bc_type="periodic")
-    out = np.empty(len(x1))
-    for p in range(len(x1)):
-        out[p] = spline1(x1[p])[p]
-    return out
-
-
-def eval_periodic(f, points):
-    """Field values at arbitrary points, wrapped into [0,1)^2.
-
-    Uses the exact closed form when the field carries one, otherwise a
-    periodic bicubic spline of the grid values.  Returns a 1D array, one
-    value per point.
-    """
-    pts = np.atleast_2d(np.asarray(points, float))
-    x1 = np.mod(pts[:, 0], 1.0)
-    x2 = np.mod(pts[:, 1], 1.0)
-    if f.closed_form is not None:
-        return np.asarray(f.closed_form(x1, x2), float)
-    return _bicubic_eval(f.grid, f.values, x1, x2)

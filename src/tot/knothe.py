@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, PositivityError
-from .grid import ScalarField, VectorField, deriv_values
+from .grid import ScalarField, VectorField
+from .monge_ampere import t0_margins
 from .transport1d import (CircleMap, circle_density, monotone_circle_map,
                           potential_from_map, pushforward_quantile_error)
 
@@ -65,9 +66,7 @@ class KnothePotentials:
 
     @property
     def margins(self):
-        m1 = float(np.min(1.0 - deriv_values(self.u1, 0, 2)))
-        m2 = float(np.min(1.0 - deriv_values(self.u2.values, 1, 2)))
-        return m1, m2
+        return t0_margins(self.u1, self.u2.values)
 
 
 @dataclass

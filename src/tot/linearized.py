@@ -12,20 +12,23 @@ conjugate gradients on its negation, preconditioned by the exact inverse
 of the constant-coefficient operator with the mean matrix of B (diagonal
 in Fourier space; it captures the small-lambda anisotropy exactly).
 
-The discrete first-derivative symbol vanishes on the Nyquist rows
-k1 = n1/2 and k2 = n2/2 while the second-derivative symbol does not, so
-on those modes Div(B grad .) is not the Jacobian of the discrete
-residual (it is off by a factor of order (pi n)^2).  The solver therefore
-works in the Nyquist-free, zero-mean subspace; smooth data has no
-content there beyond truncation noise, and Newton updates confined to
-that subspace converge quadratically to residual floors around 1e-12.
+The operator kernels (gradient, divergence, preconditioner) take their
+symbols from the one table in ``grid``.  The first-derivative symbol
+vanishes on the Nyquist rows k1 = n1/2 and k2 = n2/2 while the
+second-derivative symbol does not, so on those modes Div(B grad .) is not
+the Jacobian of the discrete residual (it is off by a factor of order
+(pi n)^2).  The solver therefore works in the Nyquist-free, zero-mean
+subspace; smooth data has no content there beyond truncation noise, and
+Newton updates confined to that subspace converge quadratically to
+residual floors around 1e-12.
 
 In the decomposed coordinates (u1, u2) the t = 0 operator has an exact
 triangular inverse built from 1D primitives.  At t > 0 the same
 preconditioned solve serves the decomposed coordinates too: its solution
 is split as v1 = int v dx2, v2 = (v - v1) / lambda.  The splitting
 B = U + V / lambda, every stored entry O(1) as t -> 0, is kept as an
-independent form of the operator for checking those solutions.
+independent form of the operator for checking those solutions; at t = 0
+its entries are the coefficients of the triangular limit operator.
 """
 
 from __future__ import annotations
@@ -36,13 +39,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError
-from .grid import (ScalarField, SymMatrixField, antideriv_values, deriv_values,
-                   wavenumbers)
+from .grid import ScalarField, antideriv_values, deriv_values, symbols
 from .monge_ampere import (CostSchedule, check_admissible, decompose,
-                           residual_state)
+                           residual_state, split_factors)
 
 __all__ = [
-    "elliptic_coefficients", "SplitCoefficients", "split_coefficients",
+    "SplitCoefficients", "split_coefficients",
     "apply_linearized", "cost_rate_rhs", "solve_linearized",
     "apply_linearized_t0", "solve_linearized_t0", "solve_linearized_small_t",
 ]
@@ -54,14 +56,11 @@ __all__ = [
 class _Kernels:
     def __init__(self, n1, n2):
         self.shape = (n1, n2)
-        s1 = 2.0 * np.pi * wavenumbers(n1)
-        s1[n1 // 2] = 0.0
-        s2 = 2.0 * np.pi * np.arange(n2 // 2 + 1)
-        s2[-1] = 0.0
-        self.s1 = s1[:, None]
-        self.s2 = s2[None, :]
-        self.ik1 = 1j * self.s1
-        self.ik2 = 1j * self.s2
+        # rfft2 layout: full spectrum along x1, half spectrum along x2
+        self.ik1 = symbols(n1, half=False).d1[:, None]
+        self.ik2 = symbols(n2).d1[None, :]
+        self.s1 = self.ik1.imag
+        self.s2 = self.ik2.imag
 
     def grad(self, a):
         spec = np.fft.rfft2(a)
@@ -119,50 +118,25 @@ def coefficient_arrays(st):
     return b11, b12, b22
 
 
-def _coefficient_values(cost, values, pair):
-    st = residual_state(cost, values, pair)
-    return (st, *coefficient_arrays(st))
-
-
-def elliptic_coefficients(cost, u, pair):
-    """The SPD matrix field B of the linearized operator Div(B grad .)."""
-    _, b11, b12, b22 = _coefficient_values(cost, u.values, pair)
-    grid = pair.grid
-    return SymMatrixField(ScalarField(grid, b11), ScalarField(grid, b12),
-                          ScalarField(grid, b22))
-
-
 @dataclass
 class SplitCoefficients:
-    """B = U + V / lambda with V11 = V12 = 0 and V22 > 0."""
+    """B = U + V / lambda with U22 = V11 = V12 = 0 and V22 > 0:
+    B11 = u11, B12 = u12 and B22 = v22 / lambda."""
 
-    u_matrix: SymMatrixField
-    v22: ScalarField
+    u11: np.ndarray
+    u12: np.ndarray
+    v22: np.ndarray
     lam: float
 
 
 def split_coefficients(t, u1, u2, pair, schedule=None):
-    """Small-t splitting of B in the decomposed coordinates; every stored
-    entry is O(1) as t -> 0."""
+    """Splitting of B in the decomposed coordinates, t >= 0; every stored
+    entry is O(1) as t -> 0, and at t = 0 they are the coefficients
+    c11, c21, c22 of the limit operator."""
     schedule = schedule or CostSchedule.linear()
     lam = schedule.lam(t)
-    u1 = np.asarray(u1, float)
-    grid = pair.grid
-    d2_u2 = deriv_values(u2.values, 1, 1)
-    d22_u2 = deriv_values(u2.values, 1, 2)
-    d12_u2 = deriv_values(deriv_values(u2.values, 0, 1), 1, 1)
-    d11_u1 = deriv_values(u1, 0, 2)
-    d11_u2 = deriv_values(u2.values, 0, 2)
-    d1_ut = (deriv_values(u1, 0, 1)[:, None] + lam * deriv_values(u2.values, 0, 1))
-    x1, x2 = grid.mesh()
-    g_at_t = pair.g_poly(np.mod(x1 - d1_ut, 1.0), np.mod(x2 - d2_u2, 1.0))
-    u11 = g_at_t * (1.0 - d22_u2)
-    u12 = g_at_t * d12_u2
-    v22 = g_at_t * (1.0 - d11_u1[:, None] - lam * d11_u2)
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    return SplitCoefficients(
-        SymMatrixField(ScalarField(grid, u11), ScalarField(grid, u12), zero),
-        ScalarField(grid, v22), lam)
+    g_at_t, row, fiber, cross = split_factors(u1, u2.values, lam, pair)
+    return SplitCoefficients(g_at_t * fiber, g_at_t * cross, g_at_t * row, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +153,7 @@ def apply_linearized(cost, u, pair, v):
     Constants are annihilated; the output has zero mean exactly (it is a
     spectral divergence).
     """
-    _, b11, b12, b22 = _coefficient_values(cost, u.values, pair)
+    b11, b12, b22 = coefficient_arrays(residual_state(cost, u.values, pair))
     kern = _kernels(*pair.grid.shape)
     out = _apply_values(kern, b11, b12, b22, v.values)
     return ScalarField(pair.grid, out, zero_mean=True)
@@ -288,38 +262,15 @@ def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):
     scale = 1.0 + float(np.max(np.abs(q.values)))
     if abs(float(np.mean(q.values))) > 1e-10 * scale:
         raise ValueError("right-hand side must have zero mean")
-    _, b11, b12, b22 = _coefficient_values(cost, u.values, pair)
+    b11, b12, b22 = coefficient_arrays(residual_state(cost, u.values, pair))
     x0v = None if x0 is None else x0.values
     v, _ = _solve_with_coefficients(pair.grid, b11, b12, b22, q.values,
                                     tol, max_iter, x0v)
     return ScalarField(pair.grid, v, zero_mean=True)
 
 
-def solve_linearized_iterations(cost, u, pair, q, tol=1e-10, max_iter=None):
-    """Same as :func:`solve_linearized` but also reports the iteration count."""
-    _, b11, b12, b22 = _coefficient_values(cost, u.values, pair)
-    v, iters = _solve_with_coefficients(pair.grid, b11, b12, b22, q.values,
-                                        tol, max_iter, None)
-    return ScalarField(pair.grid, v, zero_mean=True), iters
-
-
 # ---------------------------------------------------------------------------
 # t = 0: exact triangular solve from 1D primitives
-
-def _t0_coefficients(u1, u2_values, pair):
-    u1 = np.asarray(u1, float)
-    d1_u1 = deriv_values(u1, 0, 1)
-    d11_u1 = deriv_values(u1, 0, 2)
-    d2_u2 = deriv_values(u2_values, 1, 1)
-    d22_u2 = deriv_values(u2_values, 1, 2)
-    d12_u2 = deriv_values(deriv_values(u2_values, 0, 1), 1, 1)
-    x1, x2 = pair.grid.mesh()
-    g0 = pair.g_poly(np.mod(x1 - d1_u1[:, None], 1.0), np.mod(x2 - d2_u2, 1.0))
-    c11 = g0 * (1.0 - d22_u2)
-    c21 = g0 * d12_u2
-    c22 = g0 * (1.0 - d11_u1[:, None])
-    return c11, c21, c22
-
 
 def apply_linearized_t0(u1, u2, pair, v1, v2):
     """Forward t = 0 operator on a decomposed direction (v1, v2):
@@ -329,7 +280,8 @@ def apply_linearized_t0(u1, u2, pair, v1, v2):
     with c11 = g0 (1 - d22 u2), c21 = g0 d12 u2, c22 = g0 (1 - d11 u1)
     and g0 the target density composed with the limit map.
     """
-    c11, c21, c22 = _t0_coefficients(u1, u2.values, pair)
+    c = split_coefficients(0.0, u1, u2, pair)
+    c11, c21, c22 = c.u11, c.u12, c.v22
     v1p = deriv_values(np.asarray(v1, float), 0, 1)[:, None]
     w1 = c11 * v1p
     w2 = c21 * v1p + c22 * deriv_values(v2.values, 1, 1)
@@ -371,7 +323,8 @@ def solve_linearized_t0(u1, u2, pair, q):
     scale = 1.0 + float(np.max(np.abs(qv)))
     if abs(float(np.mean(qv))) > 1e-10 * scale:
         raise ValueError("right-hand side must have zero mean")
-    c11, c21, c22 = _t0_coefficients(u1, u2.values, pair)
+    c = split_coefficients(0.0, u1, u2, pair)
+    c11, c21, c22 = c.u11, c.u12, c.v22
 
     big_g = c11.mean(axis=1)
     if np.min(big_g) <= 0.0:

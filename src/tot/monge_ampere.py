@@ -12,8 +12,14 @@ evaluates the same operator in the decomposed coordinates
 u = u1(x1) + lambda * u2(x1, x2), which extends smoothly to t = 0 where
 the determinant becomes triangular.
 
-All 2x2 linear algebra is in closed form; the composition with g always
-takes the analytic path, so the residual is quadrature-free.
+Residuals, coefficients and margins take their derivatives from
+``grid.derivative_bundle`` (one real FFT for all first and second
+derivatives of the 2D part) plus 1D derivatives of the x1-only part:
+``split_derivatives`` forms those of u1 + lambda u2 with lambda applied
+after differentiation, and ``split_factors`` the lambda-free factors that
+also serve t = 0.  All 2x2 linear algebra is in closed form; the
+composition with g always takes the analytic path, so the residual is
+quadrature-free.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AdmissibilityError, ConcavityError
-from .grid import ScalarField, VectorField, deriv_values
+from .grid import ScalarField, VectorField, derivative_bundle, deriv_values
 
 __all__ = [
     "CostMatrix", "CostSchedule", "identity_cost", "c_concavity_margin",
@@ -86,17 +92,17 @@ def identity_cost():
 
 
 # ---------------------------------------------------------------------------
-# derivative bundles
+# derivatives of potentials
 
-def gradient_values(values):
-    return deriv_values(values, 0, 1), deriv_values(values, 1, 1)
-
-
-def hessian_values(values):
-    u11 = deriv_values(values, 0, 2)
-    u12 = deriv_values(deriv_values(values, 0, 1), 1, 1)
-    u22 = deriv_values(values, 1, 2)
-    return u11, u12, u22
+def split_derivatives(u1_values, u2_values, lam):
+    """(d1, d2, d11, d12, d22) of u1(x1) + lam * u2(x1, x2): the bundle of
+    u2, scaled by lam only after differentiation, plus the 1D derivatives
+    of u1."""
+    u1_values = np.asarray(u1_values, float)
+    d1, d2, d11, d12, d22 = derivative_bundle(np.asarray(u2_values, float))
+    return (deriv_values(u1_values, 0, 1)[:, None] + lam * d1, lam * d2,
+            deriv_values(u1_values, 0, 2)[:, None] + lam * d11,
+            lam * d12, lam * d22)
 
 
 def _eigmin_2x2(m11, m12, m22):
@@ -117,7 +123,7 @@ def c_concavity_margin(cost, u):
     diffeomorphism of the torus; a negative value is the failure signal
     (no exception is raised here).
     """
-    return margin_values(cost, *hessian_values(u.values))
+    return margin_values(cost, *derivative_bundle(u.values)[2:])
 
 
 @dataclass
@@ -142,14 +148,13 @@ class ResidualState:
 
 
 def residual_state(cost, values, pair, require_margin=True):
-    # x2-derivatives are taken on the fiber-fluctuating part only (the row
-    # mean has none analytically); this avoids machine noise from the
-    # x1-only component being amplified by the 1/a22 divisions at small t
-    fluct = values - values.mean(axis=1, keepdims=True)
+    # the row mean is differentiated in 1D and only the fiber-fluctuating
+    # part in 2D, so the x1-only component puts no machine noise into the
+    # x2-derivatives that the 1/a22 divisions amplify at small t
+    row = values.mean(axis=1)
     return _state_from_derivatives(
-        cost, pair, deriv_values(values, 0, 1), deriv_values(fluct, 1, 1),
-        deriv_values(values, 0, 2), deriv_values(deriv_values(fluct, 0, 1), 1, 1),
-        deriv_values(fluct, 1, 2), require_margin)
+        cost, pair, *split_derivatives(row, values - row[:, None], 1.0),
+        require_margin)
 
 
 def split_residual_state(t, u1_values, u2_values, pair, schedule=None):
@@ -164,16 +169,9 @@ def split_residual_state(t, u1_values, u2_values, pair, schedule=None):
     ``check_admissible``.
     """
     schedule = schedule or CostSchedule.linear()
-    lam = schedule.lam(t)
-    u1_values = np.asarray(u1_values, float)
-    d1_u2 = deriv_values(u2_values, 0, 1)
     return _state_from_derivatives(
         schedule.matrix(t), pair,
-        deriv_values(u1_values, 0, 1)[:, None] + lam * d1_u2,
-        lam * deriv_values(u2_values, 1, 1),
-        deriv_values(u1_values, 0, 2)[:, None] + lam * deriv_values(u2_values, 0, 2),
-        lam * deriv_values(d1_u2, 1, 1),
-        lam * deriv_values(u2_values, 1, 2))
+        *split_derivatives(u1_values, u2_values, schedule.lam(t)))
 
 
 def _state_from_derivatives(cost, pair, g1, g2, u11, u12, u22,
@@ -225,16 +223,13 @@ def check_admissible(t, u1_values, u2_values, schedule, eps=0.0):
                 f"admissibility failed at t=0: min(1 - d22 u2) = {m2:.3g} <= {eps:.3g}")
         return
     lam = schedule.lam(t)
-    d11_u1 = deriv_values(u1_values, 0, 2)
-    d11_u2 = deriv_values(u2_values, 0, 2)
-    m1 = float(np.min(1.0 - d11_u1[:, None] - lam * d11_u2))
+    _, _, u11, u12, u22 = split_derivatives(u1_values, u2_values, lam)
+    m1 = float(np.min(1.0 - u11))
     if m1 <= eps:
         raise AdmissibilityError(
             f"admissibility failed at t={t:g}: min(1 - d11 u1 - lam d11 u2) "
             f"= {m1:.3g} <= {eps:.3g}")
-    cost = schedule.matrix(t)
-    combined = u1_values[:, None] + lam * u2_values
-    margin = margin_values(cost, *hessian_values(combined))
+    margin = margin_values(schedule.matrix(t), u11, u12, u22)
     if margin <= eps * lam:
         raise AdmissibilityError(
             f"admissibility failed at t={t:g}: min eig(A - D2 u) = {margin:.3g} "
@@ -257,22 +252,22 @@ def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
     """
     schedule = schedule or CostSchedule.linear()
     lam = 0.0 if t == 0.0 else schedule.lam(t)
+    g_at_t, row, fiber, cross = split_factors(u1_values, u2_values, lam, pair)
+    return pair.f_values - g_at_t * (row * fiber - lam * cross * cross)
+
+
+def split_factors(u1_values, u2_values, lam, pair):
+    """The O(1) factors of the split residual and coefficients of
+    u1 + lam u2, lam >= 0: (g(x1 - d1 u1 - lam d1 u2, x2 - d2 u2),
+    1 - d11 u1 - lam d11 u2, 1 - d22 u2, d12 u2)."""
     u1_values = np.asarray(u1_values, float)
-    grid = pair.grid
-    d1_u1 = deriv_values(u1_values, 0, 1)[:, None]
-    d11_u1 = deriv_values(u1_values, 0, 2)[:, None]
-    d1_u2 = deriv_values(u2_values, 0, 1)
-    d11_u2 = deriv_values(u2_values, 0, 2)
-    d2_u2 = deriv_values(u2_values, 1, 1)
-    d22_u2 = deriv_values(u2_values, 1, 2)
-    d12_u2 = deriv_values(d1_u2, 1, 1)
-    x1, x2 = grid.mesh()
-    t1 = x1 - d1_u1 - lam * d1_u2
-    t2 = x2 - d2_u2
-    g_at_t = pair.g_poly(np.mod(t1, 1.0), np.mod(t2, 1.0))
-    det = ((1.0 - d11_u1 - lam * d11_u2) * (1.0 - d22_u2)
-           - lam * d12_u2 * d12_u2)
-    return pair.f_values - g_at_t * det
+    d1, d2, d11, d12, d22 = derivative_bundle(np.asarray(u2_values, float))
+    x1, x2 = pair.grid.mesh()
+    g_at_t = pair.g_poly(
+        np.mod(x1 - deriv_values(u1_values, 0, 1)[:, None] - lam * d1, 1.0),
+        np.mod(x2 - d2, 1.0))
+    row = 1.0 - deriv_values(u1_values, 0, 2)[:, None] - lam * d11
+    return g_at_t, row, 1.0 - d22, d12
 
 
 def decompose(t, psi, schedule=None):
@@ -319,11 +314,11 @@ def transport_map(cost, u):
     The x2 displacement is divided by a22; requires a positive margin
     (raises ``ConcavityError("not a diffeomorphism ...")`` otherwise).
     """
-    margin = c_concavity_margin(cost, u)
+    g1, g2, u11, u12, u22 = derivative_bundle(u.values)
+    margin = margin_values(cost, u11, u12, u22)
     if margin <= 0.0:
         raise ConcavityError(
             f"not a diffeomorphism: margin = {margin:.3g} <= 0")
-    g1, g2 = gradient_values(u.values)
     x1, x2 = u.grid.mesh()
     t1 = x1 - g1
     t2 = x2 - g2 / cost.a22

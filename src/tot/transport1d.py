@@ -110,23 +110,6 @@ def cdf_at(d, x):
     return c[0].real * x + (phase @ coef).real
 
 
-class CircleCdf:
-    """Callable cumulative function of a circle density: F(0)=0, F(1)=1."""
-
-    def __init__(self, density):
-        self.density = density
-
-    def __call__(self, x):
-        return cdf_at(self.density, x)
-
-
-def cdf(d):
-    """Cumulative function of a positive density (error if nonpositive)."""
-    if np.min(d.values) <= 0.0:
-        raise PositivityError("density not positive")
-    return CircleCdf(d)
-
-
 def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import tot
-from tot.grid import deriv_values
+from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import split_coefficients
-from tot.monge_ampere import hessian_values
 
 
 def band_limited(grid, kmax, rng, include_x1_only=True):
@@ -30,7 +29,7 @@ def band_limited(grid, kmax, rng, include_x1_only=True):
 def admissible_potential(grid, kmax, rng, margin_target=0.3, a22=1.0):
     """Random potential scaled so that A - D^2(u) keeps a safe margin."""
     v = band_limited(grid, kmax, rng)
-    h11, h12, h22 = hessian_values(v)
+    h11, h12, h22 = derivative_bundle(v)[2:]
     bound = max(np.max(np.abs(h11)) + np.max(np.abs(h12)),
                 (np.max(np.abs(h22)) + np.max(np.abs(h12))) / a22)
     return (1.0 - margin_target) * min(1.0, a22) * v / bound
@@ -47,13 +46,11 @@ def split_operator_residual(t, u1, u2, pair, q, v1, v2):
         w = d1 v1 + lambda d1 v2.
     """
     split = split_coefficients(t, u1, u2, pair)
-    lam = split.lam
-    u11 = split.u_matrix.m11.values
-    u12 = split.u_matrix.m12.values
+    lam, u11, u12 = split.lam, split.u11, split.u12
     w = deriv_values(v1, 0, 1)[:, None] + lam * deriv_values(v2.values, 0, 1)
     d2v2 = deriv_values(v2.values, 1, 1)
     out = (deriv_values(u11 * w + lam * u12 * d2v2, 0, 1)
-           + deriv_values(u12 * w + split.v22.values * d2v2, 1, 1))
+           + deriv_values(u12 * w + split.v22 * d2v2, 1, 1))
     return float(np.sqrt(np.mean((out - q.values) ** 2) / np.mean(q.values ** 2)))
 
 

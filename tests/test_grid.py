@@ -6,7 +6,7 @@ import pytest
 import tot
 from tot.errors import GridSizeError
 from tot.fieldio import read_field_binary, write_field_binary, write_field_csv
-from tot.trig import TrigPoly2D
+from tot.grid import antideriv_values, derivative_bundle
 
 
 def test_build_grid_spacing():
@@ -46,11 +46,21 @@ def test_derivative_exactness_below_nyquist(k1, k2):
     g = tot.build_grid(16, 16)
     x1, x2 = g.mesh()
     phase = 2 * np.pi * (k1 * x1 + k2 * x2)
+    w1, w2 = 2 * np.pi * k1, 2 * np.pi * k2
     for values, dvalues in [
-            (np.cos(phase), -2 * np.pi * k1 * np.sin(phase)),
-            (np.sin(phase), 2 * np.pi * k1 * np.cos(phase))]:
+            (np.cos(phase), -np.sin(phase)),
+            (np.sin(phase), np.cos(phase))]:
         d = tot.spectral_derivative(tot.field(g, values + 0 * x1 * x2), 1, 1)
-        assert np.max(np.abs(d.values - dvalues)) < 1e-11
+        assert np.max(np.abs(d.values - w1 * dvalues)) < 1e-11
+        # the bundle: (d1, d2, d11, d12, d22) from one transform; second
+        # derivatives are held to the same accuracy relative to the extra
+        # factor 2 pi |k| that scales their rounding
+        exact = (w1 * dvalues, w2 * dvalues, -w1 * w1 * values,
+                 -w1 * w2 * values, -w2 * w2 * values)
+        scale = max(1.0, w1, w2)
+        for order, out, ref in zip((1, 1, 2, 2, 2),
+                                   derivative_bundle(values + 0 * x1 * x2), exact):
+            assert np.max(np.abs(out - ref)) < 1e-11 * scale ** (order - 1)
 
 
 def test_second_derivative_keeps_nyquist():
@@ -64,6 +74,34 @@ def test_second_derivative_keeps_nyquist():
     d2 = tot.spectral_derivative(f, 1, 2)
     expected = -(np.pi * g.n1) ** 2 * f.values
     assert np.max(np.abs(d2.values - expected)) < 1e-8
+    # the bundle, on the Nyquist mode along x1 times a low mode along x2
+    # and on its transpose: x1 runs over the full spectrum of rfft2, x2
+    # over its half spectrum
+    wave, low = np.cos(np.pi * g.n1 * x1), 2 * np.pi * x2
+    u = wave * (1.0 + 0.5 * np.cos(low))
+    exact = (0.0 * u, -np.pi * wave * np.sin(low), -(np.pi * g.n1) ** 2 * u,
+             0.0 * u, -2 * np.pi ** 2 * wave * np.cos(low))
+    tols = (1e-10, 1e-10, 1e-8, 1e-10, 1e-10)
+    for out, ref, tol in zip(derivative_bundle(u), exact, tols):
+        assert np.max(np.abs(out - ref)) < tol
+    for out, i in zip(derivative_bundle(u.T), (1, 0, 4, 3, 2)):
+        assert np.max(np.abs(out - exact[i].T)) < tols[i]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_antiderivative_is_exact_primitive(k):
+    # the primitive of cos(2 pi k x) is sin(2 pi k x) / (2 pi k); the
+    # Nyquist row (k = 8 on 16 nodes) and the mean are dropped
+    x = np.arange(16) / 16
+    values = np.cos(2 * np.pi * k * x)
+    exact = np.sin(2 * np.pi * k * x) / (2 * np.pi * k)
+    junk = 3.0 + np.cos(np.pi * 16 * x)
+    assert np.max(np.abs(antideriv_values(values + junk, 0) - exact)) < 1e-14
+    # row-stacked: row r carries amplitude r + 1, integrated along axis 1
+    rows = np.arange(1, 5)[:, None] * values
+    out = antideriv_values(rows, 1)
+    assert np.max(np.abs(out - np.arange(1, 5)[:, None] * exact)) < 1e-14
+    assert np.max(np.abs(antideriv_values(rows.T, 0) - out.T)) < 1e-14
 
 
 def test_integrate_mean_and_projection():
@@ -98,43 +136,6 @@ def test_mixed_derivatives_commute():
     d12 = tot.spectral_derivative(tot.spectral_derivative(u, 1, 1), 2, 1)
     d21 = tot.spectral_derivative(tot.spectral_derivative(u, 2, 1), 1, 1)
     assert np.max(np.abs(d12.values - d21.values)) < 1e-11
-
-
-def test_eval_periodic_bicubic_and_analytic():
-    g = tot.build_grid(32, 32)
-    x1, x2 = g.mesh()
-    values = np.cos(2 * np.pi * x1) + 0.0 * x2
-    f_grid = tot.field(g, values)                      # bicubic path
-    out = tot.eval_periodic(f_grid, [(0.25, 0.9)])
-    assert abs(out[0]) < 1e-6
-
-    poly = TrigPoly2D.from_modes([(1, 0, 1.0, 0.0)], const=0.0)
-    f_exact = tot.field(g, values, closed_form=poly)   # analytic path
-    out = tot.eval_periodic(f_exact, [(0.25, 0.9)])
-    assert abs(out[0]) < 1e-15
-
-
-def test_eval_periodic_wrap_is_exact():
-    rng = np.random.default_rng(2)
-    g = tot.build_grid(16, 16)
-    f = tot.field(g, rng.normal(size=g.shape))
-    base = [(0.25, 0.25), (0.625, 0.0625), (5 / 64, 15 / 64)]
-    shifted = [(x1 + 2.0, x2 - 1.0) for x1, x2 in base]
-    assert np.array_equal(tot.eval_periodic(f, base),
-                          tot.eval_periodic(f, shifted))
-    # the worked example: (1.25, -0.75) is the same point as (0.25, 0.25)
-    assert (tot.eval_periodic(f, [(1.25, -0.75)])[0]
-            == tot.eval_periodic(f, [(0.25, 0.25)])[0])
-
-
-def test_eval_periodic_matches_closed_form():
-    # sampled field interpolated bicubically against the generating function
-    g = tot.build_grid(64, 64)
-    x1, x2 = g.mesh()
-    f = tot.field(g, 1.0 + 0.2 * np.cos(2 * np.pi * x2) + 0.0 * x1)
-    out = tot.eval_periodic(f, [(0.1, 0.31)])
-    exact = 1.0 + 0.2 * np.cos(2 * np.pi * 0.31)
-    assert abs(out[0] - exact) < 1e-6
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

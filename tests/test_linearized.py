@@ -4,7 +4,8 @@ import pytest
 import tot
 from tot.errors import ConvergenceError
 from tot.grid import deriv_values
-from tot.linearized import split_coefficients
+from tot.linearized import coefficient_arrays, split_coefficients
+from tot.monge_ampere import residual_state
 
 from tests.conftest import (admissible_potential, band_limited,
                             split_operator_residual)
@@ -181,16 +182,14 @@ def test_split_coefficients_reconstruct_b(pair64, knothe64):
     u1 = combined.mean(axis=1)
     u2 = tot.field(pair64.grid, (combined - u1[:, None]) / lam)
     split = split_coefficients(t, u1, u2, pair64, sched)
-    cost = sched.matrix(t)
-    b = tot.elliptic_coefficients(cost, tot.field(pair64.grid, combined), pair64)
-    scale = np.max(np.abs(b.m22.values))
-    assert np.max(np.abs(split.u_matrix.m11.values - b.m11.values)) \
-        < 1e-11 * np.max(np.abs(b.m11.values))
-    assert np.max(np.abs(split.u_matrix.m12.values - b.m12.values)) \
-        < 1e-11 * max(np.max(np.abs(b.m12.values)), 1e-3)
-    assert np.max(np.abs(split.v22.values / split.lam - b.m22.values)) \
-        < 1e-11 * scale
-    assert np.min(split.v22.values) > 0.0
+    b11, b12, b22 = coefficient_arrays(
+        residual_state(sched.matrix(t), combined, pair64))
+    assert np.max(np.abs(split.u11 - b11)) < 1e-11 * np.max(np.abs(b11))
+    assert np.max(np.abs(split.u12 - b12)) \
+        < 1e-11 * max(np.max(np.abs(b12)), 1e-3)
+    assert np.max(np.abs(split.v22 / split.lam - b22)) \
+        < 1e-11 * np.max(np.abs(b22))
+    assert np.min(split.v22) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -65,17 +65,15 @@ def oracle_map(f_eval, g_eval, m):
 # cdf
 
 def test_cdf_uniform_is_identity():
-    F = tot.cdf(uniform())
     x = np.linspace(0.0, 1.0, 17)
-    assert np.max(np.abs(F(x) - x)) < 1e-15
+    assert np.max(np.abs(cdf_at(uniform(), x) - x)) < 1e-15
 
 
 def test_cdf_closed_form_value():
     d = trig_density([(1, 0.2, 0.0)])
-    F = tot.cdf(d)
-    assert abs(F(np.array([0.25]))[0] - (0.25 + 0.1 / np.pi)) < 1e-15
-    assert abs(F(np.array([0.0]))[0]) < 1e-15
-    assert abs(F(np.array([1.0]))[0] - 1.0) < 1e-13
+    assert abs(cdf_at(d, np.array([0.25]))[0] - (0.25 + 0.1 / np.pi)) < 1e-15
+    assert abs(cdf_at(d, np.array([0.0]))[0]) < 1e-15
+    assert abs(cdf_at(d, np.array([1.0]))[0] - 1.0) < 1e-13
 
 
 def test_cdf_sampled_bimodal_vs_cumsum_oracle():
@@ -83,11 +81,10 @@ def test_cdf_sampled_bimodal_vs_cumsum_oracle():
     m = 512
     nodes = np.arange(m) / m
     d = tot.circle_density(values=poly(nodes))     # sampled path only
-    F = tot.cdf(d)
     xf, F_oracle = oracle_cdf_table(lambda x: poly.normalized()(x))
     probe = np.linspace(0.0, 1.0, 257)
     expected = np.interp(probe, xf, F_oracle)
-    assert np.max(np.abs(F(probe) - expected)) < 1e-9
+    assert np.max(np.abs(cdf_at(d, probe) - expected)) < 1e-9
 
 
 def test_inversion_keeps_exact_integer_levels():
