@@ -84,7 +84,9 @@ class ContinuationOptions:
         if not self.solver_tol > 0.0:
             raise ValueError("solver_tol must be positive")
         # K < 1 leaves no test functions: the certificate would pass vacuously
-        if not (isinstance(self.pushforward_k, int) and self.pushforward_k >= 1):
+        if not (isinstance(self.pushforward_k, int)
+                and not isinstance(self.pushforward_k, bool)
+                and self.pushforward_k >= 1):
             raise ValueError("pushforward_k must be a positive integer")
         return self
 

@@ -7,10 +7,15 @@ the divergence-form operator  v -> Div(B grad v)  with
       = g(id - A^{-1} grad u) adj(A - D^2 u) / det A,
 
 symmetric positive definite wherever the margin is positive.  On
-zero-mean functions the operator is negative definite, so the solver runs
-conjugate gradients on its negation, preconditioned by the exact inverse
-of the constant-coefficient operator with the mean matrix of B (diagonal
-in Fourier space; it captures the small-lambda anisotropy exactly).
+zero-mean functions the operator is negative definite; the solver runs
+conjugate gradients preconditioned by the exact inverse of the
+constant-coefficient operator with the mean matrix of B (diagonal in
+Fourier space; it captures the small-lambda anisotropy exactly).  The
+iterate, residual and search direction are rfft2 half spectra, so the
+preconditioner is a pointwise multiply, inner products follow from
+Parseval, and one iteration costs 4 real FFTs: 2 inverse ones for the
+gradient and 2 forward ones for the divergence of the flux.  The solution
+is transformed back once.
 
 The operator kernels (gradient, divergence, preconditioner) take their
 symbols from the one table in ``grid``.  The first-derivative symbol
@@ -62,43 +67,44 @@ class _Kernels:
         self.s1 = self.ik1.imag
         self.s2 = self.ik2.imag
 
-    def grad(self, a):
-        spec = np.fft.rfft2(a)
+    def grad(self, spec):
+        """Gradient values of the field with rfft2 spectrum ``spec``."""
         return (np.fft.irfft2(spec * self.ik1, self.shape),
                 np.fft.irfft2(spec * self.ik2, self.shape))
 
-    def div(self, w1, w2, nyquist_free=False):
-        spec = np.fft.rfft2(w1) * self.ik1 + np.fft.rfft2(w2) * self.ik2
-        if nyquist_free:
-            spec[self.shape[0] // 2, :] = 0.0
-            spec[:, self.shape[1] // 2] = 0.0
-        return np.fft.irfft2(spec, self.shape)
+    def div_spectrum(self, w1, w2):
+        return np.fft.rfft2(w1) * self.ik1 + np.fft.rfft2(w2) * self.ik2
 
-    def project_solvable(self, a):
-        """Project onto the solver subspace: zero mean and no content on
-        the Nyquist rows k1 = n1/2, k2 = n2/2 (where the first-derivative
-        symbol vanishes, so Div(B grad .) is not the residual's Jacobian)."""
+    def div(self, w1, w2):
+        return np.fft.irfft2(self.div_spectrum(w1, w2), self.shape)
+
+    def solvable_spectrum(self, a):
+        """rfft2 spectrum of a projected onto the solver subspace: zero mean
+        and no content on the Nyquist rows k1 = n1/2, k2 = n2/2 (where the
+        first-derivative symbol vanishes, so Div(B grad .) is not the
+        residual's Jacobian)."""
         spec = np.fft.rfft2(a)
         spec[0, 0] = 0.0
+        self.drop_nyquist(spec)
+        return spec
+
+    def drop_nyquist(self, spec):
         spec[self.shape[0] // 2, :] = 0.0
-        spec[:, self.shape[1] // 2] = 0.0
-        return np.fft.irfft2(spec, self.shape)
+        spec[:, -1] = 0.0
+
+    def project_solvable(self, a):
+        return np.fft.irfft2(self.solvable_spectrum(a), self.shape)
 
     def mean_coefficient_inverse(self, b11, b12, b22):
-        """Inverse Fourier symbol of -Div(Bbar grad .) for constant Bbar,
-        restricted to the solver subspace."""
+        """Inverse Fourier symbol of Div(Bbar grad .) for constant Bbar
+        (negative), zero outside the solver subspace."""
         symbol = (b11 * self.s1 ** 2 + 2.0 * b12 * self.s1 * self.s2
                   + b22 * self.s2 ** 2)
         inv = np.zeros_like(symbol)
         nz = symbol > 0.0
-        inv[nz] = 1.0 / symbol[nz]
-        inv[self.shape[0] // 2, :] = 0.0
-        inv[:, self.shape[1] // 2] = 0.0
-
-        def precondition(r):
-            return np.fft.irfft2(np.fft.rfft2(r) * inv, self.shape)
-
-        return precondition
+        inv[nz] = -1.0 / symbol[nz]
+        self.drop_nyquist(inv)
+        return inv
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +149,7 @@ def split_coefficients(t, u1, u2, pair, schedule=None):
 # forward applications
 
 def _apply_values(kern, b11, b12, b22, v):
-    g1, g2 = kern.grad(v)
+    g1, g2 = kern.grad(np.fft.rfft2(v))
     return kern.div(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2)
 
 
@@ -181,36 +187,46 @@ def _cost_rate_values(st):
 # ---------------------------------------------------------------------------
 # preconditioned conjugate gradients
 
-def _pcg(apply_op, precondition, b, tol, max_iter, x0=None):
-    n = b.size
+def _half_dot(a, c):
+    """Real inner product of the fields with rfft2 spectra a and c, up to
+    the constant factor n^2 (Parseval): columns k2 = 0 and n2/2 are their
+    own mirror images, every other column stands for two."""
+    return (2.0 * np.vdot(a, c).real - np.vdot(a[:, 0], c[:, 0]).real
+            - np.vdot(a[:, -1], c[:, -1]).real)
 
-    def dot(a, c):
-        return float(np.dot(a.ravel(), c.ravel())) / n
 
-    norm_b = np.sqrt(dot(b, b))
+def _pcg(apply_op, inverse, b, tol, max_iter, x0=None):
+    """Preconditioned conjugate gradients on rfft2 spectra.
+
+    ``apply_op`` is negative definite and so is the pointwise inverse symbol
+    ``inverse``; every sign cancels in the step lengths, so the iterates
+    are exactly those of CG on the negated, positive definite system.
+    """
+    norm_b = np.sqrt(_half_dot(b, b))
     if norm_b == 0.0:
         return np.zeros_like(b), 0
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
     else:
-        x = x0.copy()
+        x = x0
         r = b - apply_op(x)
-    z = precondition(r)
+    z = inverse * r
     p = z.copy()
-    rz = dot(r, z)
+    rz = _half_dot(r, z)
     for it in range(max_iter):
-        if np.sqrt(dot(r, r)) <= tol * norm_b:
+        if np.sqrt(_half_dot(r, r)) <= tol * norm_b:
             return x, it
         ap = apply_op(p)
-        alpha = rz / dot(p, ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = precondition(r)
-        rz_next = dot(r, z)
-        p = z + (rz_next / rz) * p
+        alpha = rz / _half_dot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
+        np.multiply(inverse, r, out=z)
+        rz_next = _half_dot(r, z)
+        p *= rz_next / rz
+        p += z
         rz = rz_next
-    residual = np.sqrt(dot(r, r)) / norm_b
+    residual = np.sqrt(_half_dot(r, r)) / norm_b
     if residual <= tol:
         return x, max_iter
     raise ConvergenceError(
@@ -221,20 +237,22 @@ def _pcg(apply_op, precondition, b, tol, max_iter, x0=None):
 
 def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol, max_iter, x0):
     kern = _kernels(*grid.shape)
-    rhs = -kern.project_solvable(q_values)
-    precondition = kern.mean_coefficient_inverse(
+    inverse = kern.mean_coefficient_inverse(
         float(np.mean(b11)), float(np.mean(b12)), float(np.mean(b22)))
 
-    def negated(v):
-        g1, g2 = kern.grad(v)
-        return -kern.div(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2,
-                         nyquist_free=True)
+    def apply_op(spec):
+        # Div(B grad .) in the solver subspace, spectrum to spectrum
+        g1, g2 = kern.grad(spec)
+        out = kern.div_spectrum(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2)
+        kern.drop_nyquist(out)
+        return out
 
     if max_iter is None:
         max_iter = 10 * (grid.n1 + grid.n2)
-    x0v = None if x0 is None else kern.project_solvable(x0)
-    v, iters = _pcg(negated, precondition, rhs, tol, max_iter, x0v)
-    return v - np.mean(v), iters
+    x0s = None if x0 is None else kern.solvable_spectrum(x0)
+    spec, iters = _pcg(apply_op, inverse, kern.solvable_spectrum(q_values),
+                       tol, max_iter, x0s)
+    return np.fft.irfft2(spec, grid.shape), iters
 
 
 def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):

@@ -274,8 +274,9 @@ def test_options_validation():
         tot.ContinuationOptions(predictor="rk4").validated()
     with pytest.raises(ValueError):
         tot.ContinuationOptions(step_grading="log").validated()
-    for bad in ({"pushforward_k": 0}, {"pushforward_k": -1}, {"max_newton": 0},
-                {"solver_tol": 0.0}, {"solver_tol": -1e-11}):
+    for bad in ({"pushforward_k": 0}, {"pushforward_k": -1},
+                {"pushforward_k": True}, {"pushforward_k": 2.0},
+                {"max_newton": 0}, {"solver_tol": 0.0}, {"solver_tol": -1e-11}):
         with pytest.raises(ValueError):
             tot.ContinuationOptions(**bad).validated()
     assert tot.ContinuationOptions(steps="adaptive").validated()

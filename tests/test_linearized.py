@@ -4,7 +4,7 @@ import pytest
 import tot
 from tot.errors import ConvergenceError
 from tot.grid import deriv_values
-from tot.linearized import coefficient_arrays, split_coefficients
+from tot.linearized import _half_dot, coefficient_arrays, split_coefficients
 from tot.monge_ampere import residual_state
 
 from tests.conftest import (admissible_potential, band_limited,
@@ -106,16 +106,34 @@ def test_solve_recovers_forward_input(pair64, grid64):
 
 
 def test_solve_unique_from_any_start(pair64, grid64):
-    rng = np.random.default_rng(24)
-    cost, u = random_state(grid64, pair64, rng)
-    q = tot.field(grid64, band_limited(grid64, 3, rng), zero_mean=True)
-    q = tot.project_zero_mean(q)
-    tol = 1e-11
-    v0 = tot.solve_linearized(cost, u, pair64, q, tol=tol)
-    start = tot.field(grid64, admissible_potential(grid64, 4, rng))
-    v1 = tot.solve_linearized(cost, u, pair64, q, tol=tol, x0=start)
-    scale = np.max(np.abs(v0.values))
-    assert np.max(np.abs(v0.values - v1.values)) < 10 * tol * max(1.0, scale)
+    # a white-noise start leaves an initial residual up to 1e5 times the
+    # right-hand side at a22 = 0.01; the solve must still reach tol
+    for a22 in (1.0, 0.01):
+        rng = np.random.default_rng(24)
+        cost, u = random_state(grid64, pair64, rng, a22=a22, t=a22)
+        q = tot.field(grid64, band_limited(grid64, 3, rng), zero_mean=True)
+        q = tot.project_zero_mean(q)
+        tol = 1e-11
+        v0 = tot.solve_linearized(cost, u, pair64, q, tol=tol)
+        scale = np.max(np.abs(v0.values))
+        for start in (admissible_potential(grid64, 4, rng),
+                      rng.standard_normal(grid64.shape)):
+            v1 = tot.solve_linearized(cost, u, pair64, q, tol=tol,
+                                      x0=tot.field(grid64, start))
+            assert (np.max(np.abs(v0.values - v1.values))
+                    < 10 * tol * max(1.0, scale))
+
+
+def test_half_spectrum_inner_product_is_parseval():
+    # the solver's inner product on rfft2 spectra is n times the real-space
+    # one, Nyquist column and row included
+    rng = np.random.default_rng(26)
+    for shape in ((8, 8), (12, 16), (64, 32)):
+        a, c = rng.standard_normal((2, *shape))
+        expected = a.size * float(np.sum(a * c))
+        got = _half_dot(np.fft.rfft2(a), np.fft.rfft2(c))
+        bound = a.size * np.linalg.norm(a) * np.linalg.norm(c)
+        assert abs(got - expected) < 1e-13 * bound
 
 
 def test_solve_rejects_nonzero_mean(pair64, grid64):

@@ -217,7 +217,39 @@ def test_pushforward_residual_rejects_empty_test_set(grid64):
     x1, x2 = grid64.mesh()
     identity = tot.VectorField(tot.field(grid64, x1 + 0 * x2),
                                tot.field(grid64, x2 + 0 * x1))
-    for k in (0, -1):
+    # half-integer frequencies are not Fourier modes of the torus, and a
+    # float or bool K is not taken for the integer it may equal
+    for k in (0, -1, np.int64(0), 1.5, 2.0, True, "2", None):
         with pytest.raises(ValueError, match="K >= 1"):
             tot.pushforward_residual(identity, pair, k)
     assert tot.pushforward_residual(identity, pair, 1) > 0.1
+    assert (tot.pushforward_residual(identity, pair, np.int64(2))
+            == tot.pushforward_residual(identity, pair, 2))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (96, 64)])
+@pytest.mark.parametrize("K", [1, 4, 8])
+def test_pushforward_residual_of_translation_is_closed_form(shape, K):
+    # for T(x) = x + c the trapezoid rule is exact on these trig densities,
+    # so the certificate is max |exp(-2i pi k.c) fhat(k) - ghat(k)|;
+    # 96 x 64 = 6,144 nodes is not a whole number of blocks
+    grid = tot.build_grid(*shape)
+    c1, c2 = 0.37, -0.21
+    x1, x2 = grid.mesh()
+    shift = tot.VectorField(tot.field(grid, x1 + c1 + 0 * x2),
+                            tot.field(grid, x2 + c2 + 0 * x1))
+    # the second pair's worst mode is (1, -K): k1 != 0, k2 < 0, |k|_inf = K
+    boundary = (tot.spec((1, -K, 0.3, 0.4), (0, 1, 0.1, 0.0)),
+                tot.spec((1, 1, 0.2, 1.0)))
+    for f, g in ((tot.CATALOG["standard_f"], tot.CATALOG["standard_g"]),
+                 boundary):
+        pair = tot.make_density_pair(f, g, grid)
+        defects = {
+            (k1, k2): abs(np.exp(-2j * np.pi * (k1 * c1 + k2 * c2))
+                          * pair.f_poly.fourier_coefficient(k1, k2)
+                          - pair.g_poly.fourier_coefficient(k1, k2))
+            for k1 in range(-K, K + 1) for k2 in range(-K, K + 1)}
+        expected = max(defects.values())
+        assert abs(tot.pushforward_residual(shift, pair, K) - expected) < 1e-13
+    assert max(defects, key=defects.get) in {(1, -K), (-1, K)}
+    assert expected > 1.4 * sorted(defects.values())[-3]
