@@ -59,10 +59,12 @@ def read_field_binary(path):
 
 
 def write_field_csv(f, path):
-    x1 = f.grid.nodes1()
-    x2 = f.grid.nodes2()
+    """CSV export: x2 is formatted once per file, x1 once per row, and each
+    row of the grid goes out as one string."""
+    x2 = [f"{v:.17g}," for v in f.grid.nodes2().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x1,x2,value\n")
-        for i in range(f.grid.n1):
-            for j in range(f.grid.n2):
-                fh.write(f"{x1[i]:.17g},{x2[j]:.17g},{f.values[i, j]:.17g}\n")
+        for x1, row in zip(f.grid.nodes1().tolist(), f.values):
+            head = f"{x1:.17g},"
+            fh.write("".join([f"{head}{b}{v:.17g}\n"
+                              for b, v in zip(x2, row.tolist())]))

@@ -24,6 +24,7 @@ from .grid import ScalarField, VectorField
 from .monge_ampere import t0_margins
 from .transport1d import (CircleMap, circle_density, monotone_circle_map,
                           potential_from_map, pushforward_quantile_error)
+from .trig import frac
 
 
 def marginal_and_conditionals(f):
@@ -132,5 +133,5 @@ def l2_map_distance(tmap, rmap, f):
 
 
 def _wrapped_distance(a, b):
-    d = np.mod(a - b, 1.0)
+    d = frac(a - b)
     return np.minimum(d, 1.0 - d)

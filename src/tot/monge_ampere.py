@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConcavityError
 from .grid import ScalarField, VectorField, derivative_bundle, deriv_values
+from .trig import frac
 
 __all__ = [
     "CostMatrix", "CostSchedule", "identity_cost", "c_concavity_margin",
@@ -187,7 +188,7 @@ def _state_from_derivatives(cost, pair, g1, g2, u11, u12, u22,
     x1, x2 = pair.grid.mesh()
     t1 = x1 - g1
     t2 = x2 - g2 / cost.a22
-    g_at_t = pair.g_poly(np.mod(t1, 1.0), np.mod(t2, 1.0))
+    g_at_t = pair.g_poly(frac(t1), frac(t2))
     det = (1.0 - u11) * (1.0 - u22 / cost.a22) - (u12 * u12) / cost.a22
     residual = pair.f_values - g_at_t * det
     return ResidualState(cost, g1, g2, u11, u12, u22, t1, t2, g_at_t,
@@ -268,8 +269,8 @@ def split_factors(u1_values, u2_values, lam, pair):
     d1, d2, d11, d12, d22 = derivative_bundle(np.asarray(u2_values, float))
     x1, x2 = pair.grid.mesh()
     g_at_t = pair.g_poly(
-        np.mod(x1 - deriv_values(u1_values, 0, 1)[:, None] - lam * d1, 1.0),
-        np.mod(x2 - d2, 1.0))
+        frac(x1 - deriv_values(u1_values, 0, 1)[:, None] - lam * d1),
+        frac(x2 - d2))
     row = 1.0 - deriv_values(u1_values, 0, 2)[:, None] - lam * d11
     return g_at_t, row, 1.0 - d22, d12
 

@@ -16,7 +16,12 @@ the one-row case of the same code.  Stacks need closed forms.
 
 Cumulative functions are exact primitives of the closed form when the
 density carries one, otherwise of the trigonometric interpolant of the
-samples.  Inverses use safeguarded (bracketed) Newton iterations.
+samples.  Inverses and shifts share one safeguarded (bracketed) Newton
+loop that works on the entries still active: an entry that has converged
+keeps its value and is not evaluated again.  A cdf inversion step takes
+the cdf and the density of its active points from one angle per
+frequency, each point on its own row of the stack; a shift step inverts
+the cdfs of the rows whose shift is still active.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, CutLocusError, PositivityError
 from .grid import antideriv_values, wavenumbers
-from .trig import TrigPoly1D
+from .trig import TrigPoly1D, frac
 
 NEWTON_TOL = 1e-14
 SHIFT_TOL = 1e-13
@@ -92,7 +97,7 @@ def density_at(d, x):
         return d.closed_form(x)
     c = d.spectrum()
     k = wavenumbers(d.m)
-    phase = np.exp(2j * np.pi * np.multiply.outer(np.mod(x, 1.0), k))
+    phase = np.exp(2j * np.pi * np.multiply.outer(frac(x), k))
     return (phase @ c).real
 
 
@@ -115,43 +120,68 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real.  Vectorized
     safeguarded Newton on [0, 1] after removing the integer part of w; the
-    density lower bound makes the iteration globally convergent.  An exact
-    start (an integer level w, or a warm start at the root) comes back
-    unchanged.
+    density lower bound makes the iteration globally convergent.  Each
+    step evaluates the cdf and the density of the entries still active in
+    one pass (``TrigPoly1D.value_and_primitive``, each entry on its own
+    row of a stack).  An exact start (an integer level w, or a warm start
+    at the root) comes back unchanged.
     """
     w = np.asarray(w, float)
-    base = np.floor(w)
-    r = w - base
-    if x0 is not None:
-        y = np.clip(np.asarray(x0, float) - base, 0.0, 1.0)
-    else:
+    r = frac(w).ravel()
+    if x0 is None:
         y = r.copy()
-    y = _safeguarded_newton(lambda y: cdf_at(d, y) - r, lambda y: density_at(d, y),
-                            y, cdf_at(d, y) - r, np.zeros_like(r), np.ones_like(r),
-                            tol, max_iter, "cdf inversion")
-    return base + y
+    else:
+        y = np.clip(np.asarray(x0, float) - np.floor(w), 0.0, 1.0).ravel()
+
+    def evaluate(y, at):
+        level = r if at is None else r[at]
+        if d.closed_form is None:
+            return cdf_at(d, y) - level, density_at(d, y)
+        if at is None:          # every entry: a stack's rows broadcast
+            value, primitive = d.closed_form.value_and_primitive(y.reshape(w.shape))
+        else:
+            rows = at // w.shape[-1] if d.values.ndim == 2 else None
+            value, primitive = d.closed_form.value_and_primitive(y, rows)
+        primitive = primitive.ravel()
+        primitive -= level
+        return primitive, value.ravel()
+
+    _safeguarded_newton(evaluate, y, np.zeros_like(r), np.ones_like(r), tol,
+                        max_iter, "cdf inversion")
+    return np.floor(w) + y.reshape(w.shape)
 
 
-def _safeguarded_newton(residual, slope, y, err, lo, hi, tol, max_iter, what):
-    """Entrywise root of an increasing function, bracketed in [lo, hi].
+def _safeguarded_newton(evaluate, y, lo, hi, tol, max_iter, what, start=None):
+    """Entrywise root of increasing functions, each bracketed in [lo, hi].
 
-    ``err`` is ``residual(y)`` at the start; ``slope`` is only called at the
-    point of the latest residual evaluation.  The bracket shrinks with every
-    evaluation and takes a bisection step whenever Newton leaves it.  An
-    entry stays where it is once its residual is within ``tol`` or its
-    bracket has collapsed, so the slowest entry alone sets the iteration
-    count.
+    All arrays are flat.  ``evaluate(y, at)`` returns the residuals and
+    their derivatives at the values ``y`` of the entries ``at`` (flat
+    indices, or None while every entry is active); ``start`` is that pair
+    at the start when the caller already has it.  The loop moves ``y`` to
+    the roots in place.  The bracket [lo, hi], also narrowed in place,
+    shrinks with every evaluation and takes a bisection step whenever
+    Newton leaves it.  An entry is final once its residual is within
+    ``tol`` or its bracket has collapsed: it keeps its value and is never
+    evaluated again, so each step evaluates only the entries still active.
     """
+    at = None
+    err, slope = evaluate(y, None) if start is None else start
     for _ in range(max_iter):
         active = (np.abs(err) > tol) & (hi - lo > 1e-15)
-        if not np.any(active):
-            return y
-        lo = np.where(err < 0, y, lo)
-        hi = np.where(err > 0, y, hi)
-        candidate = y - err / slope(y)
-        outside = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
-        y = np.where(active, np.where(outside, 0.5 * (lo + hi), candidate), y)
-        err = residual(y)
+        if not active.any():
+            return
+        if not active.all():
+            keep = np.flatnonzero(active)
+            at = keep if at is None else at[keep]
+            err, slope, lo, hi = (a[keep] for a in (err, slope, lo, hi))
+        ya = y if at is None else y[at]
+        np.copyto(lo, ya, where=err < 0)
+        np.copyto(hi, ya, where=err > 0)
+        ya = ya - err / slope                   # the Newton candidate
+        outside = (ya <= lo) | (ya >= hi) | ~np.isfinite(ya)
+        ya = np.where(outside, 0.5 * (lo + hi), ya)
+        y[slice(None) if at is None else at] = ya
+        err, slope = evaluate(ya, at)
     raise ConvergenceError(f"{what} did not converge",
                            residual=float(np.max(np.abs(err))))
 
@@ -178,11 +208,24 @@ class CircleMap:
         return self.nodes() - self.displacement
 
     def displacement_at(self, x):
-        """Trigonometric interpolation of the displacement at arbitrary x."""
-        c = np.fft.fft(self.displacement) / self.m
-        k = wavenumbers(self.m)
-        phase = np.exp(2j * np.pi * np.multiply.outer(np.mod(np.asarray(x, float), 1.0), k))
-        return (phase @ c[..., None])[..., 0].real
+        """Trigonometric interpolation of the displacement at arbitrary x.
+
+        The sum runs over the rfft half spectrum (modes 0 < k < m/2 count
+        twice, then the real part): Horner's scheme in e = exp(2 pi i x),
+        so one ``exp`` per point and one multiply-add per mode, with a
+        rounding error of about k eps on mode k.  A stack's rows interpolate
+        at their own rows of x.
+        """
+        m = self.m
+        c = np.fft.rfft(self.displacement) / m
+        c[..., 1:(m + 1) // 2] *= 2.0
+        coefs = c.T[..., None] if c.ndim == 2 else c    # coefs[k]: a row column
+        e = np.exp(2j * np.pi * frac(np.asarray(x, float)))
+        out = np.zeros(e.shape, complex)
+        for ck in coefs[::-1]:
+            out *= e
+            out += ck
+        return out.real
 
     def __call__(self, x):
         return np.asarray(x, float) - self.displacement_at(x)
@@ -234,21 +277,27 @@ def _newton_shift(g, s, x):
     Returns theta (one per row) and the inverse at it.  The residual
     mean(Ginv(s + theta) - x) is strictly increasing with slope
     mean(1/g(y)) in [1/max g, 1/min g], so the root lies within
-    |residual(0)| * max g of 0, which is the starting bracket.
+    |residual(0)| * max g of 0, which is the starting bracket.  Each
+    iterate inverts the cdfs of the rows whose shift is still active.
     """
+    single = g.values.ndim == 1
+    s = np.atleast_2d(s)
     y = invert_lifted_cdf(g, s)
     err = np.mean(y - x, axis=-1)
+    slope = np.mean(1.0 / density_at(g, y), axis=-1)
     reach = np.abs(err) * np.max(g.values, axis=-1) * 1.001 + 1e-12
 
-    def residual(theta):
-        nonlocal y
-        y = invert_lifted_cdf(g, s + theta[..., None], x0=y)
-        return np.mean(y - x, axis=-1)
+    def evaluate(theta, at):
+        at = slice(None) if at is None else at
+        rows = g if single else CircleDensity(g.values[at], g.closed_form.take(at))
+        y[at] = inverse = invert_lifted_cdf(rows, s[at] + theta[:, None], x0=y[at])
+        return (np.mean(inverse - x, axis=-1),
+                np.mean(1.0 / density_at(rows, inverse), axis=-1))
 
-    theta = _safeguarded_newton(
-        residual, lambda theta: np.mean(1.0 / density_at(g, y), axis=-1),
-        np.zeros_like(err), err, -reach, reach, SHIFT_TOL, 100, "shift Newton")
-    return theta, y
+    theta = np.zeros_like(err)
+    _safeguarded_newton(evaluate, theta, -reach, reach, SHIFT_TOL, 100,
+                        "shift Newton", start=(err, slope))
+    return (theta[0], y[0]) if single else (theta, y)
 
 
 def potential_1d(f, g):
@@ -282,6 +331,6 @@ def pushforward_quantile_error(f, g, tmap, n_quantiles=256):
     u = (np.arange(n_quantiles) + 0.5) / n_quantiles
     x = invert_lifted_cdf(f, np.broadcast_to(u, f.values.shape[:-1] + u.shape))
     tx = tmap(x)
-    values = np.floor(tx) + cdf_at(g, np.mod(tx, 1.0)) - cdf_at(f, np.mod(x, 1.0))
+    values = np.floor(tx) + cdf_at(g, frac(tx)) - cdf_at(f, frac(x))
     theta = np.mean(values, axis=-1, keepdims=True)
     return float(np.max(np.abs(values - theta)))

@@ -2,8 +2,14 @@
 
 Densities in this package are finite cosine sums, which keeps every
 composition, marginal, conditional and primitive exactly evaluable.
-Arguments are reduced modulo 1 before the trigonometric call so that
-periodicity holds to the last bit even for large frequencies.
+
+A 1D polynomial carries one mode per frequency: ``from_modes`` and
+``TrigPoly2D.slice_x1`` add up the modes that share a frequency as
+complex coefficients.  Each 1D call reduces its argument mod 1 once (with
+``frac``) and forms one angle per frequency from it; the joint
+``value_and_primitive`` takes the polynomial and its primitive from the
+cosine and sine of that one angle.  ``TrigPoly2D.__call__`` reduces
+nothing: its callers pass arguments already reduced mod 1.
 """
 
 from __future__ import annotations
@@ -15,18 +21,35 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def _cos(frac, phase):
-    return np.cos(TWO_PI * frac + phase)
+def frac(x):
+    """x mod 1, bit for bit equal to ``np.mod(x, 1.0)`` at a fraction of
+    its cost (``x - floor(x)`` is exact for x >= 0 and rounds the same
+    exact value once for x < 0).  The floor is taken into the result
+    array, so the call allocates one array, as ``np.mod`` does."""
+    x = np.asarray(x, float)
+    out = np.floor(x, out=np.empty_like(x))
+    return np.subtract(x, out, out=out)
+
+
+def _one_mode_per_freq(const, freqs, amps, phases):
+    """TrigPoly1D whose modes of equal frequency are summed as complex
+    coefficients amps * exp(i phases); distinct modes keep their bits."""
+    unique, slot = np.unique(freqs, return_inverse=True)
+    if unique.size == freqs.size:
+        return TrigPoly1D(const, freqs, amps, phases)
+    summed = (amps * np.exp(1j * phases)) @ (slot[:, None] == np.arange(unique.size))
+    return TrigPoly1D(const, unique, np.abs(summed), np.angle(summed))
 
 
 @dataclass(frozen=True)
 class TrigPoly1D:
-    """const + sum_j amps[j] * cos(2*pi*freqs[j]*x + phases[j]), freqs >= 1.
+    """const + sum_j amps[j] * cos(2*pi*freqs[j]*x + phases[j]), with
+    distinct freqs >= 1.
 
     A stack of polynomials sharing ``freqs`` has ``const`` of shape (rows,)
     and ``amps``/``phases`` of shape (rows, modes); it evaluates on
     (rows, m) arrays (or on (m,) points shared by every row), one pass per
-    mode.
+    frequency.
     """
 
     const: float
@@ -37,51 +60,68 @@ class TrigPoly1D:
     @staticmethod
     def from_modes(modes, const=1.0):
         """Build from an iterable of (freq, amplitude, phase); freq 0 folds
-        into the constant."""
+        into the constant and modes of equal |freq| merge into one."""
         c = float(const)
         ks, amps, phases = [], [], []
         for k, a, p in modes:
             k = int(k)
             if k == 0:
                 c += a * np.cos(p)
-            elif k > 0:
-                ks.append(k), amps.append(float(a)), phases.append(float(p))
             else:
-                ks.append(-k), amps.append(float(a)), phases.append(-float(p))
-        return TrigPoly1D(c, np.asarray(ks, dtype=int),
-                          np.asarray(amps, float), np.asarray(phases, float))
+                ks.append(abs(k)), amps.append(float(a))
+                phases.append(float(p) if k > 0 else -float(p))
+        return _one_mode_per_freq(c, np.asarray(ks, dtype=int),
+                                  np.asarray(amps, float), np.asarray(phases, float))
 
-    @property
-    def _stacked(self):
-        return np.ndim(self.const) > 0
-
-    def _modes(self):
-        # (freq, amplitude, phase) per mode; a stack's amplitudes and phases
-        # become (rows, 1) columns against its (rows, m) points
-        amps, phases = self.amps, self.phases
-        if self._stacked:
-            amps, phases = amps[:, None, :], phases[:, None, :]
-        for j, k in enumerate(self.freqs):
-            yield k, amps[..., j], phases[..., j]
-
-    def _const(self):
-        return self.const[:, None] if self._stacked else self.const
+    def _columns(self, rows, *coefs):
+        """const and per-mode coefficients shaped against the points: rows
+        gathered by ``rows`` (one stack row per point), or a stack's
+        (rows, 1) columns against its (rows, m) points."""
+        const = self.const
+        if rows is not None:
+            return tuple(np.take(c, rows, axis=0) for c in (const,) + coefs)
+        if np.ndim(const) > 0:
+            return (const[:, None],) + tuple(c[:, None, :] for c in coefs)
+        return (const,) + coefs
 
     def __call__(self, x):
         x = np.asarray(x, float)
-        out = self._const() + np.zeros(x.shape)
-        for k, a, p in self._modes():
-            out += a * _cos(np.mod(k * x, 1.0), p)
+        const, amps, phases = self._columns(None, self.amps, self.phases)
+        out = const + np.zeros(x.shape)
+        reduced = frac(x)
+        for j, k in enumerate(self.freqs):
+            out += amps[..., j] * np.cos(TWO_PI * k * reduced + phases[..., j])
         return out
 
     def antiderivative(self, x):
         """Exact primitive from 0: int_0^x of the polynomial."""
+        return self.value_and_primitive(x)[1]
+
+    def value_and_primitive(self, x, rows=None):
+        """The polynomial and its exact primitive from 0 at x, both from the
+        cosine and sine of one angle per frequency.
+
+        For a stack, ``rows`` (an integer array of x's shape) evaluates each
+        point on its own row instead of every point on every row.
+        """
         x = np.asarray(x, float)
-        out = self._const() * x
-        for k, a, p in self._modes():
+        const, re, im = self._columns(rows, self.amps * np.cos(self.phases),
+                                      self.amps * np.sin(self.phases))
+        value = const + np.zeros(x.shape)
+        primitive = const * x
+        reduced = frac(x)
+        for j, k in enumerate(self.freqs):
             w = TWO_PI * k
-            out += (a / w) * (np.sin(TWO_PI * np.mod(k * x, 1.0) + p) - np.sin(p))
-        return out
+            cos, sin = np.cos(w * reduced), np.sin(w * reduced)
+            # Re(c e^{i angle}) and Re(c (e^{i angle} - 1) / (i w)), c = re + i im
+            value += re[..., j] * cos - im[..., j] * sin
+            primitive += (re[..., j] * sin + im[..., j] * (cos - 1.0)) / w
+        return value, primitive
+
+    def take(self, rows):
+        """The stack of rows ``rows`` of a stack."""
+        return TrigPoly1D(self.const[rows], self.freqs, self.amps[rows],
+                          self.phases[rows])
 
     def scaled(self, factor):
         """Multiply by ``factor``: a scalar, or one factor per row."""
@@ -94,12 +134,6 @@ class TrigPoly1D:
         if not np.all(self.const > 0.0):
             raise ValueError("cannot normalize: mean is not positive")
         return self.scaled(1.0 / self.const)
-
-    def min_value(self, oversample=16):
-        """Lower estimate of the minimum from a dense sample."""
-        kmax = int(self.freqs.max()) if self.freqs.size else 1
-        n = max(64, oversample * 4 * kmax)
-        return float(np.min(self(np.arange(n) / n)))
 
 
 @dataclass(frozen=True)
@@ -134,11 +168,13 @@ class TrigPoly2D:
         return self.const
 
     def __call__(self, x1, x2):
+        """Value at (x1, x2), used as given: callers pass arguments reduced
+        mod 1 (``frac``), and no mode reduces them again."""
         x1 = np.asarray(x1, float)
         x2 = np.asarray(x2, float)
         out = np.full(np.broadcast(x1, x2).shape, self.const)
         for k1, k2, a, p in zip(self.k1, self.k2, self.amps, self.phases):
-            out += a * _cos(np.mod(k1 * x1 + k2 * x2, 1.0), p)
+            out += a * np.cos(TWO_PI * (k1 * x1 + k2 * x2) + p)
         return out
 
     def scaled(self, factor):
@@ -156,26 +192,22 @@ class TrigPoly2D:
         modes = zip(self.k1[keep], self.amps[keep], self.phases[keep])
         return TrigPoly1D.from_modes(modes, const=self.const)
 
-    def marginal_x1(self):
-        """Integrate the first variable out; a polynomial in x2."""
-        keep = self.k1 == 0
-        modes = zip(self.k2[keep], self.amps[keep], self.phases[keep])
-        return TrigPoly1D.from_modes(modes, const=self.const)
-
     def slice_x1(self, x1):
         """The 1-variable polynomials x2 -> self(x1, x2) at fixed real x1.
 
         A scalar x1 gives one TrigPoly1D; an array of x1 values gives the
-        stack with one row per value, modes in the order of ``self``.
+        stack with one row per value.  Modes of equal |k2| merge into one,
+        so a fiber carries one mode per distinct |k2| (none when every
+        mode has k2 = 0).
         """
         x1 = np.asarray(x1, float)
-        shifted = TWO_PI * np.mod(np.multiply.outer(x1, self.k1), 1.0) + self.phases
+        shifted = TWO_PI * frac(np.multiply.outer(x1, self.k1)) + self.phases
         flat = self.k2 == 0          # modes constant along the fiber
         const = self.const + np.sum(self.amps[flat] * np.cos(shifted[..., flat]),
                                     axis=-1)
         k2, phases = self.k2[~flat], shifted[..., ~flat]
         amps = np.broadcast_to(self.amps[~flat], phases.shape).copy()
-        return TrigPoly1D(const, np.abs(k2), amps, np.sign(k2) * phases)
+        return _one_mode_per_freq(const, np.abs(k2), amps, np.sign(k2) * phases)
 
     def fourier_coefficient(self, k1, k2):
         """int exp(-2i*pi*(k1*x1 + k2*x2)) * self(x) dx, exactly."""
@@ -196,8 +228,8 @@ class TrigPoly2D:
         """
         x1 = np.arange(n1) / n1
         x2 = np.arange(n2) / n2
-        a = TWO_PI * np.mod(np.multiply.outer(x1, self.k1), 1.0) + self.phases
-        b = TWO_PI * np.mod(np.multiply.outer(x2, self.k2), 1.0)
+        a = TWO_PI * frac(np.multiply.outer(x1, self.k1)) + self.phases
+        b = TWO_PI * frac(np.multiply.outer(x2, self.k2))
         left = np.hstack([self.amps * np.cos(a), -self.amps * np.sin(a)])
         right = np.hstack([np.cos(b), np.sin(b)])
         return float(self.const + np.min(left @ right.T))

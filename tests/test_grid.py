@@ -188,3 +188,19 @@ def test_csv_export_layout(tmp_path):
     assert float(x1) == 0.0 and float(x2) == 0.125 and float(value) == 1.0
     # 17 significant digits survive a parse round trip
     assert float(lines[1].split(",")[2]) == values[0, 0]
+
+
+@pytest.mark.parametrize("n1,n2", [(128, 64), (96, 40)])
+def test_csv_export_matches_per_node_reference(tmp_path, n1, n2):
+    # the reference writes one f-string per node, as the format defines it;
+    # the nodes i/96 and j/40 need all 17 digits
+    g = tot.build_grid(n1, n2)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-20, 20, g.shape)
+    values.flat[:6] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    path = tmp_path / "field.csv"
+    write_field_csv(tot.field(g, values), path)
+    x1, x2 = g.nodes1(), g.nodes2()
+    lines = ["x1,x2,value\n"] + [f"{x1[i]:.17g},{x2[j]:.17g},{values[i, j]:.17g}\n"
+                                 for i in range(g.n1) for j in range(g.n2)]
+    assert path.read_bytes() == "".join(lines).encode("utf-8")

@@ -4,9 +4,9 @@ import pytest
 import tot
 from tot.errors import CutLocusError, PositivityError
 from tot.grid import deriv_values
-from tot.transport1d import (_check_map, cdf_at, invert_lifted_cdf,
-                             transport_cost)
-from tot.trig import TrigPoly1D
+from tot.transport1d import (_check_map, _safeguarded_newton, cdf_at,
+                             invert_lifted_cdf, transport_cost)
+from tot.trig import TrigPoly1D, TrigPoly2D
 
 
 def uniform(m=256):
@@ -94,6 +94,54 @@ def test_inversion_keeps_exact_integer_levels():
     y = invert_lifted_cdf(g, np.array([0.0, 0.3, 1.0, 2.0]))
     assert y[0] == 0.0 and y[2] == 1.0 and y[3] == 2.0
     assert abs(cdf_at(g, y[1]) - 0.3) <= 1e-14
+
+
+def test_stacked_inversion_keeps_exact_integer_levels():
+    rows = TrigPoly2D.from_modes([(0, 1, 0.2, 0.4), (1, -1, 0.15, 1.1),
+                                  (1, 1, 0.1, -0.3)]).slice_x1(np.array([0.1, 0.7]))
+    g = tot.circle_density(closed_form=rows.normalized(), m=32)
+    w = np.array([[0.0, 0.4, 3.0, -1.0], [0.9, -2.0, 0.25, 1.0]])
+    y = invert_lifted_cdf(g, w)
+    exact = w == np.round(w)
+    assert np.array_equal(y[exact], w[exact])
+    glift = np.floor(y) + cdf_at(g, y - np.floor(y))
+    assert np.max(np.abs(glift - w)) <= 1e-14
+
+
+def test_newton_evaluates_only_active_entries():
+    # rows of increasing functions y + a sin(2 pi y) / (2 pi), a in [0, 0.9):
+    # the larger a, the more steps an entry needs; every 5th entry starts
+    # at its root
+    rows, m, tol = 6, 40, 1e-14
+    rng = np.random.default_rng(4)
+    amp = np.repeat(np.linspace(0.0, 0.9, rows, endpoint=False), m)
+    y0 = rng.uniform(0.0, 1.0, rows * m)
+    target = rng.uniform(0.0, 1.0, rows * m)
+    target[::5] = y0[::5] + amp[::5] * np.sin(2 * np.pi * y0[::5]) / (2 * np.pi)
+    log = []
+
+    def residual(y, at):
+        return y + amp[at] * np.sin(2 * np.pi * y) / (2 * np.pi) - target[at]
+
+    def evaluate(y, at):
+        at = np.arange(rows * m) if at is None else at
+        log.append((at.copy(), y.copy()))
+        return residual(y, at), 1.0 + amp[at] * np.cos(2 * np.pi * y)
+
+    y = y0.copy()
+    _safeguarded_newton(evaluate, y, np.zeros(rows * m), np.ones(rows * m),
+                        tol, 100, "test")
+    final_at = np.full(rows * m, -1)
+    for step, (at, values) in enumerate(log):
+        assert np.all(final_at[at] == -1)      # a final entry is never evaluated
+        converged = np.abs(residual(values, at)) <= tol
+        final_at[at[converged]] = step
+        assert np.array_equal(y[at[converged]], values[converged])
+    assert np.all(final_at >= 0)
+    assert np.all(final_at[::5] == 0) and np.array_equal(y[::5], y0[::5])
+    iterations = len(log) - 1
+    evaluated = sum(len(at) for at, _ in log[1:])
+    assert evaluated < rows * m * iterations
 
 
 def test_sampled_stack_is_rejected():
