@@ -92,7 +92,9 @@ def _emit_brenier(cfg, out_dir, pair, result, prefix="brenier"):
                     "newton_iters"),
                    (result.sup_residual, result.margin, pf,
                     result.iterations))
-    _say(cfg, f"[{prefix}] newton iters {result.iterations}, "
+    per_level = ", ".join(f"{n1}x{n2}: {iters}"
+                          for (n1, n2), iters in result.levels)
+    _say(cfg, f"[{prefix}] newton iters {result.iterations} ({per_level}), "
               f"sup residual {result.sup_residual:.3g}, pushforward {pf:.3g}")
     return result
 

@@ -18,6 +18,9 @@ linearization and the velocity stay O(1) as lambda_t -> 0; the assembled
 psi is formed only for the records.  t0 stays strictly positive: the
 t = 0 state is represented by the Knothe potentials themselves, and
 ``init_from_knothe`` bridges the gap.
+
+A cold ``newton_correct`` is nested: it solves on halved grids first and
+only certifies on the caller's grid.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .errors import (ConcavityError, ConstructionError, ConvergenceError,
                      InitializationError, StepCollapseError)
 # deriv_values is not called here; bench/test_repeatability.py checks that
 # the tracer rebinds and restores this module's binding of it
-from .grid import ScalarField, deriv_values  # noqa: F401
+from .grid import (PeriodicGrid, ScalarField, deriv_values,  # noqa: F401
+                   resample_values)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (_kernels, _solve_with_coefficients, coefficient_arrays,
                          _cost_rate_values, solve_linearized_small_t)
@@ -125,20 +129,28 @@ def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
     return _assemble(t, v1, v2, schedule)
 
 
-def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol):
+def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol, *,
+                   state=None, coarse=False):
     """Damped Newton on an iterate x given as a tuple of arrays.
 
     ``evaluate(x)`` returns the residual state at x and raises
-    ``ConcavityError`` where the margin is not positive; ``solve(st, q,
-    inner_tol)`` returns the direction, shaped like x, that solves the
-    linearized equation at st for the zero-mean residual q.  Each step
-    backtracks (s halved from 1) until the sup-residual decreases and the
-    margin stays positive.  Returns (x, state, iterations).
+    ``ConcavityError`` where the margin is not positive; ``state`` is that
+    state when the caller already has it.  ``solve(st, q, inner_tol)``
+    returns the direction, shaped like x, that solves the linearized
+    equation at st for the zero-mean residual q.  Each step backtracks (s
+    halved from 1) until the sup-residual decreases and the margin stays
+    positive.  Returns (x, state, iterations).
+
+    A ``coarse`` loop only supplies a starting guess: it also stops after
+    the first step that fails to halve the sup-residual, and where the
+    plain loop raises it hands back its last accepted iterate.
     """
-    st = evaluate(x)
+    st = evaluate(x) if state is None else state
+    previous = np.inf
     for iteration in range(max_iter + 1):
         sup = st.sup_residual
-        if sup <= tol:
+        if sup <= tol or coarse and (iteration == max_iter
+                                     or sup > 0.5 * previous):
             return x, st, iteration
         if iteration == max_iter:
             break
@@ -159,10 +171,13 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol):
                 break
             s *= 0.5
         else:
+            if coarse:
+                return x, st, iteration
             raise ConvergenceError(
                 f"newton line search stalled at iteration {iteration} "
                 f"(sup|residual| = {sup:.3g}, margin = {st.margin:.3g})",
                 residual=sup, iterations=iteration)
+        previous = sup
     raise ConvergenceError(
         f"newton did not reach {tol:g} in {max_iter} iterations "
         f"(sup|residual| = {st.sup_residual:.3g})",
@@ -178,10 +193,15 @@ def _solve_at(grid, st, q, tol):
 
 @dataclass
 class NewtonResult:
+    """A certified solve; ``iterations`` counts the Newton steps of every
+    level and ``levels`` holds (grid shape, iterations) per level,
+    coarsest first, ending with the caller's grid."""
+
     potential: ScalarField
     iterations: int
     sup_residual: float
     margin: float
+    levels: tuple
 
 
 def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
@@ -192,6 +212,16 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     residual, then backtracks (s halved from 1) until the sup-residual
     decreases and the margin stays positive.  Starting from the exact
     solution costs 0 iterations.
+
+    When the start misses ``tol`` and both grid sides halve to even sizes
+    of at least ``COARSEST_SIDE``, the solve is nested: the start is
+    restricted spectrally to the halved grid, solved there (recursively,
+    each coarse level capped by ``max_iter`` and stopping once a step
+    fails to halve its residual), and the coarse solution is prolonged
+    back.  It replaces the start only if its margin is positive and its
+    residual lower; a coarse level that fails is dropped.  The coarse
+    levels only supply a starting guess: the damped Newton loop then runs
+    unchanged on the caller's grid, so every result is certified there.
 
     Parameters
     ----------
@@ -206,18 +236,62 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     Raises
     ------
     ConvergenceError
-        If ``max_iter`` is exhausted or the line search stalls (s < 2^-20).
+        If ``max_iter`` is exhausted on the caller's grid or the line
+        search stalls there (s < 2^-20).
     """
     grid = pair.grid
     # start in the solver subspace: updates live there, so any Nyquist-row
     # contamination in the initial guess could never be corrected
-    values = _kernels(*grid.shape).project_solvable(psi_init.values)
-    (values,), st, iterations = _damped_newton(
-        (values,), lambda x: residual_state(cost, x[0], pair),
-        lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
-        tol, max_iter, solver_tol)
+    values, st, levels = _nested_newton(
+        cost, _kernels(*grid.shape).project_solvable(psi_init.values), pair,
+        tol, max_iter, solver_tol, coarse=False)
     return NewtonResult(ScalarField(grid, values, zero_mean=True),
-                        iterations, st.sup_residual, st.margin)
+                        sum(iters for _, iters in levels), st.sup_residual,
+                        st.margin, tuple(levels))
+
+
+# smallest side of a coarse level of the nested solve.  A 32^2 level takes
+# 5 steps and leaves 1 for 64^2, so it costs more than it saves: cold
+# solves of 8 benchmark pairs at 256^2 took 56-57 ms with it against
+# 40-46 ms without, and of the standard pair at 128^2 27-29 against 20-23 ms
+# (one thread, shared 2-core machine)
+COARSEST_SIDE = 64
+
+
+def _nested_newton(cost, values, pair, tol, max_iter, solver_tol, coarse):
+    """(values, state, levels) of the damped Newton solve from ``values``
+    on ``pair.grid``, first through the halved grid when that helps (see
+    :func:`newton_correct`).  No fine state is held while the coarse
+    levels run."""
+    grid = pair.grid
+
+    def evaluate(x):
+        return residual_state(cost, x[0], pair)
+
+    st = evaluate((values,))
+    levels = []
+    half = (grid.n1 // 2, grid.n2 // 2)
+    if st.sup_residual > tol and all(n >= COARSEST_SIDE and n % 2 == 0
+                                     for n in half):
+        sup, st = st.sup_residual, None
+        try:
+            coarse_values, _, levels = _nested_newton(
+                cost, resample_values(values, half),
+                pair.on_grid(PeriodicGrid(*half)), tol, max_iter, solver_tol,
+                coarse=True)
+            prolonged = resample_values(coarse_values, grid.shape)
+            st = evaluate((prolonged,))
+        except (ConcavityError, ConvergenceError):
+            pass                # a coarse level that fails is dropped
+        if st is not None and st.sup_residual < sup:
+            values = prolonged
+        else:
+            st = evaluate((values,))
+    (values,), st, iterations = _damped_newton(
+        (values,), evaluate,
+        lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
+        tol, max_iter, solver_tol, state=st, coarse=coarse)
+    return values, st, levels + [(grid.shape, iterations)]
 
 
 @dataclass

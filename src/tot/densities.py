@@ -90,6 +90,12 @@ class DensityPair:
     def g_poly(self):
         return self.g.closed_form
 
+    def on_grid(self, grid):
+        """The same closed forms sampled on another grid, with this pair's
+        certified ``delta`` and no new positivity scan."""
+        return DensityPair(density_field(self.f_poly, grid),
+                           density_field(self.g_poly, grid), self.delta)
+
 
 def density_field(density, grid):
     """Sample a DensitySpec or TrigPoly2D on a grid, keeping the closed form."""

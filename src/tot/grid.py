@@ -10,7 +10,8 @@ the only place that knows the convention: the solver modules take their
 derivatives from :func:`deriv_values` along one axis or from
 :func:`derivative_bundle`, which returns all first and second derivatives
 of a 2D array from one forward transform, and ``linearized`` builds its
-operator kernels from the same table.
+operator kernels from the same table.  :func:`resample_values` moves a
+field between grids of different sizes in the same convention.
 
 All operations are pure: input fields are never mutated, so values may be
 shared read-only across threads.
@@ -185,6 +186,23 @@ def derivative_bundle(values):
     spec = np.fft.rfft2(values)
     return tuple(np.fft.irfft2(spec * symbol, values.shape) for symbol in (
         s1.d1[:, None], s2.d1, s1.d2[:, None], s1.d1[:, None] * s2.d1, s2.d2))
+
+
+def resample_values(values, shape):
+    """Trigonometric interpolant of a 2D grid array sampled on a grid of
+    another (even) shape: the rfft2 spectrum truncated or zero-padded to
+    the modes |k| < n/2 of the smaller size along each axis, so the
+    Nyquist rows of both grids are dropped, and scaled by the size ratio.
+    A field without Nyquist content and with every |k| below the smaller
+    grid's Nyquist comes back exactly (to rounding)."""
+    n1, n2 = values.shape
+    m1, m2 = shape
+    k1, k2 = min(n1, m1) // 2, min(n2, m2) // 2
+    spec = np.fft.rfft2(values)
+    out = np.zeros((m1, m2 // 2 + 1), complex)
+    out[:k1, :k2] = spec[:k1, :k2]
+    out[1 - k1:, :k2] = spec[1 - k1:, :k2]
+    return np.fft.irfft2(out, shape) * (m1 * m2 / (n1 * n2))
 
 
 # ---------------------------------------------------------------------------

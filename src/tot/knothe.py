@@ -27,19 +27,21 @@ from .transport1d import (CircleMap, circle_density, monotone_circle_map,
 from .trig import frac
 
 
-def marginal_and_conditionals(f):
+def marginal_and_conditionals(f, *, certified=False):
     """Split a closed-form density into its x1-marginal and conditionals.
 
     Returns the marginal as a CircleDensity on n1 nodes and a callable
     giving the (unit-mass) conditional density on the fiber over any real
     x1, sampled on n2 nodes; an array of x1 values gives the stack of
-    their conditionals, one row each.
+    their conditionals, one row each.  The closed form's positivity is
+    checked on the 4x oversampled grid unless it is ``certified`` already,
+    as the densities of a ``DensityPair`` are.
     """
     if f.closed_form is None:
         raise ValueError("marginal/conditional split needs a closed-form density")
     poly = f.closed_form
     n1, n2 = f.grid.shape
-    if poly.min_on_grid(4 * n1, 4 * n2) <= 0.0:
+    if not certified and poly.min_on_grid(4 * n1, 4 * n2) <= 0.0:
         raise PositivityError("density not positive")
     marginal = circle_density(closed_form=poly.marginal_x2(), m=n1)
 
@@ -90,8 +92,8 @@ class KnotheSolution:
 def knothe_solution(pair):
     """Build the full rearrangement (maps and potentials) for a pair."""
     grid = pair.grid
-    f1, f_fiber = marginal_and_conditionals(pair.f)
-    g1, g_fiber = marginal_and_conditionals(pair.g)
+    f1, f_fiber = marginal_and_conditionals(pair.f, certified=True)
+    g1, g_fiber = marginal_and_conditionals(pair.g, certified=True)
 
     r1 = monotone_circle_map(f1, g1)
     u1 = potential_from_map(r1)
@@ -111,8 +113,8 @@ def knothe_solution(pair):
 def fiber_pushforward_error(pair, solution, n_fibers=8, n_quantiles=256):
     """Max quantile-test error of the fiber maps over sampled fibers."""
     grid = pair.grid
-    _, f_fiber = marginal_and_conditionals(pair.f)
-    _, g_fiber = marginal_and_conditionals(pair.g)
+    _, f_fiber = marginal_and_conditionals(pair.f, certified=True)
+    _, g_fiber = marginal_and_conditionals(pair.g, certified=True)
     images = solution.r1.map_values()
     idx = np.linspace(0, grid.n1 - 1, n_fibers).astype(int)
     return pushforward_quantile_error(

@@ -133,16 +133,15 @@ def c_concavity_margin(cost, u):
 
 @dataclass
 class ResidualState:
-    """Everything the residual and its linearization share at one state."""
+    """Everything the residual, its linearization and the velocity's
+    right-hand side share at one state (nothing else is kept: a Newton
+    step holds two states at once)."""
 
     cost: CostMatrix
-    grad1: np.ndarray
     grad2: np.ndarray
     u11: np.ndarray
     u12: np.ndarray
     u22: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
     g_at_t: np.ndarray
     residual: np.ndarray
     margin: float
@@ -191,8 +190,7 @@ def _state_from_derivatives(cost, pair, g1, g2, u11, u12, u22,
     g_at_t = pair.g_poly(frac(t1), frac(t2))
     det = (1.0 - u11) * (1.0 - u22 / cost.a22) - (u12 * u12) / cost.a22
     residual = pair.f_values - g_at_t * det
-    return ResidualState(cost, g1, g2, u11, u12, u22, t1, t2, g_at_t,
-                         residual, margin)
+    return ResidualState(cost, g2, u11, u12, u22, g_at_t, residual, margin)
 
 
 def monge_ampere_residual(cost, u, pair):

@@ -115,7 +115,8 @@ def cdf_at(d, x):
     return c[0].real * x + (phase @ coef).real
 
 
-def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
+def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100, *,
+                      with_density=False):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real.  Vectorized
@@ -124,7 +125,8 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
     step evaluates the cdf and the density of the entries still active in
     one pass (``TrigPoly1D.value_and_primitive``, each entry on its own
     row of a stack).  An exact start (an integer level w, or a warm start
-    at the root) comes back unchanged.
+    at the root) comes back unchanged.  ``with_density`` also returns the
+    density at the inverse, from each entry's last evaluation.
     """
     w = np.asarray(w, float)
     r = frac(w).ravel()
@@ -146,12 +148,17 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100):
         primitive -= level
         return primitive, value.ravel()
 
+    # an entry's level is read only while it is active, so once it is final
+    # its slot in r can take the density at its root
     _safeguarded_newton(evaluate, y, np.zeros_like(r), np.ones_like(r), tol,
-                        max_iter, "cdf inversion")
-    return np.floor(w) + y.reshape(w.shape)
+                        max_iter, "cdf inversion",
+                        slopes=r if with_density else None)
+    inverse = np.floor(w) + y.reshape(w.shape)
+    return (inverse, r.reshape(w.shape)) if with_density else inverse
 
 
-def _safeguarded_newton(evaluate, y, lo, hi, tol, max_iter, what, start=None):
+def _safeguarded_newton(evaluate, y, lo, hi, tol, max_iter, what, start=None,
+                        slopes=None):
     """Entrywise root of increasing functions, each bracketed in [lo, hi].
 
     All arrays are flat.  ``evaluate(y, at)`` returns the residuals and
@@ -163,17 +170,29 @@ def _safeguarded_newton(evaluate, y, lo, hi, tol, max_iter, what, start=None):
     Newton leaves it.  An entry is final once its residual is within
     ``tol`` or its bracket has collapsed: it keeps its value and is never
     evaluated again, so each step evaluates only the entries still active.
+    An entry stops where it was last evaluated, so its derivative at the
+    root comes from that evaluation: ``slopes``, when given, receives it
+    as the entry becomes final.
     """
     at = None
     err, slope = evaluate(y, None) if start is None else start
     for _ in range(max_iter):
         active = (np.abs(err) > tol) & (hi - lo > 1e-15)
-        if not active.any():
-            return
         if not active.all():
+            if slopes is not None:
+                done = ~active
+                slopes[np.flatnonzero(done) if at is None else at[done]] = \
+                    slope[done]
+            if not active.any():
+                return
             keep = np.flatnonzero(active)
             at = keep if at is None else at[keep]
-            err, slope, lo, hi = (a[keep] for a in (err, slope, lo, hi))
+            # one at a time: an old array can go before the next is
+            # gathered, which keeps the heap's high-water mark lower
+            err = err[keep]
+            slope = slope[keep]
+            lo = lo[keep]
+            hi = hi[keep]
         ya = y if at is None else y[at]
         np.copyto(lo, ya, where=err < 0)
         np.copyto(hi, ya, where=err > 0)
@@ -282,17 +301,18 @@ def _newton_shift(g, s, x):
     """
     single = g.values.ndim == 1
     s = np.atleast_2d(s)
-    y = invert_lifted_cdf(g, s)
-    err = np.mean(y - x, axis=-1)
-    slope = np.mean(1.0 / density_at(g, y), axis=-1)
+    y, density = invert_lifted_cdf(g, s, with_density=True)
+    err, slope = np.mean(y - x, axis=-1), np.mean(1.0 / density, axis=-1)
+    del density                 # not held through the shift iterations
     reach = np.abs(err) * np.max(g.values, axis=-1) * 1.001 + 1e-12
 
     def evaluate(theta, at):
         at = slice(None) if at is None else at
         rows = g if single else CircleDensity(g.values[at], g.closed_form.take(at))
-        y[at] = inverse = invert_lifted_cdf(rows, s[at] + theta[:, None], x0=y[at])
-        return (np.mean(inverse - x, axis=-1),
-                np.mean(1.0 / density_at(rows, inverse), axis=-1))
+        inverse, density = invert_lifted_cdf(rows, s[at] + theta[:, None],
+                                             x0=y[at], with_density=True)
+        y[at] = inverse
+        return np.mean(inverse - x, axis=-1), np.mean(1.0 / density, axis=-1)
 
     theta = np.zeros_like(err)
     _safeguarded_newton(evaluate, theta, -reach, reach, SHIFT_TOL, 100,

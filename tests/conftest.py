@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import tot
+from tot.continuation import _damped_newton, _solve_at
 from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import split_coefficients
+from tot.monge_ampere import residual_state
 
 
 def band_limited(grid, kmax, rng, include_x1_only=True):
@@ -52,6 +54,18 @@ def split_operator_residual(t, u1, u2, pair, q, v1, v2):
     out = (deriv_values(u11 * w + lam * u12 * d2v2, 0, 1)
            + deriv_values(u12 * w + split.v22 * d2v2, 1, 1))
     return float(np.sqrt(np.mean((out - q.values) ** 2) / np.mean(q.values ** 2)))
+
+
+def single_grid_newton(pair, start=None, tol=1e-10, max_iter=20):
+    """Damped Newton at A = I on the pair's grid alone, from zero by
+    default."""
+    grid, cost = pair.grid, tot.identity_cost()
+    (values,), st, iterations = _damped_newton(
+        (np.zeros(grid.shape) if start is None else start,),
+        lambda x: residual_state(cost, x[0], pair),
+        lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
+        tol, max_iter, None)
+    return values, st, iterations
 
 
 @pytest.fixture(scope="session")

@@ -145,6 +145,25 @@ quiet = true
     assert np.max(np.abs(psi.values)) < 1e-10
 
 
+def test_cmd_brenier_reports_iterations_per_level(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+f.name = standard_f
+g.name = standard_g
+emit.csv = false
+""")
+    out = tmp_path / "out"
+    assert run_cli("brenier", "--config", str(cfg), "--out", str(out)) == 0
+    message = capsys.readouterr().out
+    levels = message.split("(", 1)[1].split(")", 1)[0]
+    counts = dict(level.split(": ") for level in levels.split(", "))
+    assert list(counts) == ["64x64", "128x128"]
+    total = int(message.split("newton iters ", 1)[1].split(" ", 1)[0])
+    assert total == sum(int(c) for c in counts.values())
+    # the diagnostics row carries the same all-level count
+    row = (out / "brenier_diagnostics.csv").read_text().splitlines()[1]
+    assert int(row.split(",")[3]) == total
+
+
 def test_cmd_compare_product(tmp_path):
     cfg = write_cfg(tmp_path, """
 f.name = product_f

@@ -4,10 +4,11 @@ import pytest
 import tot
 from tot import continuation
 from tot.errors import ConvergenceError, StepCollapseError
+from tot.linearized import _kernels
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
-from tests.conftest import band_limited
+from tests.conftest import band_limited, single_grid_newton
 
 
 def test_decompose_inverts_assembly(grid64):
@@ -122,6 +123,130 @@ def test_newton_split_matches_assembled(pair64, knothe64):
                           res.u1[:, None] + sched.lam(t) * res.u2.values)
     plain = tot.newton_correct(sched.matrix(t), assembled, pair64, tol=1e-10)
     assert plain.iterations == 0   # the split solve already satisfies it
+
+
+# ---------------------------------------------------------------------------
+# nested newton: coarse levels supply the start, the caller's grid certifies
+
+def test_nested_newton_matches_separable_solution(product128):
+    # f and g factorize, so the Brenier potential is u1(x1) + u2(x2) with
+    # u1, u2 the potentials of the two 1D transports
+    res = tot.newton_correct(tot.identity_cost(),
+                             tot.zero_field(product128.grid), product128)
+    assert [shape for shape, _ in res.levels] == [(64, 64), (128, 128)]
+    assert res.iterations == sum(iters for _, iters in res.levels)
+    assert res.sup_residual <= 1e-10 and res.margin > 0.0
+    m = 128
+
+    def density(a):
+        return tot.circle_density(
+            closed_form=TrigPoly1D.from_modes([(1, a, 0.0)]), m=m)
+
+    u1 = potential_1d(density(0.2), density(0.15))
+    u2 = potential_1d(density(0.15), density(0.25))
+    exact = u1[:, None] + u2[None, :]
+    assert np.max(np.abs(res.potential.values - exact)) < 1e-10
+
+
+# benchmark pair (seed 600, instance 3): on 64^2 the single-grid Newton
+# stalls at 1.8e-10, just above the tolerance
+STALL_F = ((1, 0, 0.15, 5.933142595308904), (0, 1, 0.15, 2.063160657609388),
+           (1, 1, 0.15, 3.419852972758504))
+STALL_G = ((0, 1, 0.15, 5.536359867427846), (1, 1, 0.15, 5.691490061133739),
+           (1, -1, 0.15, 0.043692184390797174))
+
+
+def test_nested_newton_certifies_past_a_stalling_coarse_level():
+    coarse = tot.make_density_pair(tot.spec(*STALL_F), tot.spec(*STALL_G),
+                                   tot.build_grid(64, 64))
+    with pytest.raises(ConvergenceError, match="stalled") as stall:
+        tot.newton_correct(tot.identity_cost(), tot.zero_field(coarse.grid),
+                           coarse)
+    pair = tot.make_density_pair(tot.spec(*STALL_F), tot.spec(*STALL_G),
+                                 tot.build_grid(128, 128))
+    res = tot.newton_correct(tot.identity_cost(), tot.zero_field(pair.grid),
+                             pair)
+    (coarse_shape, coarse_iters), (fine_shape, _) = res.levels
+    assert coarse_shape == (64, 64) and fine_shape == (128, 128)
+    # the 64^2 level stopped at its first step that failed to halve the
+    # residual, long before the line search stalled
+    assert coarse_iters < stall.value.iterations
+    residual = tot.monge_ampere_residual(tot.identity_cost(), res.potential,
+                                         pair)
+    assert np.max(np.abs(residual.values)) <= 1e-10
+    assert tot.c_concavity_margin(tot.identity_cost(), res.potential) > 0.0
+    values, _, _ = single_grid_newton(pair)
+    assert np.max(np.abs(res.potential.values - values)) < 1e-12
+
+
+def test_nested_newton_from_solution_does_no_coarse_work(
+        pair128, cold_newton128, monkeypatch):
+    assert cold_newton128.levels[0][0] == (64, 64)
+    shapes = []
+    state = continuation.residual_state
+
+    def counted(cost, values, pair, *args):
+        shapes.append(values.shape)
+        return state(cost, values, pair, *args)
+
+    monkeypatch.setattr(continuation, "residual_state", counted)
+    again = tot.newton_correct(tot.identity_cost(), cold_newton128.potential,
+                               pair128)
+    assert again.iterations == 0
+    assert again.levels == (((128, 128), 0),)
+    assert shapes == [(128, 128)]
+
+
+def test_coarse_concavity_error_falls_back_to_the_start(pair128, monkeypatch):
+    state = continuation.residual_state
+
+    def no_coarse_state(cost, values, pair, *args):
+        if values.shape != (128, 128):
+            raise tot.ConcavityError("forced coarse failure")
+        return state(cost, values, pair, *args)
+
+    monkeypatch.setattr(continuation, "residual_state", no_coarse_state)
+    res = tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
+                             pair128)
+    values, st, iterations = single_grid_newton(pair128)
+    assert res.levels == (((128, 128), iterations),)
+    assert res.sup_residual == st.sup_residual <= 1e-10
+    assert np.array_equal(res.potential.values, values)
+
+
+def test_worse_prolonged_start_is_not_used(pair128, cold_newton128,
+                                           monkeypatch):
+    # a prolongation that returns zero is admissible but far worse than a
+    # start near the solution, so the fine loop must run from the start
+    resample = continuation.resample_values
+
+    def zero_prolongation(values, shape):
+        return np.zeros(shape) if shape == (128, 128) else resample(values, shape)
+
+    monkeypatch.setattr(continuation, "resample_values", zero_prolongation)
+    rng = np.random.default_rng(61)
+    start = _kernels(128, 128).project_solvable(
+        cold_newton128.potential.values + 1e-5 * band_limited(pair128.grid, 3, rng))
+    res = tot.newton_correct(tot.identity_cost(), tot.field(pair128.grid, start),
+                             pair128)
+    values, _, iterations = single_grid_newton(pair128, start)
+    assert res.levels[-1] == ((128, 128), iterations)
+    assert np.max(np.abs(res.potential.values - values)) < 1e-14
+
+
+def test_max_iter_caps_every_level(pair128, monkeypatch):
+    solves = []
+    solve = continuation._solve_at
+
+    def counted(grid, *args):
+        solves.append(grid.shape)
+        return solve(grid, *args)
+
+    monkeypatch.setattr(continuation, "_solve_at", counted)
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
+                           pair128, max_iter=1)
+    assert solves == [(64, 64), (128, 128)]
 
 
 # ---------------------------------------------------------------------------

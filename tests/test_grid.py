@@ -6,7 +6,7 @@ import pytest
 import tot
 from tot.errors import GridSizeError
 from tot.fieldio import read_field_binary, write_field_binary, write_field_csv
-from tot.grid import antideriv_values, derivative_bundle
+from tot.grid import antideriv_values, derivative_bundle, resample_values
 
 
 def test_build_grid_spacing():
@@ -61,6 +61,49 @@ def test_derivative_exactness_below_nyquist(k1, k2):
         for order, out, ref in zip((1, 1, 2, 2, 2),
                                    derivative_bundle(values + 0 * x1 * x2), exact):
             assert np.max(np.abs(out - ref)) < 1e-11 * scale ** (order - 1)
+
+
+def _trig_sum(modes, n1, n2):
+    """sum of a cos(2 pi (k1 x1 + k2 x2)) + b sin(...) on the n1 x n2 nodes,
+    evaluated mode by mode"""
+    x1 = np.arange(n1)[:, None] / n1
+    x2 = np.arange(n2)[None, :] / n2
+    out = np.zeros((n1, n2))
+    for k1, k2, a, b in modes:
+        phase = 2 * np.pi * (k1 * x1 + k2 * x2)
+        out += a * np.cos(phase) + b * np.sin(phase)
+    return out
+
+
+@pytest.mark.parametrize("source,target", [
+    ((32, 32), (64, 64)), ((64, 64), (32, 32)),
+    ((32, 48), (96, 16)), ((96, 16), (32, 48)), ((40, 24), (40, 24))])
+def test_resample_is_exact_below_both_nyquists(source, target):
+    # every mode has |k| below the Nyquist of the smaller size per axis
+    rng = np.random.default_rng(71)
+    lim1 = min(source[0], target[0]) // 2 - 1
+    lim2 = min(source[1], target[1]) // 2 - 1
+    modes = [(k1, k2, rng.normal(), rng.normal())
+             for k1 in range(-lim1, lim1 + 1) for k2 in range(0, lim2 + 1)
+             if k2 > 0 or k1 >= 0]
+    out = resample_values(_trig_sum(modes, *source), target)
+    assert out.shape == target
+    assert np.max(np.abs(out - _trig_sum(modes, *target))) < 1e-11
+    back = resample_values(out, source)
+    assert np.max(np.abs(back - _trig_sum(modes, *source))) < 1e-11
+
+
+@pytest.mark.parametrize("source,target", [
+    ((32, 32), (64, 64)), ((64, 64), (32, 32)), ((32, 48), (96, 16)),
+    ((40, 24), (40, 24))])
+def test_resample_drops_nyquist_rows(source, target):
+    # content on the Nyquist row or column of either grid does not survive
+    m1, m2 = min(source[0], target[0]) // 2, min(source[1], target[1]) // 2
+    nyquist = [(m1, 0, 1.0, 0.0), (0, m2, 1.0, 0.0), (m1, 3, 0.5, 0.25),
+               (2, m2, 0.5, 0.0)]
+    kept = [(1, 1, 0.3, -0.2), (0, 1, 0.1, 0.0)]
+    out = resample_values(_trig_sum(nyquist + kept, *source), target)
+    assert np.max(np.abs(out - _trig_sum(kept, *target))) < 1e-12
 
 
 def test_second_derivative_keeps_nyquist():

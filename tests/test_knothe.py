@@ -15,6 +15,25 @@ def test_marginal_and_conditionals_uniform(grid64):
     assert np.max(np.abs(fiber(0.37).values - 1.0)) < 1e-14
 
 
+def test_unvalidated_closed_form_is_checked_for_positivity(grid64):
+    # a closed form that dips below zero, not built through a DensityPair;
+    # its x1-marginal is the constant 1, so only the 2D scan can see it
+    poly = TrigPoly2D.from_modes([(1, 1, 1.2, 0.3)])
+    f = tot.field(grid64, poly(*grid64.mesh()), closed_form=poly)
+    with pytest.raises(tot.PositivityError, match="not positive"):
+        tot.marginal_and_conditionals(f)
+
+
+def test_certified_pair_is_not_scanned_again(pair64, monkeypatch):
+    # make_density_pair certified both closed forms on the oversampled grid
+    def scan(*args):
+        raise AssertionError("positivity scanned again")
+
+    monkeypatch.setattr(TrigPoly2D, "min_on_grid", scan)
+    sol = tot.knothe_solution(pair64)
+    assert tot.fiber_pushforward_error(pair64, sol) < 1e-9
+
+
 def test_marginal_and_conditionals_product(grid64):
     f = tot.density_field(tot.CATALOG["product_f"], grid64)
     marginal, fiber = tot.marginal_and_conditionals(f)

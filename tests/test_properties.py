@@ -1,7 +1,8 @@
-"""Property-based tests of the input layer: config parsing and field files.
+"""Property-based tests: config parsing, field files and the cold solve.
 
-Example counts are capped in ``FUZZ`` so the module adds about two seconds
-to the suite; raise ``max_examples`` there for a longer search.
+Example counts are capped in ``FUZZ`` and ``FUZZ_SOLVE`` so the module adds
+a few seconds to the suite; raise ``max_examples`` there for a longer
+search.
 """
 
 import itertools
@@ -13,10 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tot
 from tot.config import _SCHEMA, _parse_lines
-from tot.errors import ConfigError
+from tot.errors import ConfigError, TransportError
 from tot.fieldio import MAGIC, read_field_binary, write_field_binary
 from tot.grid import ScalarField, build_grid
+
+from tests.conftest import single_grid_newton
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -109,3 +113,36 @@ def test_binary_accepts_only_valid_sizes_matching_payload(tmp_path, n1, n2,
         assert not valid
         return
     assert valid and field.grid.shape == (n1, n2)
+
+
+# cold Newton at 128^2 on cosine densities with |k|_inf <= 2: at most three
+# modes of amplitude <= 0.3 keep every density above 0.1
+FUZZ_SOLVE = settings(max_examples=50, deadline=None)
+GRID128 = build_grid(128, 128)
+_modes = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.floats(0.02, 0.3),
+              st.floats(0.0, 6.283)).filter(lambda m: m[:2] != (0, 0)),
+    min_size=1, max_size=3)
+
+
+@FUZZ_SOLVE
+@given(_modes, _modes)
+def test_cold_solve_certifies_or_raises_typed_error(f_modes, g_modes):
+    pair = tot.make_density_pair(tot.spec(*f_modes), tot.spec(*g_modes),
+                                 GRID128)
+    cost = tot.identity_cost()
+    try:
+        reference, _, _ = single_grid_newton(pair)
+    except TransportError:
+        reference = None
+    try:
+        res = tot.newton_correct(cost, tot.zero_field(GRID128), pair)
+    except TransportError:
+        # nesting never loses a case that the single grid certifies
+        assert reference is None
+        return
+    residual = tot.monge_ampere_residual(cost, res.potential, pair)
+    assert np.max(np.abs(residual.values)) <= 1e-10
+    assert tot.c_concavity_margin(cost, res.potential) > 0.0
+    if reference is not None:
+        assert np.max(np.abs(res.potential.values - reference)) <= 1e-9

@@ -5,7 +5,7 @@ import tot
 from tot.errors import CutLocusError, PositivityError
 from tot.grid import deriv_values
 from tot.transport1d import (_check_map, _safeguarded_newton, cdf_at,
-                             invert_lifted_cdf, transport_cost)
+                             density_at, invert_lifted_cdf, transport_cost)
 from tot.trig import TrigPoly1D, TrigPoly2D
 
 
@@ -106,6 +106,23 @@ def test_stacked_inversion_keeps_exact_integer_levels():
     assert np.array_equal(y[exact], w[exact])
     glift = np.floor(y) + cdf_at(g, y - np.floor(y))
     assert np.max(np.abs(glift - w)) <= 1e-14
+
+
+def test_inversion_returns_the_density_at_the_inverse():
+    g = trig_density([(1, 0.25, -0.4), (3, 0.1, 0.0)])
+    w = np.array([0.0, 0.3, 1.7, -0.45])
+    y, density = invert_lifted_cdf(g, w, with_density=True)
+    assert np.array_equal(y, invert_lifted_cdf(g, w))
+    assert np.max(np.abs(density - density_at(g, y))) <= 1e-14
+    rows = TrigPoly2D.from_modes([(0, 1, 0.2, 0.4), (1, -1, 0.15, 1.1),
+                                  (1, 1, 0.1, -0.3)]).slice_x1(np.array([0.1, 0.7]))
+    stack = tot.circle_density(closed_form=rows.normalized(), m=32)
+    w = np.array([[0.0, 0.4, 3.0, -1.0], [0.9, -2.0, 0.25, 1.0]])
+    y, density = invert_lifted_cdf(stack, w, with_density=True)
+    assert density.shape == w.shape
+    for row in range(2):
+        one = tot.circle_density(closed_form=stack.closed_form.take(row), m=32)
+        assert np.max(np.abs(density[row] - density_at(one, y[row]))) <= 1e-14
 
 
 def test_newton_evaluates_only_active_entries():
