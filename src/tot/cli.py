@@ -78,6 +78,14 @@ def cmd_knothe(cfg, out_dir):
     return EXIT_OK
 
 
+def _newton_text(levels):
+    """'<total> (<n1>x<n2>: <iterations>, ...)' for (shape, iterations)
+    pairs, coarsest grid first."""
+    total = sum(iters for _, iters in levels)
+    per_level = ", ".join(f"{n1}x{n2}: {iters}" for (n1, n2), iters in levels)
+    return f"{total} ({per_level})"
+
+
 def _emit_brenier(cfg, out_dir, pair, result, prefix="brenier"):
     cost = identity_cost()
     tmap = transport_map(cost, result.potential)
@@ -92,9 +100,7 @@ def _emit_brenier(cfg, out_dir, pair, result, prefix="brenier"):
                     "newton_iters"),
                    (result.sup_residual, result.margin, pf,
                     result.iterations))
-    per_level = ", ".join(f"{n1}x{n2}: {iters}"
-                          for (n1, n2), iters in result.levels)
-    _say(cfg, f"[{prefix}] newton iters {result.iterations} ({per_level}), "
+    _say(cfg, f"[{prefix}] newton iters {_newton_text(result.levels)}, "
               f"sup residual {result.sup_residual:.3g}, pushforward {pf:.3g}")
     return result
 
@@ -122,7 +128,12 @@ def _run_trajectory(cfg, out_dir, pair):
         for index, rec in enumerate(traj.records):
             write_field_binary(rec.psi,
                                os.path.join(out_dir, f"step_{index:04d}_psi.totf"))
+    per_grid = {}
+    for rec in traj.records:
+        for shape, iters in rec.levels:
+            per_grid[shape] = per_grid.get(shape, 0) + iters
     _say(cfg, f"[continue] {len(traj.records)} states, final t {final.t:g}, "
+              f"newton iters {_newton_text(sorted(per_grid.items()))}, "
               f"sup residual {final.sup_residual:.3g}")
     return traj
 

@@ -19,8 +19,9 @@ psi is formed only for the records.  t0 stays strictly positive: the
 t = 0 state is represented by the Knothe potentials themselves, and
 ``init_from_knothe`` bridges the gap.
 
-A cold ``newton_correct`` is nested: it solves on halved grids first and
-only certifies on the caller's grid.
+Both solvers are nested (grid sequencing): a cold ``newton_correct``
+solves on halved grids first, and every step of ``run`` predicts and
+corrects on the halved grid first; the caller's grid only certifies.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def _velocity_split(t, u1, u2, pair, schedule, tol, warn=True):
                                     schedule=schedule)
 
 
-def _assemble(t, u1, u2, schedule):
-    """Zero-mean potential u1 + lambda_t u2 on the grid."""
-    values = u1[:, None] + schedule.lam(t) * u2.values
+def _assemble(lam, u1, u2):
+    """Zero-mean potential u1 + lam u2 on the grid."""
+    values = u1[:, None] + lam * u2.values
     return ScalarField(u2.grid, values - np.mean(values), zero_mean=True)
 
 
@@ -126,7 +127,7 @@ def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
     schedule = schedule or CostSchedule.linear()
     u1, u2 = decompose(t, psi, schedule)
     v1, v2 = _velocity_split(t, u1, u2, pair, schedule, tol, warn=warn)
-    return _assemble(t, v1, v2, schedule)
+    return _assemble(schedule.lam(t), v1, v2)
 
 
 def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol, *,
@@ -237,7 +238,8 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     ------
     ConvergenceError
         If ``max_iter`` is exhausted on the caller's grid or the line
-        search stalls there (s < 2^-20).
+        search stalls there (s < 2^-20); its ``iterations`` counts the
+        steps of every level.
     """
     grid = pair.grid
     # start in the solver subspace: updates live there, so any Nyquist-row
@@ -258,6 +260,15 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
 COARSEST_SIDE = 64
 
 
+def _halved(grid):
+    """The next coarser level of a nested solve, or None when a halved side
+    would be odd or below ``COARSEST_SIDE``."""
+    half = (grid.n1 // 2, grid.n2 // 2)
+    if all(n >= COARSEST_SIDE and n % 2 == 0 for n in half):
+        return PeriodicGrid(*half)
+    return None
+
+
 def _nested_newton(cost, values, pair, tol, max_iter, solver_tol, coarse):
     """(values, state, levels) of the damped Newton solve from ``values``
     on ``pair.grid``, first through the halved grid when that helps (see
@@ -270,15 +281,13 @@ def _nested_newton(cost, values, pair, tol, max_iter, solver_tol, coarse):
 
     st = evaluate((values,))
     levels = []
-    half = (grid.n1 // 2, grid.n2 // 2)
-    if st.sup_residual > tol and all(n >= COARSEST_SIDE and n % 2 == 0
-                                     for n in half):
+    half = _halved(grid)
+    if st.sup_residual > tol and half is not None:
         sup, st = st.sup_residual, None
         try:
             coarse_values, _, levels = _nested_newton(
-                cost, resample_values(values, half),
-                pair.on_grid(PeriodicGrid(*half)), tol, max_iter, solver_tol,
-                coarse=True)
+                cost, resample_values(values, half.shape), pair.on_grid(half),
+                tol, max_iter, solver_tol, coarse=True)
             prolonged = resample_values(coarse_values, grid.shape)
             st = evaluate((prolonged,))
         except (ConcavityError, ConvergenceError):
@@ -287,10 +296,14 @@ def _nested_newton(cost, values, pair, tol, max_iter, solver_tol, coarse):
             values = prolonged
         else:
             st = evaluate((values,))
-    (values,), st, iterations = _damped_newton(
-        (values,), evaluate,
-        lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
-        tol, max_iter, solver_tol, state=st, coarse=coarse)
+    try:
+        (values,), st, iterations = _damped_newton(
+            (values,), evaluate,
+            lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
+            tol, max_iter, solver_tol, state=st, coarse=coarse)
+    except ConvergenceError as exc:
+        exc.iterations += sum(iters for _, iters in levels)
+        raise
     return values, st, levels + [(grid.shape, iterations)]
 
 
@@ -315,7 +328,12 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
     enough to push the residual below roughly eps * (pi n)^2 / lambda; the
     decomposed iteration has no such floor.
     """
-    schedule = schedule or CostSchedule.linear()
+    return _split_newton(t, u1, u2, pair, schedule or CostSchedule.linear(),
+                         tol, max_iter, solver_tol)
+
+
+def _split_newton(t, u1, u2, pair, schedule, tol, max_iter, solver_tol,
+                  coarse=False):
     grid = pair.grid
 
     def direction(st, q, inner_tol):
@@ -326,7 +344,7 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
     (u1, u2_values), st, iterations = _damped_newton(
         (np.asarray(u1, float).copy(), u2.values),
         lambda x: split_residual_state(t, x[0], x[1], pair, schedule),
-        direction, tol, max_iter, solver_tol)
+        direction, tol, max_iter, solver_tol, coarse=coarse)
     return SplitNewtonResult(u1, ScalarField(grid, u2_values), iterations,
                              st.sup_residual, st.margin)
 
@@ -364,7 +382,7 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
         except (ConvergenceError, ConcavityError):
             t *= 0.5
             continue
-        return InitResult(_assemble(t, res.u1, res.u2, schedule), t,
+        return InitResult(_assemble(schedule.lam(t), res.u1, res.u2), t,
                           res.iterations, res.sup_residual, kn, res.u1,
                           res.u2, res.margin)
     raise InitializationError(
@@ -374,15 +392,33 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
 
 @dataclass
 class TrajectoryRecord:
+    """One accepted state: the decomposed pair (u1, psi2) as solved at t,
+    with lam = lambda_t.  The zero-mean ``psi1`` and the assembled ``psi``
+    are formed on access, so a record holds one grid array.
+    ``newton_iters`` counts the Newton steps of every grid level and
+    ``levels`` holds (grid shape, iterations) per level, coarsest first,
+    ending with the caller's grid."""
+
     t: float
-    psi: ScalarField
-    psi1: np.ndarray
+    lam: float
+    u1: np.ndarray
     psi2: ScalarField
     margin: float
     sup_residual: float
     pushforward_residual: float
     l2_dist_to_knothe: float
     newton_iters: int
+    levels: tuple
+
+    @property
+    def psi1(self):
+        """u1 with zero mean."""
+        return self.u1 - np.mean(self.u1)
+
+    @property
+    def psi(self):
+        """The zero-mean assembled potential u1 + lam psi2."""
+        return _assemble(self.lam, self.u1, self.psi2)
 
 
 @dataclass
@@ -436,13 +472,89 @@ def _fixed_ladder(t0, t1, steps, grading, ratio):
 
 @dataclass
 class _State:
-    """Current continuation state: the decomposed pair at t and its
-    velocity (v1, v2), computed on first use."""
+    """A certified continuation state on one grid: the decomposed pair at
+    t, its velocity (v1, v2) and its restriction to the next coarser
+    grid, each computed on first use."""
 
     t: float
     u1: np.ndarray
     u2: ScalarField
     velocity: tuple = None
+    coarse: "_State" = None
+
+
+def _predict(state, t_next, pair, schedule, opts, warn=True):
+    """Euler or Heun predictor (u1, u2) at t_next on ``pair.grid``;
+    ``warn`` as for the velocity at the state."""
+    # exact decomposed arithmetic: u1 += dt v1,
+    # u2 -> (lam_t (u2 + dt v2)) / lam_next
+    dt = t_next - state.t
+    lam_t = schedule.lam(state.t)
+    lam_next = schedule.lam(t_next)
+    if state.velocity is None:
+        state.velocity = _velocity_split(state.t, state.u1, state.u2,
+                                         pair, schedule, opts.solver_tol,
+                                         warn=warn)
+    v1, v2 = state.velocity
+    p1 = state.u1 + dt * v1
+    p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next
+    if opts.predictor == "heun":
+        w1, w2 = _velocity_split(t_next, p1, ScalarField(pair.grid, p2v),
+                                 pair, schedule, opts.solver_tol, warn=False)
+        p1 = state.u1 + 0.5 * dt * (v1 + w1)
+        p2v = (lam_t * state.u2.values
+               + 0.5 * dt * (lam_t * v2.values + lam_next * w2.values)) / lam_next
+    return p1, ScalarField(pair.grid, p2v - p2v.mean(axis=1, keepdims=True))
+
+
+def _step(state, t_next, pairs, schedule, opts, spent, certify=True):
+    """Predictor-corrector step from the certified ``state`` to t_next on
+    ``pairs[0].grid``, with ``pairs[1:]`` the pair on ever coarser grids.
+
+    The whole step first runs on the next coarser grid, recursively, from
+    the state restricted there, and its prolonged result is corrected
+    here.  If the coarse step raises, or that correction fails, the step
+    is predicted from this grid's own velocity instead.  Only ``certify``
+    runs ``newton_correct_split``; a coarse grid runs the coarse-mode
+    loop.  ``spent`` collects the Newton steps per grid shape.
+    """
+    pair = pairs[0]
+    shape = pair.grid.shape
+
+    def correct(u1, u2):
+        try:
+            if certify:
+                res = newton_correct_split(t_next, u1, u2, pair, schedule,
+                                           tol=opts.newton_tol,
+                                           max_iter=opts.max_newton)
+            else:
+                res = _split_newton(t_next, u1, u2, pair, schedule,
+                                    opts.newton_tol, opts.max_newton, None,
+                                    coarse=True)
+        except ConvergenceError as exc:
+            spent[shape] = spent.get(shape, 0) + (exc.iterations or 0)
+            raise
+        spent[shape] = spent.get(shape, 0) + res.iterations
+        return res
+
+    if len(pairs) > 1:
+        grid = pairs[1].grid
+        if state.coarse is None:
+            state.coarse = _State(
+                state.t, resample_values(state.u1, (grid.n1,)),
+                ScalarField(grid, resample_values(state.u2.values, grid.shape)))
+        try:
+            guess = _step(state.coarse, t_next, pairs[1:], schedule, opts,
+                          spent, certify=False)
+            return correct(resample_values(guess.u1, shape[:1]),
+                           ScalarField(pair.grid, resample_values(
+                               guess.u2.values, shape)))
+        except (ConcavityError, ConvergenceError):
+            pass                # predict on this grid instead
+    # a coarse state is a certified one restricted: its residual is the
+    # coarse grid's truncation floor, which says nothing about the path
+    return correct(*_predict(state, t_next, pair, schedule, opts,
+                             warn=certify))
 
 
 def run(pair, schedule=None, options=None):
@@ -456,6 +568,14 @@ def run(pair, schedule=None, options=None):
     trajectory - if the step size falls below 1e-8.  At t1 = 1 under the
     linear schedule the final record's map is the Brenier map for
     A = diag(1,1).
+
+    Where a cold ``newton_correct`` would nest, each step first runs the
+    whole predictor-corrector on the halved grids, from the certified
+    state restricted there, and ``newton_correct_split`` certifies the
+    prolonged result on the caller's grid; if either fails, the attempt
+    falls back to the single-grid step before it counts as rejected.  A
+    record's ``newton_iters`` counts the steps of every level.  The
+    initialization at t0 stays single-grid.
     """
     schedule = schedule or CostSchedule.linear()
     opts = (options or ContinuationOptions()).validated()
@@ -465,52 +585,35 @@ def run(pair, schedule=None, options=None):
     kn = init.knothe
     knothe_field = kn.map_field()
     records = []
+    pairs = [pair]
+    while (half := _halved(pairs[-1].grid)) is not None:
+        pairs.append(pairs[-1].on_grid(half))
 
-    def accept(t, result):
+    def accept(t, result, levels):
         """Record a corrected state (init or step result) and return it."""
         if not (result.sup_residual <= opts.newton_tol and result.margin > 0.0):
             raise ConstructionError("attempted to record an uncertified state")
-        psi = _assemble(t, result.u1, result.u2, schedule)
-        tmap = transport_map(schedule.matrix(t), psi)
+        lam = schedule.lam(t)
+        tmap = transport_map(schedule.matrix(t),
+                             _assemble(lam, result.u1, result.u2))
         records.append(TrajectoryRecord(
-            t, psi, result.u1 - np.mean(result.u1), result.u2, result.margin,
-            result.sup_residual,
+            t, lam, result.u1, result.u2, result.margin, result.sup_residual,
             pushforward_residual(tmap, pair, opts.pushforward_k),
             l2_map_distance(tmap, knothe_field, pair.f),
-            result.iterations))
+            sum(iters for _, iters in levels), levels))
         return _State(t, result.u1, result.u2)
 
-    def predict(state, t_next):
-        # exact decomposed arithmetic: u1 += dt v1,
-        # u2 -> (lam_t (u2 + dt v2)) / lam_next
-        dt = t_next - state.t
-        lam_t = schedule.lam(state.t)
-        lam_next = schedule.lam(t_next)
-        if state.velocity is None:
-            state.velocity = _velocity_split(state.t, state.u1, state.u2,
-                                             pair, schedule, opts.solver_tol)
-        v1, v2 = state.velocity
-        p1 = state.u1 + dt * v1
-        p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next
-        if opts.predictor == "heun":
-            w1, w2 = _velocity_split(t_next, p1, ScalarField(pair.grid, p2v),
-                                     pair, schedule, opts.solver_tol,
-                                     warn=False)
-            p1 = state.u1 + 0.5 * dt * (v1 + w1)
-            p2v = (lam_t * state.u2.values
-                   + 0.5 * dt * (lam_t * v2.values + lam_next * w2.values)) / lam_next
-        return p1, ScalarField(pair.grid, p2v - p2v.mean(axis=1, keepdims=True))
-
     def attempt(state, t_next):
-        """One predictor-corrector trial; None signals rejection."""
+        """One nested predictor-corrector trial: (result, levels), or None
+        on rejection."""
+        spent = {}
         try:
-            return newton_correct_split(
-                t_next, *predict(state, t_next), pair, schedule,
-                tol=opts.newton_tol, max_iter=opts.max_newton)
+            result = _step(state, t_next, pairs, schedule, opts, spent)
         except (ConcavityError, ConvergenceError):
             return None
+        return result, tuple(sorted(spent.items()))
 
-    state = accept(init.t0, init)
+    state = accept(init.t0, init, ((pair.grid.shape, init.iterations),))
 
     def collapse(dt):
         partial = Trajectory(records, kn, opts, schedule)
@@ -523,14 +626,14 @@ def run(pair, schedule=None, options=None):
         easy_streak = 0
         while state.t < opts.t1 * (1.0 - 1e-14):
             t_next = min(state.t + dt, opts.t1)
-            result = attempt(state, t_next)
-            if result is None:
+            trial = attempt(state, t_next)
+            if trial is None:
                 dt *= 0.5
                 if dt < 1e-8:
                     collapse(dt)
                 continue
-            state = accept(t_next, result)
-            easy_streak = easy_streak + 1 if result.iterations <= 3 else 0
+            state = accept(t_next, *trial)
+            easy_streak = easy_streak + 1 if records[-1].newton_iters <= 3 else 0
             if easy_streak >= 3:
                 dt *= 2.0
                 easy_streak = 0
@@ -541,14 +644,14 @@ def run(pair, schedule=None, options=None):
             t_next = pending[0]
             if t_next - state.t < 1e-8:
                 collapse(t_next - state.t)
-            result = attempt(state, t_next)
-            if result is None:
+            trial = attempt(state, t_next)
+            if trial is None:
                 if opts.step_grading == "geometric":
                     pending.insert(0, math.sqrt(state.t * t_next))
                 else:
                     pending.insert(0, 0.5 * (state.t + t_next))
                 continue
             pending.pop(0)
-            state = accept(t_next, result)
+            state = accept(t_next, *trial)
 
     return Trajectory(records, kn, opts, schedule)

@@ -11,7 +11,7 @@ derivatives from :func:`deriv_values` along one axis or from
 :func:`derivative_bundle`, which returns all first and second derivatives
 of a 2D array from one forward transform, and ``linearized`` builds its
 operator kernels from the same table.  :func:`resample_values` moves a
-field between grids of different sizes in the same convention.
+1D or 2D field between grids of different sizes in the same convention.
 
 All operations are pure: input fields are never mutated, so values may be
 shared read-only across threads.
@@ -189,12 +189,18 @@ def derivative_bundle(values):
 
 
 def resample_values(values, shape):
-    """Trigonometric interpolant of a 2D grid array sampled on a grid of
-    another (even) shape: the rfft2 spectrum truncated or zero-padded to
-    the modes |k| < n/2 of the smaller size along each axis, so the
-    Nyquist rows of both grids are dropped, and scaled by the size ratio.
+    """Trigonometric interpolant of a 1D or 2D grid array sampled on a grid
+    of another (even) shape: the real-FFT spectrum truncated or zero-padded
+    to the modes |k| < n/2 of the smaller size along each axis, so the
+    Nyquist modes of both grids are dropped, and scaled by the size ratio.
     A field without Nyquist content and with every |k| below the smaller
     grid's Nyquist comes back exactly (to rounding)."""
+    if values.ndim == 1:
+        (n,), (m,) = values.shape, shape
+        k = min(n, m) // 2
+        out = np.zeros(m // 2 + 1, complex)
+        out[:k] = np.fft.rfft(values)[:k]
+        return np.fft.irfft(out, m) * (m / n)
     n1, n2 = values.shape
     m1, m2 = shape
     k1, k2 = min(n1, m1) // 2, min(n2, m2) // 2

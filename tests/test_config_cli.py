@@ -164,6 +164,27 @@ emit.csv = false
     assert int(row.split(",")[3]) == total
 
 
+def test_cmd_continue_reports_iterations_per_level(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+f.name = standard_f
+g.name = standard_g
+steps = 4
+emit.csv = false
+""")
+    out = tmp_path / "out"
+    assert run_cli("continue", "--config", str(cfg), "--out", str(out)) == 0
+    message = capsys.readouterr().out
+    assert message.startswith("[continue] 5 states")
+    levels = message.split("(", 1)[1].split(")", 1)[0]
+    counts = dict(level.split(": ") for level in levels.split(", "))
+    assert list(counts) == ["64x64", "128x128"]
+    total = int(message.split("newton iters ", 1)[1].split(" ", 1)[0])
+    assert total == sum(int(c) for c in counts.values())
+    # trajectory.csv's newton_iters column sums to the same all-level count
+    lines = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert total == sum(int(line.rsplit(",", 1)[1]) for line in lines)
+
+
 def test_cmd_compare_product(tmp_path):
     cfg = write_cfg(tmp_path, """
 f.name = product_f

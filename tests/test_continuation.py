@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import tot
 from tot import continuation
 from tot.errors import ConvergenceError, StepCollapseError
 from tot.linearized import _kernels
+from tot.monge_ampere import split_residual_state
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
@@ -249,6 +252,14 @@ def test_max_iter_caps_every_level(pair128, monkeypatch):
     assert solves == [(64, 64), (128, 128)]
 
 
+def test_convergence_error_counts_every_level(pair128):
+    # one step on 64^2 and one on 128^2 before the cap is hit
+    with pytest.raises(ConvergenceError) as info:
+        tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
+                           pair128, max_iter=1)
+    assert info.value.iterations == 2
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -376,6 +387,137 @@ def test_run_aborts_with_partial_trajectory(pair64, monkeypatch):
     partial = info.value.trajectory
     assert partial is not None and len(partial.records) >= 1
     assert partial.records[0].t == 0.1
+
+
+# ---------------------------------------------------------------------------
+# nested run: each step is predicted and corrected on the halved grid, the
+# caller's grid certifies
+
+def _single_grid(monkeypatch):
+    """Make every grid too small to nest."""
+    monkeypatch.setattr(continuation, "COARSEST_SIDE", 1 << 20)
+
+
+def _certified_on(pair, traj):
+    # recompute each record's certificate on the caller's grid from its
+    # stored fields, not from what the run reported
+    sched = traj.schedule
+    for rec in traj.records:
+        st = split_residual_state(rec.t, rec.psi1, rec.psi2.values, pair, sched)
+        assert st.sup_residual <= traj.options.newton_tol
+        assert st.margin > 0.0
+
+
+def test_nested_run_follows_separable_solution(product128, traj_product32):
+    # f and g factorize, so psi_t = u1(x1) + lambda_t u2(x2) with u1, u2 the
+    # potentials of the two 1D transports (not the Knothe potentials)
+    m = 128
+
+    def density(a):
+        return tot.circle_density(
+            closed_form=TrigPoly1D.from_modes([(1, a, 0.0)]), m=m)
+
+    u1 = potential_1d(density(0.2), density(0.15))
+    u2 = potential_1d(density(0.15), density(0.25))
+    sched = traj_product32.schedule
+    for rec in traj_product32.records[1:]:
+        assert rec.levels[0][0] == (64, 64)
+        assert rec.levels[-1][0] == (128, 128)
+        assert rec.newton_iters == sum(iters for _, iters in rec.levels)
+        exact = u1[:, None] + sched.lam(rec.t) * u2[None, :]
+        exact -= exact.mean()
+        assert np.max(np.abs(rec.psi.values - exact)) < 1e-10
+    _certified_on(product128, traj_product32)
+
+
+def test_nested_run_certifies_an_under_resolved_pair(monkeypatch):
+    # benchmark pair (600, 3): its 64^2 levels stop above the tolerance, so
+    # every step needs Newton on 128^2
+    pair = tot.make_density_pair(tot.spec(*STALL_F), tot.spec(*STALL_G),
+                                 tot.build_grid(128, 128))
+    opts = tot.ContinuationOptions(steps=8)
+    nested = tot.run(pair, options=opts)
+    _certified_on(pair, nested)
+    assert all(rec.levels[-1][1] >= 1 for rec in nested.records[1:])
+    _single_grid(monkeypatch)
+    single = tot.run(pair, options=opts)
+    assert np.array_equal(nested.times(), single.times())
+    assert np.max(np.abs(nested.final.psi.values
+                         - single.final.psi.values)) < 1e-12
+
+
+def test_nested_run_does_not_warn_on_a_coarse_truncation_floor():
+    # benchmark pair (9734, 23): its certified t0 state, restricted to
+    # 64^2, has a residual of 1.8e-6 there, above the velocity's warning
+    # level; the warning is meant for states off the path, and this one
+    # is certified on 128^2
+    f = ((0, 1, 0.15, 2.422800401480321), (1, 1, 0.15, 1.3640205766631353),
+         (1, -1, 0.15, 3.339182360765461))
+    g = ((0, 1, 0.15, 5.154151629666907), (1, 1, 0.15, 4.429259251425833),
+         (1, -1, 0.15, 0.48351125912344367))
+    pair = tot.make_density_pair(tot.spec(*f), tot.spec(*g),
+                                 tot.build_grid(128, 128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = tot.run(pair, options=tot.ContinuationOptions(steps=4))
+    assert all(rec.levels[0][0] == (64, 64) for rec in traj.records[1:])
+    _certified_on(pair, traj)
+
+
+def test_failed_coarse_step_falls_back_to_the_single_grid_step(pair128,
+                                                               monkeypatch):
+    opts = tot.ContinuationOptions(steps=4)
+    state = continuation.split_residual_state
+
+    def no_coarse_state(t, u1, u2_values, pair, *args):
+        if u2_values.shape != (128, 128):
+            raise tot.ConcavityError("forced coarse failure")
+        return state(t, u1, u2_values, pair, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(continuation, "split_residual_state", no_coarse_state)
+        fallback = tot.run(pair128, options=opts)
+    _single_grid(monkeypatch)
+    single = tot.run(pair128, options=opts)
+    assert len(fallback.records) == len(single.records) == 5
+    for a, b in zip(fallback.records, single.records):
+        assert a.t == b.t
+        assert np.array_equal(a.psi.values, b.psi.values)
+        assert a.levels == b.levels == (((128, 128), b.newton_iters),)
+
+
+def test_run_below_128_does_not_nest(pair64, monkeypatch):
+    shapes = set()
+    state = continuation.split_residual_state
+
+    def recorded(t, u1, u2_values, pair, *args):
+        shapes.add(u2_values.shape)
+        return state(t, u1, u2_values, pair, *args)
+
+    monkeypatch.setattr(continuation, "split_residual_state", recorded)
+    traj = tot.run(pair64, options=tot.ContinuationOptions(steps=4))
+    assert shapes == {(64, 64)}
+    assert all(rec.levels == (((64, 64), rec.newton_iters),)
+               for rec in traj.records)
+
+
+def test_heun_predictor_nests(pair128, cold_newton128, monkeypatch):
+    velocity_shapes = []
+    velocity = continuation._velocity_split
+
+    def recorded(t, u1, u2, pair, *args, **kwargs):
+        velocity_shapes.append(u2.values.shape)
+        return velocity(t, u1, u2, pair, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "_velocity_split", recorded)
+    traj = tot.run(pair128, options=tot.ContinuationOptions(
+        steps=16, predictor="heun"))
+    # two velocity solves per step, both on 64^2
+    assert velocity_shapes == [(64, 64)] * 32
+    assert all(rec.levels[0][0] == (64, 64) for rec in traj.records[1:])
+    _certified_on(pair128, traj)
+    diff = traj.final.psi.values - cold_newton128.potential.values
+    assert np.max(np.abs(diff)) <= 1e-8
 
 
 def test_trajectory_summary_csv(traj32, tmp_path):

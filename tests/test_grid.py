@@ -106,6 +106,25 @@ def test_resample_drops_nyquist_rows(source, target):
     assert np.max(np.abs(out - _trig_sum(kept, *target))) < 1e-12
 
 
+@pytest.mark.parametrize("source,target", [(32, 64), (64, 32), (48, 48)])
+def test_resample_1d_is_exact_below_both_nyquists(source, target):
+    # the marginal potential u1 moves between grids with the 2D convention:
+    # modes below the smaller Nyquist survive, the Nyquist mode does not
+    rng = np.random.default_rng(73)
+    lim = min(source, target) // 2
+
+    def trig_sum(coeffs, n):
+        x = np.arange(n) / n
+        return sum(a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
+                   for k, (a, b) in enumerate(coeffs))
+
+    coeffs = rng.normal(size=(lim, 2))
+    nyquist = np.cos(2 * np.pi * lim * np.arange(source) / source)
+    out = resample_values(trig_sum(coeffs, source) + nyquist, (target,))
+    assert out.shape == (target,)
+    assert np.max(np.abs(out - trig_sum(coeffs, target))) < 1e-12
+
+
 def test_second_derivative_keeps_nyquist():
     g = tot.build_grid(16, 16)
     x1, x2 = g.mesh()
