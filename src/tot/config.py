@@ -66,7 +66,6 @@ _SCHEMA = {
     "steps": (_parse_steps, 32),
     "newton_tol": (float, 1e-10),
     "max_newton": (int, 20),
-    "predictor": (str, "euler"),
     "step_grading": (str, "geometric"),
     "grading_ratio": (float, None),
     "solver_tol": (float, 1e-11),
@@ -184,7 +183,7 @@ def config_from_entries(entries, overrides=None):
     options = ContinuationOptions(
         t0=merged["t0"], t1=merged["t1"], steps=merged["steps"],
         newton_tol=merged["newton_tol"], max_newton=merged["max_newton"],
-        predictor=merged["predictor"], step_grading=merged["step_grading"],
+        step_grading=merged["step_grading"],
         grading_ratio=merged["grading_ratio"], solver_tol=merged["solver_tol"],
         pushforward_k=merged["pushforward_k"])
     try:

@@ -5,10 +5,13 @@ The Kantorovich potential solves, along the cost schedule,
     Div( f [A_t - D^2 psi_t]^{-1} (grad psi_dot - Adot A^{-1} grad psi) ) = 0,
 
 with initial behaviour pinned by the rearrangement's potential pair at
-t = 0.  The driver is a predictor-corrector: an Euler or Heun step on the
-velocity field predicts the next potential, and a damped Newton iteration
-on the nonlinear residual corrects it, so every accepted state is an
-exact (to tolerance) Monge-Ampere solution - the trajectory's accuracy is
+t = 0.  The continuation is a predictor-corrector.  The potential evolves
+smoothly in t, so each certified state samples a smooth curve: the next
+potential is predicted by quadratic extrapolation through the three
+newest certified states (an Euler step on the velocity field for the
+first two steps, before three exist), and a damped Newton iteration on
+the nonlinear residual corrects it, so every accepted state is an exact
+(to tolerance) Monge-Ampere solution - the trajectory's accuracy is
 certified pointwise rather than by step-size analysis.  Stepping is
 geometric toward t0 by default, matching the lambda_t = t degeneration.
 
@@ -64,7 +67,6 @@ class ContinuationOptions:
     steps: object = 32
     newton_tol: float = 1e-10
     max_newton: int = 20
-    predictor: str = "euler"
     step_grading: str = "geometric"
     grading_ratio: float | None = None
     solver_tol: float = 1e-11
@@ -76,12 +78,15 @@ class ContinuationOptions:
         if self.steps != "adaptive":
             if not (isinstance(self.steps, int) and self.steps >= 1):
                 raise ValueError("steps must be a positive integer or 'adaptive'")
-        if self.predictor not in ("euler", "heun"):
-            raise ValueError("predictor must be 'euler' or 'heun'")
         if self.step_grading not in ("geometric", "uniform"):
             raise ValueError("step_grading must be 'geometric' or 'uniform'")
-        if self.grading_ratio is not None and not self.grading_ratio > 1.0:
-            raise ValueError("grading_ratio must exceed 1")
+        if self.grading_ratio is not None:
+            if not self.grading_ratio > 1.0:
+                raise ValueError("grading_ratio must exceed 1")
+            # only the fixed geometric ladder reads it
+            if self.steps == "adaptive" or self.step_grading == "uniform":
+                raise ValueError("grading_ratio needs fixed steps and "
+                                 "geometric step_grading")
         if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
         if not (isinstance(self.max_newton, int) and self.max_newton >= 1):
@@ -482,39 +487,66 @@ class _State:
     velocity: tuple = None
     coarse: "_State" = None
 
+    def restricted(self, grid):
+        """This state restricted spectrally to the coarser ``grid``."""
+        if self.coarse is None:
+            self.coarse = _State(
+                self.t, resample_values(self.u1, (grid.n1,)),
+                ScalarField(grid, resample_values(self.u2.values, grid.shape)))
+        return self.coarse
 
-def _predict(state, t_next, pair, schedule, opts, warn=True):
-    """Euler or Heun predictor (u1, u2) at t_next on ``pair.grid``;
-    ``warn`` as for the velocity at the state."""
-    # exact decomposed arithmetic: u1 += dt v1,
-    # u2 -> (lam_t (u2 + dt v2)) / lam_next
-    dt = t_next - state.t
+
+def _predict(history, t_next, pair, schedule, opts, warn=True):
+    """Predictor (u1, u2) at t_next on ``pair.grid`` from the newest
+    certified states ``history``, oldest first.
+
+    From three states: quadratic Lagrange extrapolation in t of u1 and of
+    lambda u2, with the states' true times as nodes.  The corrector cannot
+    change the Nyquist modes, and the extrapolation weights, which sum to
+    1 but are not all in [0, 1], would amplify their rounding step after
+    step, so the increment over the newest state is projected onto the solver
+    subspace.  From fewer states: an Euler step on the velocity at the
+    newest state (``warn`` as for that velocity), whose increment has no
+    Nyquist content.
+    """
+    state = history[-1]
     lam_t = schedule.lam(state.t)
     lam_next = schedule.lam(t_next)
-    if state.velocity is None:
-        state.velocity = _velocity_split(state.t, state.u1, state.u2,
-                                         pair, schedule, opts.solver_tol,
-                                         warn=warn)
-    v1, v2 = state.velocity
-    p1 = state.u1 + dt * v1
-    p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next
-    if opts.predictor == "heun":
-        w1, w2 = _velocity_split(t_next, p1, ScalarField(pair.grid, p2v),
-                                 pair, schedule, opts.solver_tol, warn=False)
-        p1 = state.u1 + 0.5 * dt * (v1 + w1)
-        p2v = (lam_t * state.u2.values
-               + 0.5 * dt * (lam_t * v2.values + lam_next * w2.values)) / lam_next
+    if len(history) < 3:
+        # exact decomposed arithmetic: u1 += dt v1,
+        # u2 -> (lam_t (u2 + dt v2)) / lam_next
+        dt = t_next - state.t
+        if state.velocity is None:
+            state.velocity = _velocity_split(state.t, state.u1, state.u2,
+                                             pair, schedule, opts.solver_tol,
+                                             warn=warn)
+        v1, v2 = state.velocity
+        p1 = state.u1 + dt * v1
+        p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next
+    else:
+        # the newest node's weight multiplies a zero difference
+        a, b = history[-3:-1]
+        ta, tb, tc = a.t, b.t, state.t
+        wa = (t_next - tb) * (t_next - tc) / ((ta - tb) * (ta - tc))
+        wb = (t_next - ta) * (t_next - tc) / ((tb - ta) * (tb - tc))
+        d1 = wa * (a.u1 - state.u1) + wb * (b.u1 - state.u1)
+        lu2 = lam_t * state.u2.values
+        d2 = (wa * (schedule.lam(ta) * a.u2.values - lu2)
+              + wb * (schedule.lam(tb) * b.u2.values - lu2))
+        p1 = state.u1 + resample_values(d1, d1.shape)
+        p2v = (lu2 + resample_values(d2, d2.shape)) / lam_next
     return p1, ScalarField(pair.grid, p2v - p2v.mean(axis=1, keepdims=True))
 
 
-def _step(state, t_next, pairs, schedule, opts, spent, certify=True):
-    """Predictor-corrector step from the certified ``state`` to t_next on
-    ``pairs[0].grid``, with ``pairs[1:]`` the pair on ever coarser grids.
+def _step(history, t_next, pairs, schedule, opts, spent, certify=True):
+    """Predictor-corrector step from the certified states ``history``
+    (oldest first, at most three) to t_next on ``pairs[0].grid``, with
+    ``pairs[1:]`` the pair on ever coarser grids.
 
     The whole step first runs on the next coarser grid, recursively, from
-    the state restricted there, and its prolonged result is corrected
+    the history restricted there, and its prolonged result is corrected
     here.  If the coarse step raises, or that correction fails, the step
-    is predicted from this grid's own velocity instead.  Only ``certify``
+    is predicted from this grid's own history instead.  Only ``certify``
     runs ``newton_correct_split``; a coarse grid runs the coarse-mode
     loop.  ``spent`` collects the Newton steps per grid shape.
     """
@@ -539,13 +571,9 @@ def _step(state, t_next, pairs, schedule, opts, spent, certify=True):
 
     if len(pairs) > 1:
         grid = pairs[1].grid
-        if state.coarse is None:
-            state.coarse = _State(
-                state.t, resample_values(state.u1, (grid.n1,)),
-                ScalarField(grid, resample_values(state.u2.values, grid.shape)))
         try:
-            guess = _step(state.coarse, t_next, pairs[1:], schedule, opts,
-                          spent, certify=False)
+            guess = _step([s.restricted(grid) for s in history], t_next,
+                          pairs[1:], schedule, opts, spent, certify=False)
             return correct(resample_values(guess.u1, shape[:1]),
                            ScalarField(pair.grid, resample_values(
                                guess.u2.values, shape)))
@@ -553,7 +581,7 @@ def _step(state, t_next, pairs, schedule, opts, spent, certify=True):
             pass                # predict on this grid instead
     # a coarse state is a certified one restricted: its residual is the
     # coarse grid's truncation floor, which says nothing about the path
-    return correct(*_predict(state, t_next, pair, schedule, opts,
+    return correct(*_predict(history, t_next, pair, schedule, opts,
                              warn=certify))
 
 
@@ -561,17 +589,21 @@ def run(pair, schedule=None, options=None):
     """Integrate the potential from t0 to t1 with Newton defect correction.
 
     Returns a :class:`Trajectory`.  The state is carried and corrected in
-    the decomposed coordinates (u1, u2) throughout.  Steps are accepted
-    only if Newton converges and the margin stays positive; rejected steps
-    are split (halved in adaptive mode, bisected in fixed mode) and the
-    run aborts with :class:`StepCollapseError` - carrying the partial
-    trajectory - if the step size falls below 1e-8.  At t1 = 1 under the
-    linear schedule the final record's map is the Brenier map for
-    A = diag(1,1).
+    the decomposed coordinates (u1, u2) throughout.  Each step is
+    predicted by quadratic extrapolation in t through the three newest
+    certified states, at their true times, so bisected and adaptive steps
+    are extrapolated over unequal spacing; the first two steps, before
+    three states exist, take an Euler step on the velocity, so a run
+    solves two velocities.  Steps are accepted only if Newton converges
+    and the margin stays positive; rejected steps are split (halved in
+    adaptive mode, bisected in fixed mode) and the run aborts with
+    :class:`StepCollapseError` - carrying the partial trajectory - if the
+    step size falls below 1e-8.  At t1 = 1 under the linear schedule the
+    final record's map is the Brenier map for A = diag(1,1).
 
     Where a cold ``newton_correct`` would nest, each step first runs the
     whole predictor-corrector on the halved grids, from the certified
-    state restricted there, and ``newton_correct_split`` certifies the
+    states restricted there, and ``newton_correct_split`` certifies the
     prolonged result on the caller's grid; if either fails, the attempt
     falls back to the single-grid step before it counts as rejected.  A
     record's ``newton_iters`` counts the steps of every level.  The
@@ -585,12 +617,16 @@ def run(pair, schedule=None, options=None):
     kn = init.knothe
     knothe_field = kn.map_field()
     records = []
+    # the newest certified states, oldest first; they share their arrays
+    # with the records
+    history = []
     pairs = [pair]
     while (half := _halved(pairs[-1].grid)) is not None:
         pairs.append(pairs[-1].on_grid(half))
 
     def accept(t, result, levels):
-        """Record a corrected state (init or step result) and return it."""
+        """Record a corrected state (init or step result) and make it the
+        newest of the history."""
         if not (result.sup_residual <= opts.newton_tol and result.margin > 0.0):
             raise ConstructionError("attempted to record an uncertified state")
         lam = schedule.lam(t)
@@ -601,57 +637,58 @@ def run(pair, schedule=None, options=None):
             pushforward_residual(tmap, pair, opts.pushforward_k),
             l2_map_distance(tmap, knothe_field, pair.f),
             sum(iters for _, iters in levels), levels))
-        return _State(t, result.u1, result.u2)
+        history.append(_State(t, result.u1, result.u2))
+        del history[:-3]
 
-    def attempt(state, t_next):
+    def attempt(t_next):
         """One nested predictor-corrector trial: (result, levels), or None
         on rejection."""
         spent = {}
         try:
-            result = _step(state, t_next, pairs, schedule, opts, spent)
+            result = _step(history, t_next, pairs, schedule, opts, spent)
         except (ConcavityError, ConvergenceError):
             return None
         return result, tuple(sorted(spent.items()))
 
-    state = accept(init.t0, init, ((pair.grid.shape, init.iterations),))
+    accept(init.t0, init, ((pair.grid.shape, init.iterations),))
 
     def collapse(dt):
         partial = Trajectory(records, kn, opts, schedule)
         raise StepCollapseError(
             f"continuation step collapsed to dt = {dt:.3g} at t = "
-            f"{state.t:.6g}", trajectory=partial)
+            f"{history[-1].t:.6g}", trajectory=partial)
 
     if opts.steps == "adaptive":
-        dt = state.t
+        dt = history[-1].t
         easy_streak = 0
-        while state.t < opts.t1 * (1.0 - 1e-14):
-            t_next = min(state.t + dt, opts.t1)
-            trial = attempt(state, t_next)
+        while history[-1].t < opts.t1 * (1.0 - 1e-14):
+            t_next = min(history[-1].t + dt, opts.t1)
+            trial = attempt(t_next)
             if trial is None:
                 dt *= 0.5
                 if dt < 1e-8:
                     collapse(dt)
                 continue
-            state = accept(t_next, *trial)
+            accept(t_next, *trial)
             easy_streak = easy_streak + 1 if records[-1].newton_iters <= 3 else 0
             if easy_streak >= 3:
                 dt *= 2.0
                 easy_streak = 0
     else:
-        pending = _fixed_ladder(state.t, opts.t1, opts.steps,
+        pending = _fixed_ladder(history[-1].t, opts.t1, opts.steps,
                                 opts.step_grading, opts.grading_ratio)
         while pending:
-            t_next = pending[0]
-            if t_next - state.t < 1e-8:
-                collapse(t_next - state.t)
-            trial = attempt(state, t_next)
+            t_next, t = pending[0], history[-1].t
+            if t_next - t < 1e-8:
+                collapse(t_next - t)
+            trial = attempt(t_next)
             if trial is None:
                 if opts.step_grading == "geometric":
-                    pending.insert(0, math.sqrt(state.t * t_next))
+                    pending.insert(0, math.sqrt(t * t_next))
                 else:
-                    pending.insert(0, 0.5 * (state.t + t_next))
+                    pending.insert(0, 0.5 * (t + t_next))
                 continue
             pending.pop(0)
-            state = accept(t_next, *trial)
+            accept(t_next, *trial)
 
     return Trajectory(records, kn, opts, schedule)

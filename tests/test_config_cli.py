@@ -30,7 +30,6 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.schedule.lam(0.25) == 0.25
     assert cfg.options.t0 == 1e-3
     assert cfg.options.steps == 32
-    assert cfg.options.predictor == "euler"
     assert cfg.out_dir == "out"
 
 
@@ -265,6 +264,26 @@ def test_exit_code_removed_t_switch_key(tmp_path, capsys):
     assert run_cli("continue", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
     assert "unknown key 't_switch'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_removed_predictor_key(tmp_path, capsys):
+    # every step after the second extrapolates, so there is nothing to pick
+    cfg = write_cfg(tmp_path, MINIMAL + "predictor = heun\n")
+    assert run_cli("continue", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    assert "unknown key 'predictor'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["step_grading = uniform",
+                                   "steps = adaptive"])
+def test_exit_code_grading_ratio_ignored(tmp_path, capsys, entry):
+    cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n"
+                    + entry + "\ngrading_ratio = 2\n")
+    assert run_cli("continue", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    assert "options: grading_ratio" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

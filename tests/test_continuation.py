@@ -365,10 +365,128 @@ def test_run_adaptive_mode(pair64):
         assert rec.sup_residual <= opts.newton_tol
 
 
-def test_run_heun_predictor(pair64):
-    opts = tot.ContinuationOptions(steps=8, predictor="heun")
+def _single_grid(monkeypatch):
+    """Make every grid too small to nest."""
+    monkeypatch.setattr(continuation, "COARSEST_SIDE", 1 << 20)
+
+
+def _certified_on(pair, traj):
+    # recompute each record's certificate on the caller's grid from its
+    # stored fields, not from what the run reported
+    sched = traj.schedule
+    for rec in traj.records:
+        st = split_residual_state(rec.t, rec.psi1, rec.psi2.values, pair, sched)
+        assert st.sup_residual <= traj.options.newton_tol
+        assert st.margin > 0.0
+
+
+def _recorded_velocity_shapes(monkeypatch):
+    """Record the grid shape of every velocity solve."""
+    shapes = []
+    velocity = continuation._velocity_split
+
+    def recorded(t, u1, u2, pair, *args, **kwargs):
+        shapes.append(u2.values.shape)
+        return velocity(t, u1, u2, pair, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "_velocity_split", recorded)
+    return shapes
+
+
+def test_run_single_grid_solves_two_velocities(pair64, monkeypatch):
+    # steps 1 and 2 take Euler from the velocity; from step 3 on, three
+    # certified states exist and the predictor extrapolates through them
+    shapes = _recorded_velocity_shapes(monkeypatch)
+    opts = tot.ContinuationOptions(steps=8)
     traj = tot.run(pair64, options=opts)
-    assert traj.final.t == 1.0
+    assert shapes == [(64, 64)] * 2
+    assert len(traj.records) == 9 and traj.final.t == 1.0
+    _certified_on(pair64, traj)
+
+
+def test_predictor_reproduces_a_quadratic_path(pair64):
+    # u1 and lambda u2 quadratic in t, with content only in the solver
+    # subspace (|k| < n/2, no Nyquist modes): extrapolation through three
+    # states on unequally spaced t is exact
+    rng = np.random.default_rng(7)
+    grid = pair64.grid
+    x1 = np.arange(grid.n1) / grid.n1
+    sched = tot.CostSchedule.power(2)
+
+    def marginal():
+        return sum(rng.normal() * np.cos(2 * np.pi * k * x1 + rng.normal())
+                   for k in range(1, 5))
+
+    def fiber():
+        b = 0.1 * band_limited(grid, 4, rng)
+        return b - b.mean(axis=1, keepdims=True)
+
+    c1 = [marginal() for _ in range(3)]
+    c2 = [fiber() for _ in range(3)]
+
+    def path(t):
+        u1 = c1[0] + t * c1[1] + t * t * c1[2]
+        lam_u2 = c2[0] + t * c2[1] + t * t * c2[2]
+        return u1, lam_u2 / sched.lam(t)
+
+    history = [continuation._State(t, path(t)[0], tot.field(grid, path(t)[1]))
+               for t in (0.3, 0.42, 0.6)]
+    opts = tot.ContinuationOptions()
+    for t_next in (0.6 + 1e-3, 0.8, 1.0):
+        p1, p2 = continuation._predict(history, t_next, pair64, sched, opts)
+        exact1, exact2 = path(t_next)
+        assert np.max(np.abs(p1 - exact1)) < 1e-13
+        assert np.max(np.abs(p2.values - exact2)) < 1e-13
+
+
+def test_extrapolation_keeps_an_under_resolved_pair_on_the_ladder(monkeypatch):
+    # benchmark pair (600, 3) single-grid at 128^2: its Knothe start has
+    # Nyquist content that the corrector cannot change.  Extrapolating the
+    # unprojected states amplifies its rounding step after step until the
+    # certificate floor rises above newton_tol and the steps collapse
+    _single_grid(monkeypatch)
+    pair = tot.make_density_pair(tot.spec(*STALL_F), tot.spec(*STALL_G),
+                                 tot.build_grid(128, 128))
+    opts = tot.ContinuationOptions(steps=8)
+    traj = tot.run(pair, options=opts)
+    ladder = opts.t0 * (opts.t1 / opts.t0) ** (np.arange(9) / 8)
+    assert len(traj.records) == 9
+    assert np.allclose(traj.times(), ladder, rtol=1e-14, atol=0.0)
+    _certified_on(pair, traj)
+
+
+def test_rejected_step_is_bisected_and_becomes_a_node(pair64, monkeypatch):
+    # 64^2 does not nest, so each attempt corrects once; the fifth step's
+    # first correction fails, once
+    correct = continuation.newton_correct_split
+    calls = []
+
+    def fails_once(t, *args, **kwargs):
+        calls.append(t)
+        if len(calls) == 6:             # the init, then steps 1-4
+            raise ConvergenceError("forced failure", iterations=0)
+        return correct(t, *args, **kwargs)
+
+    nodes = []
+    predict = continuation._predict
+
+    def recorded(history, t_next, *args, **kwargs):
+        nodes.append(([s.t for s in history], t_next))
+        return predict(history, t_next, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct_split", fails_once)
+    monkeypatch.setattr(continuation, "_predict", recorded)
+    traj = tot.run(pair64, options=tot.ContinuationOptions(steps=8))
+    t = traj.times()
+    assert len(t) == 10 and t[-1] == 1.0
+    # the geometric midpoint of the rejected step was inserted
+    assert nodes[4] == (list(t[2:5]), t[6])
+    assert t[5] == pytest.approx(np.sqrt(t[4] * t[6]), rel=1e-14)
+    assert nodes[5] == (list(t[2:5]), t[5])
+    # and the following predictions extrapolate through it
+    assert nodes[6] == (list(t[3:6]), t[6])
+    assert nodes[7] == (list(t[4:7]), t[7])
+    _certified_on(pair64, traj)
 
 
 def test_run_aborts_with_partial_trajectory(pair64, monkeypatch):
@@ -392,21 +510,6 @@ def test_run_aborts_with_partial_trajectory(pair64, monkeypatch):
 # ---------------------------------------------------------------------------
 # nested run: each step is predicted and corrected on the halved grid, the
 # caller's grid certifies
-
-def _single_grid(monkeypatch):
-    """Make every grid too small to nest."""
-    monkeypatch.setattr(continuation, "COARSEST_SIDE", 1 << 20)
-
-
-def _certified_on(pair, traj):
-    # recompute each record's certificate on the caller's grid from its
-    # stored fields, not from what the run reported
-    sched = traj.schedule
-    for rec in traj.records:
-        st = split_residual_state(rec.t, rec.psi1, rec.psi2.values, pair, sched)
-        assert st.sup_residual <= traj.options.newton_tol
-        assert st.margin > 0.0
-
 
 def test_nested_run_follows_separable_solution(product128, traj_product32):
     # f and g factorize, so psi_t = u1(x1) + lambda_t u2(x2) with u1, u2 the
@@ -501,19 +604,12 @@ def test_run_below_128_does_not_nest(pair64, monkeypatch):
                for rec in traj.records)
 
 
-def test_heun_predictor_nests(pair128, cold_newton128, monkeypatch):
-    velocity_shapes = []
-    velocity = continuation._velocity_split
-
-    def recorded(t, u1, u2, pair, *args, **kwargs):
-        velocity_shapes.append(u2.values.shape)
-        return velocity(t, u1, u2, pair, *args, **kwargs)
-
-    monkeypatch.setattr(continuation, "_velocity_split", recorded)
-    traj = tot.run(pair128, options=tot.ContinuationOptions(
-        steps=16, predictor="heun"))
-    # two velocity solves per step, both on 64^2
-    assert velocity_shapes == [(64, 64)] * 32
+def test_nested_run_solves_two_velocities_on_64(pair128, cold_newton128,
+                                                monkeypatch):
+    velocity_shapes = _recorded_velocity_shapes(monkeypatch)
+    traj = tot.run(pair128, options=tot.ContinuationOptions(steps=16))
+    # Euler for steps 1 and 2, both on 64^2; then extrapolation
+    assert velocity_shapes == [(64, 64)] * 2
     assert all(rec.levels[0][0] == (64, 64) for rec in traj.records[1:])
     _certified_on(pair128, traj)
     diff = traj.final.psi.values - cold_newton128.potential.values
@@ -538,13 +634,16 @@ def test_options_validation():
     with pytest.raises(ValueError):
         tot.ContinuationOptions(steps=0).validated()
     with pytest.raises(ValueError):
-        tot.ContinuationOptions(predictor="rk4").validated()
-    with pytest.raises(ValueError):
         tot.ContinuationOptions(step_grading="log").validated()
     for bad in ({"pushforward_k": 0}, {"pushforward_k": -1},
                 {"pushforward_k": True}, {"pushforward_k": 2.0},
-                {"max_newton": 0}, {"solver_tol": 0.0}, {"solver_tol": -1e-11}):
+                {"max_newton": 0}, {"solver_tol": 0.0}, {"solver_tol": -1e-11},
+                # grading_ratio would be ignored by these ladders
+                {"grading_ratio": 2.0, "step_grading": "uniform"},
+                {"grading_ratio": 2.0, "steps": "adaptive"}):
         with pytest.raises(ValueError):
             tot.ContinuationOptions(**bad).validated()
     assert tot.ContinuationOptions(steps="adaptive").validated()
+    assert tot.ContinuationOptions(step_grading="uniform").validated()
+    assert tot.ContinuationOptions(grading_ratio=2.0).validated()
     assert tot.ContinuationOptions(pushforward_k=1, max_newton=1).validated()
