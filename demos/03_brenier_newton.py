@@ -7,10 +7,12 @@ psi the unique zero-mean potential solving
 
 Each Newton step solves the linearized divergence-form equation with a
 Fourier-preconditioned conjugate gradient; the backtracking line search
-keeps the concavity margin positive, and convergence is quadratic.  A
-cold solve is nested: it runs on the halved grids first (down to 64^2),
-and the prolonged coarse solution starts the Newton loop on the caller's
-grid, which certifies the result.
+keeps the concavity margin positive, and convergence is quadratic.  The
+potential is carried as u1 + a22 u2 (u1 the row mean), as in the
+continuation.  A cold solve is grid-sequenced: it runs on the halved grids
+first (down to 64^2), and the prolonged coarse solution is corrected on
+the caller's grid, which certifies the result; if that correction fails,
+the caller's start is corrected there instead.
 """
 
 import numpy as np
@@ -20,8 +22,9 @@ from tot.monge_ampere import residual_state
 
 cost = tot.identity_cost()
 
-# 64^2 is the coarsest level, so there newton_correct runs on one grid and
-# stepping it one iteration at a time shows the quadratic convergence
+# 64^2 is the coarsest level, so there newton_correct runs on one grid,
+# with no coarse level to fall back from, and stepping it one iteration at
+# a time shows the quadratic convergence
 coarse = tot.standard_pair(tot.build_grid(64, 64))
 print("cold start from psi = 0 on the standard pair, one step at a time on 64^2:")
 psi = tot.zero_field(coarse.grid)

@@ -7,10 +7,9 @@ certified against the Monge-Ampere residual.
 """
 
 from .continuation import (ContinuationOptions, InitResult, NewtonResult,
-                           SplitNewtonResult, Trajectory, TrajectoryRecord,
-                           init_from_knothe, newton_correct,
-                           newton_correct_split, run, trajectory_summary_csv,
-                           velocity)
+                           Trajectory, TrajectoryRecord, init_from_knothe,
+                           newton_correct, newton_correct_split, run,
+                           trajectory_summary_csv, velocity)
 from .densities import (CATALOG, DensityPair, DensitySpec, density_field,
                         make_density_pair, product_pair, standard_pair, spec)
 from .errors import (AdmissibilityError, ConcavityError, ConfigError,

@@ -22,16 +22,19 @@ psi is formed only for the records.  t0 stays strictly positive: the
 t = 0 state is represented by the Knothe potentials themselves, and
 ``init_from_knothe`` bridges the gap.
 
-Both solvers are nested (grid sequencing): a cold ``newton_correct``
-solves on halved grids first, and every step of ``run`` predicts and
-corrects on the halved grid first; the caller's grid only certifies.
+A cold ``newton_correct`` at A = diag(1, a22) is the same Newton
+iteration at lambda = a22, and both solvers share one grid-sequencing
+routine: a start is solved on the halved grids first and the caller's
+grid certifies; if a coarse level raises, or the caller's grid cannot
+correct its prolonged result, the caller's own start is corrected there.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +48,7 @@ from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (_kernels, _solve_with_coefficients, coefficient_arrays,
                          _cost_rate_values, solve_linearized_small_t)
 from .monge_ampere import (CostSchedule, decompose, pushforward_residual,
-                           residual_state, split_residual_state,
-                           transport_map)
+                           split_residual_state, split_values, transport_map)
 
 __all__ = [
     "ContinuationOptions", "NewtonResult", "InitResult", "TrajectoryRecord",
@@ -73,39 +75,42 @@ class ContinuationOptions:
     pushforward_k: int = 4
 
     def validated(self):
-        if not (0.0 < self.t0 < self.t1):
-            raise ValueError(f"need 0 < t0 < t1, got t0={self.t0}, t1={self.t1}")
-        if self.steps != "adaptive":
-            if not (isinstance(self.steps, int) and self.steps >= 1):
-                raise ValueError("steps must be a positive integer or 'adaptive'")
+        for name in ("t0", "newton_tol", "solver_tol"):
+            _check_positive_finite(name, getattr(self, name))
+        if not self.t0 < self.t1 < math.inf:
+            raise ValueError(f"t1 must be finite and exceed t0, got {self.t1}")
+        if self.steps != "adaptive" and not _positive_int(self.steps):
+            raise ValueError("steps must be a positive integer or 'adaptive'")
+        # pushforward_k < 1 leaves no test functions: a vacuous certificate
+        for name in ("max_newton", "pushforward_k"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive integer")
         if self.step_grading not in ("geometric", "uniform"):
             raise ValueError("step_grading must be 'geometric' or 'uniform'")
         if self.grading_ratio is not None:
-            if not self.grading_ratio > 1.0:
-                raise ValueError("grading_ratio must exceed 1")
+            if not 1.0 < self.grading_ratio < math.inf:
+                raise ValueError("grading_ratio must be finite and exceed 1")
             # only the fixed geometric ladder reads it
             if self.steps == "adaptive" or self.step_grading == "uniform":
                 raise ValueError("grading_ratio needs fixed steps and "
                                  "geometric step_grading")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
-        if not (isinstance(self.max_newton, int) and self.max_newton >= 1):
-            raise ValueError("max_newton must be a positive integer")
-        if not self.solver_tol > 0.0:
-            raise ValueError("solver_tol must be positive")
-        # K < 1 leaves no test functions: the certificate would pass vacuously
-        if not (isinstance(self.pushforward_k, int)
-                and not isinstance(self.pushforward_k, bool)
-                and self.pushforward_k >= 1):
-            raise ValueError("pushforward_k must be a positive integer")
         return self
+
+
+def _check_positive_finite(name, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _positive_int(value):
+    return type(value) is int and value >= 1       # bool is not an int here
 
 
 def _velocity_split(t, u1, u2, pair, schedule, tol, warn=True):
     """Velocity in decomposed coordinates: (v1, v2) with psi_dot = v1 +
     lambda v2.  The cost-rate right-hand side comes from the decomposed
     derivatives, so no 1/lambda cancellation touches the small component."""
-    st = split_residual_state(t, u1, u2.values, pair, schedule)
+    st = split_residual_state(schedule.matrix(t), u1, u2.values, pair)
     if warn and st.sup_residual > RESIDUAL_WARN:
         warnings.warn(
             f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
@@ -136,12 +141,12 @@ def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
 
 
 def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol, *,
-                   state=None, coarse=False):
+                   coarse=False):
     """Damped Newton on an iterate x given as a tuple of arrays.
 
     ``evaluate(x)`` returns the residual state at x and raises
-    ``ConcavityError`` where the margin is not positive; ``state`` is that
-    state when the caller already has it.  ``solve(st, q, inner_tol)``
+    ``ConcavityError`` where the margin is not positive.
+    ``solve(st, q, inner_tol)``
     returns the direction, shaped like x, that solves the linearized
     equation at st for the zero-mean residual q.  Each step backtracks (s
     halved from 1) until the sup-residual decreases and the margin stays
@@ -151,7 +156,7 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol, *,
     the first step that fails to halve the sup-residual, and where the
     plain loop raises it hands back its last accepted iterate.
     """
-    st = evaluate(x) if state is None else state
+    st = evaluate(x)
     previous = np.inf
     for iteration in range(max_iter + 1):
         sup = st.sup_residual
@@ -199,42 +204,62 @@ def _solve_at(grid, st, q, tol):
 
 @dataclass
 class NewtonResult:
-    """A certified solve; ``iterations`` counts the Newton steps of every
-    level and ``levels`` holds (grid shape, iterations) per level,
-    coarsest first, ending with the caller's grid."""
+    """A solve of the decomposed potential u1 + lam u2, assembled on access
+    as ``potential``.  ``iterations`` counts the Newton steps of every
+    level, failed corrections included; ``levels`` holds (grid shape,
+    iterations) per level, coarsest first, ending with the caller's grid."""
 
-    potential: ScalarField
+    u1: np.ndarray
+    u2: ScalarField
+    lam: float
     iterations: int
     sup_residual: float
     margin: float
     levels: tuple
+
+    @property
+    def potential(self):
+        """The zero-mean assembled potential u1 + lam u2."""
+        return _assemble(self.lam, self.u1, self.u2)
+
+
+def _newton(cost, u1, u2, pair, tol, max_iter, solver_tol, coarse=False):
+    """:func:`newton_correct_split` at ``cost``, lambda = a22, with the
+    coarse-mode loop of :func:`_damped_newton` when ``coarse``."""
+    grid = pair.grid
+
+    def direction(st, q, inner_tol):
+        return split_values(_solve_at(grid, st, q, inner_tol), cost.a22)
+
+    (u1, u2_values), st, iterations = _damped_newton(
+        (np.asarray(u1, float).copy(), u2.values),
+        lambda x: split_residual_state(cost, x[0], x[1], pair),
+        direction, tol, max_iter, solver_tol, coarse=coarse)
+    return NewtonResult(u1, ScalarField(grid, u2_values), cost.a22,
+                        iterations, st.sup_residual, st.margin,
+                        ((grid.shape, iterations),))
 
 
 def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
                    solver_tol=None):
     """Damped Newton solve of the Monge-Ampere residual at fixed cost.
 
-    Each step solves the linearized equation for the zero-mean projected
-    residual, then backtracks (s halved from 1) until the sup-residual
-    decreases and the margin stays positive.  Starting from the exact
-    solution costs 0 iterations.
-
-    When the start misses ``tol`` and both grid sides halve to even sizes
-    of at least ``COARSEST_SIDE``, the solve is nested: the start is
-    restricted spectrally to the halved grid, solved there (recursively,
-    each coarse level capped by ``max_iter`` and stopping once a step
-    fails to halve its residual), and the coarse solution is prolonged
-    back.  It replaces the start only if its margin is positive and its
-    residual lower; a coarse level that fails is dropped.  The coarse
-    levels only supply a starting guess: the damped Newton loop then runs
-    unchanged on the caller's grid, so every result is certified there.
+    The iteration of :func:`newton_correct_split` at lambda = a22, from
+    u1 the row mean of the start and u2 = (psi - u1) / a22.  A start that
+    already meets ``tol`` costs 0 iterations and no coarse work.
+    Otherwise the solve is grid-sequenced (:func:`_sequenced`): the start
+    restricted spectrally to the halved grids is solved there first, each
+    coarse level capped by ``max_iter`` and stopping once a step fails to
+    halve its residual, and the prolonged result is corrected on the
+    caller's grid.  If a coarse level raises, or that correction fails,
+    the start itself is corrected there.  The caller's grid certifies.
 
     Parameters
     ----------
     psi_init : ScalarField
         Starting potential; its margin must be positive.
     tol : float
-        Target on sup |residual|.
+        Target on sup |residual|; positive and finite.
     solver_tol : float, optional
         Relative tolerance of the inner CG solves; by default it tightens
         with the residual (inexact Newton), never looser than 1e-2.
@@ -242,128 +267,131 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     Raises
     ------
     ConvergenceError
-        If ``max_iter`` is exhausted on the caller's grid or the line
-        search stalls there (s < 2^-20); its ``iterations`` counts the
-        steps of every level.
+        If the correction of the start on the caller's grid exhausts
+        ``max_iter`` or its line search stalls (s < 2^-20); its
+        ``iterations`` counts the steps of every level.
     """
+    _check_positive_finite("tol", tol)
     grid = pair.grid
     # start in the solver subspace: updates live there, so any Nyquist-row
     # contamination in the initial guess could never be corrected
-    values, st, levels = _nested_newton(
-        cost, _kernels(*grid.shape).project_solvable(psi_init.values), pair,
-        tol, max_iter, solver_tol, coarse=False)
-    return NewtonResult(ScalarField(grid, values, zero_mean=True),
-                        sum(iters for _, iters in levels), st.sup_residual,
-                        st.margin, tuple(levels))
+    u1, u2 = split_values(
+        _kernels(*grid.shape).project_solvable(psi_init.values), cost.a22)
+    u2 = ScalarField(grid, u2)
+    st = split_residual_state(cost, u1, u2.values, pair)
+    if st.sup_residual <= tol:
+        return NewtonResult(u1, u2, cost.a22, 0, st.sup_residual, st.margin,
+                            ((grid.shape, 0),))
+    del st              # no fine state is held while the coarse levels run
+    pairs = _levels(pair)
+
+    def solve(level_pair, v1, v2, coarse):
+        return _newton(cost, v1, v2, level_pair, tol, max_iter, solver_tol,
+                       coarse)
+
+    return _sequenced(
+        pairs, lambda level: _resampled(u1, u2, pairs[level].grid), solve)
 
 
-# smallest side of a coarse level of the nested solve.  A 32^2 level takes
-# 5 steps and leaves 1 for 64^2, so it costs more than it saves: cold
-# solves of 8 benchmark pairs at 256^2 took 56-57 ms with it against
-# 40-46 ms without, and of the standard pair at 128^2 27-29 against 20-23 ms
-# (one thread, shared 2-core machine)
+# smallest side of a coarse level.  A 32^2 level takes 5 steps and leaves
+# 1 for 64^2, so it costs more than it saves: cold solves of 8 benchmark
+# pairs at 256^2 took 56-57 ms with it against 40-46 ms without, and of the
+# standard pair at 128^2 27-29 against 20-23 ms (one thread, 2 shared cores)
 COARSEST_SIDE = 64
 
 
-def _halved(grid):
-    """The next coarser level of a nested solve, or None when a halved side
-    would be odd or below ``COARSEST_SIDE``."""
-    half = (grid.n1 // 2, grid.n2 // 2)
-    if all(n >= COARSEST_SIDE and n % 2 == 0 for n in half):
-        return PeriodicGrid(*half)
-    return None
+def _levels(pair):
+    """``pair`` on the caller's grid, then on each coarser level: both
+    sides halved while they stay even and at least ``COARSEST_SIDE``."""
+    pairs = [pair]
+    while True:
+        half = (pairs[-1].grid.n1 // 2, pairs[-1].grid.n2 // 2)
+        if not all(n >= COARSEST_SIDE and n % 2 == 0 for n in half):
+            return pairs
+        pairs.append(pairs[-1].on_grid(PeriodicGrid(*half)))
 
 
-def _nested_newton(cost, values, pair, tol, max_iter, solver_tol, coarse):
-    """(values, state, levels) of the damped Newton solve from ``values``
-    on ``pair.grid``, first through the halved grid when that helps (see
-    :func:`newton_correct`).  No fine state is held while the coarse
-    levels run."""
-    grid = pair.grid
+def _sequenced(pairs, start, solve):
+    """Grid-sequenced Newton solve on ``pairs[0].grid``, with ``pairs[1:]``
+    the pair on ever coarser grids (Kelley, *Solving Nonlinear Equations
+    with Newton's Method*, SIAM 2003).
 
-    def evaluate(x):
-        return residual_state(cost, x[0], pair)
-
-    st = evaluate((values,))
-    levels = []
-    half = _halved(grid)
-    if st.sup_residual > tol and half is not None:
-        sup, st = st.sup_residual, None
-        try:
-            coarse_values, _, levels = _nested_newton(
-                cost, resample_values(values, half.shape), pair.on_grid(half),
-                tol, max_iter, solver_tol, coarse=True)
-            prolonged = resample_values(coarse_values, grid.shape)
-            st = evaluate((prolonged,))
-        except (ConcavityError, ConvergenceError):
-            pass                # a coarse level that fails is dropped
-        if st is not None and st.sup_residual < sup:
-            values = prolonged
-        else:
-            st = evaluate((values,))
+    Each level solves the next coarser one, recursively, and corrects the
+    prolonged result; if the coarser level raises, or that correction
+    fails, it corrects its own start, ``start(level)`` = (u1, u2) on
+    ``pairs[level].grid``.  ``solve(pair, u1, u2, coarse)`` corrects one
+    level.  ``iterations`` and ``levels`` of the result, and the
+    ``iterations`` of a raised ``ConvergenceError``, count every level,
+    failed corrections included.
+    """
+    spent = Counter()
     try:
-        (values,), st, iterations = _damped_newton(
-            (values,), evaluate,
-            lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
-            tol, max_iter, solver_tol, state=st, coarse=coarse)
+        res = _on_level(pairs, 0, start, solve, spent)
     except ConvergenceError as exc:
-        exc.iterations += sum(iters for _, iters in levels)
+        exc.iterations = sum(spent.values())
         raise
-    return values, st, levels + [(grid.shape, iterations)]
+    return replace(res, iterations=sum(spent.values()),
+                   levels=tuple(sorted(spent.items())))
 
 
-@dataclass
-class SplitNewtonResult:
-    u1: np.ndarray
-    u2: ScalarField
-    iterations: int
-    sup_residual: float
-    margin: float
+def _on_level(pairs, level, start, solve, spent):
+    # one level of _sequenced: a closure that called itself would be a
+    # reference cycle, keeping every level's arrays until a collection
+    pair = pairs[level]
+
+    def correct(u1, u2):
+        try:
+            res = solve(pair, u1, u2, level > 0)
+        except ConvergenceError as exc:
+            spent[pair.grid.shape] += exc.iterations or 0
+            raise
+        spent[pair.grid.shape] += res.iterations
+        return res
+
+    if level + 1 < len(pairs):
+        try:
+            guess = _on_level(pairs, level + 1, start, solve, spent)
+            return correct(*_resampled(guess.u1, guess.u2, pair.grid))
+        except (ConcavityError, ConvergenceError):
+            pass                # correct this level's own start instead
+    return correct(*start(level))
+
+
+def _resampled(u1, u2, grid):
+    """The decomposed pair (u1, u2) on ``grid``: as it is on its own grid,
+    resampled spectrally to any other."""
+    if u2.grid == grid:
+        return u1, u2
+    return (resample_values(u1, (grid.n1,)),
+            ScalarField(grid, resample_values(u2.values, grid.shape)))
 
 
 def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
                          max_iter=20, *, solver_tol=None):
-    """Damped Newton on the decomposed potential u1 + lambda_t u2, t > 0.
+    """Damped Newton on the decomposed potential u1 + lambda_t u2, t > 0,
+    on the caller's grid alone.
 
-    Same iteration as :func:`newton_correct` but in the (u1, u2)
-    coordinates: states come from ``split_residual_state`` and every
-    direction v is split as v1 = int v dx2, v2 = (v - v1) / lambda.  The
-    assembled potential stores the fiber component a factor lambda below
-    the marginal one, so at small t float64 cannot represent it accurately
+    Each step solves the linearized equation for the zero-mean projected
+    residual, splits the direction v as v1 = int v dx2,
+    v2 = (v - v1) / lambda, and backtracks (s halved from 1) until the
+    sup-residual decreases and the margin stays positive.  The assembled
+    potential stores the fiber component a factor lambda below the
+    marginal one, so at small t float64 cannot represent it accurately
     enough to push the residual below roughly eps * (pi n)^2 / lambda; the
     decomposed iteration has no such floor.
     """
-    return _split_newton(t, u1, u2, pair, schedule or CostSchedule.linear(),
-                         tol, max_iter, solver_tol)
-
-
-def _split_newton(t, u1, u2, pair, schedule, tol, max_iter, solver_tol,
-                  coarse=False):
-    grid = pair.grid
-
-    def direction(st, q, inner_tol):
-        v = ScalarField(grid, _solve_at(grid, st, q, inner_tol))
-        v1, v2 = decompose(t, v, schedule)
-        return v1, v2.values
-
-    (u1, u2_values), st, iterations = _damped_newton(
-        (np.asarray(u1, float).copy(), u2.values),
-        lambda x: split_residual_state(t, x[0], x[1], pair, schedule),
-        direction, tol, max_iter, solver_tol, coarse=coarse)
-    return SplitNewtonResult(u1, ScalarField(grid, u2_values), iterations,
-                             st.sup_residual, st.margin)
+    _check_positive_finite("tol", tol)
+    return _newton((schedule or CostSchedule.linear()).matrix(t), u1, u2,
+                   pair, tol, max_iter, solver_tol)
 
 
 @dataclass
-class InitResult:
-    potential: ScalarField
+class InitResult(NewtonResult):
+    """The corrected state at the t0 actually used, and the rearrangement
+    it started from."""
+
     t0: float
-    iterations: int
-    sup_residual: float
     knothe: KnotheSolution
-    u1: np.ndarray
-    u2: ScalarField
-    margin: float
 
 
 def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
@@ -387,9 +415,7 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
         except (ConvergenceError, ConcavityError):
             t *= 0.5
             continue
-        return InitResult(_assemble(schedule.lam(t), res.u1, res.u2), t,
-                          res.iterations, res.sup_residual, kn, res.u1,
-                          res.u2, res.margin)
+        return InitResult(**vars(res), t0=t, knothe=kn)
     raise InitializationError(
         f"could not initialize from the rearrangement down to t0 = {t * 2:.3g}; "
         "try a larger grid or smoother densities")
@@ -490,9 +516,7 @@ class _State:
     def restricted(self, grid):
         """This state restricted spectrally to the coarser ``grid``."""
         if self.coarse is None:
-            self.coarse = _State(
-                self.t, resample_values(self.u1, (grid.n1,)),
-                ScalarField(grid, resample_values(self.u2.values, grid.shape)))
+            self.coarse = _State(self.t, *_resampled(self.u1, self.u2, grid))
         return self.coarse
 
 
@@ -538,51 +562,35 @@ def _predict(history, t_next, pair, schedule, opts, warn=True):
     return p1, ScalarField(pair.grid, p2v - p2v.mean(axis=1, keepdims=True))
 
 
-def _step(history, t_next, pairs, schedule, opts, spent, certify=True):
+def _step(history, t_next, pairs, schedule, opts):
     """Predictor-corrector step from the certified states ``history``
-    (oldest first, at most three) to t_next on ``pairs[0].grid``, with
-    ``pairs[1:]`` the pair on ever coarser grids.
+    (oldest first, at most three) to t_next, grid-sequenced over
+    ``pairs`` by :func:`_sequenced`: the result, or None when the step is
+    rejected.  A level's start is the predictor from the history restricted
+    to its grid; ``newton_correct_split`` certifies on the caller's grid."""
+    cost = schedule.matrix(t_next)
 
-    The whole step first runs on the next coarser grid, recursively, from
-    the history restricted there, and its prolonged result is corrected
-    here.  If the coarse step raises, or that correction fails, the step
-    is predicted from this grid's own history instead.  Only ``certify``
-    runs ``newton_correct_split``; a coarse grid runs the coarse-mode
-    loop.  ``spent`` collects the Newton steps per grid shape.
-    """
-    pair = pairs[0]
-    shape = pair.grid.shape
+    def start(level):
+        states = history
+        for coarse in pairs[1:level + 1]:
+            states = [s.restricted(coarse.grid) for s in states]
+        # a coarse state is a certified one restricted: its residual is the
+        # coarse grid's truncation floor, which says nothing about the path
+        return _predict(states, t_next, pairs[level], schedule, opts,
+                        warn=level == 0)
 
-    def correct(u1, u2):
-        try:
-            if certify:
-                res = newton_correct_split(t_next, u1, u2, pair, schedule,
-                                           tol=opts.newton_tol,
-                                           max_iter=opts.max_newton)
-            else:
-                res = _split_newton(t_next, u1, u2, pair, schedule,
-                                    opts.newton_tol, opts.max_newton, None,
-                                    coarse=True)
-        except ConvergenceError as exc:
-            spent[shape] = spent.get(shape, 0) + (exc.iterations or 0)
-            raise
-        spent[shape] = spent.get(shape, 0) + res.iterations
-        return res
+    def solve(pair, u1, u2, coarse):
+        if coarse:
+            return _newton(cost, u1, u2, pair, opts.newton_tol,
+                           opts.max_newton, None, coarse=True)
+        return newton_correct_split(t_next, u1, u2, pair, schedule,
+                                    tol=opts.newton_tol,
+                                    max_iter=opts.max_newton)
 
-    if len(pairs) > 1:
-        grid = pairs[1].grid
-        try:
-            guess = _step([s.restricted(grid) for s in history], t_next,
-                          pairs[1:], schedule, opts, spent, certify=False)
-            return correct(resample_values(guess.u1, shape[:1]),
-                           ScalarField(pair.grid, resample_values(
-                               guess.u2.values, shape)))
-        except (ConcavityError, ConvergenceError):
-            pass                # predict on this grid instead
-    # a coarse state is a certified one restricted: its residual is the
-    # coarse grid's truncation floor, which says nothing about the path
-    return correct(*_predict(history, t_next, pair, schedule, opts,
-                             warn=certify))
+    try:
+        return _sequenced(pairs, start, solve)
+    except (ConcavityError, ConvergenceError):
+        return None
 
 
 def run(pair, schedule=None, options=None):
@@ -601,13 +609,13 @@ def run(pair, schedule=None, options=None):
     step size falls below 1e-8.  At t1 = 1 under the linear schedule the
     final record's map is the Brenier map for A = diag(1,1).
 
-    Where a cold ``newton_correct`` would nest, each step first runs the
-    whole predictor-corrector on the halved grids, from the certified
+    Each step is grid-sequenced like a cold ``newton_correct``: the whole
+    predictor-corrector first runs on the halved grids, from the certified
     states restricted there, and ``newton_correct_split`` certifies the
     prolonged result on the caller's grid; if either fails, the attempt
-    falls back to the single-grid step before it counts as rejected.  A
-    record's ``newton_iters`` counts the steps of every level.  The
-    initialization at t0 stays single-grid.
+    falls back to the caller's-grid predictor and corrector before it
+    counts as rejected.  A record's ``newton_iters`` counts the steps of
+    every level.  The initialization at t0 stays single-grid.
     """
     schedule = schedule or CostSchedule.linear()
     opts = (options or ContinuationOptions()).validated()
@@ -620,37 +628,24 @@ def run(pair, schedule=None, options=None):
     # the newest certified states, oldest first; they share their arrays
     # with the records
     history = []
-    pairs = [pair]
-    while (half := _halved(pairs[-1].grid)) is not None:
-        pairs.append(pairs[-1].on_grid(half))
+    pairs = _levels(pair)
 
-    def accept(t, result, levels):
+    def accept(t, result):
         """Record a corrected state (init or step result) and make it the
         newest of the history."""
         if not (result.sup_residual <= opts.newton_tol and result.margin > 0.0):
             raise ConstructionError("attempted to record an uncertified state")
-        lam = schedule.lam(t)
-        tmap = transport_map(schedule.matrix(t),
-                             _assemble(lam, result.u1, result.u2))
+        tmap = transport_map(schedule.matrix(t), result.potential)
         records.append(TrajectoryRecord(
-            t, lam, result.u1, result.u2, result.margin, result.sup_residual,
+            t, schedule.lam(t), result.u1, result.u2, result.margin,
+            result.sup_residual,
             pushforward_residual(tmap, pair, opts.pushforward_k),
-            l2_map_distance(tmap, knothe_field, pair.f),
-            sum(iters for _, iters in levels), levels))
+            l2_map_distance(tmap, knothe_field, pair.f), result.iterations,
+            result.levels))
         history.append(_State(t, result.u1, result.u2))
         del history[:-3]
 
-    def attempt(t_next):
-        """One nested predictor-corrector trial: (result, levels), or None
-        on rejection."""
-        spent = {}
-        try:
-            result = _step(history, t_next, pairs, schedule, opts, spent)
-        except (ConcavityError, ConvergenceError):
-            return None
-        return result, tuple(sorted(spent.items()))
-
-    accept(init.t0, init, ((pair.grid.shape, init.iterations),))
+    accept(init.t0, init)
 
     def collapse(dt):
         partial = Trajectory(records, kn, opts, schedule)
@@ -663,13 +658,13 @@ def run(pair, schedule=None, options=None):
         easy_streak = 0
         while history[-1].t < opts.t1 * (1.0 - 1e-14):
             t_next = min(history[-1].t + dt, opts.t1)
-            trial = attempt(t_next)
+            trial = _step(history, t_next, pairs, schedule, opts)
             if trial is None:
                 dt *= 0.5
                 if dt < 1e-8:
                     collapse(dt)
                 continue
-            accept(t_next, *trial)
+            accept(t_next, trial)
             easy_streak = easy_streak + 1 if records[-1].newton_iters <= 3 else 0
             if easy_streak >= 3:
                 dt *= 2.0
@@ -681,7 +676,7 @@ def run(pair, schedule=None, options=None):
             t_next, t = pending[0], history[-1].t
             if t_next - t < 1e-8:
                 collapse(t_next - t)
-            trial = attempt(t_next)
+            trial = _step(history, t_next, pairs, schedule, opts)
             if trial is None:
                 if opts.step_grading == "geometric":
                     pending.insert(0, math.sqrt(t * t_next))
@@ -689,6 +684,6 @@ def run(pair, schedule=None, options=None):
                     pending.insert(0, 0.5 * (t + t_next))
                 continue
             pending.pop(0)
-            accept(t_next, *trial)
+            accept(t_next, trial)
 
     return Trajectory(records, kn, opts, schedule)

@@ -161,21 +161,19 @@ def residual_state(cost, values, pair, require_margin=True):
         require_margin)
 
 
-def split_residual_state(t, u1_values, u2_values, pair, schedule=None):
-    """``residual_state`` of u1 + lambda_t u2 at t > 0, built from the
+def split_residual_state(cost, u1_values, u2_values, pair):
+    """``residual_state`` of u1 + a22 u2 at ``cost``, built from the
     derivatives of u1 and u2 themselves.
 
-    The fiber component's derivatives are scaled by lambda only after
-    differentiation, so nothing is lost to rounding at small lambda (the
-    assembled field cannot carry it).  The margin therefore certifies
+    The fiber component's derivatives are scaled by a22 = lambda_t only
+    after differentiation, so nothing is lost to rounding at small lambda
+    (the assembled field cannot carry it).  The margin therefore certifies
     admissibility of the decomposed pair: min(1 - d11 u) is at least the
     smaller eigenvalue, so a positive margin implies both inequalities of
     ``check_admissible``.
     """
-    schedule = schedule or CostSchedule.linear()
     return _state_from_derivatives(
-        schedule.matrix(t), pair,
-        *split_derivatives(u1_values, u2_values, schedule.lam(t)))
+        cost, pair, *split_derivatives(u1_values, u2_values, cost.a22))
 
 
 def _state_from_derivatives(cost, pair, g1, g2, u11, u12, u22,
@@ -282,11 +280,15 @@ def decompose(t, psi, schedule=None):
     if not t > 0.0:
         raise ValueError("decompose is defined for t > 0 only")
     schedule = schedule or CostSchedule.linear()
-    lam = schedule.lam(t)
-    row = psi.values.mean(axis=1)
-    psi1 = row - row.mean()
-    psi2 = (psi.values - row[:, None]) / lam
+    psi1, psi2 = split_values(psi.values, schedule.lam(t))
     return psi1, ScalarField(psi.grid, psi2)
+
+
+def split_values(values, lam):
+    """(v1, v2) with values = v1 + lam v2 up to the mean: v1 the zero-mean
+    row mean, v2 fiberwise zero-mean."""
+    row = values.mean(axis=1)
+    return row - row.mean(), (values - row[:, None]) / lam
 
 
 def decomposed_residual(t, u1, u2, pair, schedule=None, eps=0.0):

@@ -249,7 +249,12 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", ["pushforward_k = 0", "pushforward_k = -1",
                                    "max_newton = 0", "solver_tol = 0",
-                                   "solver_tol = -1e-11"])
+                                   "solver_tol = -1e-11",
+                                   # non-finite values: an infinite tolerance
+                                   # would certify any state
+                                   "t0 = nan", "t1 = inf", "newton_tol = inf",
+                                   "newton_tol = nan", "solver_tol = inf",
+                                   "grading_ratio = inf"])
 def test_exit_code_invalid_option(tmp_path, capsys, entry):
     cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n" + entry + "\n")
     assert run_cli("continue", "--config", str(cfg),

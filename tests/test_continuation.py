@@ -117,6 +117,18 @@ def test_newton_raises_on_unreachable_tolerance(pair64, grid64):
                            pair64, tol=1e-18, max_iter=6)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("inf"), float("nan")])
+def test_newton_rejects_a_tolerance_that_is_not_positive_and_finite(
+        pair64, knothe64, tol):
+    # an infinite tolerance would return the unsolved start as converged
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        tot.newton_correct(tot.identity_cost(), tot.zero_field(pair64.grid),
+                           pair64, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        tot.newton_correct_split(0.5, knothe64.potentials.u1,
+                                 knothe64.potentials.u2, pair64, tol=tol)
+
+
 def test_newton_split_matches_assembled(pair64, knothe64):
     t = 0.05
     res = tot.newton_correct_split(t, knothe64.potentials.u1,
@@ -186,13 +198,13 @@ def test_nested_newton_from_solution_does_no_coarse_work(
         pair128, cold_newton128, monkeypatch):
     assert cold_newton128.levels[0][0] == (64, 64)
     shapes = []
-    state = continuation.residual_state
+    state = continuation.split_residual_state
 
-    def counted(cost, values, pair, *args):
-        shapes.append(values.shape)
-        return state(cost, values, pair, *args)
+    def counted(cost, u1, u2_values, pair):
+        shapes.append(u2_values.shape)
+        return state(cost, u1, u2_values, pair)
 
-    monkeypatch.setattr(continuation, "residual_state", counted)
+    monkeypatch.setattr(continuation, "split_residual_state", counted)
     again = tot.newton_correct(tot.identity_cost(), cold_newton128.potential,
                                pair128)
     assert again.iterations == 0
@@ -201,40 +213,77 @@ def test_nested_newton_from_solution_does_no_coarse_work(
 
 
 def test_coarse_concavity_error_falls_back_to_the_start(pair128, monkeypatch):
-    state = continuation.residual_state
+    state = continuation.split_residual_state
 
-    def no_coarse_state(cost, values, pair, *args):
-        if values.shape != (128, 128):
+    def no_coarse_state(cost, u1, u2_values, pair):
+        if u2_values.shape != (128, 128):
             raise tot.ConcavityError("forced coarse failure")
-        return state(cost, values, pair, *args)
+        return state(cost, u1, u2_values, pair)
 
-    monkeypatch.setattr(continuation, "residual_state", no_coarse_state)
+    monkeypatch.setattr(continuation, "split_residual_state", no_coarse_state)
     res = tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                              pair128)
     values, st, iterations = single_grid_newton(pair128)
     assert res.levels == (((128, 128), iterations),)
-    assert res.sup_residual == st.sup_residual <= 1e-10
-    assert np.array_equal(res.potential.values, values)
+    assert res.sup_residual <= 1e-10 and st.sup_residual <= 1e-10
+    assert np.max(np.abs(res.potential.values - values)) <= 1e-15
 
 
-def test_worse_prolonged_start_is_not_used(pair128, cold_newton128,
-                                           monkeypatch):
-    # a prolongation that returns zero is admissible but far worse than a
-    # start near the solution, so the fine loop must run from the start
+def _near_solution(pair128, cold_newton128):
+    rng = np.random.default_rng(61)
+    return _kernels(128, 128).project_solvable(
+        cold_newton128.potential.values + 1e-6 * band_limited(pair128.grid, 3, rng))
+
+
+def test_failed_fine_correction_restarts_from_the_start(pair128,
+                                                        cold_newton128,
+                                                        monkeypatch):
+    # a prolongation that returns zero is admissible, but from zero 3 steps
+    # on 128^2 do not certify; the caller's start, near the solution, does
     resample = continuation.resample_values
 
     def zero_prolongation(values, shape):
         return np.zeros(shape) if shape == (128, 128) else resample(values, shape)
 
     monkeypatch.setattr(continuation, "resample_values", zero_prolongation)
-    rng = np.random.default_rng(61)
-    start = _kernels(128, 128).project_solvable(
-        cold_newton128.potential.values + 1e-5 * band_limited(pair128.grid, 3, rng))
+    start = _near_solution(pair128, cold_newton128)
+    values, _, iterations = single_grid_newton(pair128, start, max_iter=3)
+    with pytest.raises(ConvergenceError):
+        single_grid_newton(pair128, max_iter=3)
+    res = tot.newton_correct(tot.identity_cost(), tot.field(pair128.grid, start),
+                             pair128, max_iter=3)
+    (coarse_shape, coarse_iters), fine = res.levels
+    assert coarse_shape == (64, 64) and coarse_iters >= 1
+    # the failed correction's 3 steps count on 128^2
+    assert fine == ((128, 128), 3 + iterations)
+    assert res.iterations == coarse_iters + 3 + iterations
+    assert res.sup_residual <= 1e-10
+    assert np.max(np.abs(res.potential.values - values)) <= 1e-15
+
+
+def test_raising_coarse_level_counts_its_iterations(pair128, cold_newton128,
+                                                    monkeypatch):
+    # the 64^2 level runs and then raises, as a failed coarse step of run
+    # may: its steps are counted, and 128^2 corrects the caller's start
+    newton = continuation._newton
+    coarse = []
+
+    def raises_on_64(cost, u1, u2, pair, *args):
+        res = newton(cost, u1, u2, pair, *args)
+        if pair.grid.shape == (64, 64):
+            coarse.append(res.iterations)
+            raise ConvergenceError("forced coarse failure",
+                                   iterations=res.iterations)
+        return res
+
+    monkeypatch.setattr(continuation, "_newton", raises_on_64)
+    start = _near_solution(pair128, cold_newton128)
     res = tot.newton_correct(tot.identity_cost(), tot.field(pair128.grid, start),
                              pair128)
-    values, _, iterations = single_grid_newton(pair128, start)
-    assert res.levels[-1] == ((128, 128), iterations)
-    assert np.max(np.abs(res.potential.values - values)) < 1e-14
+    _, _, iterations = single_grid_newton(pair128, start)
+    assert coarse[0] >= 1
+    assert res.levels == (((64, 64), coarse[0]), ((128, 128), iterations))
+    assert res.iterations == coarse[0] + iterations
 
 
 def test_max_iter_caps_every_level(pair128, monkeypatch):
@@ -249,15 +298,17 @@ def test_max_iter_caps_every_level(pair128, monkeypatch):
     with pytest.raises(ConvergenceError, match="in 1 iterations"):
         tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                            pair128, max_iter=1)
-    assert solves == [(64, 64), (128, 128)]
+    # the prolonged start and then the caller's start, one step each
+    assert solves == [(64, 64), (128, 128), (128, 128)]
 
 
 def test_convergence_error_counts_every_level(pair128):
-    # one step on 64^2 and one on 128^2 before the cap is hit
+    # one step on 64^2, then one on 128^2 from the prolonged start and one
+    # from the caller's start before the cap is hit
     with pytest.raises(ConvergenceError) as info:
         tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                            pair128, max_iter=1)
-    assert info.value.iterations == 2
+    assert info.value.iterations == 3
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +426,8 @@ def _certified_on(pair, traj):
     # stored fields, not from what the run reported
     sched = traj.schedule
     for rec in traj.records:
-        st = split_residual_state(rec.t, rec.psi1, rec.psi2.values, pair, sched)
+        st = split_residual_state(sched.matrix(rec.t), rec.psi1,
+                                  rec.psi2.values, pair)
         assert st.sup_residual <= traj.options.newton_tol
         assert st.margin > 0.0
 
@@ -572,10 +624,10 @@ def test_failed_coarse_step_falls_back_to_the_single_grid_step(pair128,
     opts = tot.ContinuationOptions(steps=4)
     state = continuation.split_residual_state
 
-    def no_coarse_state(t, u1, u2_values, pair, *args):
+    def no_coarse_state(cost, u1, u2_values, pair):
         if u2_values.shape != (128, 128):
             raise tot.ConcavityError("forced coarse failure")
-        return state(t, u1, u2_values, pair, *args)
+        return state(cost, u1, u2_values, pair)
 
     with monkeypatch.context() as patch:
         patch.setattr(continuation, "split_residual_state", no_coarse_state)
@@ -593,9 +645,9 @@ def test_run_below_128_does_not_nest(pair64, monkeypatch):
     shapes = set()
     state = continuation.split_residual_state
 
-    def recorded(t, u1, u2_values, pair, *args):
+    def recorded(cost, u1, u2_values, pair):
         shapes.add(u2_values.shape)
-        return state(t, u1, u2_values, pair, *args)
+        return state(cost, u1, u2_values, pair)
 
     monkeypatch.setattr(continuation, "split_residual_state", recorded)
     traj = tot.run(pair64, options=tot.ContinuationOptions(steps=4))
@@ -638,6 +690,10 @@ def test_options_validation():
     for bad in ({"pushforward_k": 0}, {"pushforward_k": -1},
                 {"pushforward_k": True}, {"pushforward_k": 2.0},
                 {"max_newton": 0}, {"solver_tol": 0.0}, {"solver_tol": -1e-11},
+                {"steps": True}, {"max_newton": True},
+                {"t0": float("nan")}, {"t1": float("inf")},
+                {"newton_tol": float("inf")}, {"newton_tol": float("nan")},
+                {"solver_tol": float("inf")}, {"grading_ratio": float("inf")},
                 # grading_ratio would be ignored by these ladders
                 {"grading_ratio": 2.0, "step_grading": "uniform"},
                 {"grading_ratio": 2.0, "steps": "adaptive"}):
