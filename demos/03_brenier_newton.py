@@ -12,13 +12,14 @@ potential is carried as u1 + a22 u2 (u1 the row mean), as in the
 continuation.  A cold solve is grid-sequenced: it runs on the halved grids
 first (down to 64^2), and the prolonged coarse solution is corrected on
 the caller's grid, which certifies the result; if that correction fails,
-the caller's start is corrected there instead.
+the caller's start is corrected there instead.  The certifying state
+supplies the result's map T = id - grad(psi) as ``result.tmap``.
 """
 
 import numpy as np
 
 import tot
-from tot.monge_ampere import residual_state
+from tot.monge_ampere import residual_state, split_values
 
 cost = tot.identity_cost()
 
@@ -29,7 +30,7 @@ coarse = tot.standard_pair(tot.build_grid(64, 64))
 print("cold start from psi = 0 on the standard pair, one step at a time on 64^2:")
 psi = tot.zero_field(coarse.grid)
 for iteration in range(20):
-    st = residual_state(cost, psi.values, coarse)
+    st = residual_state(cost, *split_values(psi.values, cost.a22), coarse)
     print(f"  iteration {iteration}: sup |residual| = {st.sup_residual:.3e}, "
           f"margin = {st.margin:.3f}")
     if st.sup_residual <= 1e-10:
@@ -43,7 +44,7 @@ result = tot.newton_correct(cost, tot.zero_field(grid), pair, tol=1e-10)
 print("nested cold solve on 128^2, Newton iterations per level:")
 for (n1, n2), iterations in result.levels:
     print(f"  {n1}x{n2}: {iterations}")
-tmap = tot.transport_map(cost, result.potential)
+tmap = result.tmap          # the map of the state that certified the result
 print(f"final certificate on 128^2:")
 print(f"  sup |residual|            = {result.sup_residual:.2e}")
 print(f"  concavity margin          = {result.margin:.3f}")

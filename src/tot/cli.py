@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .continuation import newton_correct, run, trajectory_summary_csv
+from .continuation import (_newton_text, newton_correct, run,
+                           trajectory_summary_csv)
 from .densities import make_density_pair
 from .errors import ConfigError, ConvergenceError, TransportError
 from .fieldio import write_field_binary, write_field_csv
@@ -78,23 +79,13 @@ def cmd_knothe(cfg, out_dir):
     return EXIT_OK
 
 
-def _newton_text(levels):
-    """'<total> (<n1>x<n2>: <iterations>, ...)' for (shape, iterations)
-    pairs, coarsest grid first."""
-    total = sum(iters for _, iters in levels)
-    per_level = ", ".join(f"{n1}x{n2}: {iters}" for (n1, n2), iters in levels)
-    return f"{total} ({per_level})"
-
-
 def _emit_brenier(cfg, out_dir, pair, result, prefix="brenier"):
-    cost = identity_cost()
-    tmap = transport_map(cost, result.potential)
-    residual = monge_ampere_residual(cost, result.potential, pair)
+    residual = monge_ampere_residual(identity_cost(), result.potential, pair)
     _emit_field(cfg, out_dir, f"{prefix}_psi", result.potential)
-    _emit_field(cfg, out_dir, f"{prefix}_map1", tmap.v1)
-    _emit_field(cfg, out_dir, f"{prefix}_map2", tmap.v2)
+    _emit_field(cfg, out_dir, f"{prefix}_map1", result.tmap.v1)
+    _emit_field(cfg, out_dir, f"{prefix}_map2", result.tmap.v2)
     _emit_field(cfg, out_dir, f"{prefix}_residual", residual)
-    pf = pushforward_residual(tmap, pair, cfg.options.pushforward_k)
+    pf = pushforward_residual(result.tmap, pair, cfg.options.pushforward_k)
     _write_csv_row(os.path.join(out_dir, f"{prefix}_diagnostics.csv"),
                    ("sup_residual", "margin", "pushforward_residual",
                     "newton_iters"),

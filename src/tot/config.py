@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .continuation import ContinuationOptions
 from .densities import CATALOG, DELTA_MIN, DensitySpec
@@ -52,7 +52,14 @@ def _parse_modes(text):
                  for k1, k2, a, p in matches)
 
 
-# key -> (parser, default); None default means "no entry unless given"
+# parser of each ContinuationOptions field, which is the key of that name
+_OPTION_PARSERS = dict(
+    t0=float, t1=float, steps=_parse_steps, newton_tol=float, max_newton=int,
+    step_grading=str, grading_ratio=float, solver_tol=float, pushforward_k=int)
+_OPTIONS = fields(ContinuationOptions)
+
+# key -> (parser, default); None default means "no entry unless given".
+# The continuation keys take their defaults from ContinuationOptions.
 _SCHEMA = {
     "grid.n1": (int, 128),
     "grid.n2": (int, 128),
@@ -61,15 +68,7 @@ _SCHEMA = {
     "g.name": (str, None),
     "g.modes": (_parse_modes, None),
     "lambda": (str, "t"),
-    "t0": (float, 1e-3),
-    "t1": (float, 1.0),
-    "steps": (_parse_steps, 32),
-    "newton_tol": (float, 1e-10),
-    "max_newton": (int, 20),
-    "step_grading": (str, "geometric"),
-    "grading_ratio": (float, None),
-    "solver_tol": (float, 1e-11),
-    "pushforward_k": (int, 4),
+    **{f.name: (_OPTION_PARSERS[f.name], f.default) for f in _OPTIONS},
     "out": (str, "out"),
     "emit.csv": (_parse_bool, True),
     "emit.binary": (_parse_bool, True),
@@ -180,12 +179,7 @@ def config_from_entries(entries, overrides=None):
         grid = build_grid(merged["grid.n1"], merged["grid.n2"])
     except Exception as exc:
         raise ConfigError(f"grid: {exc}", key="grid.n1") from exc
-    options = ContinuationOptions(
-        t0=merged["t0"], t1=merged["t1"], steps=merged["steps"],
-        newton_tol=merged["newton_tol"], max_newton=merged["max_newton"],
-        step_grading=merged["step_grading"],
-        grading_ratio=merged["grading_ratio"], solver_tol=merged["solver_tol"],
-        pushforward_k=merged["pushforward_k"])
+    options = ContinuationOptions(**{f.name: merged[f.name] for f in _OPTIONS})
     try:
         options.validated()
     except ValueError as exc:

@@ -27,6 +27,8 @@ iteration at lambda = a22, and both solvers share one grid-sequencing
 routine: a start is solved on the halved grids first and the caller's
 grid certifies; if a coarse level raises, or the caller's grid cannot
 correct its prolonged result, the caller's own start is corrected there.
+The state that certifies a result supplies its map, on which a record's
+pushforward and L2 certificates are evaluated.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from .errors import (ConcavityError, ConstructionError, ConvergenceError,
                      InitializationError, StepCollapseError)
 # deriv_values is not called here; bench/test_repeatability.py checks that
 # the tracer rebinds and restores this module's binding of it
-from .grid import (PeriodicGrid, ScalarField, deriv_values,  # noqa: F401
-                   resample_values)
+from .grid import (PeriodicGrid, ScalarField, VectorField,  # noqa: F401
+                   deriv_values, resample_values)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (_kernels, _solve_with_coefficients, coefficient_arrays,
                          _cost_rate_values, solve_linearized_small_t)
 from .monge_ampere import (CostSchedule, decompose, pushforward_residual,
-                           split_residual_state, split_values, transport_map)
+                           residual_state, split_values)
 
 __all__ = [
     "ContinuationOptions", "NewtonResult", "InitResult", "TrajectoryRecord",
@@ -110,7 +112,7 @@ def _velocity_split(t, u1, u2, pair, schedule, tol, warn=True):
     """Velocity in decomposed coordinates: (v1, v2) with psi_dot = v1 +
     lambda v2.  The cost-rate right-hand side comes from the decomposed
     derivatives, so no 1/lambda cancellation touches the small component."""
-    st = split_residual_state(schedule.matrix(t), u1, u2.values, pair)
+    st = residual_state(schedule.matrix(t), u1, u2.values, pair)
     if warn and st.sup_residual > RESIDUAL_WARN:
         warnings.warn(
             f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
@@ -140,17 +142,17 @@ def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
     return _assemble(schedule.lam(t), v1, v2)
 
 
-def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol, *,
-                   coarse=False):
+def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
     """Damped Newton on an iterate x given as a tuple of arrays.
 
     ``evaluate(x)`` returns the residual state at x and raises
     ``ConcavityError`` where the margin is not positive.
-    ``solve(st, q, inner_tol)``
-    returns the direction, shaped like x, that solves the linearized
-    equation at st for the zero-mean residual q.  Each step backtracks (s
-    halved from 1) until the sup-residual decreases and the margin stays
-    positive.  Returns (x, state, iterations).
+    ``solve(st, q, inner_tol)`` returns the direction, shaped like x, that
+    solves the linearized equation at st for the zero-mean residual q; the
+    CG tolerance inner_tol tightens with the residual (inexact Newton),
+    never looser than 1e-2.  Each step backtracks (s halved from 1) until
+    the sup-residual decreases and the margin stays positive.  Returns
+    (x, state, iterations).
 
     A ``coarse`` loop only supplies a starting guess: it also stops after
     the first step that fails to halve the sup-residual, and where the
@@ -166,9 +168,7 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, solver_tol, *,
         if iteration == max_iter:
             break
         q = st.residual - np.mean(st.residual)
-        inner_tol = solver_tol if solver_tol is not None else \
-            min(1e-2, max(1e-12, 1e-2 * sup))
-        delta = solve(st, q, inner_tol)
+        delta = solve(st, q, min(1e-2, max(1e-12, 1e-2 * sup)))
         s = 1.0
         while s >= 2.0 ** -20:
             candidate = tuple(a - s * d for a, d in zip(x, delta))
@@ -207,7 +207,9 @@ class NewtonResult:
     """A solve of the decomposed potential u1 + lam u2, assembled on access
     as ``potential``.  ``iterations`` counts the Newton steps of every
     level, failed corrections included; ``levels`` holds (grid shape,
-    iterations) per level, coarsest first, ending with the caller's grid."""
+    iterations) per level, coarsest first, ending with the caller's grid.
+    ``tmap`` is the map T = id - A^{-1} grad u of the state that certified
+    the result."""
 
     u1: np.ndarray
     u2: ScalarField
@@ -216,6 +218,7 @@ class NewtonResult:
     sup_residual: float
     margin: float
     levels: tuple
+    tmap: VectorField
 
     @property
     def potential(self):
@@ -223,7 +226,7 @@ class NewtonResult:
         return _assemble(self.lam, self.u1, self.u2)
 
 
-def _newton(cost, u1, u2, pair, tol, max_iter, solver_tol, coarse=False):
+def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
     """:func:`newton_correct_split` at ``cost``, lambda = a22, with the
     coarse-mode loop of :func:`_damped_newton` when ``coarse``."""
     grid = pair.grid
@@ -233,15 +236,14 @@ def _newton(cost, u1, u2, pair, tol, max_iter, solver_tol, coarse=False):
 
     (u1, u2_values), st, iterations = _damped_newton(
         (np.asarray(u1, float).copy(), u2.values),
-        lambda x: split_residual_state(cost, x[0], x[1], pair),
-        direction, tol, max_iter, solver_tol, coarse=coarse)
+        lambda x: residual_state(cost, x[0], x[1], pair),
+        direction, tol, max_iter, coarse=coarse)
     return NewtonResult(u1, ScalarField(grid, u2_values), cost.a22,
                         iterations, st.sup_residual, st.margin,
-                        ((grid.shape, iterations),))
+                        ((grid.shape, iterations),), st.map_field(grid))
 
 
-def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
-                   solver_tol=None):
+def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
     """Damped Newton solve of the Monge-Ampere residual at fixed cost.
 
     The iteration of :func:`newton_correct_split` at lambda = a22, from
@@ -252,7 +254,8 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     coarse level capped by ``max_iter`` and stopping once a step fails to
     halve its residual, and the prolonged result is corrected on the
     caller's grid.  If a coarse level raises, or that correction fails,
-    the start itself is corrected there.  The caller's grid certifies.
+    the start itself is corrected there.  The caller's grid certifies, and
+    its state supplies the result's map ``tmap``.
 
     Parameters
     ----------
@@ -260,16 +263,14 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
         Starting potential; its margin must be positive.
     tol : float
         Target on sup |residual|; positive and finite.
-    solver_tol : float, optional
-        Relative tolerance of the inner CG solves; by default it tightens
-        with the residual (inexact Newton), never looser than 1e-2.
 
     Raises
     ------
     ConvergenceError
         If the correction of the start on the caller's grid exhausts
         ``max_iter`` or its line search stalls (s < 2^-20); its
-        ``iterations`` counts the steps of every level.
+        ``iterations`` and ``levels`` count the steps of every level, and
+        its message ends with them per grid.
     """
     _check_positive_finite("tol", tol)
     grid = pair.grid
@@ -278,16 +279,15 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20, *,
     u1, u2 = split_values(
         _kernels(*grid.shape).project_solvable(psi_init.values), cost.a22)
     u2 = ScalarField(grid, u2)
-    st = split_residual_state(cost, u1, u2.values, pair)
+    st = residual_state(cost, u1, u2.values, pair)
     if st.sup_residual <= tol:
         return NewtonResult(u1, u2, cost.a22, 0, st.sup_residual, st.margin,
-                            ((grid.shape, 0),))
+                            ((grid.shape, 0),), st.map_field(grid))
     del st              # no fine state is held while the coarse levels run
     pairs = _levels(pair)
 
     def solve(level_pair, v1, v2, coarse):
-        return _newton(cost, v1, v2, level_pair, tol, max_iter, solver_tol,
-                       coarse)
+        return _newton(cost, v1, v2, level_pair, tol, max_iter, coarse)
 
     return _sequenced(
         pairs, lambda level: _resampled(u1, u2, pairs[level].grid), solve)
@@ -320,18 +320,28 @@ def _sequenced(pairs, start, solve):
     prolonged result; if the coarser level raises, or that correction
     fails, it corrects its own start, ``start(level)`` = (u1, u2) on
     ``pairs[level].grid``.  ``solve(pair, u1, u2, coarse)`` corrects one
-    level.  ``iterations`` and ``levels`` of the result, and the
-    ``iterations`` of a raised ``ConvergenceError``, count every level,
-    failed corrections included.
+    level.  ``iterations`` and ``levels`` of the result, and of a raised
+    ``ConvergenceError``, count every level, failed corrections included;
+    the error's message ends with ``_newton_text`` of its levels.
     """
     spent = Counter()
     try:
         res = _on_level(pairs, 0, start, solve, spent)
     except ConvergenceError as exc:
         exc.iterations = sum(spent.values())
+        exc.levels = tuple(sorted(spent.items()))
+        exc.args = (f"{exc}; newton iters {_newton_text(exc.levels)}",)
         raise
     return replace(res, iterations=sum(spent.values()),
                    levels=tuple(sorted(spent.items())))
+
+
+def _newton_text(levels):
+    """'<total> (<n1>x<n2>: <iterations>, ...)' for (shape, iterations)
+    pairs, coarsest grid first."""
+    total = sum(iters for _, iters in levels)
+    per_level = ", ".join(f"{n1}x{n2}: {iters}" for (n1, n2), iters in levels)
+    return f"{total} ({per_level})"
 
 
 def _on_level(pairs, level, start, solve, spent):
@@ -367,7 +377,7 @@ def _resampled(u1, u2, grid):
 
 
 def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
-                         max_iter=20, *, solver_tol=None):
+                         max_iter=20):
     """Damped Newton on the decomposed potential u1 + lambda_t u2, t > 0,
     on the caller's grid alone.
 
@@ -378,11 +388,12 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
     potential stores the fiber component a factor lambda below the
     marginal one, so at small t float64 cannot represent it accurately
     enough to push the residual below roughly eps * (pi n)^2 / lambda; the
-    decomposed iteration has no such floor.
+    decomposed iteration has no such floor.  The certifying state
+    supplies the result's map ``tmap``.
     """
     _check_positive_finite("tol", tol)
     return _newton((schedule or CostSchedule.linear()).matrix(t), u1, u2,
-                   pair, tol, max_iter, solver_tol)
+                   pair, tol, max_iter)
 
 
 @dataclass
@@ -394,20 +405,23 @@ class InitResult(NewtonResult):
     knothe: KnotheSolution
 
 
+MAX_HALVINGS = 8       # of t0, before init_from_knothe gives up
+
+
 def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
-                     max_newton=20, max_halvings=8, knothe=None):
+                     max_newton=20, knothe=None):
     """Converged potential at small t0 from the Knothe predictor.
 
     The predictor (u1, lambda_{t0} u2) is Newton-corrected at A_{t0} in
     decomposed coordinates; if Newton stalls the time is halved (at most
-    ``max_halvings`` times), so the returned result carries the t0
-    actually used.  The assembled potential and the exact decomposed pair
-    are both returned.
+    ``MAX_HALVINGS`` = 8 times), so the returned result carries the t0
+    actually used.  The assembled potential, the exact decomposed pair and
+    the certifying state's map are all returned.
     """
     schedule = schedule or CostSchedule.linear()
     kn = knothe if knothe is not None else knothe_solution(pair)
     t = float(t0)
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         try:
             res = newton_correct_split(t, kn.potentials.u1, kn.potentials.u2,
                                        pair, schedule, tol=newton_tol,
@@ -582,7 +596,7 @@ def _step(history, t_next, pairs, schedule, opts):
     def solve(pair, u1, u2, coarse):
         if coarse:
             return _newton(cost, u1, u2, pair, opts.newton_tol,
-                           opts.max_newton, None, coarse=True)
+                           opts.max_newton, coarse=True)
         return newton_correct_split(t_next, u1, u2, pair, schedule,
                                     tol=opts.newton_tol,
                                     max_iter=opts.max_newton)
@@ -635,13 +649,12 @@ def run(pair, schedule=None, options=None):
         newest of the history."""
         if not (result.sup_residual <= opts.newton_tol and result.margin > 0.0):
             raise ConstructionError("attempted to record an uncertified state")
-        tmap = transport_map(schedule.matrix(t), result.potential)
         records.append(TrajectoryRecord(
             t, schedule.lam(t), result.u1, result.u2, result.margin,
             result.sup_residual,
-            pushforward_residual(tmap, pair, opts.pushforward_k),
-            l2_map_distance(tmap, knothe_field, pair.f), result.iterations,
-            result.levels))
+            pushforward_residual(result.tmap, pair, opts.pushforward_k),
+            l2_map_distance(result.tmap, knothe_field, pair.f),
+            result.iterations, result.levels))
         history.append(_State(t, result.u1, result.u2))
         del history[:-3]
 

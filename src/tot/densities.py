@@ -79,10 +79,6 @@ class DensityPair:
         return self.f.values
 
     @property
-    def g_values(self):
-        return self.g.values
-
-    @property
     def f_poly(self):
         return self.f.closed_form
 

@@ -90,9 +90,6 @@ class ScalarField:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
 
-    def with_values(self, values, zero_mean=False):
-        return ScalarField(self.grid, values, zero_mean=zero_mean)
-
 
 @dataclass
 class VectorField:

@@ -6,9 +6,11 @@ the divergence-form operator  v -> Div(B grad v)  with
     B = (f - residual) (A - D^2 u)^{-1}
       = g(id - A^{-1} grad u) adj(A - D^2 u) / det A,
 
-symmetric positive definite wherever the margin is positive.  On
-zero-mean functions the operator is negative definite; the solver runs
-conjugate gradients preconditioned by the exact inverse of the
+symmetric positive definite wherever the margin is positive.  B comes
+from a ``monge_ampere.residual_state``; the entry points that take an
+assembled potential split it with ``split_values`` first.  On zero-mean
+functions the operator is negative definite; the solver runs conjugate
+gradients preconditioned by the exact inverse of the
 constant-coefficient operator with the mean matrix of B (diagonal in
 Fourier space; it captures the small-lambda anisotropy exactly).  The
 iterate, residual and search direction are rfft2 half spectra, so the
@@ -46,7 +48,7 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grid import ScalarField, antideriv_values, deriv_values, symbols
 from .monge_ampere import (CostSchedule, check_admissible, decompose,
-                           residual_state, split_factors)
+                           residual_state, split_factors, split_values)
 
 __all__ = [
     "SplitCoefficients", "split_coefficients",
@@ -159,7 +161,8 @@ def apply_linearized(cost, u, pair, v):
     Constants are annihilated; the output has zero mean exactly (it is a
     spectral divergence).
     """
-    b11, b12, b22 = coefficient_arrays(residual_state(cost, u.values, pair))
+    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
+    b11, b12, b22 = coefficient_arrays(st)
     kern = _kernels(*pair.grid.shape)
     out = _apply_values(kern, b11, b12, b22, v.values)
     return ScalarField(pair.grid, out, zero_mean=True)
@@ -174,7 +177,8 @@ def cost_rate_rhs(cost, u, pair):
     At states with zero residual the coefficient equals f, recovering the
     evolution equation's right-hand side.
     """
-    out = _cost_rate_values(residual_state(cost, u.values, pair))
+    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
+    out = _cost_rate_values(st)
     return ScalarField(pair.grid, out, zero_mean=True)
 
 
@@ -280,7 +284,8 @@ def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):
     scale = 1.0 + float(np.max(np.abs(q.values)))
     if abs(float(np.mean(q.values))) > 1e-10 * scale:
         raise ValueError("right-hand side must have zero mean")
-    b11, b12, b22 = coefficient_arrays(residual_state(cost, u.values, pair))
+    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
+    b11, b12, b22 = coefficient_arrays(st)
     x0v = None if x0 is None else x0.values
     v, _ = _solve_with_coefficients(pair.grid, b11, b12, b22, q.values,
                                     tol, max_iter, x0v)

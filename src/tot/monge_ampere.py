@@ -12,6 +12,11 @@ evaluates the same operator in the decomposed coordinates
 u = u1(x1) + lambda * u2(x1, x2), which extends smoothly to t = 0 where
 the determinant becomes triangular.
 
+``residual_state`` forms the state of (u1, u2) at lambda = a22, t > 0:
+derivatives, residual, margin and the map T, so a certified state
+supplies its own map; an assembled potential is split first with
+``split_values``.
+
 Residuals, coefficients and margins take their derivatives from
 ``grid.derivative_bundle`` (one real FFT for all first and second
 derivatives of the 2D part) plus 1D derivatives of the x1-only part:
@@ -133,11 +138,13 @@ def c_concavity_margin(cost, u):
 
 @dataclass
 class ResidualState:
-    """Everything the residual, its linearization and the velocity's
-    right-hand side share at one state (nothing else is kept: a Newton
-    step holds two states at once)."""
+    """Everything the residual, its linearization, the velocity's
+    right-hand side and the map share at one state (nothing else is kept:
+    a Newton step holds two states at once).  ``map1`` is x1 - d1 u, the
+    first component of T = id - A^{-1} grad u, unwrapped."""
 
     cost: CostMatrix
+    map1: np.ndarray
     grad2: np.ndarray
     u11: np.ndarray
     u12: np.ndarray
@@ -150,45 +157,37 @@ class ResidualState:
     def sup_residual(self):
         return float(np.max(np.abs(self.residual)))
 
-
-def residual_state(cost, values, pair, require_margin=True):
-    # the row mean is differentiated in 1D and only the fiber-fluctuating
-    # part in 2D, so the x1-only component puts no machine noise into the
-    # x2-derivatives that the 1/a22 divisions amplify at small t
-    row = values.mean(axis=1)
-    return _state_from_derivatives(
-        cost, pair, *split_derivatives(row, values - row[:, None], 1.0),
-        require_margin)
+    def map_field(self, grid):
+        """The map T of this state, as ``transport_map`` forms it."""
+        return VectorField(ScalarField(grid, self.map1), ScalarField(
+            grid, grid.mesh()[1] - self.grad2 / self.cost.a22))
 
 
-def split_residual_state(cost, u1_values, u2_values, pair):
-    """``residual_state`` of u1 + a22 u2 at ``cost``, built from the
-    derivatives of u1 and u2 themselves.
+def residual_state(cost, u1_values, u2_values, pair, require_margin=True):
+    """Residual state of u1(x1) + a22 u2(x1, x2) at ``cost``, from the
+    derivatives of u1 and u2 themselves; split an assembled potential
+    with ``split_values(values, cost.a22)`` first.
 
     The fiber component's derivatives are scaled by a22 = lambda_t only
     after differentiation, so nothing is lost to rounding at small lambda
-    (the assembled field cannot carry it).  The margin therefore certifies
-    admissibility of the decomposed pair: min(1 - d11 u) is at least the
-    smaller eigenvalue, so a positive margin implies both inequalities of
-    ``check_admissible``.
+    (the assembled field cannot carry it), and the x1-only component puts
+    no machine noise into the x2-derivatives that the 1/a22 divisions
+    amplify.  The margin certifies admissibility of the decomposed pair:
+    min(1 - d11 u) is at least the smaller eigenvalue, so a positive margin
+    implies both inequalities of ``check_admissible``; unless
+    ``require_margin`` is false, a margin <= 0 raises ``ConcavityError``.
     """
-    return _state_from_derivatives(
-        cost, pair, *split_derivatives(u1_values, u2_values, cost.a22))
-
-
-def _state_from_derivatives(cost, pair, g1, g2, u11, u12, u22,
-                            require_margin=True):
+    g1, g2, u11, u12, u22 = split_derivatives(u1_values, u2_values, cost.a22)
     margin = margin_values(cost, u11, u12, u22)
     if require_margin and margin <= 0.0:
         raise ConcavityError(
             f"not c-concave: min eig(A - D2 u) = {margin:.3g} <= 0")
     x1, x2 = pair.grid.mesh()
     t1 = x1 - g1
-    t2 = x2 - g2 / cost.a22
-    g_at_t = pair.g_poly(frac(t1), frac(t2))
+    g_at_t = pair.g_poly(frac(t1), frac(x2 - g2 / cost.a22))
     det = (1.0 - u11) * (1.0 - u22 / cost.a22) - (u12 * u12) / cost.a22
     residual = pair.f_values - g_at_t * det
-    return ResidualState(cost, g2, u11, u12, u22, g_at_t, residual, margin)
+    return ResidualState(cost, t1, g2, u11, u12, u22, g_at_t, residual, margin)
 
 
 def monge_ampere_residual(cost, u, pair):
@@ -198,7 +197,7 @@ def monge_ampere_residual(cost, u, pair):
     ``ConcavityError`` otherwise).  The residual mean is a diagnostic and
     is deliberately not projected out.
     """
-    st = residual_state(cost, u.values, pair)
+    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
     return ScalarField(pair.grid, st.residual)
 
 
@@ -249,7 +248,7 @@ def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
     At lambda = 0 this is exactly the t = 0 limit operator.  The assembled
     evaluation loses the fiber component to rounding once lambda is small
     (floor ~ eps * (pi n)^2 / lambda); this form has no such floor, and
-    unlike ``split_residual_state`` it extends to t = 0.
+    unlike ``residual_state`` it extends to t = 0.
     """
     schedule = schedule or CostSchedule.linear()
     lam = 0.0 if t == 0.0 else schedule.lam(t)
@@ -308,7 +307,8 @@ def decomposed_residual(t, u1, u2, pair, schedule=None, eps=0.0):
     if t != 0.0:
         cost = schedule.matrix(t)
         combined = u1[:, None] + schedule.lam(t) * u2.values
-        st = residual_state(cost, combined, pair, require_margin=False)
+        st = residual_state(cost, *split_values(combined, cost.a22), pair,
+                            require_margin=False)
         return ScalarField(grid, st.residual)
     return ScalarField(grid, split_residual_values(0.0, u1, u2.values, pair))
 

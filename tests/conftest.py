@@ -12,7 +12,7 @@ import tot
 from tot.continuation import _damped_newton, _solve_at
 from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import split_coefficients
-from tot.monge_ampere import residual_state
+from tot.monge_ampere import residual_state, split_values
 
 
 def band_limited(grid, kmax, rng, include_x1_only=True):
@@ -62,9 +62,9 @@ def single_grid_newton(pair, start=None, tol=1e-10, max_iter=20):
     grid, cost = pair.grid, tot.identity_cost()
     (values,), st, iterations = _damped_newton(
         (np.zeros(grid.shape) if start is None else start,),
-        lambda x: residual_state(cost, x[0], pair),
+        lambda x: residual_state(cost, *split_values(x[0], cost.a22), pair),
         lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
-        tol, max_iter, None)
+        tol, max_iter)
     return values, st, iterations
 
 

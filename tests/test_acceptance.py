@@ -14,7 +14,7 @@ import numpy as np
 import tot
 from tot.grid import deriv_values
 from tot.linearized import _solve_with_coefficients, coefficient_arrays
-from tot.monge_ampere import residual_state
+from tot.monge_ampere import residual_state, split_values
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
@@ -96,7 +96,8 @@ def test_criterion_3_elliptic_solver(pair128, knothe128):
         u = tot.field(grid, kn.u1[:, None] + lam * kn.u2.values)
         # the solve solve_linearized runs, read for its iteration count
         values, iters = _solve_with_coefficients(
-            grid, *coefficient_arrays(residual_state(cost, u.values, pair128)),
+            grid, *coefficient_arrays(residual_state(
+                cost, *split_values(u.values, cost.a22), pair128)),
             q.values, 1e-10, None, None)
         v = tot.field(grid, values)
         residual = tot.apply_linearized(cost, u, pair128, v).values - q.values

@@ -1,9 +1,10 @@
-"""The benchmark's tracer wraps ``tot`` functions by name.
+"""The benchmark calls ``tot`` by its public names, and its tracer wraps
+``tot`` functions by name.
 
-``bench/`` is not on the test path, so a renamed or deleted function that
-the benchmark traces would otherwise break only the traced benchmark runs.
-These checks read the names from ``bench/`` without importing its test
-module (which sets up output directories on import).
+``bench/`` is not on the test path, so a renamed or deleted name that the
+benchmark uses would otherwise break only the benchmark runs.  These
+checks read the names from ``bench/`` without importing its runner,
+workloads or test module (which sets up output directories on import).
 """
 
 import ast
@@ -58,3 +59,39 @@ def test_repeatability_bindings_resolve():
     namespace = {"TOT": tot, "np": np}
     exec(compile(ast.Module([definition], []), str(path), "exec"), namespace)
     assert all(callable(binding) for binding in namespace["bindings"]())
+
+
+def _tot_attributes(path):
+    """Every dotted name read as ``tot.<name>...`` or ``self.tot.<name>...``
+    in the source file ``path``, as a tuple of attribute names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            chain.insert(0, node.id)
+            for prefix in (["tot"], ["self", "tot"]):
+                rest = chain[len(prefix):]
+                if chain[:len(prefix)] == prefix and rest:
+                    names.add(tuple(rest))
+    return names
+
+
+BENCH_NAMES = sorted(set().union(*(_tot_attributes(BENCH / name)
+                                   for name in ("workloads.py", "run.py"))))
+
+
+def test_bench_names_are_collected():
+    assert ("newton_correct",) in BENCH_NAMES
+    assert ("cli", "main") in BENCH_NAMES
+
+
+@pytest.mark.parametrize("names", BENCH_NAMES,
+                         ids=[".".join(n) for n in BENCH_NAMES])
+def test_every_bench_binding_resolves(names):
+    target = tot
+    for name in names:
+        assert hasattr(target, name), ".".join(names)
+        target = getattr(target, name)

@@ -30,6 +30,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.schedule.lam(0.25) == 0.25
     assert cfg.options.t0 == 1e-3
     assert cfg.options.steps == 32
+    assert cfg.options == tot.ContinuationOptions()
     assert cfg.out_dir == "out"
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import tot
-from tot import continuation
+from tot import continuation, monge_ampere
 from tot.errors import ConvergenceError, StepCollapseError
 from tot.linearized import _kernels
-from tot.monge_ampere import split_residual_state
+from tot.monge_ampere import residual_state
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
@@ -198,13 +198,13 @@ def test_nested_newton_from_solution_does_no_coarse_work(
         pair128, cold_newton128, monkeypatch):
     assert cold_newton128.levels[0][0] == (64, 64)
     shapes = []
-    state = continuation.split_residual_state
+    state = continuation.residual_state
 
     def counted(cost, u1, u2_values, pair):
         shapes.append(u2_values.shape)
         return state(cost, u1, u2_values, pair)
 
-    monkeypatch.setattr(continuation, "split_residual_state", counted)
+    monkeypatch.setattr(continuation, "residual_state", counted)
     again = tot.newton_correct(tot.identity_cost(), cold_newton128.potential,
                                pair128)
     assert again.iterations == 0
@@ -213,14 +213,14 @@ def test_nested_newton_from_solution_does_no_coarse_work(
 
 
 def test_coarse_concavity_error_falls_back_to_the_start(pair128, monkeypatch):
-    state = continuation.split_residual_state
+    state = continuation.residual_state
 
     def no_coarse_state(cost, u1, u2_values, pair):
         if u2_values.shape != (128, 128):
             raise tot.ConcavityError("forced coarse failure")
         return state(cost, u1, u2_values, pair)
 
-    monkeypatch.setattr(continuation, "split_residual_state", no_coarse_state)
+    monkeypatch.setattr(continuation, "residual_state", no_coarse_state)
     res = tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                              pair128)
     values, st, iterations = single_grid_newton(pair128)
@@ -309,6 +309,51 @@ def test_convergence_error_counts_every_level(pair128):
         tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                            pair128, max_iter=1)
     assert info.value.iterations == 3
+    assert info.value.levels == (((64, 64), 1), ((128, 128), 2))
+    assert str(info.value).endswith("; newton iters 3 (64x64: 1, 128x128: 2)")
+
+
+# ---------------------------------------------------------------------------
+# the certifying state's map
+
+def _map_gap(tmap, cost, psi):
+    """max |A (T - T_ref)| for T_ref = transport_map(cost, psi), which
+    re-derives the map from the assembled potential.  psi fixes
+    grad psi = A (x - T) to rounding, but T2 itself only to rounding / a22:
+    at t = 1e-3, |T2 - T_ref2| reaches 5e-13 on the standard pair."""
+    ref = tot.transport_map(cost, psi)
+    return max(np.max(np.abs(tmap.v1.values - ref.v1.values)),
+               cost.a22 * np.max(np.abs(tmap.v2.values - ref.v2.values)))
+
+
+def test_cold_solve_carries_the_map_of_its_potential(cold_newton128):
+    cost = tot.identity_cost()
+    assert _map_gap(cold_newton128.tmap, cost, cold_newton128.potential) \
+        <= 1e-13
+
+
+def test_run_certifies_each_state_on_its_own_map(pair128, monkeypatch):
+    calls = []
+    transport_map = monge_ampere.transport_map
+
+    def counted(*args):
+        calls.append(args)
+        return transport_map(*args)
+
+    maps = []
+    pushforward = continuation.pushforward_residual
+
+    def recorded(tmap, *args):
+        maps.append(tmap)
+        return pushforward(tmap, *args)
+
+    monkeypatch.setattr(monge_ampere, "transport_map", counted)
+    monkeypatch.setattr(continuation, "pushforward_residual", recorded)
+    traj = tot.run(pair128)
+    assert calls == [] and not hasattr(continuation, "transport_map")
+    assert len(maps) == len(traj.records)
+    for rec, tmap in zip(traj.records, maps):
+        assert _map_gap(tmap, traj.schedule.matrix(rec.t), rec.psi) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +471,8 @@ def _certified_on(pair, traj):
     # stored fields, not from what the run reported
     sched = traj.schedule
     for rec in traj.records:
-        st = split_residual_state(sched.matrix(rec.t), rec.psi1,
-                                  rec.psi2.values, pair)
+        st = residual_state(sched.matrix(rec.t), rec.psi1, rec.psi2.values,
+                            pair)
         assert st.sup_residual <= traj.options.newton_tol
         assert st.margin > 0.0
 
@@ -622,7 +667,7 @@ def test_nested_run_does_not_warn_on_a_coarse_truncation_floor():
 def test_failed_coarse_step_falls_back_to_the_single_grid_step(pair128,
                                                                monkeypatch):
     opts = tot.ContinuationOptions(steps=4)
-    state = continuation.split_residual_state
+    state = continuation.residual_state
 
     def no_coarse_state(cost, u1, u2_values, pair):
         if u2_values.shape != (128, 128):
@@ -630,7 +675,7 @@ def test_failed_coarse_step_falls_back_to_the_single_grid_step(pair128,
         return state(cost, u1, u2_values, pair)
 
     with monkeypatch.context() as patch:
-        patch.setattr(continuation, "split_residual_state", no_coarse_state)
+        patch.setattr(continuation, "residual_state", no_coarse_state)
         fallback = tot.run(pair128, options=opts)
     _single_grid(monkeypatch)
     single = tot.run(pair128, options=opts)
@@ -643,13 +688,13 @@ def test_failed_coarse_step_falls_back_to_the_single_grid_step(pair128,
 
 def test_run_below_128_does_not_nest(pair64, monkeypatch):
     shapes = set()
-    state = continuation.split_residual_state
+    state = continuation.residual_state
 
     def recorded(cost, u1, u2_values, pair):
         shapes.add(u2_values.shape)
         return state(cost, u1, u2_values, pair)
 
-    monkeypatch.setattr(continuation, "split_residual_state", recorded)
+    monkeypatch.setattr(continuation, "residual_state", recorded)
     traj = tot.run(pair64, options=tot.ContinuationOptions(steps=4))
     assert shapes == {(64, 64)}
     assert all(rec.levels == (((64, 64), rec.newton_iters),)
