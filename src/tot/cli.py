@@ -26,7 +26,7 @@ from .fieldio import write_field_binary, write_field_csv
 from .grid import ScalarField
 from .knothe import fiber_pushforward_error, knothe_solution
 from .monge_ampere import (identity_cost, monge_ampere_residual,
-                           pushforward_residual, transport_map)
+                           pushforward_residual)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,8 +111,7 @@ def _run_trajectory(cfg, out_dir, pair):
     trajectory_summary_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     final = traj.final
     _emit_field(cfg, out_dir, "final_psi", final.psi)
-    cost = cfg.schedule.matrix(final.t)
-    tmap = transport_map(cost, final.psi)
+    tmap = final.tmap
     _emit_field(cfg, out_dir, "final_map1", tmap.v1)
     _emit_field(cfg, out_dir, "final_map2", tmap.v2)
     if cfg.emit_steps:

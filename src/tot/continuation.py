@@ -42,10 +42,8 @@ import numpy as np
 
 from .errors import (ConcavityError, ConstructionError, ConvergenceError,
                      InitializationError, StepCollapseError)
-# deriv_values is not called here; bench/test_repeatability.py checks that
-# the tracer rebinds and restores this module's binding of it
-from .grid import (PeriodicGrid, ScalarField, VectorField,  # noqa: F401
-                   deriv_values, resample_values)
+from .grid import (PeriodicGrid, ScalarField, VectorField, deriv_values,
+                   resample_values)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (_kernels, _solve_with_coefficients, coefficient_arrays,
                          _cost_rate_values, solve_linearized_small_t)
@@ -148,11 +146,18 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
     ``evaluate(x)`` returns the residual state at x and raises
     ``ConcavityError`` where the margin is not positive.
     ``solve(st, q, inner_tol)`` returns the direction, shaped like x, that
-    solves the linearized equation at st for the zero-mean residual q; the
-    CG tolerance inner_tol tightens with the residual (inexact Newton),
-    never looser than 1e-2.  Each step backtracks (s halved from 1) until
-    the sup-residual decreases and the margin stays positive.  Returns
-    (x, state, iterations).
+    solves the linearized equation at st for the zero-mean residual q to
+    the relative CG tolerance (inexact Newton)
+
+        inner_tol = min(1e-2, max(1e-12, 1e-2 sup, 0.1 tol / sup)).
+
+    The term 0.1 tol / sup keeps the last step from over-solving
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996; Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, 6.3): it binds
+    only once sup < sqrt(10 tol), when one step can reach ``tol``, so no
+    earlier step is loosened.  Each step backtracks (s halved from 1)
+    until the sup-residual decreases and the margin stays positive.
+    Returns (x, state, iterations).
 
     A ``coarse`` loop only supplies a starting guess: it also stops after
     the first step that fails to halve the sup-residual, and where the
@@ -168,7 +173,8 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
         if iteration == max_iter:
             break
         q = st.residual - np.mean(st.residual)
-        delta = solve(st, q, min(1e-2, max(1e-12, 1e-2 * sup)))
+        inner_tol = min(1e-2, max(1e-12, 1e-2 * sup, 0.1 * tol / sup))
+        delta = solve(st, q, inner_tol)
         s = 1.0
         while s >= 2.0 ** -20:
             candidate = tuple(a - s * d for a, d in zip(x, delta))
@@ -464,6 +470,19 @@ class TrajectoryRecord:
     def psi(self):
         """The zero-mean assembled potential u1 + lam psi2."""
         return _assemble(self.lam, self.u1, self.psi2)
+
+    @property
+    def tmap(self):
+        """The map T = id - A^{-1} grad psi from the decomposed pair:
+        T1 = x1 - d1 u1 - lam d1 psi2 and T2 = x2 - d2 psi2.  Nothing is
+        divided by lam, so T2 keeps its precision at small t, which the
+        map of the assembled ``psi`` loses to rounding / lam."""
+        grid = self.psi2.grid
+        x1, x2 = grid.mesh()
+        t1 = (x1 - deriv_values(self.u1, 0)[:, None]
+              - self.lam * deriv_values(self.psi2.values, 0))
+        t2 = x2 - deriv_values(self.psi2.values, 1)
+        return VectorField(ScalarField(grid, t1), ScalarField(grid, t2))
 
 
 @dataclass

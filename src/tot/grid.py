@@ -12,6 +12,9 @@ derivatives from :func:`deriv_values` along one axis or from
 of a 2D array from one forward transform, and ``linearized`` builds its
 operator kernels from the same table.  :func:`resample_values` moves a
 1D or 2D field between grids of different sizes in the same convention.
+Every 2D transform of the package runs through :func:`rfft2` and
+:func:`irfft2`: numpy's real 2D transforms, bit for bit, as two axis
+passes.
 
 All operations are pure: input fields are never mutated, so values may be
 shared read-only across threads.
@@ -154,6 +157,20 @@ def symbols(n, half=True):
     return out
 
 
+def rfft2(values):
+    """``np.fft.rfft2`` of a 2D array, bit for bit, as its two axis passes:
+    a real transform along x2, then a complex one along x1, without
+    numpy's n-d wrapper, whose overhead is a large share of a transform at
+    64^2."""
+    return np.fft.fft(np.fft.rfft(values), axis=0)
+
+
+def irfft2(spec, shape):
+    """``np.fft.irfft2(spec, shape)``, bit for bit, as its two axis passes:
+    a complex inverse along x1, then the real inverse along x2."""
+    return np.fft.irfft(np.fft.ifft(spec, shape[0], axis=0), shape[1])
+
+
 def _rfft_multiply(values, symbol, axis):
     shape = [1] * values.ndim
     shape[axis] = len(symbol)
@@ -177,11 +194,12 @@ def antideriv_values(values, axis):
 
 
 def derivative_bundle(values):
-    """(d1, d2, d11, d12, d22) of a 2D grid array from one rfft2."""
+    """(d1, d2, d11, d12, d22) of a 2D grid array from one forward
+    transform."""
     n1, n2 = values.shape
     s1, s2 = symbols(n1, half=False), symbols(n2)
-    spec = np.fft.rfft2(values)
-    return tuple(np.fft.irfft2(spec * symbol, values.shape) for symbol in (
+    spec = rfft2(values)
+    return tuple(irfft2(spec * symbol, values.shape) for symbol in (
         s1.d1[:, None], s2.d1, s1.d2[:, None], s1.d1[:, None] * s2.d1, s2.d2))
 
 
@@ -201,11 +219,11 @@ def resample_values(values, shape):
     n1, n2 = values.shape
     m1, m2 = shape
     k1, k2 = min(n1, m1) // 2, min(n2, m2) // 2
-    spec = np.fft.rfft2(values)
+    spec = rfft2(values)
     out = np.zeros((m1, m2 // 2 + 1), complex)
     out[:k1, :k2] = spec[:k1, :k2]
     out[1 - k1:, :k2] = spec[1 - k1:, :k2]
-    return np.fft.irfft2(out, shape) * (m1 * m2 / (n1 * n2))
+    return irfft2(out, shape) * (m1 * m2 / (n1 * n2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ constant-coefficient operator with the mean matrix of B (diagonal in
 Fourier space; it captures the small-lambda anisotropy exactly).  The
 iterate, residual and search direction are rfft2 half spectra, so the
 preconditioner is a pointwise multiply, inner products follow from
-Parseval, and one iteration costs 4 real FFTs: 2 inverse ones for the
-gradient and 2 forward ones for the divergence of the flux.  The solution
-is transformed back once.
+Parseval, and one iteration costs 4 real 2D transforms: 2 inverse ones
+for the gradient and 2 forward ones for the divergence of the flux, each
+run as its two axis passes by ``grid.rfft2`` and ``grid.irfft2``.  The
+solution is transformed back once.
 
 The operator kernels (gradient, divergence, preconditioner) take their
 symbols from the one table in ``grid``.  The first-derivative symbol
@@ -46,7 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError
-from .grid import ScalarField, antideriv_values, deriv_values, symbols
+from .grid import (ScalarField, antideriv_values, deriv_values, irfft2, rfft2,
+                   symbols)
 from .monge_ampere import (CostSchedule, check_admissible, decompose,
                            residual_state, split_factors, split_values)
 
@@ -71,21 +73,21 @@ class _Kernels:
 
     def grad(self, spec):
         """Gradient values of the field with rfft2 spectrum ``spec``."""
-        return (np.fft.irfft2(spec * self.ik1, self.shape),
-                np.fft.irfft2(spec * self.ik2, self.shape))
+        return (irfft2(spec * self.ik1, self.shape),
+                irfft2(spec * self.ik2, self.shape))
 
     def div_spectrum(self, w1, w2):
-        return np.fft.rfft2(w1) * self.ik1 + np.fft.rfft2(w2) * self.ik2
+        return rfft2(w1) * self.ik1 + rfft2(w2) * self.ik2
 
     def div(self, w1, w2):
-        return np.fft.irfft2(self.div_spectrum(w1, w2), self.shape)
+        return irfft2(self.div_spectrum(w1, w2), self.shape)
 
     def solvable_spectrum(self, a):
         """rfft2 spectrum of a projected onto the solver subspace: zero mean
         and no content on the Nyquist rows k1 = n1/2, k2 = n2/2 (where the
         first-derivative symbol vanishes, so Div(B grad .) is not the
         residual's Jacobian)."""
-        spec = np.fft.rfft2(a)
+        spec = rfft2(a)
         spec[0, 0] = 0.0
         self.drop_nyquist(spec)
         return spec
@@ -95,7 +97,7 @@ class _Kernels:
         spec[:, -1] = 0.0
 
     def project_solvable(self, a):
-        return np.fft.irfft2(self.solvable_spectrum(a), self.shape)
+        return irfft2(self.solvable_spectrum(a), self.shape)
 
     def mean_coefficient_inverse(self, b11, b12, b22):
         """Inverse Fourier symbol of Div(Bbar grad .) for constant Bbar
@@ -151,7 +153,7 @@ def split_coefficients(t, u1, u2, pair, schedule=None):
 # forward applications
 
 def _apply_values(kern, b11, b12, b22, v):
-    g1, g2 = kern.grad(np.fft.rfft2(v))
+    g1, g2 = kern.grad(rfft2(v))
     return kern.div(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2)
 
 
@@ -256,7 +258,7 @@ def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol, max_iter, x0):
     x0s = None if x0 is None else kern.solvable_spectrum(x0)
     spec, iters = _pcg(apply_op, inverse, kern.solvable_spectrum(q_values),
                        tol, max_iter, x0s)
-    return np.fft.irfft2(spec, grid.shape), iters
+    return irfft2(spec, grid.shape), iters
 
 
 def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tot
-from tot.cli import main
+from tot.cli import _run_trajectory, main
 from tot.config import load_config
 from tot.errors import ConfigError
 from tot.fieldio import read_field_binary
@@ -203,6 +203,34 @@ quiet = true
     lines = (out / "trajectory.csv").read_text().splitlines()
     l2_column = [float(line.split(",")[4]) for line in lines[1:]]
     assert max(l2_column) <= 1e-8
+
+
+def test_final_map_keeps_its_precision_at_small_t1(tmp_path):
+    # the map of the assembled potential loses about 5e-16 / t1 in its x2
+    # component; the final record's decomposed pair loses nothing
+    cfg = load_config(write_cfg(tmp_path, """
+f.name = standard_f
+g.name = standard_g
+grid.n1 = 128
+grid.n2 = 128
+t0 = 1e-4
+t1 = 1e-3
+steps = 4
+quiet = true
+emit.csv = false
+"""), {"out": str(tmp_path / "out")})
+    (tmp_path / "out").mkdir()
+    pair = tot.make_density_pair(cfg.f_spec, cfg.g_spec, cfg.grid())
+    final = _run_trajectory(cfg, cfg.out_dir, pair).final
+    assert final.t == 1e-3
+    map1, map2 = (read_field_binary(tmp_path / "out" / f"final_map{i}.totf")
+                  for i in (1, 2))
+    x2 = pair.grid.mesh()[1]
+    oracle = x2 - tot.spectral_derivative(final.psi2, 2).values
+    assert np.max(np.abs(map2.values - oracle)) <= 1e-14
+    # the x1 component is the assembled potential's, to rounding
+    ref = tot.transport_map(cfg.schedule.matrix(final.t), final.psi)
+    assert np.max(np.abs(map1.values - ref.v1.values)) <= 1e-13
 
 
 def test_cmd_continue_step_counts_agree(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import tot
 from tot import continuation, monge_ampere
 from tot.errors import ConvergenceError, StepCollapseError
-from tot.linearized import _kernels
+from tot.linearized import _kernels, coefficient_arrays
 from tot.monge_ampere import residual_state
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
@@ -354,6 +354,73 @@ def test_run_certifies_each_state_on_its_own_map(pair128, monkeypatch):
     assert len(maps) == len(traj.records)
     for rec, tmap in zip(traj.records, maps):
         assert _map_gap(tmap, traj.schedule.matrix(rec.t), rec.psi) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the inexact-Newton forcing term
+
+def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
+    # a certified state at t = 0.3, perturbed smoothly to a sup residual of
+    # about 10 tol: one step reaches tol, and its PCG solve stops at the
+    # floor 0.1 tol / sup instead of the old 1e-2 sup
+    t, tol = 0.3, 1e-10
+    cost = tot.CostSchedule.linear().matrix(t)
+    solved = tot.newton_correct(cost, tot.zero_field(pair64.grid), pair64,
+                                tol=tol)
+    x1, x2 = pair64.grid.mesh()
+    bump = np.cos(2 * np.pi * (x1 + x2)) + 0.5 * np.sin(2 * np.pi * x2)
+
+    def start(eps):
+        return tot.ScalarField(pair64.grid, solved.u2.values + eps * bump)
+
+    probe = residual_state(cost, solved.u1, start(1e-9).values, pair64)
+    u2 = start(1e-9 * 10 * tol / probe.sup_residual)
+    st = residual_state(cost, solved.u1, u2.values, pair64)
+    assert 5 * tol <= st.sup_residual <= 20 * tol
+
+    solve = continuation._solve_with_coefficients
+    solves = []
+
+    def counted(*args):
+        v, iters = solve(*args)
+        solves.append((args[5], iters))
+        return v, iters
+
+    monkeypatch.setattr(continuation, "_solve_with_coefficients", counted)
+    res = tot.newton_correct_split(t, solved.u1, u2, pair64, tol=tol)
+    assert res.iterations == 1 and res.sup_residual <= tol
+    ((inner_tol, iters),) = solves
+    assert inner_tol == min(1e-2, 0.1 * tol / st.sup_residual)
+    # oracle: the same solve at the old tolerance
+    q = st.residual - np.mean(st.residual)
+    _, old_iters = solve(pair64.grid, *coefficient_arrays(st), q,
+                         1e-2 * st.sup_residual, None, None)
+    assert 0 < iters <= old_iters / 2
+
+
+# per-record Newton steps and t ladder of the default 32-step run on the
+# standard pair at 64^2 before the forcing term had its floor
+LADDER_NEWTON_ITERS = [2] + [1] * 15 + [2] * 17
+LADDER_T = [
+    0.001, 0.0012409377607517195, 0.0015399265260594918, 0.0019109529749704406,
+    0.002371373705661655, 0.002942727176209282, 0.003651741272548377,
+    0.004531583637600818, 0.00562341325190349, 0.006978305848598663,
+    0.008659643233600653, 0.010746078283213174, 0.01333521432163324,
+    0.016548170999431816, 0.02053525026457146, 0.025482967479793468,
+    0.03162277660168379, 0.039241897584845364, 0.04869675251658631,
+    0.06042963902381328, 0.07498942093324558, 0.0930572040929699,
+    0.11547819846894582, 0.14330125702369628, 0.1778279410038923,
+    0.220673406908459, 0.27384196342643613, 0.33982083289425596,
+    0.4216965034285822, 0.5232991146814947, 0.6493816315762114,
+    0.8058421877614819, 1.0]
+
+
+def test_forcing_floor_keeps_the_newton_steps_and_ladder(pair64):
+    traj = tot.run(pair64)
+    assert [rec.newton_iters for rec in traj.records] == LADDER_NEWTON_ITERS
+    assert sum(LADDER_NEWTON_ITERS) == 51
+    assert [rec.t for rec in traj.records] == LADDER_T
+    _certified_on(pair64, traj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 import tot
 from tot.errors import GridSizeError
 from tot.fieldio import read_field_binary, write_field_binary, write_field_csv
-from tot.grid import antideriv_values, derivative_bundle, resample_values
+from tot.grid import (antideriv_values, derivative_bundle, irfft2,
+                      resample_values, rfft2)
 
 
 def test_build_grid_spacing():
@@ -164,6 +167,50 @@ def test_antiderivative_is_exact_primitive(k):
     out = antideriv_values(rows, 1)
     assert np.max(np.abs(out - np.arange(1, 5)[:, None] * exact)) < 1e-14
     assert np.max(np.abs(antideriv_values(rows.T, 0) - out.T)) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (64, 64), (64, 128), (128, 64),
+                                   (256, 256)])
+def test_2d_transforms_equal_numpy_bit_for_bit(shape):
+    values = np.random.default_rng(sum(shape)).standard_normal(shape)
+    spec = rfft2(values)
+    assert np.array_equal(spec, np.fft.rfft2(values))
+    # a spectrum that is not the transform of a real array
+    spec = spec + 1j * np.random.default_rng(1).standard_normal(spec.shape)
+    assert np.array_equal(irfft2(spec, shape), np.fft.irfft2(spec, shape))
+
+
+# numpy's n-d transforms; every 2D transform of tot runs through
+# grid.rfft2 and grid.irfft2 instead
+ND_TRANSFORMS = {"rfft2", "irfft2", "rfftn", "irfftn", "fft2", "ifft2"}
+
+
+def _nd_transform_uses(path):
+    """(line, name) of every n-d numpy transform that the module at
+    ``path`` calls as ``<...>.fft.<name>`` or imports from numpy.fft."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in ND_TRANSFORMS
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "fft"):
+                uses.append((node.lineno, func.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            uses += [(node.lineno, alias.name) for alias in node.names
+                     if alias.name in ND_TRANSFORMS | {"*"}]
+    return uses
+
+
+def test_2d_transforms_run_only_through_the_grid_helpers(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\nfrom numpy.fft import irfftn\n"
+                   "x = np.fft.rfft2(np.ones((8, 8)))\n", encoding="utf-8")
+    assert _nd_transform_uses(bad) == [(2, "irfftn"), (3, "rfft2")]
+    modules = sorted(Path(tot.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    assert {m.name: _nd_transform_uses(m) for m in modules
+            if _nd_transform_uses(m)} == {}
 
 
 def test_integrate_mean_and_projection():
