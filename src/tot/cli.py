@@ -3,7 +3,9 @@
     tot <knothe|brenier|continue|compare> --config <path>
         [--out <dir>] [--grid N] [--t0 X] [--steps K] [--quiet]
 
-Flags override the configuration keys of the same name.  Exit codes:
+Each flag's text is the value of the configuration keys it overrides
+(``--grid N`` sets grid.n1 and grid.n2, ``--quiet`` sets quiet = true) and
+is parsed and validated exactly as a file line of those keys.  Exit codes:
 0 success, 2 configuration error, 3 solver nonconvergence, 4 I/O error.
 All iteration orders are fixed and nothing is seeded from the clock, so
 identical configurations produce bit-identical CSV output.
@@ -20,13 +22,12 @@ import numpy as np
 from .config import load_config
 from .continuation import (_newton_text, newton_correct, run,
                            trajectory_summary_csv)
-from .densities import make_density_pair
 from .errors import ConfigError, ConvergenceError, TransportError
 from .fieldio import write_field_binary, write_field_csv
-from .grid import ScalarField
+from .grid import ScalarField, zero_field
 from .knothe import fiber_pushforward_error, knothe_solution
-from .monge_ampere import (identity_cost, monge_ampere_residual,
-                           pushforward_residual)
+from .monge_ampere import (identity_cost, pushforward_residual,
+                           residual_state)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,8 +60,8 @@ def _broadcast(grid, values_1d):
 
 
 def cmd_knothe(cfg, out_dir):
-    grid = cfg.grid()
-    pair = make_density_pair(cfg.f_spec, cfg.g_spec, grid)
+    pair = cfg.pair
+    grid = pair.grid
     sol = knothe_solution(pair)
     _emit_field(cfg, out_dir, "knothe_r1_displacement",
                 _broadcast(grid, sol.r1.displacement))
@@ -76,38 +77,35 @@ def cmd_knothe(cfg, out_dir):
                    (fiber_err, u2_x1_variation))
     _say(cfg, f"[knothe] fiber pushforward max error {fiber_err:.3g}, "
               f"u2 variation along x1 {u2_x1_variation:.3g}")
-    return EXIT_OK
 
 
-def _emit_brenier(cfg, out_dir, pair, result, prefix="brenier"):
-    residual = monge_ampere_residual(identity_cost(), result.potential, pair)
-    _emit_field(cfg, out_dir, f"{prefix}_psi", result.potential)
-    _emit_field(cfg, out_dir, f"{prefix}_map1", result.tmap.v1)
-    _emit_field(cfg, out_dir, f"{prefix}_map2", result.tmap.v2)
-    _emit_field(cfg, out_dir, f"{prefix}_residual", residual)
+def cmd_brenier(cfg, out_dir):
+    """Cold Newton at A = I from zero; returns the potential."""
+    pair, cost = cfg.pair, identity_cost()
+    result = newton_correct(cost, zero_field(pair.grid), pair,
+                            tol=cfg.options.newton_tol,
+                            max_iter=cfg.options.max_newton)
+    psi = result.potential
+    # the residual the certifying state held, from the decomposed pair
+    residual = residual_state(cost, result.u1, result.u2.values, pair).residual
+    _emit_field(cfg, out_dir, "brenier_psi", psi)
+    _emit_field(cfg, out_dir, "brenier_map1", result.tmap.v1)
+    _emit_field(cfg, out_dir, "brenier_map2", result.tmap.v2)
+    _emit_field(cfg, out_dir, "brenier_residual",
+                ScalarField(pair.grid, residual))
     pf = pushforward_residual(result.tmap, pair, cfg.options.pushforward_k)
-    _write_csv_row(os.path.join(out_dir, f"{prefix}_diagnostics.csv"),
+    _write_csv_row(os.path.join(out_dir, "brenier_diagnostics.csv"),
                    ("sup_residual", "margin", "pushforward_residual",
                     "newton_iters"),
                    (result.sup_residual, result.margin, pf,
                     result.iterations))
-    _say(cfg, f"[{prefix}] newton iters {_newton_text(result.levels)}, "
+    _say(cfg, f"[brenier] newton iters {_newton_text(result.levels)}, "
               f"sup residual {result.sup_residual:.3g}, pushforward {pf:.3g}")
-    return result
+    return psi
 
 
-def cmd_brenier(cfg, out_dir):
-    grid = cfg.grid()
-    pair = make_density_pair(cfg.f_spec, cfg.g_spec, grid)
-    result = newton_correct(identity_cost(), ScalarField(grid, np.zeros(grid.shape)),
-                            pair, tol=cfg.options.newton_tol,
-                            max_iter=cfg.options.max_newton)
-    _emit_brenier(cfg, out_dir, pair, result)
-    return EXIT_OK
-
-
-def _run_trajectory(cfg, out_dir, pair):
-    traj = run(pair, cfg.schedule, cfg.options)
+def cmd_continue(cfg, out_dir):
+    traj = run(cfg.pair, cfg.schedule, cfg.options)
     trajectory_summary_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     final = traj.final
     _emit_field(cfg, out_dir, "final_psi", final.psi)
@@ -128,30 +126,16 @@ def _run_trajectory(cfg, out_dir, pair):
     return traj
 
 
-def cmd_continue(cfg, out_dir):
-    grid = cfg.grid()
-    pair = make_density_pair(cfg.f_spec, cfg.g_spec, grid)
-    _run_trajectory(cfg, out_dir, pair)
-    return EXIT_OK
-
-
 def cmd_compare(cfg, out_dir):
-    grid = cfg.grid()
-    pair = make_density_pair(cfg.f_spec, cfg.g_spec, grid)
-    traj = _run_trajectory(cfg, out_dir, pair)
-    cold = newton_correct(identity_cost(),
-                          ScalarField(grid, np.zeros(grid.shape)), pair,
-                          tol=cfg.options.newton_tol,
-                          max_iter=cfg.options.max_newton)
-    _emit_brenier(cfg, out_dir, pair, cold)
-    diff = traj.final.psi.values - cold.potential.values
+    traj = cmd_continue(cfg, out_dir)
+    cold = cmd_brenier(cfg, out_dir)
+    diff = traj.final.psi.values - cold.values
     sup_diff = float(np.max(np.abs(diff)))
     l2_diff = float(np.sqrt(np.mean(diff ** 2)))
     _write_csv_row(os.path.join(out_dir, "compare.csv"),
                    ("sup_diff", "l2_diff"), (sup_diff, l2_diff))
     _say(cfg, f"[compare] continuation vs cold newton: sup {sup_diff:.3g}, "
               f"l2 {l2_diff:.3g}")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -159,6 +143,16 @@ _COMMANDS = {
     "brenier": cmd_brenier,
     "continue": cmd_continue,
     "compare": cmd_compare,
+}
+
+
+# flag -> the configuration keys its text sets
+_FLAG_KEYS = {
+    "out": ("out",),
+    "grid": ("grid.n1", "grid.n2"),
+    "t0": ("t0",),
+    "steps": ("steps",),
+    "quiet": ("quiet",),
 }
 
 
@@ -170,11 +164,10 @@ def _build_parser():
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="configuration file")
     parser.add_argument("--out", help="output directory (overrides 'out')")
-    parser.add_argument("--grid", type=int,
-                        help="grid size N for an N x N grid")
-    parser.add_argument("--t0", type=float, help="continuation start time")
+    parser.add_argument("--grid", help="grid size N for an N x N grid")
+    parser.add_argument("--t0", help="continuation start time")
     parser.add_argument("--steps", help="step count or 'adaptive'")
-    parser.add_argument("--quiet", action="store_true",
+    parser.add_argument("--quiet", action="store_const", const="true",
                         help="suppress progress output")
     return parser
 
@@ -182,31 +175,15 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     overrides = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.grid is not None:
-        overrides["grid.n1"] = args.grid
-        overrides["grid.n2"] = args.grid
-    if args.t0 is not None:
-        overrides["t0"] = args.t0
-    if args.steps is not None:
-        overrides["steps"] = args.steps if args.steps == "adaptive" \
-            else int(args.steps)
-    if args.quiet:
-        overrides["quiet"] = True
-
+    for flag, keys in _FLAG_KEYS.items():
+        text = getattr(args, flag)
+        if text is not None:
+            overrides.update(dict.fromkeys(keys, text))
     try:
         cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"tot: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"tot: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, cfg.out_dir)
+        _COMMANDS[args.command](cfg, cfg.out_dir)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"tot: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

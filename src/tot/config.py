@@ -6,8 +6,12 @@ the schema below.  Densities come either from the shipped catalog
 (``f.modes = (k1,k2,amp,phase); (k1,k2,amp,phase)``).  The schedule key
 ``lambda`` accepts ``t`` (linear, the default) or ``t^P`` with P >= 1.
 
-Every violated constraint is reported with its key path; unknown keys
-get a closest-match suggestion.  Parse errors carry the line number.
+Overrides (the command-line flags) are ``key -> text`` like a file line
+and go through the same parsers.  The configuration builds the grid and
+the density pair, so every input, positivity on the configured grid
+included, is validated here.  Every violated constraint is reported with
+its key path; unknown keys get a closest-match suggestion.  Parse errors
+carry the line number.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import re
 from dataclasses import dataclass, fields
 
 from .continuation import ContinuationOptions
-from .densities import CATALOG, DELTA_MIN, DensitySpec
-from .errors import ConfigError
+from .densities import (CATALOG, DELTA_MIN, DensityPair, DensitySpec,
+                        make_density_pair)
+from .errors import ConfigError, PositivityError
 from .grid import build_grid
 from .monge_ampere import CostSchedule
 
@@ -81,10 +86,7 @@ _SCHEMA = {
 class RunConfig:
     """Validated settings for one command invocation."""
 
-    grid_n1: int
-    grid_n2: int
-    f_spec: DensitySpec
-    g_spec: DensitySpec
+    pair: DensityPair
     schedule: CostSchedule
     options: ContinuationOptions
     out_dir: str
@@ -92,9 +94,6 @@ class RunConfig:
     emit_binary: bool
     emit_steps: bool
     quiet: bool
-
-    def grid(self):
-        return build_grid(self.grid_n1, self.grid_n2)
 
 
 def _parse_lines(text):
@@ -108,22 +107,27 @@ def _parse_lines(text):
                 f"line {lineno}: expected 'key = value', got {raw.strip()!r}",
                 line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
-            hint = difflib.get_close_matches(key, _SCHEMA.keys(), n=1)
-            suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(f"line {lineno}: unknown key {key!r}{suggestion}",
-                              line=lineno, key=key)
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}",
                               line=lineno, key=key)
-        parser, _ = _SCHEMA[key]
-        try:
-            entries[key] = parser(value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(
-                f"line {lineno}: invalid value for {key!r}: {exc}",
-                line=lineno, key=key) from exc
+        entries[key] = _parse_value(key, value, f"line {lineno}", lineno)
     return entries
+
+
+def _parse_value(key, text, where, line=None):
+    """Parse ``text`` as the value of schema key ``key``; the message of a
+    ConfigError starts with ``where``, the line or the override."""
+    if key not in _SCHEMA:
+        hint = difflib.get_close_matches(key, _SCHEMA.keys(), n=1)
+        suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
+        raise ConfigError(f"{where}: unknown key {key!r}{suggestion}",
+                          line=line, key=key)
+    parser, _ = _SCHEMA[key]
+    try:
+        return parser(text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: invalid value for {key!r}: {exc}",
+                          line=line, key=key) from exc
 
 
 def _density_from_entries(entries, which):
@@ -147,23 +151,22 @@ def _density_from_entries(entries, which):
 
 
 def _schedule_from_entry(text):
-    if text == "t":
-        return CostSchedule.linear()
-    match = re.fullmatch(r"t\^(\d+(?:\.\d+)?)", text)
+    match = re.fullmatch(r"t(?:\^(\d+(?:\.\d+)?))?", text)
     if match is None:
         raise ConfigError(
             f"lambda: expected 't' or 't^P', got {text!r}", key="lambda")
-    power = float(match.group(1))
-    if power < 1.0:
-        raise ConfigError("lambda: power must be >= 1", key="lambda")
-    return CostSchedule.linear() if power == 1.0 else CostSchedule.power(power)
+    power = float(match.group(1) or 1.0)
+    if power == 1.0:
+        return CostSchedule.linear()
+    try:
+        return CostSchedule.power(power)
+    except ValueError as exc:
+        raise ConfigError(f"lambda: {exc}", key="lambda") from exc
 
 
-def config_from_entries(entries, overrides=None):
+def config_from_entries(entries):
     merged = {key: default for key, (_, default) in _SCHEMA.items()}
     merged.update(entries)
-    if overrides:
-        merged.update(overrides)
 
     f_spec = _density_from_entries(merged, "f")
     g_spec = _density_from_entries(merged, "g")
@@ -184,17 +187,26 @@ def config_from_entries(entries, overrides=None):
         options.validated()
     except ValueError as exc:
         raise ConfigError(f"options: {exc}") from exc
-    return RunConfig(grid.n1, grid.n2, f_spec, g_spec, schedule, options,
-                     merged["out"], merged["emit.csv"], merged["emit.binary"],
-                     merged["emit.steps"], merged["quiet"])
+    # the pair's own scan runs on the 4x oversampled configured grid
+    try:
+        pair = make_density_pair(f_spec, g_spec, grid)
+    except PositivityError as exc:
+        raise ConfigError(f"grid {grid.n1}x{grid.n2}: {exc}") from exc
+    return RunConfig(pair, schedule, options, merged["out"], merged["emit.csv"],
+                     merged["emit.binary"], merged["emit.steps"],
+                     merged["quiet"])
 
 
 def load_config(path, overrides=None):
-    """Parse and validate a configuration file.
+    """Parse and validate a configuration file and build its density pair.
 
-    ``overrides`` maps schema keys to already-parsed values (used by the
-    command line flags, which take precedence over file entries).
+    ``overrides`` maps schema keys to value text, parsed exactly as a file
+    line of that key would be; the command-line flags pass their text
+    here, and it takes precedence over the file's entries.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return config_from_entries(_parse_lines(text), overrides)
+    entries = _parse_lines(text)
+    for key, value in (overrides or {}).items():
+        entries[key] = _parse_value(key, value, "override")
+    return config_from_entries(entries)

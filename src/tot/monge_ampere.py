@@ -67,28 +67,25 @@ class CostMatrix:
 class CostSchedule:
     """t -> (lambda_t, lambda_dot_t) defining A_t = diag(1, lambda_t)."""
 
-    kind: str
     lam: Callable[[float], float]
     lam_dot: Callable[[float], float]
 
     @staticmethod
     def linear():
-        return CostSchedule("linear", lambda t: t, lambda t: 1.0)
+        return CostSchedule(lambda t: t, lambda t: 1.0)
 
     @staticmethod
     def power(p):
         p = float(p)
         if p < 1.0:
             raise ValueError("power schedules need p >= 1")
-        return CostSchedule("custom",
-                            lambda t: t ** p,
-                            lambda t: p * t ** (p - 1.0))
+        return CostSchedule(lambda t: t ** p, lambda t: p * t ** (p - 1.0))
 
     @staticmethod
     def custom(lam, lam_dot):
         if lam(0.0) != 0.0:
             raise ValueError("schedule must satisfy lambda(0) = 0")
-        return CostSchedule("custom", lam, lam_dot)
+        return CostSchedule(lam, lam_dot)
 
     def matrix(self, t):
         if not t > 0.0:

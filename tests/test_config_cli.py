@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import tot
-from tot.cli import _run_trajectory, main
-from tot.config import load_config
+from tot.cli import _FLAG_KEYS, _build_parser, cmd_continue, main
+from tot.config import _SCHEMA, load_config
 from tot.errors import ConfigError
 from tot.fieldio import read_field_binary
 
@@ -25,8 +25,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, MINIMAL))
-    assert cfg.grid_n1 == 128 and cfg.grid_n2 == 128
-    assert cfg.schedule.kind == "linear"
+    assert cfg.pair.grid.shape == (128, 128)
     assert cfg.schedule.lam(0.25) == 0.25
     assert cfg.options.t0 == 1e-3
     assert cfg.options.steps == 32
@@ -86,8 +85,8 @@ def test_config_power_schedule(tmp_path):
 
 def test_config_overrides(tmp_path):
     cfg = load_config(write_cfg(tmp_path, MINIMAL),
-                      overrides={"grid.n1": 64, "grid.n2": 64, "t0": 1e-2})
-    assert cfg.grid_n1 == 64
+                      overrides={"grid.n1": "64", "grid.n2": "64", "t0": "1e-2"})
+    assert cfg.pair.grid.n1 == 64
     assert cfg.options.t0 == 1e-2
 
 
@@ -220,8 +219,8 @@ quiet = true
 emit.csv = false
 """), {"out": str(tmp_path / "out")})
     (tmp_path / "out").mkdir()
-    pair = tot.make_density_pair(cfg.f_spec, cfg.g_spec, cfg.grid())
-    final = _run_trajectory(cfg, cfg.out_dir, pair).final
+    pair = cfg.pair
+    final = cmd_continue(cfg, cfg.out_dir).final
     assert final.t == 1e-3
     map1, map2 = (read_field_binary(tmp_path / "out" / f"final_map{i}.totf")
                   for i in (1, 2))
@@ -319,6 +318,59 @@ def test_exit_code_grading_ratio_ignored(tmp_path, capsys, entry):
                    "--out", str(tmp_path / "out")) == 2
     assert "options: grading_ratio" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, text", [("--steps", "abc"), ("--steps", "1.5"),
+                                        ("--t0", "abc"), ("--grid", "x"),
+                                        ("--grid", "9")])
+def test_exit_code_invalid_flag(tmp_path, capsys, flag, text):
+    cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n")
+    assert run_cli("continue", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"), flag, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tot: config error") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flags_are_schema_entries():
+    # a flag's text reaches the schema parser untyped, so no flag can
+    # bypass the validation of the keys it overrides
+    options = [action for action in _build_parser()._actions
+               if action.option_strings and action.dest not in ("config", "help")]
+    assert sorted(action.dest for action in options) == sorted(_FLAG_KEYS)
+    for action in options:
+        assert action.type is None
+        assert action.const is None or isinstance(action.const, str)
+        assert set(_FLAG_KEYS[action.dest]) <= set(_SCHEMA)
+
+
+def test_exit_code_density_not_positive_on_the_configured_grid(tmp_path, capsys):
+    # the minimum 0.0499999 lies between the points of the 512^2 scan of
+    # every config, and on a point of the 4x oversampled 256^2 grid
+    cfg = write_cfg(tmp_path, """
+f.modes = (0, 1, 0.9500001, 0.0061359231515425647)
+g.modes = (0, 1, 0.2, 0)
+""")
+    load_config(cfg)                    # accepted at the default 128^2
+    assert run_cli("knothe", "--config", str(cfg), "--grid", "256",
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tot: config error") and "density not positive" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_brenier_residual_field_is_the_certified_residual(tmp_path):
+    cfg = write_cfg(tmp_path, """
+f.name = standard_f
+g.name = standard_g
+emit.csv = false
+quiet = true
+""")
+    out = tmp_path / "out"
+    assert run_cli("brenier", "--config", str(cfg), "--out", str(out)) == 0
+    row = (out / "brenier_diagnostics.csv").read_text().splitlines()[1]
+    residual = read_field_binary(out / "brenier_residual.totf")
+    assert np.max(np.abs(residual.values)) == float(row.split(",")[0])
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):
