@@ -5,15 +5,17 @@ is the composition of one cumulative function with the inverse of the
 other, up to a shift of the cumulative level.  Exactly one shift makes
 the displacement x - T(x) average to zero; that map derives from a
 periodic potential, T = id - psi', and is also the cheapest rearrangement
-for the quadratic cost.  This script builds such a map, checks the
-pushforward, and reconstructs the map from its potential.
+for the quadratic cost.  The densities are closed-form cosine sums, so the
+cumulative functions are their exact primitives.  This script builds such
+a map, checks the pushforward, and reconstructs the map from its
+potential.
 """
 
 import numpy as np
 
 import tot
 from tot.grid import deriv_values
-from tot.transport1d import cdf_at, invert_lifted_cdf, transport_cost
+from tot.transport1d import invert_lifted_cdf, transport_cost
 from tot.trig import TrigPoly1D
 
 m = 512
@@ -37,7 +39,7 @@ print(f"  min (1 - psi'')            = {np.min(1.0 - deriv_values(psi, 0, 2)):.4
 
 # the selected shift is also the cost minimizer: scan competing shifts
 x = tmap.nodes()
-levels = cdf_at(f, x)
+levels = f.closed_form.antiderivative(x)
 best = transport_cost(f, g, tmap.displacement)
 costs = []
 y = x - tmap.displacement

@@ -174,7 +174,7 @@ def config_from_entries(entries):
         lowest = spec.min_value()
         if lowest < DELTA_MIN:
             raise ConfigError(
-                f"{which}: density not positive: min ≈ {lowest:.3g} "
+                f"{which}: density not positive: min = {lowest!r} "
                 f"< {DELTA_MIN:g}", key=f"{which}.modes")
 
     schedule = _schedule_from_entry(merged["lambda"])

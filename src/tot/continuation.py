@@ -126,7 +126,7 @@ def _assemble(lam, u1, u2):
     return ScalarField(u2.grid, values - np.mean(values), zero_mean=True)
 
 
-def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
+def velocity(t, psi, pair, schedule=None, *, tol=1e-11):
     """Potential velocity psi_dot at an (approximately) solved state.
 
     Solves the linearized equation with the cost-rate right-hand side in
@@ -136,7 +136,7 @@ def velocity(t, psi, pair, schedule=None, *, tol=1e-11, warn=True):
     """
     schedule = schedule or CostSchedule.linear()
     u1, u2 = decompose(t, psi, schedule)
-    v1, v2 = _velocity_split(t, u1, u2, pair, schedule, tol, warn=warn)
+    v1, v2 = _velocity_split(t, u1, u2, pair, schedule, tol)
     return _assemble(schedule.lam(t), v1, v2)
 
 
@@ -204,7 +204,7 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
 def _solve_at(grid, st, q, tol):
     """PCG solve of the linearized equation with the coefficients of st."""
     v, _ = _solve_with_coefficients(grid, *coefficient_arrays(st), q, tol,
-                                    None, None)
+                                    None)
     return v
 
 
@@ -415,7 +415,7 @@ MAX_HALVINGS = 8       # of t0, before init_from_knothe gives up
 
 
 def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
-                     max_newton=20, knothe=None):
+                     max_newton=20):
     """Converged potential at small t0 from the Knothe predictor.
 
     The predictor (u1, lambda_{t0} u2) is Newton-corrected at A_{t0} in
@@ -425,7 +425,7 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
     the certifying state's map are all returned.
     """
     schedule = schedule or CostSchedule.linear()
-    kn = knothe if knothe is not None else knothe_solution(pair)
+    kn = knothe_solution(pair)
     t = float(t0)
     for _ in range(MAX_HALVINGS + 1):
         try:

@@ -31,8 +31,9 @@ class DensitySpec:
     def trig(self):
         return TrigPoly2D.from_modes(self.modes, const=1.0).normalized()
 
-    def min_value(self, n1=128, n2=128):
-        return self.trig().min_on_grid(OVERSAMPLE * n1, OVERSAMPLE * n2)
+    def min_value(self):
+        """Minimum on the 512^2 grid (the 128^2 grid oversampled)."""
+        return self.trig().min_on_grid(OVERSAMPLE * 128, OVERSAMPLE * 128)
 
 
 def spec(*modes):
@@ -100,16 +101,16 @@ def density_field(density, grid):
     return ScalarField(grid, poly(x1, x2), closed_form=poly)
 
 
-def make_density_pair(f, g, grid, delta=DELTA_MIN):
+def make_density_pair(f, g, grid):
     """Build a validated DensityPair from specs or closed forms."""
     ff = density_field(f, grid)
     gf = density_field(g, grid)
     margins = []
     for name, fld in (("f", ff), ("g", gf)):
         lowest = fld.closed_form.min_on_grid(OVERSAMPLE * grid.n1, OVERSAMPLE * grid.n2)
-        if lowest < delta:
+        if lowest < DELTA_MIN:
             raise PositivityError(
-                f"density not positive: min ≈ {lowest:.3g} < {delta:g} ({name})")
+                f"density not positive: min = {lowest!r} < {DELTA_MIN:g} ({name})")
         if abs(float(np.mean(fld.values)) - 1.0) > 1e-12:
             raise PositivityError(f"density mass is not 1 ({name})")
         margins.append(lowest)

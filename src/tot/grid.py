@@ -40,14 +40,6 @@ class PeriodicGrid:
     n2: int
 
     @property
-    def h1(self):
-        return 1.0 / self.n1
-
-    @property
-    def h2(self):
-        return 1.0 / self.n2
-
-    @property
     def shape(self):
         return (self.n1, self.n2)
 
@@ -119,11 +111,6 @@ def zero_field(grid):
 # ---------------------------------------------------------------------------
 # array-level spectral kernels (shared by the solver modules)
 
-def wavenumbers(n):
-    """Signed integer wavenumbers [0, 1, ..., n/2-1, -n/2, ..., -1]."""
-    return np.fft.fftfreq(n, d=1.0 / n)
-
-
 class Symbols(NamedTuple):
     d1: np.ndarray
     d2: np.ndarray
@@ -139,7 +126,7 @@ def symbols(n, half=True):
     symbol there would make the output complex); the second derivative
     keeps it as -(pi n)^2; the primitive 1/(2i pi k) drops the mean and
     Nyquist.  ``half=False`` unfolds the same symbols onto the full fft
-    spectrum, ordered as :func:`wavenumbers`.
+    spectrum, ordered as ``np.fft.fftfreq``.
     """
     if half:
         k = np.arange(n // 2 + 1)

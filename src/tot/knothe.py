@@ -110,7 +110,7 @@ def knothe_solution(pair):
     return KnotheSolution(grid, r1, fibers.displacement, potentials)
 
 
-def fiber_pushforward_error(pair, solution, n_fibers=8, n_quantiles=256):
+def fiber_pushforward_error(pair, solution, n_fibers=8):
     """Max quantile-test error of the fiber maps over sampled fibers."""
     grid = pair.grid
     _, f_fiber = marginal_and_conditionals(pair.f, certified=True)
@@ -119,7 +119,7 @@ def fiber_pushforward_error(pair, solution, n_fibers=8, n_quantiles=256):
     idx = np.linspace(0, grid.n1 - 1, n_fibers).astype(int)
     return pushforward_quantile_error(
         f_fiber(grid.nodes1()[idx]), g_fiber(images[idx]),
-        CircleMap(solution.r2_displacement[idx]), n_quantiles)
+        CircleMap(solution.r2_displacement[idx]))
 
 
 def l2_map_distance(tmap, rmap, f):

@@ -201,8 +201,8 @@ def _half_dot(a, c):
             - np.vdot(a[:, -1], c[:, -1]).real)
 
 
-def _pcg(apply_op, inverse, b, tol, max_iter, x0=None):
-    """Preconditioned conjugate gradients on rfft2 spectra.
+def _pcg(apply_op, inverse, b, tol, max_iter):
+    """Preconditioned conjugate gradients on rfft2 spectra, from zero.
 
     ``apply_op`` is negative definite and so is the pointwise inverse symbol
     ``inverse``; every sign cancels in the step lengths, so the iterates
@@ -211,12 +211,8 @@ def _pcg(apply_op, inverse, b, tol, max_iter, x0=None):
     norm_b = np.sqrt(_half_dot(b, b))
     if norm_b == 0.0:
         return np.zeros_like(b), 0
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0
-        r = b - apply_op(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     z = inverse * r
     p = z.copy()
     rz = _half_dot(r, z)
@@ -241,7 +237,7 @@ def _pcg(apply_op, inverse, b, tol, max_iter, x0=None):
         residual=residual, iterations=max_iter)
 
 
-def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol, max_iter, x0):
+def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol, max_iter):
     kern = _kernels(*grid.shape)
     inverse = kern.mean_coefficient_inverse(
         float(np.mean(b11)), float(np.mean(b12)), float(np.mean(b22)))
@@ -255,13 +251,12 @@ def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol, max_iter, x0):
 
     if max_iter is None:
         max_iter = 10 * (grid.n1 + grid.n2)
-    x0s = None if x0 is None else kern.solvable_spectrum(x0)
     spec, iters = _pcg(apply_op, inverse, kern.solvable_spectrum(q_values),
-                       tol, max_iter, x0s)
+                       tol, max_iter)
     return irfft2(spec, grid.shape), iters
 
 
-def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):
+def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None):
     """Solve Div(B grad v) = q for the unique zero-mean v.
 
     Parameters
@@ -272,9 +267,6 @@ def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):
         Relative residual target: ||Div(B grad v) - q||_2 <= tol ||q||_2.
     max_iter : int, optional
         Iteration cap (default 10 * (n1 + n2)).
-    x0 : ScalarField, optional
-        Initial guess; the zero-mean constraint kills the kernel, so any
-        starting point converges to the same solution.
 
     Raises
     ------
@@ -288,9 +280,8 @@ def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None, x0=None):
         raise ValueError("right-hand side must have zero mean")
     st = residual_state(cost, *split_values(u.values, cost.a22), pair)
     b11, b12, b22 = coefficient_arrays(st)
-    x0v = None if x0 is None else x0.values
     v, _ = _solve_with_coefficients(pair.grid, b11, b12, b22, q.values,
-                                    tol, max_iter, x0v)
+                                    tol, max_iter)
     return ScalarField(pair.grid, v, zero_mean=True)
 
 

@@ -160,7 +160,7 @@ class ResidualState:
             grid, grid.mesh()[1] - self.grad2 / self.cost.a22))
 
 
-def residual_state(cost, u1_values, u2_values, pair, require_margin=True):
+def residual_state(cost, u1_values, u2_values, pair):
     """Residual state of u1(x1) + a22 u2(x1, x2) at ``cost``, from the
     derivatives of u1 and u2 themselves; split an assembled potential
     with ``split_values(values, cost.a22)`` first.
@@ -171,12 +171,12 @@ def residual_state(cost, u1_values, u2_values, pair, require_margin=True):
     no machine noise into the x2-derivatives that the 1/a22 divisions
     amplify.  The margin certifies admissibility of the decomposed pair:
     min(1 - d11 u) is at least the smaller eigenvalue, so a positive margin
-    implies both inequalities of ``check_admissible``; unless
-    ``require_margin`` is false, a margin <= 0 raises ``ConcavityError``.
+    implies both inequalities of ``check_admissible``; a margin <= 0 raises
+    ``ConcavityError``.
     """
     g1, g2, u11, u12, u22 = split_derivatives(u1_values, u2_values, cost.a22)
     margin = margin_values(cost, u11, u12, u22)
-    if require_margin and margin <= 0.0:
+    if margin <= 0.0:
         raise ConcavityError(
             f"not c-concave: min eig(A - D2 u) = {margin:.3g} <= 0")
     x1, x2 = pair.grid.mesh()
@@ -205,32 +205,32 @@ def t0_margins(u1_values, u2_values):
     return float(np.min(1.0 - d11)), float(np.min(1.0 - d22))
 
 
-def check_admissible(t, u1_values, u2_values, schedule, eps=0.0):
+def check_admissible(t, u1_values, u2_values, schedule):
     """Membership test for the admissible neighbourhood of the decomposed
     potentials; raises ``AdmissibilityError`` naming the failed inequality."""
     u1_values = np.asarray(u1_values, float)
     u2_values = np.asarray(u2_values, float)
     if t == 0.0:
         m1, m2 = t0_margins(u1_values, u2_values)
-        if m1 <= eps:
+        if m1 <= 0.0:
             raise AdmissibilityError(
-                f"admissibility failed at t=0: min(1 - d11 u1) = {m1:.3g} <= {eps:.3g}")
-        if m2 <= eps:
+                f"admissibility failed at t=0: min(1 - d11 u1) = {m1:.3g} <= 0")
+        if m2 <= 0.0:
             raise AdmissibilityError(
-                f"admissibility failed at t=0: min(1 - d22 u2) = {m2:.3g} <= {eps:.3g}")
+                f"admissibility failed at t=0: min(1 - d22 u2) = {m2:.3g} <= 0")
         return
     lam = schedule.lam(t)
     _, _, u11, u12, u22 = split_derivatives(u1_values, u2_values, lam)
     m1 = float(np.min(1.0 - u11))
-    if m1 <= eps:
+    if m1 <= 0.0:
         raise AdmissibilityError(
             f"admissibility failed at t={t:g}: min(1 - d11 u1 - lam d11 u2) "
-            f"= {m1:.3g} <= {eps:.3g}")
+            f"= {m1:.3g} <= 0")
     margin = margin_values(schedule.matrix(t), u11, u12, u22)
-    if margin <= eps * lam:
+    if margin <= 0.0:
         raise AdmissibilityError(
             f"admissibility failed at t={t:g}: min eig(A - D2 u) = {margin:.3g} "
-            f"<= eps*lambda = {eps * lam:.3g}")
+            "<= 0")
 
 
 def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
@@ -287,7 +287,7 @@ def split_values(values, lam):
     return row - row.mean(), (values - row[:, None]) / lam
 
 
-def decomposed_residual(t, u1, u2, pair, schedule=None, eps=0.0):
+def decomposed_residual(t, u1, u2, pair, schedule=None):
     """Residual of the decomposed potential u1(x1) + lambda_t * u2(x1,x2).
 
     For t > 0 this is exactly ``monge_ampere_residual`` at the assembled
@@ -300,12 +300,11 @@ def decomposed_residual(t, u1, u2, pair, schedule=None, eps=0.0):
     schedule = schedule or CostSchedule.linear()
     u1 = np.asarray(u1, float)
     grid = u2.grid
-    check_admissible(t, u1, u2.values, schedule, eps)
+    check_admissible(t, u1, u2.values, schedule)
     if t != 0.0:
         cost = schedule.matrix(t)
         combined = u1[:, None] + schedule.lam(t) * u2.values
-        st = residual_state(cost, *split_values(combined, cost.a22), pair,
-                            require_margin=False)
+        st = residual_state(cost, *split_values(combined, cost.a22), pair)
         return ScalarField(grid, st.residual)
     return ScalarField(grid, split_residual_values(0.0, u1, u2.values, pair))
 

@@ -12,10 +12,10 @@ bracket from the slope bounds catches every step that leaves it.
 
 Every function here works on one density (samples of shape (m,)) or on a
 stack of them (shape (rows, m)), all rows at once; the single density is
-the one-row case of the same code.  Stacks need closed forms.
+the one-row case of the same code.
 
-Cumulative functions are exact primitives of the closed form when the
-density carries one, otherwise of the trigonometric interpolant of the
+Densities are closed-form cosine sums, as on the torus, and cumulative
+functions are their exact primitives, with no interpolant of the
 samples.  Inverses and shifts share one safeguarded (bracketed) Newton
 loop that works on the entries still active: an entry that has converged
 keeps its value and is not evaluated again.  A cdf inversion step takes
@@ -26,12 +26,12 @@ the cdfs of the rows whose shift is still active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, CutLocusError, PositivityError
-from .grid import antideriv_values, wavenumbers
+from .grid import antideriv_values
 from .trig import TrigPoly1D, frac
 
 NEWTON_TOL = 1e-14
@@ -43,80 +43,38 @@ MAX_DISPLACEMENT = 0.5
 class CircleDensity:
     """Positive density on the circle, renormalized to unit mass.
 
-    ``values`` are samples at nodes i/m; ``closed_form``, when present, is
-    the exact trigonometric definition (already normalized).
+    ``values`` are samples at nodes i/m of ``closed_form``, the exact
+    trigonometric definition (already normalized).
     """
 
     values: np.ndarray
-    closed_form: TrigPoly1D | None = None
-    _spectrum: np.ndarray | None = dataclass_field(default=None, repr=False)
+    closed_form: TrigPoly1D
 
     @property
     def m(self):
         return self.values.shape[-1]
 
-    def nodes(self):
-        return np.arange(self.m) / self.m
 
-    def spectrum(self):
-        """DFT coefficients of the samples (used by the interpolant path)."""
-        if self._spectrum is None:
-            self._spectrum = np.fft.fft(self.values) / self.m
-        return self._spectrum
-
-
-def circle_density(values=None, closed_form=None, m=None):
-    """Build a validated, unit-mass CircleDensity (or stack, row by row).
-
-    Provide samples, a closed form plus a sample count, or both.
-    """
-    if values is None:
-        if closed_form is None or m is None:
-            raise ValueError("need samples or a closed form with a sample count")
-        closed_form = closed_form.normalized()
-        values = closed_form(np.arange(m) / m)
-    values = np.asarray(values, float).copy()
-    if values.ndim not in (1, 2) or values.shape[-1] < 4:
-        raise ValueError("need 1D (or rows of) arrays of at least 4 samples")
-    if values.ndim == 2 and closed_form is None:
-        raise ValueError("a stack of densities needs a closed form")
+def circle_density(closed_form, m):
+    """Build a validated, unit-mass CircleDensity (or stack, row by row)
+    from a closed form sampled at the m nodes i/m."""
+    if m < 4:
+        raise ValueError("need at least 4 samples")
+    closed_form = closed_form.normalized()
+    values = closed_form(np.arange(m) / m)
     if np.min(values) <= 0.0:
         raise PositivityError(
             f"density not positive: min = {np.min(values):.3g}")
     mean = values.mean(axis=-1)
     values /= mean[..., None]
-    if closed_form is not None and np.any(np.abs(mean - 1.0) > 1e-9):
+    # a mean off 1 by rounding keeps the closed form's bits; any more (modes
+    # aliased onto the mean) rescales it, so the samples stay its values
+    if np.any(np.abs(mean - 1.0) > 16 * np.finfo(float).eps):
         closed_form = closed_form.scaled(1.0 / mean)
     return CircleDensity(values, closed_form)
 
 
-def density_at(d, x):
-    """Density value at arbitrary points (closed form or trig interpolant)."""
-    x = np.asarray(x, float)
-    if d.closed_form is not None:
-        return d.closed_form(x)
-    c = d.spectrum()
-    k = wavenumbers(d.m)
-    phase = np.exp(2j * np.pi * np.multiply.outer(frac(x), k))
-    return (phase @ c).real
-
-
-def cdf_at(d, x):
-    """Primitive of the density from 0, evaluated at points in [0, 1]."""
-    x = np.asarray(x, float)
-    if d.closed_form is not None:
-        return d.closed_form.antiderivative(x)
-    c = d.spectrum()
-    k = wavenumbers(d.m)
-    nz = k != 0
-    coef = np.zeros_like(c)
-    coef[nz] = c[nz] / (2j * np.pi * k[nz])
-    phase = np.exp(2j * np.pi * np.multiply.outer(x, k)) - 1.0
-    return c[0].real * x + (phase @ coef).real
-
-
-def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100, *,
-                      with_density=False):
+def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, with_density=False):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real.  Vectorized
@@ -137,8 +95,6 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100, *,
 
     def evaluate(y, at):
         level = r if at is None else r[at]
-        if d.closed_form is None:
-            return cdf_at(d, y) - level, density_at(d, y)
         if at is None:          # every entry: a stack's rows broadcast
             value, primitive = d.closed_form.value_and_primitive(y.reshape(w.shape))
         else:
@@ -151,7 +107,7 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, max_iter=100, *,
     # an entry's level is read only while it is active, so once it is final
     # its slot in r can take the density at its root
     _safeguarded_newton(evaluate, y, np.zeros_like(r), np.ones_like(r), tol,
-                        max_iter, "cdf inversion",
+                        100, "cdf inversion",
                         slopes=r if with_density else None)
     inverse = np.floor(w) + y.reshape(w.shape)
     return (inverse, r.reshape(w.shape)) if with_density else inverse
@@ -281,7 +237,7 @@ def monotone_circle_map(f, g):
             raise PositivityError("density not positive")
     m = f.m
     x = np.arange(m) / m
-    s = cdf_at(f, x)
+    s = f.closed_form.antiderivative(x)
     theta, y = _newton_shift(g, s, x)
     # polish at full precision with the selected shift
     ymap = invert_lifted_cdf(g, s + theta[..., None], x0=y, tol=1e-15)
@@ -341,16 +297,17 @@ def transport_cost(f, g, displacement):
     return 0.5 * float(np.mean(displacement ** 2 * f.values))
 
 
-def pushforward_quantile_error(f, g, tmap, n_quantiles=256):
-    """max_u |Glift(T(Finv(u))) - u - theta| over interior quantiles u.
+def pushforward_quantile_error(f, g, tmap):
+    """max_u |Glift(T(Finv(u))) - u - theta| over 256 interior quantiles u.
 
     Zero (to solver accuracy) exactly when T pushes f forward to g; used
     as the module's pushforward certificate.  For stacks, theta is fitted
     per row and the maximum runs over all rows.
     """
-    u = (np.arange(n_quantiles) + 0.5) / n_quantiles
+    u = (np.arange(256) + 0.5) / 256
     x = invert_lifted_cdf(f, np.broadcast_to(u, f.values.shape[:-1] + u.shape))
     tx = tmap(x)
-    values = np.floor(tx) + cdf_at(g, frac(tx)) - cdf_at(f, frac(x))
+    values = (np.floor(tx) + g.closed_form.antiderivative(frac(tx))
+              - f.closed_form.antiderivative(frac(x)))
     theta = np.mean(values, axis=-1, keepdims=True)
     return float(np.max(np.abs(values - theta)))

@@ -162,11 +162,6 @@ class TrigPoly2D:
         return TrigPoly2D(c, np.asarray(k1s, dtype=int), np.asarray(k2s, dtype=int),
                           np.asarray(amps, float), np.asarray(phases, float))
 
-    @property
-    def mass(self):
-        """Integral over the torus."""
-        return self.const
-
     def __call__(self, x1, x2):
         """Value at (x1, x2), used as given: callers pass arguments reduced
         mod 1 (``frac``), and no mode reduces them again."""

@@ -98,7 +98,7 @@ def test_criterion_3_elliptic_solver(pair128, knothe128):
         values, iters = _solve_with_coefficients(
             grid, *coefficient_arrays(residual_state(
                 cost, *split_values(u.values, cost.a22), pair128)),
-            q.values, 1e-10, None, None)
+            q.values, 1e-10, None)
         v = tot.field(grid, values)
         residual = tot.apply_linearized(cost, u, pair128, v).values - q.values
         rel = np.sqrt(np.mean(residual ** 2) / np.mean(q.values ** 2))

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -357,6 +358,26 @@ g.modes = (0, 1, 0.2, 0)
     err = capsys.readouterr().err
     assert err.startswith("tot: config error") and "density not positive" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("phase,grid", [
+    ("0.0061359231515425647", "256"),   # the pair's scan on 1024^2
+    ("0", "128"),                       # the configuration's 512^2 scan
+])
+def test_positivity_message_shows_the_real_minimum(tmp_path, capsys, phase,
+                                                   grid):
+    # the minimum 0.0499999 misses the 0.05 margin by 1e-7: at 3 digits it
+    # would read as 0.05
+    cfg = write_cfg(tmp_path, f"""
+f.modes = (0, 1, 0.9500001, {phase})
+g.modes = (0, 1, 0.2, 0)
+""")
+    assert run_cli("knothe", "--config", str(cfg), "--grid", grid,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    lowest = float(re.search(r"min\W+([-+.\deE]+)", err).group(1))
+    assert lowest < 0.05
+    assert abs(lowest - (1.0 - 0.9500001)) < 1e-12
 
 
 def test_brenier_residual_field_is_the_certified_residual(tmp_path):

@@ -394,7 +394,7 @@ def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
     # oracle: the same solve at the old tolerance
     q = st.residual - np.mean(st.residual)
     _, old_iters = solve(pair64.grid, *coefficient_arrays(st), q,
-                         1e-2 * st.sup_residual, None, None)
+                         1e-2 * st.sup_residual, None)
     assert 0 < iters <= old_iters / 2
 
 
@@ -445,7 +445,7 @@ def test_init_distance_to_predictor(pair128, knothe128):
     # headroom, per the stated t0*lambda(t0) normalization
     sched = tot.CostSchedule.linear()
     t0 = 1e-3
-    init = tot.init_from_knothe(pair128, sched, t0, knothe=knothe128)
+    init = tot.init_from_knothe(pair128, sched, t0)
     lam = sched.lam(init.t0)
     predictor = knothe128.potentials.u1[:, None] + lam * knothe128.potentials.u2.values
     predictor = predictor - predictor.mean()

@@ -14,9 +14,11 @@ from tot.grid import (antideriv_values, derivative_bundle, irfft2,
 
 def test_build_grid_spacing():
     g = tot.build_grid(8, 8)
-    assert g.h1 == 0.125 and g.h2 == 0.125
+    assert np.all(np.diff(g.nodes1()) == 0.125)
+    assert np.all(np.diff(g.nodes2()) == 0.125)
     g = tot.build_grid(16, 32)
-    assert g.h1 == 0.0625 and g.h2 == 0.03125
+    assert np.all(np.diff(g.nodes1()) == 0.0625)
+    assert np.all(np.diff(g.nodes2()) == 0.03125)
 
 
 @pytest.mark.parametrize("n1,n2", [(7, 8), (8, 7), (6, 8), (8, 4)])

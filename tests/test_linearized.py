@@ -105,25 +105,6 @@ def test_solve_recovers_forward_input(pair64, grid64):
     assert np.max(np.abs(v.values - w.values)) < 1e-10
 
 
-def test_solve_unique_from_any_start(pair64, grid64):
-    # a white-noise start leaves an initial residual up to 1e5 times the
-    # right-hand side at a22 = 0.01; the solve must still reach tol
-    for a22 in (1.0, 0.01):
-        rng = np.random.default_rng(24)
-        cost, u = random_state(grid64, pair64, rng, a22=a22, t=a22)
-        q = tot.field(grid64, band_limited(grid64, 3, rng), zero_mean=True)
-        q = tot.project_zero_mean(q)
-        tol = 1e-11
-        v0 = tot.solve_linearized(cost, u, pair64, q, tol=tol)
-        scale = np.max(np.abs(v0.values))
-        for start in (admissible_potential(grid64, 4, rng),
-                      rng.standard_normal(grid64.shape)):
-            v1 = tot.solve_linearized(cost, u, pair64, q, tol=tol,
-                                      x0=tot.field(grid64, start))
-            assert (np.max(np.abs(v0.values - v1.values))
-                    < 10 * tol * max(1.0, scale))
-
-
 def test_half_spectrum_inner_product_is_parseval():
     # the solver's inner product on rfft2 spectra is n times the real-space
     # one, Nyquist column and row included

@@ -1,4 +1,5 @@
-"""Property-based tests: config parsing, field files and the cold solve.
+"""Property-based tests: config parsing, field files, circle densities and
+the cold solve.
 
 Example counts are capped in ``FUZZ`` and ``FUZZ_SOLVE`` so the module adds
 a few seconds to the suite; raise ``max_examples`` there for a longer
@@ -10,15 +11,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tot
 from tot.config import _SCHEMA, _parse_lines
-from tot.errors import ConfigError, TransportError
+from tot.errors import ConfigError, PositivityError, TransportError
 from tot.fieldio import MAGIC, read_field_binary, write_field_binary
 from tot.grid import ScalarField, build_grid
+from tot.trig import TrigPoly1D, TrigPoly2D
 
 from tests.conftest import single_grid_newton
 
@@ -113,6 +115,59 @@ def test_binary_accepts_only_valid_sizes_matching_payload(tmp_path, n1, n2,
         assert not valid
         return
     assert valid and field.grid.shape == (n1, n2)
+
+
+# circle densities: closed-form cosine sums sampled on m nodes.  Frequencies
+# reach 2m, so modes alias onto the samples (k = m and 2m onto the mean),
+# and the constructor has to rescale the closed form to unit node mass;
+# four modes of amplitude <= 0.2 keep every sum above 0.2
+_node_counts = st.integers(4, 64)
+
+
+def _circle_modes(m, min_size=0, amplitudes=st.floats(0.0, 0.2)):
+    return st.lists(st.tuples(st.integers(-2 * m, 2 * m), amplitudes,
+                              st.floats(-np.pi, np.pi)),
+                    min_size=min_size, max_size=4)
+
+
+@st.composite
+def closed_forms(draw):
+    """(closed form, m): one cosine sum, or a stack of the fibers of a 2D
+    cosine sum at drawn x1."""
+    m = draw(_node_counts)
+    if draw(st.booleans()):
+        return TrigPoly1D.from_modes(draw(_circle_modes(m))), m
+    modes = draw(st.lists(st.tuples(
+        st.integers(-3, 3), st.integers(-2 * m, 2 * m), st.floats(0.0, 0.2),
+        st.floats(-np.pi, np.pi)), max_size=4))
+    x1 = draw(arrays(np.float64, st.integers(1, 5), elements=st.floats(0.0, 1.0)))
+    return TrigPoly2D.from_modes(modes).slice_x1(x1), m
+
+
+@FUZZ
+@given(closed_forms())
+def test_circle_density_samples_its_unit_mass_closed_form(drawn):
+    poly, m = drawn
+    d = tot.circle_density(poly, m)
+    nodes = np.arange(m) / m
+    assert d.values.shape == np.shape(poly(nodes))
+    assert np.max(np.abs(d.values - d.closed_form(nodes))) <= 1e-14
+    assert np.max(np.abs(d.values.mean(axis=-1) - 1.0)) <= 1e-14
+
+
+@FUZZ
+@given(_node_counts.flatmap(lambda m: st.tuples(
+    st.just(m), _circle_modes(m, 1, st.floats(0.05, 1.0)).filter(
+        lambda modes: all(k != 0 for k, _, _ in modes)),
+    st.floats(0.01, 0.9))))
+def test_circle_density_rejects_a_nonpositive_closed_form(drawn):
+    # a positive constant smaller than the depth of the modes' deepest
+    # trough at the nodes (no mode has k = 0, so it is the mean)
+    m, modes, depth = drawn
+    trough = np.min(TrigPoly1D.from_modes(modes, const=0.0)(np.arange(m) / m))
+    assume(trough < -0.01)
+    with pytest.raises(PositivityError):
+        tot.circle_density(TrigPoly1D.from_modes(modes, const=-depth * trough), m)
 
 
 # cold Newton at 128^2 on cosine densities with |k|_inf <= 2: at most three

@@ -4,8 +4,8 @@ import pytest
 import tot
 from tot.errors import CutLocusError, PositivityError
 from tot.grid import deriv_values
-from tot.transport1d import (_check_map, _safeguarded_newton, cdf_at,
-                             density_at, invert_lifted_cdf, transport_cost)
+from tot.transport1d import (_check_map, _safeguarded_newton,
+                             invert_lifted_cdf, transport_cost)
 from tot.trig import TrigPoly1D, TrigPoly2D
 
 
@@ -66,25 +66,15 @@ def oracle_map(f_eval, g_eval, m):
 
 def test_cdf_uniform_is_identity():
     x = np.linspace(0.0, 1.0, 17)
-    assert np.max(np.abs(cdf_at(uniform(), x) - x)) < 1e-15
+    assert np.max(np.abs(uniform().closed_form.antiderivative(x) - x)) < 1e-15
 
 
 def test_cdf_closed_form_value():
     d = trig_density([(1, 0.2, 0.0)])
-    assert abs(cdf_at(d, np.array([0.25]))[0] - (0.25 + 0.1 / np.pi)) < 1e-15
-    assert abs(cdf_at(d, np.array([0.0]))[0]) < 1e-15
-    assert abs(cdf_at(d, np.array([1.0]))[0] - 1.0) < 1e-13
-
-
-def test_cdf_sampled_bimodal_vs_cumsum_oracle():
-    poly = TrigPoly1D.from_modes([(2, 0.5, 0.3), (1, 0.25, 0.0)])
-    m = 512
-    nodes = np.arange(m) / m
-    d = tot.circle_density(values=poly(nodes))     # sampled path only
-    xf, F_oracle = oracle_cdf_table(lambda x: poly.normalized()(x))
-    probe = np.linspace(0.0, 1.0, 257)
-    expected = np.interp(probe, xf, F_oracle)
-    assert np.max(np.abs(cdf_at(d, probe) - expected)) < 1e-9
+    cdf = d.closed_form.antiderivative
+    assert abs(cdf(np.array([0.25]))[0] - (0.25 + 0.1 / np.pi)) < 1e-15
+    assert abs(cdf(np.array([0.0]))[0]) < 1e-15
+    assert abs(cdf(np.array([1.0]))[0] - 1.0) < 1e-13
 
 
 def test_inversion_keeps_exact_integer_levels():
@@ -93,7 +83,7 @@ def test_inversion_keeps_exact_integer_levels():
     g = trig_density([(1, 0.25, -0.4), (3, 0.1, 0.0)])
     y = invert_lifted_cdf(g, np.array([0.0, 0.3, 1.0, 2.0]))
     assert y[0] == 0.0 and y[2] == 1.0 and y[3] == 2.0
-    assert abs(cdf_at(g, y[1]) - 0.3) <= 1e-14
+    assert abs(g.closed_form.antiderivative(y[1]) - 0.3) <= 1e-14
 
 
 def test_stacked_inversion_keeps_exact_integer_levels():
@@ -104,7 +94,7 @@ def test_stacked_inversion_keeps_exact_integer_levels():
     y = invert_lifted_cdf(g, w)
     exact = w == np.round(w)
     assert np.array_equal(y[exact], w[exact])
-    glift = np.floor(y) + cdf_at(g, y - np.floor(y))
+    glift = np.floor(y) + g.closed_form.antiderivative(y - np.floor(y))
     assert np.max(np.abs(glift - w)) <= 1e-14
 
 
@@ -113,7 +103,7 @@ def test_inversion_returns_the_density_at_the_inverse():
     w = np.array([0.0, 0.3, 1.7, -0.45])
     y, density = invert_lifted_cdf(g, w, with_density=True)
     assert np.array_equal(y, invert_lifted_cdf(g, w))
-    assert np.max(np.abs(density - density_at(g, y))) <= 1e-14
+    assert np.max(np.abs(density - g.closed_form(y))) <= 1e-14
     rows = TrigPoly2D.from_modes([(0, 1, 0.2, 0.4), (1, -1, 0.15, 1.1),
                                   (1, 1, 0.1, -0.3)]).slice_x1(np.array([0.1, 0.7]))
     stack = tot.circle_density(closed_form=rows.normalized(), m=32)
@@ -122,7 +112,7 @@ def test_inversion_returns_the_density_at_the_inverse():
     assert density.shape == w.shape
     for row in range(2):
         one = tot.circle_density(closed_form=stack.closed_form.take(row), m=32)
-        assert np.max(np.abs(density[row] - density_at(one, y[row]))) <= 1e-14
+        assert np.max(np.abs(density[row] - one.closed_form(y[row]))) <= 1e-14
 
 
 def test_newton_evaluates_only_active_entries():
@@ -161,15 +151,9 @@ def test_newton_evaluates_only_active_entries():
     assert evaluated < rows * m * iterations
 
 
-def test_sampled_stack_is_rejected():
-    # the sampled (interpolant) path handles one density only
-    with pytest.raises(ValueError):
-        tot.circle_density(values=np.ones((8, 8)))
-
-
 def test_cdf_rejects_nonpositive():
     with pytest.raises(PositivityError):
-        tot.circle_density(values=1.0 + np.cos(2 * np.pi * np.arange(64) / 64) * 2.0)
+        tot.circle_density(TrigPoly1D.from_modes([(1, 2.0, 0.0)]), 64)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +189,7 @@ def test_shift_scan_never_beats_selected_shift():
     g = trig_density([(1, 0.25, -0.4), (3, 0.1, 0.0)])
     tm = tot.monotone_circle_map(f, g)
     x = tm.nodes()
-    s = cdf_at(f, x)
+    s = f.closed_form.antiderivative(x)
     best = transport_cost(f, g, tm.displacement)
     y = x - tm.displacement
     for theta in np.arange(-0.3, 0.3 + 1e-9, 1e-3):
