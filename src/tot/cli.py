@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .continuation import (_newton_text, newton_correct, run,
+from .continuation import (newton_correct, newton_text, run,
                            trajectory_summary_csv)
 from .errors import ConfigError, ConvergenceError, TransportError
 from .fieldio import write_field_binary, write_field_csv
@@ -88,18 +88,19 @@ def cmd_brenier(cfg, out_dir):
     psi = result.potential
     # the residual the certifying state held, from the decomposed pair
     residual = residual_state(cost, result.u1, result.u2.values, pair).residual
+    tmap = result.tmap
     _emit_field(cfg, out_dir, "brenier_psi", psi)
-    _emit_field(cfg, out_dir, "brenier_map1", result.tmap.v1)
-    _emit_field(cfg, out_dir, "brenier_map2", result.tmap.v2)
+    _emit_field(cfg, out_dir, "brenier_map1", tmap.v1)
+    _emit_field(cfg, out_dir, "brenier_map2", tmap.v2)
     _emit_field(cfg, out_dir, "brenier_residual",
                 ScalarField(pair.grid, residual))
-    pf = pushforward_residual(result.tmap, pair, cfg.options.pushforward_k)
+    pf = pushforward_residual(tmap, pair, cfg.options.pushforward_k)
     _write_csv_row(os.path.join(out_dir, "brenier_diagnostics.csv"),
                    ("sup_residual", "margin", "pushforward_residual",
                     "newton_iters"),
                    (result.sup_residual, result.margin, pf,
                     result.iterations))
-    _say(cfg, f"[brenier] newton iters {_newton_text(result.levels)}, "
+    _say(cfg, f"[brenier] newton iters {newton_text(result.levels)}, "
               f"sup residual {result.sup_residual:.3g}, pushforward {pf:.3g}")
     return psi
 
@@ -121,7 +122,7 @@ def cmd_continue(cfg, out_dir):
         for shape, iters in rec.levels:
             per_grid[shape] = per_grid.get(shape, 0) + iters
     _say(cfg, f"[continue] {len(traj.records)} states, final t {final.t:g}, "
-              f"newton iters {_newton_text(sorted(per_grid.items()))}, "
+              f"newton iters {newton_text(sorted(per_grid.items()))}, "
               f"sup residual {final.sup_residual:.3g}")
     return traj
 

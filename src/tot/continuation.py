@@ -27,8 +27,10 @@ iteration at lambda = a22, and both solvers share one grid-sequencing
 routine: a start is solved on the halved grids first and the caller's
 grid certifies; if a coarse level raises, or the caller's grid cannot
 correct its prolonged result, the caller's own start is corrected there.
-The state that certifies a result supplies its map, on which a record's
-pushforward and L2 certificates are evaluated.
+The state that certifies a result supplies the first component of its map,
+on which a record's pushforward and L2 certificates are evaluated.  Newton
+and the velocity solve the linearized equation through the public
+``linearized`` operators, on the residual state they already hold.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .errors import (ConcavityError, ConstructionError, ConvergenceError,
 from .grid import (PeriodicGrid, ScalarField, VectorField, deriv_values,
                    resample_values)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
-from .linearized import (_kernels, _solve_with_coefficients, coefficient_arrays,
-                         _cost_rate_values, solve_linearized_small_t)
+from .linearized import (cost_rate_rhs, project_solvable, solve_linearized,
+                         solve_linearized_small_t)
 from .monge_ampere import (CostSchedule, decompose, pushforward_residual,
                            residual_state, split_values)
 
@@ -109,15 +111,14 @@ def _positive_int(value):
 def _velocity_split(t, u1, u2, pair, schedule, tol, warn=True):
     """Velocity in decomposed coordinates: (v1, v2) with psi_dot = v1 +
     lambda v2.  The cost-rate right-hand side comes from the decomposed
-    derivatives, so no 1/lambda cancellation touches the small component."""
+    derivatives, so no 1/lambda cancellation touches the small component;
+    the right-hand side and the solve share one residual state."""
     st = residual_state(schedule.matrix(t), u1, u2.values, pair)
     if warn and st.sup_residual > RESIDUAL_WARN:
         warnings.warn(
             f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
             f"{RESIDUAL_WARN:g}; the state is far from solved", stacklevel=3)
-    rhs = ScalarField(pair.grid, _cost_rate_values(st), zero_mean=True)
-    return solve_linearized_small_t(t, u1, u2, pair, rhs, tol=tol,
-                                    schedule=schedule)
+    return solve_linearized_small_t(st, cost_rate_rhs(st), tol=tol)
 
 
 def _assemble(lam, u1, u2):
@@ -146,8 +147,8 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
     ``evaluate(x)`` returns the residual state at x and raises
     ``ConcavityError`` where the margin is not positive.
     ``solve(st, q, inner_tol)`` returns the direction, shaped like x, that
-    solves the linearized equation at st for the zero-mean residual q to
-    the relative CG tolerance (inexact Newton)
+    solves the linearized equation at st for the zero-mean residual q (a
+    ScalarField) to the relative CG tolerance (inexact Newton)
 
         inner_tol = min(1e-2, max(1e-12, 1e-2 sup, 0.1 tol / sup)).
 
@@ -172,7 +173,7 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
             return x, st, iteration
         if iteration == max_iter:
             break
-        q = st.residual - np.mean(st.residual)
+        q = ScalarField(st.grid, st.residual - np.mean(st.residual))
         inner_tol = min(1e-2, max(1e-12, 1e-2 * sup, 0.1 * tol / sup))
         delta = solve(st, q, inner_tol)
         s = 1.0
@@ -201,20 +202,13 @@ def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
         residual=st.sup_residual, iterations=max_iter)
 
 
-def _solve_at(grid, st, q, tol):
-    """PCG solve of the linearized equation with the coefficients of st."""
-    v, _ = _solve_with_coefficients(grid, *coefficient_arrays(st), q, tol,
-                                    None)
-    return v
-
-
 @dataclass
 class NewtonResult:
     """A solve of the decomposed potential u1 + lam u2, assembled on access
     as ``potential``.  ``iterations`` counts the Newton steps of every
     level, failed corrections included; ``levels`` holds (grid shape,
     iterations) per level, coarsest first, ending with the caller's grid.
-    ``tmap`` is the map T = id - A^{-1} grad u of the state that certified
+    ``map1`` is the first component of the map of the state that certified
     the result."""
 
     u1: np.ndarray
@@ -224,12 +218,27 @@ class NewtonResult:
     sup_residual: float
     margin: float
     levels: tuple
-    tmap: VectorField
+    map1: np.ndarray
 
     @property
     def potential(self):
         """The zero-mean assembled potential u1 + lam u2."""
         return _assemble(self.lam, self.u1, self.u2)
+
+    @property
+    def tmap(self):
+        """The map T = id - A^{-1} grad u of the certifying state, formed
+        on access: T1 = ``map1`` and T2 = x2 - d2 u2."""
+        return _map(self.map1, self.u2)
+
+
+def _map(map1, u2):
+    """The map (map1, x2 - d2 u2) on the grid of u2.  Nothing is divided
+    by lam, so T2 keeps its precision at small t, which the map of the
+    assembled potential loses to rounding / lam."""
+    grid = u2.grid
+    t2 = grid.mesh()[1] - deriv_values(u2.values, 1)
+    return VectorField(ScalarField(grid, map1), ScalarField(grid, t2))
 
 
 def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
@@ -238,7 +247,8 @@ def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
     grid = pair.grid
 
     def direction(st, q, inner_tol):
-        return split_values(_solve_at(grid, st, q, inner_tol), cost.a22)
+        return split_values(solve_linearized(st, q, inner_tol).values,
+                            cost.a22)
 
     (u1, u2_values), st, iterations = _damped_newton(
         (np.asarray(u1, float).copy(), u2.values),
@@ -246,7 +256,7 @@ def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
         direction, tol, max_iter, coarse=coarse)
     return NewtonResult(u1, ScalarField(grid, u2_values), cost.a22,
                         iterations, st.sup_residual, st.margin,
-                        ((grid.shape, iterations),), st.map_field(grid))
+                        ((grid.shape, iterations),), st.map1)
 
 
 def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
@@ -261,7 +271,8 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
     halve its residual, and the prolonged result is corrected on the
     caller's grid.  If a coarse level raises, or that correction fails,
     the start itself is corrected there.  The caller's grid certifies, and
-    its state supplies the result's map ``tmap``.
+    its state supplies the result's ``map1``, from which ``tmap`` is
+    formed.
 
     Parameters
     ----------
@@ -280,15 +291,13 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
     """
     _check_positive_finite("tol", tol)
     grid = pair.grid
-    # start in the solver subspace: updates live there, so any Nyquist-row
-    # contamination in the initial guess could never be corrected
-    u1, u2 = split_values(
-        _kernels(*grid.shape).project_solvable(psi_init.values), cost.a22)
+    # start in the solver subspace: updates live there
+    u1, u2 = split_values(project_solvable(psi_init.values), cost.a22)
     u2 = ScalarField(grid, u2)
     st = residual_state(cost, u1, u2.values, pair)
     if st.sup_residual <= tol:
         return NewtonResult(u1, u2, cost.a22, 0, st.sup_residual, st.margin,
-                            ((grid.shape, 0),), st.map_field(grid))
+                            ((grid.shape, 0),), st.map1)
     del st              # no fine state is held while the coarse levels run
     pairs = _levels(pair)
 
@@ -328,7 +337,7 @@ def _sequenced(pairs, start, solve):
     ``pairs[level].grid``.  ``solve(pair, u1, u2, coarse)`` corrects one
     level.  ``iterations`` and ``levels`` of the result, and of a raised
     ``ConvergenceError``, count every level, failed corrections included;
-    the error's message ends with ``_newton_text`` of its levels.
+    the error's message ends with ``newton_text`` of its levels.
     """
     spent = Counter()
     try:
@@ -336,13 +345,13 @@ def _sequenced(pairs, start, solve):
     except ConvergenceError as exc:
         exc.iterations = sum(spent.values())
         exc.levels = tuple(sorted(spent.items()))
-        exc.args = (f"{exc}; newton iters {_newton_text(exc.levels)}",)
+        exc.args = (f"{exc}; newton iters {newton_text(exc.levels)}",)
         raise
     return replace(res, iterations=sum(spent.values()),
                    levels=tuple(sorted(spent.items())))
 
 
-def _newton_text(levels):
+def newton_text(levels):
     """'<total> (<n1>x<n2>: <iterations>, ...)' for (shape, iterations)
     pairs, coarsest grid first."""
     total = sum(iters for _, iters in levels)
@@ -395,7 +404,7 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
     marginal one, so at small t float64 cannot represent it accurately
     enough to push the residual below roughly eps * (pi n)^2 / lambda; the
     decomposed iteration has no such floor.  The certifying state
-    supplies the result's map ``tmap``.
+    supplies the result's ``map1``.
     """
     _check_positive_finite("tol", tol)
     return _newton((schedule or CostSchedule.linear()).matrix(t), u1, u2,
@@ -474,15 +483,11 @@ class TrajectoryRecord:
     @property
     def tmap(self):
         """The map T = id - A^{-1} grad psi from the decomposed pair:
-        T1 = x1 - d1 u1 - lam d1 psi2 and T2 = x2 - d2 psi2.  Nothing is
-        divided by lam, so T2 keeps its precision at small t, which the
-        map of the assembled ``psi`` loses to rounding / lam."""
-        grid = self.psi2.grid
-        x1, x2 = grid.mesh()
+        T1 = x1 - d1 u1 - lam d1 psi2 and T2 = x2 - d2 psi2."""
+        x1 = self.psi2.grid.mesh()[0]
         t1 = (x1 - deriv_values(self.u1, 0)[:, None]
               - self.lam * deriv_values(self.psi2.values, 0))
-        t2 = x2 - deriv_values(self.psi2.values, 1)
-        return VectorField(ScalarField(grid, t1), ScalarField(grid, t2))
+        return _map(t1, self.psi2)
 
 
 @dataclass
@@ -668,11 +673,12 @@ def run(pair, schedule=None, options=None):
         newest of the history."""
         if not (result.sup_residual <= opts.newton_tol and result.margin > 0.0):
             raise ConstructionError("attempted to record an uncertified state")
+        tmap = result.tmap
         records.append(TrajectoryRecord(
             t, schedule.lam(t), result.u1, result.u2, result.margin,
             result.sup_residual,
-            pushforward_residual(result.tmap, pair, opts.pushforward_k),
-            l2_map_distance(result.tmap, knothe_field, pair.f),
+            pushforward_residual(tmap, pair, opts.pushforward_k),
+            l2_map_distance(tmap, knothe_field, pair.f),
             result.iterations, result.levels))
         history.append(_State(t, result.u1, result.u2))
         del history[:-3]

@@ -7,8 +7,9 @@ the divergence-form operator  v -> Div(B grad v)  with
       = g(id - A^{-1} grad u) adj(A - D^2 u) / det A,
 
 symmetric positive definite wherever the margin is positive.  B comes
-from a ``monge_ampere.residual_state``; the entry points that take an
-assembled potential split it with ``split_values`` first.  On zero-mean
+from a ``monge_ampere.residual_state``: the forward application, the
+cost-rate right-hand side and both solves take the state that Newton and
+the velocity already hold.  On zero-mean
 functions the operator is negative definite; the solver runs conjugate
 gradients preconditioned by the exact inverse of the
 constant-coefficient operator with the mean matrix of B (diagonal in
@@ -49,11 +50,11 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grid import (ScalarField, antideriv_values, deriv_values, irfft2, rfft2,
                    symbols)
-from .monge_ampere import (CostSchedule, check_admissible, decompose,
-                           residual_state, split_factors, split_values)
+from .monge_ampere import (CostSchedule, check_admissible, split_factors,
+                           split_values)
 
 __all__ = [
-    "SplitCoefficients", "split_coefficients",
+    "SplitCoefficients", "split_coefficients", "project_solvable",
     "apply_linearized", "cost_rate_rhs", "solve_linearized",
     "apply_linearized_t0", "solve_linearized_t0", "solve_linearized_small_t",
 ]
@@ -79,8 +80,11 @@ class _Kernels:
     def div_spectrum(self, w1, w2):
         return rfft2(w1) * self.ik1 + rfft2(w2) * self.ik2
 
-    def div(self, w1, w2):
-        return irfft2(self.div_spectrum(w1, w2), self.shape)
+    def flux_divergence(self, b11, b12, b22, spec):
+        """rfft2 spectrum of Div(B grad v) for the field v with rfft2
+        spectrum ``spec``: one gradient, one divergence."""
+        g1, g2 = self.grad(spec)
+        return self.div_spectrum(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2)
 
     def solvable_spectrum(self, a):
         """rfft2 spectrum of a projected onto the solver subspace: zero mean
@@ -95,9 +99,6 @@ class _Kernels:
     def drop_nyquist(self, spec):
         spec[self.shape[0] // 2, :] = 0.0
         spec[:, -1] = 0.0
-
-    def project_solvable(self, a):
-        return irfft2(self.solvable_spectrum(a), self.shape)
 
     def mean_coefficient_inverse(self, b11, b12, b22):
         """Inverse Fourier symbol of Div(Bbar grad .) for constant Bbar
@@ -114,6 +115,14 @@ class _Kernels:
 @lru_cache(maxsize=None)
 def _kernels(n1, n2):
     return _Kernels(n1, n2)
+
+
+def project_solvable(values):
+    """``values`` projected onto the solver subspace: zero mean and no
+    content on the Nyquist rows.  Newton updates live there, so a start
+    with Nyquist content could never have it corrected."""
+    kern = _kernels(*values.shape)
+    return irfft2(kern.solvable_spectrum(values), kern.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -150,44 +159,34 @@ def split_coefficients(t, u1, u2, pair, schedule=None):
 
 
 # ---------------------------------------------------------------------------
-# forward applications
+# forward applications at a residual state
 
-def _apply_values(kern, b11, b12, b22, v):
-    g1, g2 = kern.grad(rfft2(v))
-    return kern.div(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2)
-
-
-def apply_linearized(cost, u, pair, v):
-    """Div(B grad v): derivative of the residual in the potential.
+def apply_linearized(st, v):
+    """Div(B grad v) at the residual state ``st``: derivative of the
+    residual in the potential.
 
     Constants are annihilated; the output has zero mean exactly (it is a
     spectral divergence).
     """
-    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
-    b11, b12, b22 = coefficient_arrays(st)
-    kern = _kernels(*pair.grid.shape)
-    out = _apply_values(kern, b11, b12, b22, v.values)
-    return ScalarField(pair.grid, out, zero_mean=True)
+    kern = _kernels(*st.grid.shape)
+    out = kern.flux_divergence(*coefficient_arrays(st), rfft2(v.values))
+    return ScalarField(st.grid, irfft2(out, kern.shape), zero_mean=True)
 
 
-def cost_rate_rhs(cost, u, pair):
-    """Right-hand side induced by the cost rate: Div((f - residual)
-    [A - D^2 u]^{-1} Adot A^{-1} grad u).
+def cost_rate_rhs(st):
+    """Right-hand side induced by the cost rate at the residual state
+    ``st``: Div((f - residual) [A - D^2 u]^{-1} Adot A^{-1} grad u).
 
-    The potential velocity solves  apply_linearized(psi_dot) = this.
+    The potential velocity solves  apply_linearized(st, psi_dot) = this.
     For A = diag(1, lambda): Adot A^{-1} grad u = (0, (lambda_dot/lambda) d2 u).
     At states with zero residual the coefficient equals f, recovering the
     evolution equation's right-hand side.
     """
-    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
-    out = _cost_rate_values(st)
-    return ScalarField(pair.grid, out, zero_mean=True)
-
-
-def _cost_rate_values(st):
     _, b12, b22 = coefficient_arrays(st)
     s2 = (st.cost.a22dot / st.cost.a22) * st.grad2
-    return _kernels(*st.residual.shape).div(b12 * s2, b22 * s2)
+    kern = _kernels(*st.grid.shape)
+    out = irfft2(kern.div_spectrum(b12 * s2, b22 * s2), kern.shape)
+    return ScalarField(st.grid, out, zero_mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +236,26 @@ def _pcg(apply_op, inverse, b, tol, max_iter):
         residual=residual, iterations=max_iter)
 
 
-def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol, max_iter):
+def _solve_with_coefficients(grid, b11, b12, b22, q_values, tol):
+    """PCG solve of Div(B grad v) = q in the solver subspace: (v, CG
+    iterations), at most 10 (n1 + n2) of them."""
     kern = _kernels(*grid.shape)
     inverse = kern.mean_coefficient_inverse(
         float(np.mean(b11)), float(np.mean(b12)), float(np.mean(b22)))
 
     def apply_op(spec):
-        # Div(B grad .) in the solver subspace, spectrum to spectrum
-        g1, g2 = kern.grad(spec)
-        out = kern.div_spectrum(b11 * g1 + b12 * g2, b12 * g1 + b22 * g2)
+        out = kern.flux_divergence(b11, b12, b22, spec)
         kern.drop_nyquist(out)
         return out
 
-    if max_iter is None:
-        max_iter = 10 * (grid.n1 + grid.n2)
     spec, iters = _pcg(apply_op, inverse, kern.solvable_spectrum(q_values),
-                       tol, max_iter)
+                       tol, 10 * (grid.n1 + grid.n2))
     return irfft2(spec, grid.shape), iters
 
 
-def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None):
-    """Solve Div(B grad v) = q for the unique zero-mean v.
+def solve_linearized(st, q, tol=1e-10):
+    """Solve Div(B grad v) = q at the residual state ``st`` for the
+    unique zero-mean v.
 
     Parameters
     ----------
@@ -265,24 +263,19 @@ def solve_linearized(cost, u, pair, q, tol=1e-10, max_iter=None):
         Zero-mean right-hand side.
     tol : float
         Relative residual target: ||Div(B grad v) - q||_2 <= tol ||q||_2.
-    max_iter : int, optional
-        Iteration cap (default 10 * (n1 + n2)).
 
     Raises
     ------
-    ConcavityError
-        If the margin of (A, u) is not positive.
     ConvergenceError
-        If the iteration cap is exceeded; carries the final residual.
+        If conjugate gradients exceed 10 (n1 + n2) iterations; carries the
+        final residual.
     """
     scale = 1.0 + float(np.max(np.abs(q.values)))
     if abs(float(np.mean(q.values))) > 1e-10 * scale:
         raise ValueError("right-hand side must have zero mean")
-    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
-    b11, b12, b22 = coefficient_arrays(st)
-    v, _ = _solve_with_coefficients(pair.grid, b11, b12, b22, q.values,
-                                    tol, max_iter)
-    return ScalarField(pair.grid, v, zero_mean=True)
+    v, _ = _solve_with_coefficients(st.grid, *coefficient_arrays(st),
+                                    q.values, tol)
+    return ScalarField(st.grid, v, zero_mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +353,15 @@ def solve_linearized_t0(u1, u2, pair, q):
 # ---------------------------------------------------------------------------
 # t > 0 in decomposed coordinates
 
-def solve_linearized_small_t(t, u1, u2, pair, q, tol=1e-10, schedule=None):
-    """Solve the linearized equation at the decomposed state (u1, u2), t > 0.
+def solve_linearized_small_t(st, q, tol=1e-10):
+    """Solve the linearized equation at the residual state ``st`` of a
+    decomposed pair, lambda = st.cost.a22 > 0, in decomposed coordinates.
 
-    Runs :func:`solve_linearized` at the assembled potential u1 + lambda u2
-    and returns its solution split as (v1, v2): v1 = int v dx2 with zero
-    mean on n1 nodes, v2 = (v - v1) / lambda a ScalarField with zero mean
-    along every fiber, so that v = v1 + lambda v2 up to a constant.
-
-    Raises ``ConcavityError`` if the assembled margin is not positive and
-    ``ConvergenceError`` if the solve misses ``tol``.
+    Returns the solution of :func:`solve_linearized` split as (v1, v2):
+    v1 = int v dx2 with zero mean on n1 nodes, v2 = (v - v1) / lambda a
+    ScalarField with zero mean along every fiber, so that v = v1 + lambda v2
+    up to a constant.  Raises ``ConvergenceError`` if the solve misses
+    ``tol``.
     """
-    schedule = schedule or CostSchedule.linear()
-    if not 0.0 < t:
-        raise ValueError("t must be positive (use solve_linearized_t0 at t = 0)")
-    combined = ScalarField(pair.grid, np.asarray(u1, float)[:, None]
-                           + schedule.lam(t) * u2.values)
-    v = solve_linearized(schedule.matrix(t), combined, pair, q, tol=tol)
-    return decompose(t, v, schedule)
+    v1, v2 = split_values(solve_linearized(st, q, tol).values, st.cost.a22)
+    return v1, ScalarField(st.grid, v2)

@@ -13,9 +13,10 @@ u = u1(x1) + lambda * u2(x1, x2), which extends smoothly to t = 0 where
 the determinant becomes triangular.
 
 ``residual_state`` forms the state of (u1, u2) at lambda = a22, t > 0:
-derivatives, residual, margin and the map T, so a certified state
-supplies its own map; an assembled potential is split first with
-``split_values``.
+derivatives, residual, margin and the first component of the map T, on
+the pair's grid.  It is the one argument of the linearized operator, its
+cost-rate right-hand side and its solves; an assembled potential is split
+first with ``split_values``.
 
 Residuals, coefficients and margins take their derivatives from
 ``grid.derivative_bundle`` (one real FFT for all first and second
@@ -36,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import AdmissibilityError, ConcavityError
-from .grid import ScalarField, VectorField, derivative_bundle, deriv_values
+from .grid import (PeriodicGrid, ScalarField, VectorField, derivative_bundle,
+                   deriv_values)
 from .trig import frac
 
 __all__ = [
@@ -136,10 +138,13 @@ def c_concavity_margin(cost, u):
 @dataclass
 class ResidualState:
     """Everything the residual, its linearization, the velocity's
-    right-hand side and the map share at one state (nothing else is kept:
-    a Newton step holds two states at once).  ``map1`` is x1 - d1 u, the
-    first component of T = id - A^{-1} grad u, unwrapped."""
+    right-hand side and the map share at one state on ``grid`` (nothing
+    else is kept: a Newton step holds two states at once).  ``map1`` is
+    x1 - d1 u, the first component of T = id - A^{-1} grad u, unwrapped;
+    the second, x2 - d2 u2, needs no division by a22, and the holder of u2
+    forms it on access (``continuation.NewtonResult.tmap``)."""
 
+    grid: PeriodicGrid
     cost: CostMatrix
     map1: np.ndarray
     grad2: np.ndarray
@@ -154,16 +159,12 @@ class ResidualState:
     def sup_residual(self):
         return float(np.max(np.abs(self.residual)))
 
-    def map_field(self, grid):
-        """The map T of this state, as ``transport_map`` forms it."""
-        return VectorField(ScalarField(grid, self.map1), ScalarField(
-            grid, grid.mesh()[1] - self.grad2 / self.cost.a22))
-
 
 def residual_state(cost, u1_values, u2_values, pair):
-    """Residual state of u1(x1) + a22 u2(x1, x2) at ``cost``, from the
-    derivatives of u1 and u2 themselves; split an assembled potential
-    with ``split_values(values, cost.a22)`` first.
+    """Residual state of u1(x1) + a22 u2(x1, x2) at ``cost`` on the pair's
+    grid, from the derivatives of u1 and u2 themselves; split an assembled
+    potential with ``split_values(values, cost.a22)`` first.  The
+    ``linearized`` operators take the state itself.
 
     The fiber component's derivatives are scaled by a22 = lambda_t only
     after differentiation, so nothing is lost to rounding at small lambda
@@ -184,7 +185,8 @@ def residual_state(cost, u1_values, u2_values, pair):
     g_at_t = pair.g_poly(frac(t1), frac(x2 - g2 / cost.a22))
     det = (1.0 - u11) * (1.0 - u22 / cost.a22) - (u12 * u12) / cost.a22
     residual = pair.f_values - g_at_t * det
-    return ResidualState(cost, t1, g2, u11, u12, u22, g_at_t, residual, margin)
+    return ResidualState(pair.grid, cost, t1, g2, u11, u12, u22, g_at_t,
+                         residual, margin)
 
 
 def monge_ampere_residual(cost, u, pair):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tot
-from tot.continuation import _damped_newton, _solve_at
+from tot.continuation import _damped_newton
 from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import split_coefficients
 from tot.monge_ampere import residual_state, split_values
@@ -35,6 +35,11 @@ def admissible_potential(grid, kmax, rng, margin_target=0.3, a22=1.0):
     bound = max(np.max(np.abs(h11)) + np.max(np.abs(h12)),
                 (np.max(np.abs(h22)) + np.max(np.abs(h12))) / a22)
     return (1.0 - margin_target) * min(1.0, a22) * v / bound
+
+
+def assembled_state(cost, u, pair):
+    """Residual state of the assembled potential u, split first."""
+    return residual_state(cost, *split_values(u.values, cost.a22), pair)
 
 
 def split_operator_residual(t, u1, u2, pair, q, v1, v2):
@@ -63,7 +68,7 @@ def single_grid_newton(pair, start=None, tol=1e-10, max_iter=20):
     (values,), st, iterations = _damped_newton(
         (np.zeros(grid.shape) if start is None else start,),
         lambda x: residual_state(cost, *split_values(x[0], cost.a22), pair),
-        lambda st, q, inner_tol: (_solve_at(grid, st, q, inner_tol),),
+        lambda st, q, inner_tol: (tot.solve_linearized(st, q, inner_tol).values,),
         tol, max_iter)
     return values, st, iterations
 

@@ -14,12 +14,12 @@ import numpy as np
 import tot
 from tot.grid import deriv_values
 from tot.linearized import _solve_with_coefficients, coefficient_arrays
-from tot.monge_ampere import residual_state, split_values
+from tot.monge_ampere import residual_state
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
-from tests.conftest import (admissible_potential, band_limited,
-                            split_operator_residual)
+from tests.conftest import (admissible_potential, assembled_state,
+                            band_limited, split_operator_residual)
 
 
 def report(name, ok, detail):
@@ -71,12 +71,13 @@ def test_criterion_2_linearization(pair64, grid64):
             cost, tot.field(grid64, u.values + h * v.values), pair64).values
         fm = tot.monge_ampere_residual(
             cost, tot.field(grid64, u.values - h * v.values), pair64).values
-        out = tot.apply_linearized(cost, u, pair64, v).values
+        st = assembled_state(cost, u, pair64)
+        out = tot.apply_linearized(st, v).values
         worst_u = max(worst_u, np.linalg.norm((fp - fm) / (2 * h) - out)
                       / np.linalg.norm(out))
         fp = tot.monge_ampere_residual(sched.matrix(t + h), u, pair64).values
         fm = tot.monge_ampere_residual(sched.matrix(t - h), u, pair64).values
-        rhs = tot.cost_rate_rhs(cost, u, pair64).values
+        rhs = tot.cost_rate_rhs(st).values
         worst_t = max(worst_t, np.linalg.norm((fp - fm) / (2 * h) + rhs)
                       / np.linalg.norm(rhs))
     report("criterion 2 (linearization vs central differences)",
@@ -94,13 +95,12 @@ def test_criterion_3_elliptic_solver(pair128, knothe128):
     for lam in (1.0, 0.1, 1e-2):
         cost = tot.CostMatrix(lam, lam, 1.0)
         u = tot.field(grid, kn.u1[:, None] + lam * kn.u2.values)
+        st = assembled_state(cost, u, pair128)
         # the solve solve_linearized runs, read for its iteration count
         values, iters = _solve_with_coefficients(
-            grid, *coefficient_arrays(residual_state(
-                cost, *split_values(u.values, cost.a22), pair128)),
-            q.values, 1e-10, None)
+            grid, *coefficient_arrays(st), q.values, 1e-10)
         v = tot.field(grid, values)
-        residual = tot.apply_linearized(cost, u, pair128, v).values - q.values
+        residual = tot.apply_linearized(st, v).values - q.values
         rel = np.sqrt(np.mean(residual ** 2) / np.mean(q.values ** 2))
         worst_iters = max(worst_iters, iters)
         worst_res = max(worst_res, rel)
@@ -111,12 +111,13 @@ def test_criterion_3_elliptic_solver(pair128, knothe128):
     margin = tot.c_concavity_margin(cost, u)
     delta = pair128.g_poly.min_on_grid(4 * grid.n1, 4 * grid.n2)
     eps = margin / max(1.0, cost.a22)
+    st = assembled_state(cost, u, pair128)
     sym_ok = coer_ok = True
     for _ in range(20):
         v = tot.field(grid, band_limited(grid, 5, rng))
         w = tot.field(grid, band_limited(grid, 5, rng))
-        lv = tot.apply_linearized(cost, u, pair128, v).values
-        lw = tot.apply_linearized(cost, u, pair128, w).values
+        lv = tot.apply_linearized(st, v).values
+        lw = tot.apply_linearized(st, w).values
         left = float(np.mean(w.values * lv))
         right = float(np.mean(v.values * lw))
         sym_ok &= abs(left - right) <= 1e-10 * max(abs(left), abs(right))
@@ -140,9 +141,11 @@ def test_criterion_4_degenerate_solvers(pair128, knothe128):
     back = tot.apply_linearized_t0(u1, u2, pair128, v1, v2)
     t0_err = float(np.max(np.abs(back.values - q.values)))
 
+    sched = tot.CostSchedule.linear()
     worst = 0.0
     for t in (1e-4, 1e-3, 1e-2):
-        s1, s2 = tot.solve_linearized_small_t(t, u1, u2, pair128, q, tol=1e-11)
+        st = residual_state(sched.matrix(t), u1, u2.values, pair128)
+        s1, s2 = tot.solve_linearized_small_t(st, q, tol=1e-11)
         worst = max(worst, split_operator_residual(t, u1, u2, pair128, q,
                                                    s1, s2))
     report("criterion 4 (degenerate t=0 / small-t solvers)",

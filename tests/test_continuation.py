@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import tot
-from tot import continuation, monge_ampere
+from tot import continuation, linearized, monge_ampere
 from tot.errors import ConvergenceError, StepCollapseError
-from tot.linearized import _kernels, coefficient_arrays
+from tot.linearized import coefficient_arrays, project_solvable
 from tot.monge_ampere import residual_state
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
@@ -74,6 +74,25 @@ def test_velocity_matches_curve_difference(pair64):
     fd = (plus.potential.values - minus.potential.values) / (2 * h)
     v = tot.velocity(t, base.potential, pair64, sched, tol=1e-12)
     assert np.max(np.abs(fd - v.values)) < 1e-5
+
+
+def test_one_velocity_derives_one_residual_state(pair64, monkeypatch):
+    # the cost-rate right-hand side and the solve share the state
+    sched = tot.CostSchedule.linear()
+    solved = tot.newton_correct(sched.matrix(0.5), tot.zero_field(pair64.grid),
+                                pair64, tol=1e-12)
+    states = []
+    constructor = monge_ampere.residual_state
+
+    def counted(*args):
+        states.append(args[0])
+        return constructor(*args)
+
+    for module in (tot, monge_ampere, continuation, linearized):
+        if hasattr(module, "residual_state"):
+            monkeypatch.setattr(module, "residual_state", counted)
+    tot.velocity(0.5, solved.potential, pair64, sched)
+    assert len(states) == 1
 
 
 def test_velocity_warns_off_curve(pair64):
@@ -231,7 +250,7 @@ def test_coarse_concavity_error_falls_back_to_the_start(pair128, monkeypatch):
 
 def _near_solution(pair128, cold_newton128):
     rng = np.random.default_rng(61)
-    return _kernels(128, 128).project_solvable(
+    return project_solvable(
         cold_newton128.potential.values + 1e-6 * band_limited(pair128.grid, 3, rng))
 
 
@@ -288,13 +307,13 @@ def test_raising_coarse_level_counts_its_iterations(pair128, cold_newton128,
 
 def test_max_iter_caps_every_level(pair128, monkeypatch):
     solves = []
-    solve = continuation._solve_at
+    solve = continuation.solve_linearized
 
-    def counted(grid, *args):
-        solves.append(grid.shape)
-        return solve(grid, *args)
+    def counted(st, *args):
+        solves.append(st.grid.shape)
+        return solve(st, *args)
 
-    monkeypatch.setattr(continuation, "_solve_at", counted)
+    monkeypatch.setattr(continuation, "solve_linearized", counted)
     with pytest.raises(ConvergenceError, match="in 1 iterations"):
         tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                            pair128, max_iter=1)
@@ -378,7 +397,7 @@ def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
     st = residual_state(cost, solved.u1, u2.values, pair64)
     assert 5 * tol <= st.sup_residual <= 20 * tol
 
-    solve = continuation._solve_with_coefficients
+    solve = linearized._solve_with_coefficients
     solves = []
 
     def counted(*args):
@@ -386,7 +405,7 @@ def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
         solves.append((args[5], iters))
         return v, iters
 
-    monkeypatch.setattr(continuation, "_solve_with_coefficients", counted)
+    monkeypatch.setattr(linearized, "_solve_with_coefficients", counted)
     res = tot.newton_correct_split(t, solved.u1, u2, pair64, tol=tol)
     assert res.iterations == 1 and res.sup_residual <= tol
     ((inner_tol, iters),) = solves
@@ -394,7 +413,7 @@ def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
     # oracle: the same solve at the old tolerance
     q = st.residual - np.mean(st.residual)
     _, old_iters = solve(pair64.grid, *coefficient_arrays(st), q,
-                         1e-2 * st.sup_residual, None)
+                         1e-2 * st.sup_residual)
     assert 0 < iters <= old_iters / 2
 
 

@@ -4,11 +4,12 @@ import pytest
 import tot
 from tot.errors import ConvergenceError
 from tot.grid import deriv_values
-from tot.linearized import _half_dot, coefficient_arrays, split_coefficients
+from tot.linearized import (_half_dot, _kernels, _pcg, coefficient_arrays,
+                            split_coefficients)
 from tot.monge_ampere import residual_state, split_values
 
-from tests.conftest import (admissible_potential, band_limited,
-                            split_operator_residual)
+from tests.conftest import (admissible_potential, assembled_state,
+                            band_limited, split_operator_residual)
 
 
 def random_state(grid, pair, rng, a22=1.0, t=1.0):
@@ -18,19 +19,23 @@ def random_state(grid, pair, rng, a22=1.0, t=1.0):
     return cost, u
 
 
+def zero_state(pair, cost=None):
+    """Residual state of the zero potential (A = I by default)."""
+    return residual_state(cost or tot.identity_cost(), np.zeros(pair.grid.n1),
+                          np.zeros(pair.grid.shape), pair)
+
+
 def test_apply_reduces_to_laplacian(uniform_pair64, grid64):
     x1, x2 = grid64.mesh()
     v = tot.field(grid64, np.cos(2 * np.pi * x1) + 0 * x2)
-    out = tot.apply_linearized(tot.identity_cost(), tot.zero_field(grid64),
-                               uniform_pair64, v)
+    out = tot.apply_linearized(zero_state(uniform_pair64), v)
     expected = -4 * np.pi ** 2 * np.cos(2 * np.pi * x1) + 0 * x2
     assert np.max(np.abs(out.values - expected)) < 1e-11
 
 
 def test_apply_kills_constants(pair64, grid64):
     v = tot.field(grid64, np.full(grid64.shape, 2.3))
-    out = tot.apply_linearized(tot.identity_cost(), tot.zero_field(grid64),
-                               pair64, v)
+    out = tot.apply_linearized(zero_state(pair64), v)
     assert np.max(np.abs(out.values)) < 1e-12
 
 
@@ -45,7 +50,7 @@ def test_apply_matches_directional_difference(pair64, grid64):
         fm = tot.monge_ampere_residual(
             cost, tot.field(grid64, u.values - h * v.values), pair64)
         fd = (fp.values - fm.values) / (2 * h)
-        out = tot.apply_linearized(cost, u, pair64, v)
+        out = tot.apply_linearized(assembled_state(cost, u, pair64), v)
         rel = np.linalg.norm(fd - out.values) / np.linalg.norm(out.values)
         assert rel < 1e-7
 
@@ -54,7 +59,7 @@ def test_rhs_zero_when_no_x2_dependence(pair64, grid64):
     x1, x2 = grid64.mesh()
     u = tot.field(grid64, 1e-3 * np.cos(2 * np.pi * x1) + 0 * x2)
     cost = tot.CostSchedule.linear().matrix(0.5)
-    out = tot.cost_rate_rhs(cost, u, pair64)
+    out = tot.cost_rate_rhs(assembled_state(cost, u, pair64))
     assert np.max(np.abs(out.values)) < 1e-12
 
 
@@ -67,7 +72,7 @@ def test_rhs_single_mode_closed_form(uniform_pair64, grid64):
     a, k = 1e-3, 2
     x1, x2 = grid64.mesh()
     u = tot.field(grid64, cost.a22 * a * np.cos(2 * np.pi * k * x2) + 0 * x1)
-    out = tot.cost_rate_rhs(cost, u, uniform_pair64)
+    out = tot.cost_rate_rhs(assembled_state(cost, u, uniform_pair64))
     expected = -(cost.a22dot / cost.a22) * a * (2 * np.pi * k) ** 2 \
         * np.cos(2 * np.pi * k * x2) + 0 * x1
     assert np.max(np.abs(out.values - expected)) < 1e-10
@@ -82,7 +87,7 @@ def test_rhs_matches_cost_difference(pair64, grid64):
         fp = tot.monge_ampere_residual(sched.matrix(t + h), u, pair64)
         fm = tot.monge_ampere_residual(sched.matrix(t - h), u, pair64)
         fd = (fp.values - fm.values) / (2 * h)
-        rhs = tot.cost_rate_rhs(cost, u, pair64)
+        rhs = tot.cost_rate_rhs(assembled_state(cost, u, pair64))
         rel = np.linalg.norm(fd + rhs.values) / np.linalg.norm(rhs.values)
         assert rel < 1e-7
 
@@ -90,18 +95,17 @@ def test_rhs_matches_cost_difference(pair64, grid64):
 def test_solve_poisson_mode(uniform_pair64, grid64):
     x1, x2 = grid64.mesh()
     q = tot.field(grid64, np.cos(2 * np.pi * x1) + 0 * x2, zero_mean=True)
-    v = tot.solve_linearized(tot.identity_cost(), tot.zero_field(grid64),
-                             uniform_pair64, q, tol=1e-12)
+    v = tot.solve_linearized(zero_state(uniform_pair64), q, tol=1e-12)
     expected = -np.cos(2 * np.pi * x1) / (4 * np.pi ** 2) + 0 * x2
     assert np.max(np.abs(v.values - expected)) < 1e-13
 
 
 def test_solve_recovers_forward_input(pair64, grid64):
     rng = np.random.default_rng(23)
-    cost, u = random_state(grid64, pair64, rng)
+    st = assembled_state(*random_state(grid64, pair64, rng), pair64)
     w = tot.field(grid64, admissible_potential(grid64, 5, rng))
-    q = tot.apply_linearized(cost, u, pair64, w)
-    v = tot.solve_linearized(cost, u, pair64, q, tol=1e-12)
+    q = tot.apply_linearized(st, w)
+    v = tot.solve_linearized(st, q, tol=1e-12)
     assert np.max(np.abs(v.values - w.values)) < 1e-10
 
 
@@ -120,28 +124,32 @@ def test_half_spectrum_inner_product_is_parseval():
 def test_solve_rejects_nonzero_mean(pair64, grid64):
     q = tot.field(grid64, np.ones(grid64.shape))
     with pytest.raises(ValueError, match="zero mean"):
-        tot.solve_linearized(tot.identity_cost(), tot.zero_field(grid64),
-                             pair64, q)
+        tot.solve_linearized(zero_state(pair64), q)
 
 
 def test_solve_iteration_cap_raises(pair64, grid64):
+    # the solve of solve_linearized at A = I and u = 0, capped at 1 iteration
     rng = np.random.default_rng(25)
-    q = tot.project_zero_mean(tot.field(grid64, band_limited(grid64, 5, rng)))
+    b11, b12, b22 = coefficient_arrays(zero_state(pair64))
+    kern = _kernels(*grid64.shape)
+    inverse = kern.mean_coefficient_inverse(np.mean(b11), np.mean(b12),
+                                            np.mean(b22))
+    rhs = kern.solvable_spectrum(band_limited(grid64, 5, rng))
     with pytest.raises(ConvergenceError) as info:
-        tot.solve_linearized(tot.identity_cost(), tot.zero_field(grid64),
-                             pair64, q, tol=1e-14, max_iter=1)
-    assert info.value.residual is not None
+        _pcg(lambda spec: kern.flux_divergence(b11, b12, b22, spec), inverse,
+             rhs, 1e-14, 1)
+    assert info.value.residual > 1e-14 and info.value.iterations == 1
 
 
 def test_operator_symmetry(pair64, grid64):
     rng = np.random.default_rng(26)
-    cost, u = random_state(grid64, pair64, rng)
+    st = assembled_state(*random_state(grid64, pair64, rng), pair64)
     n = grid64.n1 * grid64.n2
     for _ in range(5):
         v = tot.field(grid64, admissible_potential(grid64, 5, rng))
         w = tot.field(grid64, admissible_potential(grid64, 5, rng))
-        lv = tot.apply_linearized(cost, u, pair64, v).values
-        lw = tot.apply_linearized(cost, u, pair64, w).values
+        lv = tot.apply_linearized(st, v).values
+        lw = tot.apply_linearized(st, w).values
         left = float(np.sum(w.values * lv)) / n
         right = float(np.sum(v.values * lw)) / n
         assert abs(left - right) <= 1e-10 * max(abs(left), abs(right), 1e-30)
@@ -159,9 +167,10 @@ def test_operator_coercivity(pair64, grid64, a22):
     oversampled = 4 * grid64.n1
     delta = pair64.g_poly.min_on_grid(oversampled, oversampled)
     eps = margin / max(1.0, a22)
+    st = assembled_state(cost, u, pair64)
     for _ in range(20):
         v = tot.field(grid64, band_limited(grid64, 6, rng))
-        lv = tot.apply_linearized(cost, u, pair64, v).values
+        lv = tot.apply_linearized(st, v).values
         quad = -float(np.mean(v.values * lv))
         g1 = deriv_values(v.values, 0, 1)
         g2 = deriv_values(v.values, 1, 1)
@@ -236,9 +245,8 @@ def test_small_t_pure_fiber_data(uniform_pair64, grid64):
     x1, x2 = grid64.mesh()
     q = tot.field(grid64, np.sin(2 * np.pi * x2) * (1 + 0.3 * np.cos(2 * np.pi * x1)),
                   zero_mean=True)
-    v1, v2 = tot.solve_linearized_small_t(1e-4, np.zeros(grid64.n1),
-                                          tot.zero_field(grid64),
-                                          uniform_pair64, q, tol=1e-11)
+    st = zero_state(uniform_pair64, tot.CostSchedule.linear().matrix(1e-4))
+    v1, v2 = tot.solve_linearized_small_t(st, q, tol=1e-11)
     assert np.max(np.abs(v1)) < 1e-12
     assert np.max(np.abs(v2.values)) > 0.0
 
@@ -250,7 +258,9 @@ def test_small_t_solves_split_operator(pair128, knothe128, t):
     u1 = knothe128.potentials.u1
     u2 = knothe128.potentials.u2
     q = tot.project_zero_mean(tot.field(grid, band_limited(grid, 3, rng)))
-    v1, v2 = tot.solve_linearized_small_t(t, u1, u2, pair128, q, tol=1e-11)
+    st = residual_state(tot.CostSchedule.linear().matrix(t), u1, u2.values,
+                        pair128)
+    v1, v2 = tot.solve_linearized_small_t(st, q, tol=1e-11)
     assert split_operator_residual(t, u1, u2, pair128, q, v1, v2) <= 1e-6
     # normalization: v1 zero-mean, v2 fiberwise zero-mean
     assert abs(np.mean(v1)) < 1e-14

@@ -7,7 +7,7 @@ import pytest
 import tot
 from tot.grid import deriv_values
 
-from tests.conftest import admissible_potential, band_limited
+from tests.conftest import admissible_potential, assembled_state, band_limited
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,9 @@ def test_solver_on_rectangular_grid(rect_pair):
     cost = tot.CostMatrix(0.3, 0.3, 1.0)
     u = tot.field(grid, admissible_potential(grid, 3, rng, a22=0.3))
     w = tot.field(grid, admissible_potential(grid, 4, rng, a22=0.3))
-    q = tot.apply_linearized(cost, u, rect_pair, w)
-    v = tot.solve_linearized(cost, u, rect_pair, q, tol=1e-12)
+    st = assembled_state(cost, u, rect_pair)
+    q = tot.apply_linearized(st, w)
+    v = tot.solve_linearized(st, q, tol=1e-12)
     assert np.max(np.abs(v.values - w.values)) < 1e-10
 
 
@@ -119,9 +120,10 @@ def test_coercivity_with_a22_above_one(pair64, grid64):
     assert margin > 0.0
     delta = pair64.g_poly.min_on_grid(4 * grid64.n1, 4 * grid64.n2)
     eps = margin / max(1.0, cost.a22)
+    st = assembled_state(cost, u, pair64)
     for _ in range(10):
         v = tot.field(grid64, band_limited(grid64, 5, rng))
-        lv = tot.apply_linearized(cost, u, pair64, v).values
+        lv = tot.apply_linearized(st, v).values
         quad = -float(np.mean(v.values * lv))
         grad_sq = float(np.mean(deriv_values(v.values, 0, 1) ** 2
                                 + deriv_values(v.values, 1, 1) ** 2))
