@@ -9,8 +9,8 @@ yields its scalar potential, so the construction simultaneously delivers
 the map and the potential pair (u1, u2) whose derivative reproduces it.
 
 Fibers are independent, so all of them are one row-batched 1D transport:
-the conditionals of every row form one stack of circle densities, and
-each row gets its own shift, Newton iterate and checks.
+the conditionals of every row form one stack of circle densities, and one
+Newton loop solves each row's inverses together with its own shift.
 """
 
 from __future__ import annotations

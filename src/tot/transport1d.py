@@ -5,10 +5,10 @@ circle is T_theta = Ginv(F + theta) for any shift theta of the cumulative
 functions.  Among those, exactly one shift makes the displacement
 x - T(x) have zero mean; that is the map of the form id - psi' with psi a
 periodic potential, and it is also the cheapest one for the quadratic
-cost (verified by property test, not assumed).  The shift is the root of
-the strictly decreasing shift-to-mean-displacement function h, found by
-safeguarded Newton: h'(theta) = -mean(1/g(T_theta)) is exact, and a
-bracket from the slope bounds catches every step that leaves it.
+cost (verified by property test, not assumed).  The inverses at the
+nodes and that shift are one Newton solve of G(y_j) = F(x_j) + theta,
+mean(y - x) = 0, whose Jacobian is the diagonal g(y) bordered by one row
+and one column: one cdf-and-density pass per step (``invert_lifted_cdf``).
 
 Every function here works on one density (samples of shape (m,)) or on a
 stack of them (shape (rows, m)), all rows at once; the single density is
@@ -16,12 +16,7 @@ the one-row case of the same code.
 
 Densities are closed-form cosine sums, as on the torus, and cumulative
 functions are their exact primitives, with no interpolant of the
-samples.  Inverses and shifts share one safeguarded (bracketed) Newton
-loop that works on the entries still active: an entry that has converged
-keeps its value and is not evaluated again.  A cdf inversion step takes
-the cdf and the density of its active points from one angle per
-frequency, each point on its own row of the stack; a shift step inverts
-the cdfs of the rows whose shift is still active.
+samples.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, CutLocusError, PositivityError
 from .grid import antideriv_values
-from .trig import TrigPoly1D, frac
+from .trig import TWO_PI, TrigPoly1D, frac
 
 NEWTON_TOL = 1e-14
 SHIFT_TOL = 1e-13
@@ -74,91 +69,128 @@ def circle_density(closed_form, m):
     return CircleDensity(values, closed_form)
 
 
-def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, with_density=False):
+def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 
-    Glift(y + 1) = Glift(y) + 1, so w may be any real.  Vectorized
-    safeguarded Newton on [0, 1] after removing the integer part of w; the
-    density lower bound makes the iteration globally convergent.  Each
-    step evaluates the cdf and the density of the entries still active in
-    one pass (``TrigPoly1D.value_and_primitive``, each entry on its own
-    row of a stack).  An exact start (an integer level w, or a warm start
-    at the root) comes back unchanged.  ``with_density`` also returns the
-    density at the inverse, from each entry's last evaluation.
+    Glift(y + 1) = Glift(y) + 1, so w may be any real; the root of a level
+    lies between its floor (its base) and base + 1.  With ``nodes`` x, each
+    row of levels (a single density's w is one row) also takes the shift
+    theta that centres it: y solves Glift(y) = w + theta with
+    mean(y - x) = 0, and the call returns (y, theta).
+
+    One safeguarded Newton loop runs over the stack.  A step takes the cdf
+    and the density of its rows in one pass (``value_and_primitive``) and
+    narrows each entry's bracket by the sign of its residual
+    F = G(y - base) - frac(w + theta); a Newton step that leaves the
+    bracket takes its false position.  A row is done on its residuals only,
+    every |F| <= tol and, with the shift, |mean(y - x)| <= SHIFT_TOL; it
+    keeps its values, and done rows leave the arrays once they are half.
+    An integer level, or a row whose warm start ``x0`` is at its roots,
+    comes back unchanged.
+
+    theta's step is the Schur complement of the bordered system,
+    (mean(F/g) - mean(y - x)) / mean(1/g), and y takes the Newton step of
+    F - dtheta, its residual at the new level.  theta's bracket starts at
+    its reach |h(0)| max g (h(0), the mean displacement at theta = 0) and
+    narrows where the sign of h is certain.  A row whose residual grew
+    moves theta only once its inverses have settled.
     """
-    w = np.asarray(w, float)
-    r = frac(w).ravel()
-    if x0 is None:
-        y = r.copy()
-    else:
-        y = np.clip(np.asarray(x0, float) - np.floor(w), 0.0, 1.0).ravel()
+    s = np.atleast_2d(np.asarray(w, float).reshape(*d.values.shape[:-1], -1))
+    base = np.floor(s)
+    r = s - base
+    y = s.copy() if x0 is None else np.clip(np.reshape(x0, s.shape), base, base + 1)
+    # bracket ends carry residual bounds F(lo) <= flo <= 0 <= fhi <= F(hi)
+    lo, hi, flo, fhi = base.copy(), base + 1.0, -r, 1.0 - r
+    out, out_theta, theta = np.empty_like(s), np.zeros(len(s)), np.zeros(len(s))
+    at = np.arange(len(s))                  # the rows kept in the arrays
+    centre = nodes is not None
+    if centre:
+        gmax = d.closed_form.const + np.sum(np.abs(d.closed_form.amps), axis=-1)
+        glow = np.broadcast_to(_density_floor(d.closed_form), theta.shape)
+        joint, last = np.ones(len(s), bool), np.full(len(s), np.inf)
+    for k in range(100):
+        rows = d.closed_form.take(at) if at.size < len(out) else d.closed_form
+        value, err = rows.value_and_primitive(y - base)
+        err -= r                            # F, in place of the cdf
+        for end, bound, side in ((lo, flo, err < 0), (hi, fhi, err > 0)):
+            np.copyto(end, y, where=side)
+            np.copyto(bound, err, where=side)
+        res = np.max(np.abs(err), axis=-1)
+        mean_err = np.mean(y - nodes, axis=-1) if centre else theta
+        if centre:      # theta's bracket, from |h(theta) - mean_err| <= spread
+            spread = np.mean(np.abs(err), axis=-1) / glow
+            if k == 0:
+                thi = gmax * (np.abs(mean_err) + spread) * 1.001 + 1e-12
+                tlo = -thi
+            thi = np.where(mean_err > spread, np.minimum(thi, theta), thi)
+            tlo = np.where(mean_err < -spread, np.maximum(tlo, theta), tlo)
+        done = (res <= tol) & (np.abs(mean_err) <= SHIFT_TOL)
+        if 2 * np.count_nonzero(done) >= len(done):
+            out[at[done]], out_theta[at[done]] = y[done], theta[done]
+            if done.all():
+                y = out.reshape(np.shape(w))
+                return (y, out_theta.reshape(y.shape[:-1])) if centre else y
+            keep = np.flatnonzero(~done)
+            (at, s, base, r, y, lo, hi, flo, fhi, err, value, theta, mean_err, res,
+             done) = (a[keep] for a in (at, s, base, r, y, lo, hi, flo, fhi, err,
+                                        value, theta, mean_err, res, done))
+            if centre:
+                glow, tlo, thi, joint, last = (
+                    a[keep] for a in (glow, tlo, thi, joint, last))
+        err[done] = 0.0
+        slope = np.divide(1.0, value, out=value)
+        if centre:
+            # a row whose residual grew in a step (the first, from the
+            # start, aside) moves theta only once its inverses have settled
+            joint &= (res <= last) | (k == 1)
+            last = res
+            # theta's Newton step bisects theta's bracket instead where it
+            # leaves it or, in a row that fell back, goes over half across
+            new = theta + ((np.mean(err * slope, axis=-1) - mean_err)
+                           / np.mean(slope, axis=-1))
+            wild = (new <= tlo) | (new >= thi) | (
+                ~joint & (2.0 * np.abs(new - theta) > thi - tlo))
+            new = np.where(wild, 0.5 * (tlo + thi), new)
+            step = np.where(~done & (joint | (res <= 1e-8)), new - theta, 0.0)[:, None]
+            theta = theta + step[:, 0]
+            np.floor(np.add(s, theta[:, None], out=r), out=base)
+            r -= base
+            # residuals at the new level; an end whose bound changed sign
+            # moves out by the excess over g_low, within the level's cell
+            err, flo, fhi = err - step, flo - step, fhi - step
+            lo = lo - np.maximum(flo, 0.0) / glow[:, None]
+            hi = hi - np.minimum(fhi, 0.0) / glow[:, None]
+            flo = np.where(lo < base, -r, np.minimum(flo, 0.0))
+            fhi = np.where(hi > base + 1, 1.0 - r, np.maximum(fhi, 0.0))
+            lo, hi = np.maximum(lo, base), np.minimum(hi, base + 1)
+        y -= np.multiply(err, slope, out=err)
+        # a Newton step that leaves the bracket takes its false position: a
+        # point inside it, or the end itself where that is a bound (0)
+        outside = ~((y >= lo) & (y <= hi))      # NaN too
+        if outside.any():
+            split = flo / np.minimum(flo - fhi, -1e-300)
+            y = np.where(outside, lo + split * (hi - lo), y)
+        err = slope = value = None      # freed before the next pass
+    raise ConvergenceError("cdf inversion did not converge",
+                           residual=float(np.max(res)))
 
-    def evaluate(y, at):
-        level = r if at is None else r[at]
-        if at is None:          # every entry: a stack's rows broadcast
-            value, primitive = d.closed_form.value_and_primitive(y.reshape(w.shape))
-        else:
-            rows = at // w.shape[-1] if d.values.ndim == 2 else None
-            value, primitive = d.closed_form.value_and_primitive(y, rows)
-        primitive = primitive.ravel()
-        primitive -= level
-        return primitive, value.ravel()
 
-    # an entry's level is read only while it is active, so once it is final
-    # its slot in r can take the density at its root
-    _safeguarded_newton(evaluate, y, np.zeros_like(r), np.ones_like(r), tol,
-                        100, "cdf inversion",
-                        slopes=r if with_density else None)
-    inverse = np.floor(w) + y.reshape(w.shape)
-    return (inverse, r.reshape(w.shape)) if with_density else inverse
-
-
-def _safeguarded_newton(evaluate, y, lo, hi, tol, max_iter, what, start=None,
-                        slopes=None):
-    """Entrywise root of increasing functions, each bracketed in [lo, hi].
-
-    All arrays are flat.  ``evaluate(y, at)`` returns the residuals and
-    their derivatives at the values ``y`` of the entries ``at`` (flat
-    indices, or None while every entry is active); ``start`` is that pair
-    at the start when the caller already has it.  The loop moves ``y`` to
-    the roots in place.  The bracket [lo, hi], also narrowed in place,
-    shrinks with every evaluation and takes a bisection step whenever
-    Newton leaves it.  An entry is final once its residual is within
-    ``tol`` or its bracket has collapsed: it keeps its value and is never
-    evaluated again, so each step evaluates only the entries still active.
-    An entry stops where it was last evaluated, so its derivative at the
-    root comes from that evaluation: ``slopes``, when given, receives it
-    as the entry becomes final.
-    """
-    at = None
-    err, slope = evaluate(y, None) if start is None else start
-    for _ in range(max_iter):
-        active = (np.abs(err) > tol) & (hi - lo > 1e-15)
-        if not active.all():
-            if slopes is not None:
-                done = ~active
-                slopes[np.flatnonzero(done) if at is None else at[done]] = \
-                    slope[done]
-            if not active.any():
-                return
-            keep = np.flatnonzero(active)
-            at = keep if at is None else at[keep]
-            # one at a time: an old array can go before the next is
-            # gathered, which keeps the heap's high-water mark lower
-            err = err[keep]
-            slope = slope[keep]
-            lo = lo[keep]
-            hi = hi[keep]
-        ya = y if at is None else y[at]
-        np.copyto(lo, ya, where=err < 0)
-        np.copyto(hi, ya, where=err > 0)
-        ya = ya - err / slope                   # the Newton candidate
-        outside = (ya <= lo) | (ya >= hi) | ~np.isfinite(ya)
-        ya = np.where(outside, 0.5 * (lo + hi), ya)
-        y[slice(None) if at is None else at] = ya
-        err, slope = evaluate(ya, at)
-    raise ConvergenceError(f"{what} did not converge",
-                           residual=float(np.max(np.abs(err))))
+def _density_floor(poly):
+    """Per row, a positive lower bound of a positive cosine sum p: const -
+    sum |a| where that is positive, else the minimum over M = 64 K nodes (K
+    the top frequency) less the most p can dip between two of them,
+    max |p''| / (8 M^2) with max |p''| <= sum (2 pi k)^2 |a_k|."""
+    floor = np.atleast_1d(poly.const - np.sum(np.abs(poly.amps), axis=-1))
+    low = np.flatnonzero(floor <= 0.0)
+    if low.size:
+        rows = poly.take(low) if np.ndim(poly.const) else poly
+        m = 64 * int(np.max(poly.freqs))
+        curvature = np.sum((TWO_PI * poly.freqs) ** 2 * np.abs(rows.amps), axis=-1)
+        floor[low] = (np.min(rows(np.arange(m) / m), axis=-1)
+                      - curvature / (8.0 * m * m))
+        if np.min(floor) <= 0.0:
+            raise PositivityError("density not positive between its nodes")
+    return floor
 
 
 @dataclass
@@ -238,42 +270,10 @@ def monotone_circle_map(f, g):
     m = f.m
     x = np.arange(m) / m
     s = f.closed_form.antiderivative(x)
-    theta, y = _newton_shift(g, s, x)
-    # polish at full precision with the selected shift
-    ymap = invert_lifted_cdf(g, s + theta[..., None], x0=y, tol=1e-15)
-    displacement = x - ymap
+    y, _ = invert_lifted_cdf(g, s, tol=1e-15, nodes=x)
+    displacement = x - y
     _check_map(displacement, m)
     return CircleMap(displacement)
-
-
-def _newton_shift(g, s, x):
-    """Per row, the shift theta with mean(x - Ginv(s + theta)) = 0.
-
-    Returns theta (one per row) and the inverse at it.  The residual
-    mean(Ginv(s + theta) - x) is strictly increasing with slope
-    mean(1/g(y)) in [1/max g, 1/min g], so the root lies within
-    |residual(0)| * max g of 0, which is the starting bracket.  Each
-    iterate inverts the cdfs of the rows whose shift is still active.
-    """
-    single = g.values.ndim == 1
-    s = np.atleast_2d(s)
-    y, density = invert_lifted_cdf(g, s, with_density=True)
-    err, slope = np.mean(y - x, axis=-1), np.mean(1.0 / density, axis=-1)
-    del density                 # not held through the shift iterations
-    reach = np.abs(err) * np.max(g.values, axis=-1) * 1.001 + 1e-12
-
-    def evaluate(theta, at):
-        at = slice(None) if at is None else at
-        rows = g if single else CircleDensity(g.values[at], g.closed_form.take(at))
-        inverse, density = invert_lifted_cdf(rows, s[at] + theta[:, None],
-                                             x0=y[at], with_density=True)
-        y[at] = inverse
-        return np.mean(inverse - x, axis=-1), np.mean(1.0 / density, axis=-1)
-
-    theta = np.zeros_like(err)
-    _safeguarded_newton(evaluate, theta, -reach, reach, SHIFT_TOL, 100,
-                        "shift Newton", start=(err, slope))
-    return (theta[0], y[0]) if single else (theta, y)
 
 
 def potential_1d(f, g):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tot
+from tot.errors import PositivityError
 from tot.grid import deriv_values
 from tot.trig import TrigPoly1D, TrigPoly2D
 
@@ -176,3 +177,59 @@ def test_requires_closed_form(grid64):
     f = tot.field(grid64, np.ones(grid64.shape))
     with pytest.raises(ValueError, match="closed-form"):
         tot.marginal_and_conditionals(f)
+
+
+def test_one_cdf_inversion_per_circle_map(monkeypatch):
+    # a benchmark-style pair at 256^2: three of the four wavevectors with
+    # |k|_inf = 1 per density, amplitude 0.15 each.  Each circle map inverts
+    # its cdfs and picks its shift in one call, and the fiber map takes few
+    # cdf-and-density passes (its levels' antiderivative included)
+    grid = tot.build_grid(256, 256)
+    pair = tot.make_density_pair(
+        tot.spec((0, 1, 0.15, 3.10), (1, 1, 0.15, 4.82), (1, -1, 0.15, 4.93)),
+        tot.spec((1, 0, 0.15, 2.01), (1, 1, 0.15, 0.93), (1, -1, 0.15, 3.54)),
+        grid)
+    maps = []         # per circle map: [cdf inversions, cdf-and-density passes]
+    circle_map = tot.knothe.monotone_circle_map
+    invert = tot.transport1d.invert_lifted_cdf
+    value_and_primitive = TrigPoly1D.value_and_primitive
+
+    def counted_map(f, g):
+        maps.append([0, 0])
+        return circle_map(f, g)
+
+    def counted_invert(*args, **kwargs):
+        maps[-1][0] += 1
+        return invert(*args, **kwargs)
+
+    def counted_pass(self, *args, **kwargs):
+        if maps:
+            maps[-1][1] += 1
+        return value_and_primitive(self, *args, **kwargs)
+
+    monkeypatch.setattr(tot.knothe, "monotone_circle_map", counted_map)
+    monkeypatch.setattr(tot.transport1d, "invert_lifted_cdf", counted_invert)
+    monkeypatch.setattr(TrigPoly1D, "value_and_primitive", counted_pass)
+    tot.knothe_solution(pair)
+    assert [inversions for inversions, _ in maps] == [1, 1]
+    assert maps[1][1] <= 8, maps
+
+
+def test_fiber_shifts_are_exact_with_a_mode_at_half_the_fiber_nodes():
+    # a k2 = 8 mode on 16 fiber nodes peaks between them, where a shift
+    # bracket from the node maximum of g misses some shifts
+    rng = np.random.default_rng(3)
+    grid = tot.build_grid(16, 16)
+    solved = 0
+    for _ in range(200):
+        f = tot.spec((1, 0, 0.2, rng.uniform(0.0, 6.28)),
+                     (0, 8, 0.9 * rng.uniform(0.5, 0.95), rng.uniform(0.0, 2 * np.pi)))
+        g = tot.spec((1, 1, 0.15, rng.uniform(0.0, 6.28)),
+                     (0, 8, rng.uniform(0.5, 0.9), rng.uniform(0.0, 6.28)))
+        try:
+            sol = tot.knothe_solution(tot.make_density_pair(f, g, grid))
+        except PositivityError:
+            continue
+        solved += 1
+        assert np.max(np.abs(np.mean(sol.r2_displacement, axis=-1))) <= 1e-12
+    assert solved > 100

@@ -1,9 +1,9 @@
 """Property-based tests: config parsing, field files, circle densities and
-the cold solve.
+maps, and the cold solve.
 
-Example counts are capped in ``FUZZ`` and ``FUZZ_SOLVE`` so the module adds
-a few seconds to the suite; raise ``max_examples`` there for a longer
-search.
+Example counts are capped in ``FUZZ``, ``FUZZ_FIBERS`` and ``FUZZ_SOLVE``
+so the module adds seconds, not minutes, to the suite; raise
+``max_examples`` there for a longer search.
 """
 
 import itertools
@@ -11,16 +11,19 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tot
 from tot.config import _SCHEMA, _parse_lines
-from tot.errors import ConfigError, PositivityError, TransportError
+from tot.densities import DELTA_MIN
+from tot.errors import (ConfigError, CutLocusError, PositivityError,
+                        TransportError)
 from tot.fieldio import MAGIC, read_field_binary, write_field_binary
 from tot.grid import ScalarField, build_grid
-from tot.trig import TrigPoly1D, TrigPoly2D
+from tot.transport1d import invert_lifted_cdf
+from tot.trig import TWO_PI, TrigPoly1D, TrigPoly2D
 
 from tests.conftest import single_grid_newton
 
@@ -168,6 +171,123 @@ def test_circle_density_rejects_a_nonpositive_closed_form(drawn):
     assume(trough < -0.01)
     with pytest.raises(PositivityError):
         tot.circle_density(TrigPoly1D.from_modes(modes, const=-depth * trough), m)
+
+
+# circle maps between fiber stacks of 2D cosine sums with |k1|, |k2| <= 4 on
+# m = 8..256 nodes per fiber.  The modes are scaled so that the sum's
+# minimum on the 4x grid is a drawn value down to DELTA_MIN.  Half of the
+# densities pair a fiber frequency with its double in phase, whose
+# amplitudes add up past the depth of the sum: their fibers have
+# const - sum |a| <= 0 although g > 0 (as in TWO_FREQUENCIES).  The oracle
+# is bisection on the shift over bisection inversions of the cdf written
+# out from the modes.
+FUZZ_FIBERS = settings(max_examples=40, deadline=None)
+TWO_FREQUENCIES = (
+    TrigPoly2D.from_modes([(0, 1, 0.7, 0.0), (0, 2, 0.5, 0.0), (1, 0, 0.1, 0.3)]),
+    TrigPoly2D.from_modes([(1, 1, 0.7, 0.0), (2, 2, 0.5, 0.0)]),
+    np.array([0.1, 0.45, 0.8]), 16)
+
+
+@st.composite
+def fiber_pairs(draw):
+    """(f, g, x1 of g's fibers, m): f's fibers sit at x1 = i/rows."""
+    m = draw(st.integers(4, 128)) * 2
+    wavevectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+    def density():
+        if draw(st.booleans()):     # a1 cos v + a2 cos 2v: a1 + a2 > its depth
+            k1, k2 = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+            p = draw(st.floats(-np.pi, np.pi))
+            modes = [(k1, k2, draw(st.floats(0.5, 1.0)), p),
+                     (2 * k1, 2 * k2, draw(st.floats(0.3, 0.6)), 2 * p)]
+        else:
+            waves = draw(st.lists(wavevectors, min_size=1, max_size=3, unique=True))
+            modes = [(k1, k2, draw(st.floats(0.1, 1.0)), draw(st.floats(-np.pi, np.pi)))
+                     for k1, k2 in waves]
+        trough = TrigPoly2D.from_modes(modes, const=0.0).min_on_grid(4 * m, 4 * m)
+        assume(trough < -0.01)
+        scale = (1.0 - draw(st.floats(DELTA_MIN, 0.5))) / -trough
+        return TrigPoly2D.from_modes([(k1, k2, a * scale, p) for k1, k2, a, p in modes])
+
+    f, g = density(), density()
+    rows = draw(st.integers(1, 4))
+    images = draw(arrays(np.float64, rows, elements=st.floats(0.0, 1.0)))
+    return f, g, images, m
+
+
+def _cdf(poly, y):
+    """Exact lifted primitive of a (stacked) cosine sum at y, (rows, n)."""
+    k = TWO_PI * poly.freqs
+    a, p = poly.amps[:, None, :], poly.phases[:, None, :]
+    waves = a / k * (np.sin(k * y[..., None] + p) - np.sin(p))
+    return poly.const[:, None] * y + np.sum(waves, axis=-1)
+
+
+def _bisect(increasing, lo, hi, steps):
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = increasing(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _oracle_displacement(f, g, x):
+    s = _cdf(f, np.broadcast_to(x, (len(f.const), x.size)))
+
+    def inverse(theta):
+        w = s + theta[:, None]
+        return _bisect(lambda y: _cdf(g, y) - w, w - 2.0, w + 2.0, 64)
+
+    theta = _bisect(lambda t: np.mean(inverse(t) - x, axis=-1),
+                    np.full(len(s), -2.0), np.full(len(s), 2.0), 56)
+    return x - inverse(theta)
+
+
+@FUZZ_FIBERS
+@example(TWO_FREQUENCIES)
+@given(fiber_pairs())
+def test_fiber_maps_are_centred_exact_inverses(drawn):
+    f_poly, g_poly, images, m = drawn
+    rows = len(images)
+    f = tot.circle_density(f_poly.slice_x1(np.arange(rows) / rows).normalized(), m)
+    g_fibers = g_poly.slice_x1(images)
+    fine = np.arange(8192) / 8192
+    lowest = np.min(g_fibers.normalized()(fine))
+    x = np.arange(m) / m
+    try:
+        g = tot.circle_density(g_fibers.normalized(), m)
+        tm = tot.monotone_circle_map(f, g)
+    except PositivityError:
+        # g dips below 0, or too close to it for its floor to be certain
+        assert lowest < 2e-3 * np.max(np.sum(np.abs(g_fibers.amps), axis=-1)
+                                      / g_fibers.const)
+        return
+    except CutLocusError:
+        assert np.max(np.abs(_oracle_displacement(f.closed_form, g.closed_form,
+                                                  x))) > 0.5 - 1e-9
+        return
+    s = f.closed_form.antiderivative(x)
+    y, theta = invert_lifted_cdf(g, s, tol=1e-15, nodes=x)
+    assert np.array_equal(x - y, tm.displacement)
+    tmap = tm.map_values()
+    assert np.all(np.diff(tmap, axis=-1, append=tmap[:, :1] + 1.0) > 0.0)
+    assert np.max(np.abs(np.mean(tm.displacement, axis=-1))) <= 1e-12
+    level = s + theta[:, None]
+    base = np.floor(level)
+    residual = g.closed_form.antiderivative(y - base) - (level - base)
+    assert np.max(np.abs(residual)) <= 1e-15
+    oracle = _oracle_displacement(f.closed_form, g.closed_form, x)
+    assert np.max(np.abs(tm.displacement - oracle)) <= 1e-12
+
+
+def test_two_frequency_fibers_have_no_amplitude_floor():
+    # the example above reaches rows whose constant does not bound the
+    # modes, although the fibers stay positive
+    f_poly, g_poly, images, m = TWO_FREQUENCIES
+    fine = np.arange(8192) / 8192
+    for fibers in (f_poly.slice_x1(np.arange(3) / 3), g_poly.slice_x1(images)):
+        assert np.all(fibers.const - np.sum(np.abs(fibers.amps), axis=-1) <= 0.0)
+        assert np.min(fibers(fine)) > 0.1
 
 
 # cold Newton at 128^2 on cosine densities with |k|_inf <= 2: at most three

@@ -4,8 +4,7 @@ import pytest
 import tot
 from tot.errors import CutLocusError, PositivityError
 from tot.grid import deriv_values
-from tot.transport1d import (_check_map, _safeguarded_newton,
-                             invert_lifted_cdf, transport_cost)
+from tot.transport1d import _check_map, invert_lifted_cdf, transport_cost
 from tot.trig import TrigPoly1D, TrigPoly2D
 
 
@@ -98,57 +97,33 @@ def test_stacked_inversion_keeps_exact_integer_levels():
     assert np.max(np.abs(glift - w)) <= 1e-14
 
 
-def test_inversion_returns_the_density_at_the_inverse():
-    g = trig_density([(1, 0.25, -0.4), (3, 0.1, 0.0)])
-    w = np.array([0.0, 0.3, 1.7, -0.45])
-    y, density = invert_lifted_cdf(g, w, with_density=True)
-    assert np.array_equal(y, invert_lifted_cdf(g, w))
-    assert np.max(np.abs(density - g.closed_form(y))) <= 1e-14
-    rows = TrigPoly2D.from_modes([(0, 1, 0.2, 0.4), (1, -1, 0.15, 1.1),
-                                  (1, 1, 0.1, -0.3)]).slice_x1(np.array([0.1, 0.7]))
-    stack = tot.circle_density(closed_form=rows.normalized(), m=32)
-    w = np.array([[0.0, 0.4, 3.0, -1.0], [0.9, -2.0, 0.25, 1.0]])
-    y, density = invert_lifted_cdf(stack, w, with_density=True)
-    assert density.shape == w.shape
-    for row in range(2):
-        one = tot.circle_density(closed_form=stack.closed_form.take(row), m=32)
-        assert np.max(np.abs(density[row] - one.closed_form(y[row]))) <= 1e-14
-
-
-def test_newton_evaluates_only_active_entries():
-    # rows of increasing functions y + a sin(2 pi y) / (2 pi), a in [0, 0.9):
-    # the larger a, the more steps an entry needs; every 5th entry starts
-    # at its root
-    rows, m, tol = 6, 40, 1e-14
+def test_newton_evaluates_only_active_rows(monkeypatch):
+    # rows 1 + a cos(2 pi y + p), a in [0, 0.9): the larger a, the more
+    # steps a row needs; rows that have converged keep their values and,
+    # once they are half of the rows evaluated, are not evaluated again
+    rows, m = 6, 40
     rng = np.random.default_rng(4)
-    amp = np.repeat(np.linspace(0.0, 0.9, rows, endpoint=False), m)
-    y0 = rng.uniform(0.0, 1.0, rows * m)
-    target = rng.uniform(0.0, 1.0, rows * m)
-    target[::5] = y0[::5] + amp[::5] * np.sin(2 * np.pi * y0[::5]) / (2 * np.pi)
-    log = []
+    amps = np.linspace(0.0, 0.9, rows, endpoint=False)[:, None]
+    poly = TrigPoly1D(np.ones(rows), np.array([1]), amps,
+                      rng.uniform(0.0, 2 * np.pi, (rows, 1)))
+    g = tot.circle_density(closed_form=poly, m=m)
+    w = rng.uniform(-1.0, 2.0, (rows, m))
+    evaluated = []
+    value_and_primitive = TrigPoly1D.value_and_primitive
 
-    def residual(y, at):
-        return y + amp[at] * np.sin(2 * np.pi * y) / (2 * np.pi) - target[at]
+    def logged(self, x, rows=None):
+        evaluated.append(set(self.amps[:, 0]))
+        return value_and_primitive(self, x, rows)
 
-    def evaluate(y, at):
-        at = np.arange(rows * m) if at is None else at
-        log.append((at.copy(), y.copy()))
-        return residual(y, at), 1.0 + amp[at] * np.cos(2 * np.pi * y)
-
-    y = y0.copy()
-    _safeguarded_newton(evaluate, y, np.zeros(rows * m), np.ones(rows * m),
-                        tol, 100, "test")
-    final_at = np.full(rows * m, -1)
-    for step, (at, values) in enumerate(log):
-        assert np.all(final_at[at] == -1)      # a final entry is never evaluated
-        converged = np.abs(residual(values, at)) <= tol
-        final_at[at[converged]] = step
-        assert np.array_equal(y[at[converged]], values[converged])
-    assert np.all(final_at >= 0)
-    assert np.all(final_at[::5] == 0) and np.array_equal(y[::5], y0[::5])
-    iterations = len(log) - 1
-    evaluated = sum(len(at) for at, _ in log[1:])
-    assert evaluated < rows * m * iterations
+    monkeypatch.setattr(TrigPoly1D, "value_and_primitive", logged)
+    y = invert_lifted_cdf(g, w)
+    monkeypatch.undo()
+    for before, after in zip(evaluated, evaluated[1:]):
+        assert after <= before
+    assert len(evaluated[-1]) < rows
+    assert sum(map(len, evaluated)) < rows * len(evaluated)
+    glift = np.floor(y) + g.closed_form.antiderivative(y - np.floor(y))
+    assert np.max(np.abs(glift - w)) <= 1e-14
 
 
 def test_cdf_rejects_nonpositive():
@@ -223,6 +198,27 @@ def test_map_matches_fine_grid_oracle():
     tm = tot.monotone_circle_map(f, g)
     disp = oracle_map(f_poly.normalized(), g_poly.normalized(), m)
     assert np.max(np.abs(tm.displacement - disp)) < 1e-8
+
+
+def test_shift_is_exact_where_the_nodes_miss_the_density_maximum():
+    # 1 + a cos(2 pi (m/2) x + p) peaks at 1 + a between its m nodes but
+    # reads at most 1 + a |cos p| on them: a shift bracket from the node
+    # maximum can miss the shift that centres the displacement
+    rng = np.random.default_rng(3)
+    for m in (8, 32):
+        f, g = (tot.circle_density(closed_form=TrigPoly1D(
+            np.ones(100), np.array([m // 2]), rng.uniform(0.5, 0.95, (100, 1)),
+            rng.uniform(0.0, 2 * np.pi, (100, 1))), m=m) for _ in range(2))
+        tm = tot.monotone_circle_map(f, g)
+        assert np.max(np.abs(np.mean(tm.displacement, axis=-1))) <= 1e-12
+
+
+def test_map_rejects_a_density_negative_between_its_nodes():
+    f = trig_density([(1, 0.41, 3.88), (2, 0.36, 4.89)], m=8)
+    g = trig_density([(2, 1.107, -2.41)], m=8)
+    assert np.min(g.values) > 0.0
+    with pytest.raises(PositivityError, match="between its nodes"):
+        tot.monotone_circle_map(f, g)
 
 
 def test_cut_locus_violation_raises():
