@@ -11,15 +11,14 @@ from .continuation import (ContinuationOptions, InitResult, NewtonResult,
                            newton_correct, newton_correct_split, run,
                            trajectory_summary_csv, velocity)
 from .densities import (CATALOG, DensityPair, DensitySpec, density_field,
-                        make_density_pair, product_pair, standard_pair, spec)
+                        make_density_pair, standard_pair, spec)
 from .errors import (AdmissibilityError, ConcavityError, ConfigError,
                      ConstructionError, ConvergenceError, CutLocusError,
                      GridSizeError, InitializationError, PositivityError,
                      StepCollapseError, TransportError)
 from .fieldio import read_field_binary, write_field_binary, write_field_csv
 from .grid import (PeriodicGrid, ScalarField, VectorField, build_grid, field,
-                   integrate_mean, project_zero_mean, spectral_derivative,
-                   zero_field)
+                   project_zero_mean, zero_field)
 from .knothe import (KnothePotentials, KnotheSolution, fiber_pushforward_error,
                      knothe_solution, l2_map_distance,
                      marginal_and_conditionals)

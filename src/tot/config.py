@@ -60,7 +60,7 @@ def _parse_modes(text):
 # parser of each ContinuationOptions field, which is the key of that name
 _OPTION_PARSERS = dict(
     t0=float, t1=float, steps=_parse_steps, newton_tol=float, max_newton=int,
-    step_grading=str, grading_ratio=float, solver_tol=float, pushforward_k=int)
+    pushforward_k=int)
 _OPTIONS = fields(ContinuationOptions)
 
 # key -> (parser, default); None default means "no entry unless given".
@@ -187,6 +187,9 @@ def config_from_entries(entries):
         options.validated()
     except ValueError as exc:
         raise ConfigError(f"options: {exc}") from exc
+    if not schedule.lam(options.t0) > 0.0:
+        raise ConfigError(f"lambda: lambda(t0) = {schedule.lam(options.t0):g} "
+                          f"at t0 = {options.t0:g} is not a cost", key="lambda")
     # the pair's own scan runs on the 4x oversampled configured grid
     try:
         pair = make_density_pair(f_spec, g_spec, grid)

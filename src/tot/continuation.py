@@ -12,8 +12,8 @@ newest certified states (an Euler step on the velocity field for the
 first two steps, before three exist), and a damped Newton iteration on
 the nonlinear residual corrects it, so every accepted state is an exact
 (to tolerance) Monge-Ampere solution - the trajectory's accuracy is
-certified pointwise rather than by step-size analysis.  Stepping is
-geometric toward t0 by default, matching the lambda_t = t degeneration.
+certified pointwise rather than by step-size analysis.  Fixed steps are
+geometric, matching the lambda_t = t degeneration toward t0.
 
 The state is carried from t0 to t1 in the decomposed coordinates
 psi = u1(x1) + lambda_t u2(x1, x2), in which the residual, its
@@ -60,24 +60,24 @@ __all__ = [
 ]
 
 RESIDUAL_WARN = 1e-6
+# relative PCG tolerance of a velocity solve
+VELOCITY_TOL = 1e-11
 
 
 @dataclass
 class ContinuationOptions:
-    """Driver settings; ``steps`` is an interval count or "adaptive"."""
+    """Driver settings; ``steps`` is the number of intervals of the
+    geometric ladder from t0 to t1, or "adaptive"."""
 
     t0: float = 1e-3
     t1: float = 1.0
     steps: object = 32
     newton_tol: float = 1e-10
     max_newton: int = 20
-    step_grading: str = "geometric"
-    grading_ratio: float | None = None
-    solver_tol: float = 1e-11
     pushforward_k: int = 4
 
     def validated(self):
-        for name in ("t0", "newton_tol", "solver_tol"):
+        for name in ("t0", "newton_tol"):
             _check_positive_finite(name, getattr(self, name))
         if not self.t0 < self.t1 < math.inf:
             raise ValueError(f"t1 must be finite and exceed t0, got {self.t1}")
@@ -87,15 +87,6 @@ class ContinuationOptions:
         for name in ("max_newton", "pushforward_k"):
             if not _positive_int(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
-        if self.step_grading not in ("geometric", "uniform"):
-            raise ValueError("step_grading must be 'geometric' or 'uniform'")
-        if self.grading_ratio is not None:
-            if not 1.0 < self.grading_ratio < math.inf:
-                raise ValueError("grading_ratio must be finite and exceed 1")
-            # only the fixed geometric ladder reads it
-            if self.steps == "adaptive" or self.step_grading == "uniform":
-                raise ValueError("grading_ratio needs fixed steps and "
-                                 "geometric step_grading")
         return self
 
 
@@ -127,7 +118,7 @@ def _assemble(lam, u1, u2):
     return ScalarField(u2.grid, values - np.mean(values), zero_mean=True)
 
 
-def velocity(t, psi, pair, schedule=None, *, tol=1e-11):
+def velocity(t, psi, pair, schedule=None, *, tol=VELOCITY_TOL):
     """Potential velocity psi_dot at an (approximately) solved state.
 
     Solves the linearized equation with the cost-rate right-hand side in
@@ -429,14 +420,20 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
 
     The predictor (u1, lambda_{t0} u2) is Newton-corrected at A_{t0} in
     decomposed coordinates; if Newton stalls the time is halved (at most
-    ``MAX_HALVINGS`` = 8 times), so the returned result carries the t0
-    actually used.  The assembled potential, the exact decomposed pair and
-    the certifying state's map are all returned.
+    ``MAX_HALVINGS`` = 8 times, and never to a t where lambda_t is 0), so
+    the returned result carries the t0 actually used.  The assembled
+    potential, the exact decomposed pair and the certifying state's map
+    are all returned.
     """
     schedule = schedule or CostSchedule.linear()
     kn = knothe_solution(pair)
     t = float(t0)
     for _ in range(MAX_HALVINGS + 1):
+        lam = schedule.lam(t)
+        if not lam > 0.0:           # A_t = diag(1, lambda_t) is no cost
+            raise InitializationError(
+                f"lambda({t:.3g}) = {lam:g}: the schedule degenerates before "
+                "the rearrangement's state converges; try a larger t0")
         try:
             res = newton_correct_split(t, kn.potentials.u1, kn.potentials.u2,
                                        pair, schedule, tol=newton_tol,
@@ -525,20 +522,6 @@ def trajectory_summary_csv(trajectory, path):
                      f"{r.l2_dist_to_knothe:.17g},{r.newton_iters}\n")
 
 
-def _fixed_ladder(t0, t1, steps, grading, ratio):
-    if grading == "uniform":
-        return list(np.linspace(t0, t1, steps + 1))[1:]
-    if ratio is None:
-        return list(t0 * (t1 / t0) ** (np.arange(1, steps + 1) / steps))
-    # explicit ratio: climb geometrically, capped at t1
-    ladder = []
-    t = t0
-    while t < t1:
-        t = min(t * ratio, t1)
-        ladder.append(t)
-    return ladder
-
-
 @dataclass
 class _State:
     """A certified continuation state on one grid: the decomposed pair at
@@ -558,7 +541,7 @@ class _State:
         return self.coarse
 
 
-def _predict(history, t_next, pair, schedule, opts, warn=True):
+def _predict(history, t_next, pair, schedule, warn=True):
     """Predictor (u1, u2) at t_next on ``pair.grid`` from the newest
     certified states ``history``, oldest first.
 
@@ -580,7 +563,7 @@ def _predict(history, t_next, pair, schedule, opts, warn=True):
         dt = t_next - state.t
         if state.velocity is None:
             state.velocity = _velocity_split(state.t, state.u1, state.u2,
-                                             pair, schedule, opts.solver_tol,
+                                             pair, schedule, VELOCITY_TOL,
                                              warn=warn)
         v1, v2 = state.velocity
         p1 = state.u1 + dt * v1
@@ -614,7 +597,7 @@ def _step(history, t_next, pairs, schedule, opts):
             states = [s.restricted(coarse.grid) for s in states]
         # a coarse state is a certified one restricted: its residual is the
         # coarse grid's truncation floor, which says nothing about the path
-        return _predict(states, t_next, pairs[level], schedule, opts,
+        return _predict(states, t_next, pairs[level], schedule,
                         warn=level == 0)
 
     def solve(pair, u1, u2, coarse):
@@ -640,12 +623,15 @@ def run(pair, schedule=None, options=None):
     certified states, at their true times, so bisected and adaptive steps
     are extrapolated over unequal spacing; the first two steps, before
     three states exist, take an Euler step on the velocity, so a run
-    solves two velocities.  Steps are accepted only if Newton converges
-    and the margin stays positive; rejected steps are split (halved in
-    adaptive mode, bisected in fixed mode) and the run aborts with
-    :class:`StepCollapseError` - carrying the partial trajectory - if the
-    step size falls below 1e-8.  At t1 = 1 under the linear schedule the
-    final record's map is the Brenier map for A = diag(1,1).
+    solves two velocities.  Fixed steps climb the geometric ladder
+    t0 (t1 / t0)^(k / steps) from the t0 that the initialization used, as
+    lambda_t = t degenerates geometrically toward 0.  Steps are accepted
+    only if Newton converges and the margin stays positive; a rejected step
+    is split (halved in adaptive mode, bisected in log t at sqrt(t t_next)
+    in fixed mode) and the run aborts with :class:`StepCollapseError` -
+    carrying the partial trajectory - if the step size falls below 1e-8.
+    At t1 = 1 under the linear schedule the final record's map is the
+    Brenier map for A = diag(1,1).
 
     Each step is grid-sequenced like a cold ``newton_correct``: the whole
     predictor-corrector first runs on the halved grids, from the certified
@@ -708,18 +694,16 @@ def run(pair, schedule=None, options=None):
                 dt *= 2.0
                 easy_streak = 0
     else:
-        pending = _fixed_ladder(history[-1].t, opts.t1, opts.steps,
-                                opts.step_grading, opts.grading_ratio)
+        t0 = history[-1].t
+        pending = list(t0 * (opts.t1 / t0)
+                       ** (np.arange(1, opts.steps + 1) / opts.steps))
         while pending:
             t_next, t = pending[0], history[-1].t
             if t_next - t < 1e-8:
                 collapse(t_next - t)
             trial = _step(history, t_next, pairs, schedule, opts)
             if trial is None:
-                if opts.step_grading == "geometric":
-                    pending.insert(0, math.sqrt(t * t_next))
-                else:
-                    pending.insert(0, 0.5 * (t + t_next))
+                pending.insert(0, math.sqrt(t * t_next))
                 continue
             pending.pop(0)
             accept(t_next, trial)

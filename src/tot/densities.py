@@ -119,7 +119,3 @@ def make_density_pair(f, g, grid):
 
 def standard_pair(grid):
     return make_density_pair(CATALOG["standard_f"], CATALOG["standard_g"], grid)
-
-
-def product_pair(grid):
-    return make_density_pair(CATALOG["product_f"], CATALOG["product_g"], grid)

@@ -216,31 +216,6 @@ def resample_values(values, shape):
 # ---------------------------------------------------------------------------
 # public operations on fields
 
-def spectral_derivative(f, axis, order=1):
-    """Derivative of the trigonometric interpolant of ``f``.
-
-    Parameters
-    ----------
-    axis : {1, 2}
-        Coordinate to differentiate (x1 or x2).
-    order : {1, 2}
-        Derivative order.
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("field values must be finite")
-    out = deriv_values(f.values, axis - 1, order)
-    return ScalarField(f.grid, out, zero_mean=(order == 1))
-
-
-def integrate_mean(f):
-    """Torus average of the field (exact trapezoid rule on a periodic grid)."""
-    return float(np.mean(f.values))
-
-
 def project_zero_mean(f):
     """Subtract the average; the result is flagged zero-mean."""
     return ScalarField(f.grid, f.values - np.mean(f.values), zero_mean=True)

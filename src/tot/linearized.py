@@ -327,7 +327,7 @@ def solve_linearized_t0(u1, u2, pair, q):
     Returns (v1, v2): v1 zero-mean on n1 nodes, v2 a ScalarField with zero
     mean along every fiber.
     """
-    check_admissible(0.0, u1, u2.values, CostSchedule.linear())
+    check_admissible(u1, u2.values)
     qv = q.values
     scale = 1.0 + float(np.max(np.abs(qv)))
     if abs(float(np.mean(qv))) > 1e-10 * scale:

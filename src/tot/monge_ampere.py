@@ -79,15 +79,9 @@ class CostSchedule:
     @staticmethod
     def power(p):
         p = float(p)
-        if p < 1.0:
-            raise ValueError("power schedules need p >= 1")
+        if not 1.0 <= p < math.inf:
+            raise ValueError(f"power schedules need a finite p >= 1, got {p}")
         return CostSchedule(lambda t: t ** p, lambda t: p * t ** (p - 1.0))
-
-    @staticmethod
-    def custom(lam, lam_dot):
-        if lam(0.0) != 0.0:
-            raise ValueError("schedule must satisfy lambda(0) = 0")
-        return CostSchedule(lam, lam_dot)
 
     def matrix(self, t):
         if not t > 0.0:
@@ -172,8 +166,8 @@ def residual_state(cost, u1_values, u2_values, pair):
     no machine noise into the x2-derivatives that the 1/a22 divisions
     amplify.  The margin certifies admissibility of the decomposed pair:
     min(1 - d11 u) is at least the smaller eigenvalue, so a positive margin
-    implies both inequalities of ``check_admissible``; a margin <= 0 raises
-    ``ConcavityError``.
+    implies both inequalities of admissibility at t > 0; a margin <= 0
+    raises ``ConcavityError``.
     """
     g1, g2, u11, u12, u22 = split_derivatives(u1_values, u2_values, cost.a22)
     margin = margin_values(cost, u11, u12, u22)
@@ -207,32 +201,17 @@ def t0_margins(u1_values, u2_values):
     return float(np.min(1.0 - d11)), float(np.min(1.0 - d22))
 
 
-def check_admissible(t, u1_values, u2_values, schedule):
+def check_admissible(u1_values, u2_values):
     """Membership test for the admissible neighbourhood of the decomposed
-    potentials; raises ``AdmissibilityError`` naming the failed inequality."""
-    u1_values = np.asarray(u1_values, float)
-    u2_values = np.asarray(u2_values, float)
-    if t == 0.0:
-        m1, m2 = t0_margins(u1_values, u2_values)
-        if m1 <= 0.0:
-            raise AdmissibilityError(
-                f"admissibility failed at t=0: min(1 - d11 u1) = {m1:.3g} <= 0")
-        if m2 <= 0.0:
-            raise AdmissibilityError(
-                f"admissibility failed at t=0: min(1 - d22 u2) = {m2:.3g} <= 0")
-        return
-    lam = schedule.lam(t)
-    _, _, u11, u12, u22 = split_derivatives(u1_values, u2_values, lam)
-    m1 = float(np.min(1.0 - u11))
+    potentials at t = 0; raises ``AdmissibilityError`` naming the failed
+    inequality.  At t > 0 the margin of ``residual_state`` is the test."""
+    m1, m2 = t0_margins(u1_values, u2_values)
     if m1 <= 0.0:
         raise AdmissibilityError(
-            f"admissibility failed at t={t:g}: min(1 - d11 u1 - lam d11 u2) "
-            f"= {m1:.3g} <= 0")
-    margin = margin_values(schedule.matrix(t), u11, u12, u22)
-    if margin <= 0.0:
+            f"admissibility failed at t=0: min(1 - d11 u1) = {m1:.3g} <= 0")
+    if m2 <= 0.0:
         raise AdmissibilityError(
-            f"admissibility failed at t={t:g}: min eig(A - D2 u) = {margin:.3g} "
-            "<= 0")
+            f"admissibility failed at t=0: min(1 - d22 u2) = {m2:.3g} <= 0")
 
 
 def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
@@ -293,22 +272,23 @@ def decomposed_residual(t, u1, u2, pair, schedule=None):
     """Residual of the decomposed potential u1(x1) + lambda_t * u2(x1,x2).
 
     For t > 0 this is exactly ``monge_ampere_residual`` at the assembled
-    potential (same code path, bitwise).  At t = 0 it is the smooth limit
+    potential (same code path, bitwise), whose margin raises
+    ``ConcavityError``.  At t = 0 it is the smooth limit
 
-        f - g(x1 - u1', x2 - d2 u2) (1 - d11 u1)(1 - d22 u2).
+        f - g(x1 - u1', x2 - d2 u2) (1 - d11 u1)(1 - d22 u2),
 
-    ``u1`` is a 1D array of n1 samples; ``u2`` a ScalarField.
+    after ``check_admissible``.  ``u1`` is a 1D array of n1 samples; ``u2``
+    a ScalarField.
     """
-    schedule = schedule or CostSchedule.linear()
     u1 = np.asarray(u1, float)
-    grid = u2.grid
-    check_admissible(t, u1, u2.values, schedule)
-    if t != 0.0:
-        cost = schedule.matrix(t)
-        combined = u1[:, None] + schedule.lam(t) * u2.values
-        st = residual_state(cost, *split_values(combined, cost.a22), pair)
-        return ScalarField(grid, st.residual)
-    return ScalarField(grid, split_residual_values(0.0, u1, u2.values, pair))
+    if t == 0.0:
+        check_admissible(u1, u2.values)
+        return ScalarField(u2.grid,
+                           split_residual_values(0.0, u1, u2.values, pair))
+    schedule = schedule or CostSchedule.linear()
+    combined = u1[:, None] + schedule.lam(t) * u2.values
+    return monge_ampere_residual(schedule.matrix(t),
+                                 ScalarField(u2.grid, combined), pair)
 
 
 def transport_map(cost, u):

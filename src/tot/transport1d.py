@@ -16,7 +16,8 @@ the one-row case of the same code.
 
 Densities are closed-form cosine sums, as on the torus, and cumulative
 functions are their exact primitives, with no interpolant of the
-samples.
+samples; a density is positive if its closed form is, between the nodes
+too, and it keeps a positive lower bound per row (``circle_density``).
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ class CircleDensity:
     """Positive density on the circle, renormalized to unit mass.
 
     ``values`` are samples at nodes i/m of ``closed_form``, the exact
-    trigonometric definition (already normalized).
+    trigonometric definition (already normalized); ``floor`` holds a
+    positive lower bound of each row (``_density_floor``).
     """
 
     values: np.ndarray
     closed_form: TrigPoly1D
+    floor: np.ndarray
 
     @property
     def m(self):
@@ -52,21 +55,22 @@ class CircleDensity:
 
 def circle_density(closed_form, m):
     """Build a validated, unit-mass CircleDensity (or stack, row by row)
-    from a closed form sampled at the m nodes i/m."""
+    from a closed form sampled at the m nodes i/m.  Positivity is that of
+    the closed form, between the nodes too: ``_density_floor`` raises
+    ``PositivityError`` unless its lower bound is positive."""
     if m < 4:
         raise ValueError("need at least 4 samples")
     closed_form = closed_form.normalized()
+    floor = _density_floor(closed_form)
     values = closed_form(np.arange(m) / m)
-    if np.min(values) <= 0.0:
-        raise PositivityError(
-            f"density not positive: min = {np.min(values):.3g}")
     mean = values.mean(axis=-1)
     values /= mean[..., None]
     # a mean off 1 by rounding keeps the closed form's bits; any more (modes
     # aliased onto the mean) rescales it, so the samples stay its values
     if np.any(np.abs(mean - 1.0) > 16 * np.finfo(float).eps):
         closed_form = closed_form.scaled(1.0 / mean)
-    return CircleDensity(values, closed_form)
+        floor = floor / mean
+    return CircleDensity(values, closed_form, floor)
 
 
 def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None):
@@ -106,7 +110,7 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None):
     centre = nodes is not None
     if centre:
         gmax = d.closed_form.const + np.sum(np.abs(d.closed_form.amps), axis=-1)
-        glow = np.broadcast_to(_density_floor(d.closed_form), theta.shape)
+        glow = np.broadcast_to(d.floor, theta.shape)
         joint, last = np.ones(len(s), bool), np.full(len(s), np.inf)
     for k in range(100):
         rows = d.closed_form.take(at) if at.size < len(out) else d.closed_form
@@ -189,7 +193,8 @@ def _density_floor(poly):
         floor[low] = (np.min(rows(np.arange(m) / m), axis=-1)
                       - curvature / (8.0 * m * m))
         if np.min(floor) <= 0.0:
-            raise PositivityError("density not positive between its nodes")
+            raise PositivityError(
+                f"density not positive: lower bound {np.min(floor):.3g}")
     return floor
 
 
@@ -264,9 +269,6 @@ def monotone_circle_map(f, g):
         Map with ``sup |x - T(x)| < 1/2`` and mean displacement below 1e-12,
         row by row for stacks.
     """
-    for d in (f, g):
-        if np.min(d.values) <= 0.0:
-            raise PositivityError("density not positive")
     m = f.m
     x = np.arange(m) / m
     s = f.closed_form.antiderivative(x)

@@ -95,7 +95,8 @@ def pair128(grid128):
 
 @pytest.fixture(scope="session")
 def product128(grid128):
-    return tot.product_pair(grid128)
+    return tot.make_density_pair(tot.CATALOG["product_f"],
+                                 tot.CATALOG["product_g"], grid128)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from tot.cli import _FLAG_KEYS, _build_parser, cmd_continue, main
 from tot.config import _SCHEMA, load_config
 from tot.errors import ConfigError
 from tot.fieldio import read_field_binary
+from tot.grid import deriv_values
 
 
 MINIMAL = """
@@ -226,7 +227,7 @@ emit.csv = false
     map1, map2 = (read_field_binary(tmp_path / "out" / f"final_map{i}.totf")
                   for i in (1, 2))
     x2 = pair.grid.mesh()[1]
-    oracle = x2 - tot.spectral_derivative(final.psi2, 2).values
+    oracle = x2 - deriv_values(final.psi2.values, 1)
     assert np.max(np.abs(map2.values - oracle)) <= 1e-14
     # the x1 component is the assembled potential's, to rounding
     ref = tot.transport_map(cfg.schedule.matrix(final.t), final.psi)
@@ -277,13 +278,11 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry", ["pushforward_k = 0", "pushforward_k = -1",
-                                   "max_newton = 0", "solver_tol = 0",
-                                   "solver_tol = -1e-11",
+                                   "max_newton = 0",
                                    # non-finite values: an infinite tolerance
                                    # would certify any state
                                    "t0 = nan", "t1 = inf", "newton_tol = inf",
-                                   "newton_tol = nan", "solver_tol = inf",
-                                   "grading_ratio = inf"])
+                                   "newton_tol = nan"])
 def test_exit_code_invalid_option(tmp_path, capsys, entry):
     cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n" + entry + "\n")
     assert run_cli("continue", "--config", str(cfg),
@@ -292,33 +291,41 @@ def test_exit_code_invalid_option(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_code_removed_t_switch_key(tmp_path, capsys):
-    # the run no longer switches representation, so the key is unknown
-    cfg = write_cfg(tmp_path, MINIMAL + "t_switch = 0.01\n")
+# keys of settings that are gone: the run no longer switches
+# representation (t_switch), every step after the second extrapolates
+# (predictor), the fixed ladder is always geometric (step_grading,
+# grading_ratio) and the velocity solve has one tolerance (solver_tol)
+@pytest.mark.parametrize("entry", ["t_switch = 0.01", "predictor = heun",
+                                   "step_grading = uniform",
+                                   "grading_ratio = 2", "solver_tol = 1e-11"])
+def test_exit_code_removed_key(tmp_path, capsys, entry):
+    cfg = write_cfg(tmp_path, MINIMAL + entry + "\n")
     assert run_cli("continue", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
-    assert "unknown key 't_switch'" in capsys.readouterr().err
+    assert f"unknown key '{entry.split()[0]}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_code_removed_predictor_key(tmp_path, capsys):
-    # every step after the second extrapolates, so there is nothing to pick
-    cfg = write_cfg(tmp_path, MINIMAL + "predictor = heun\n")
-    assert run_cli("continue", "--config", str(cfg),
-                   "--out", str(tmp_path / "out")) == 2
-    assert "unknown key 'predictor'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("entry", ["step_grading = uniform",
-                                   "steps = adaptive"])
-def test_exit_code_grading_ratio_ignored(tmp_path, capsys, entry):
+def test_exit_code_schedule_that_vanishes_at_t0(tmp_path, capsys):
+    # lambda = t^110 underflows to 0.0 at t0 = 1e-3: A_t0 is no cost
     cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n"
-                    + entry + "\ngrading_ratio = 2\n")
+                    "lambda = t^110\n")
     assert run_cli("continue", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
-    assert "options: grading_ratio" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("tot: config error: lambda: lambda(t0) = 0")
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_schedule_that_vanishes_while_t0_halves(tmp_path, capsys):
+    # lambda = t^60 is positive at t0 = 1e-3, and init_from_knothe halves t0
+    # until it would underflow to 0.0
+    cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n"
+                    "lambda = t^60\nsteps = 2\n")
+    assert run_cli("continue", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tot: solver error: lambda(") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, text", [("--steps", "abc"), ("--steps", "1.5"),

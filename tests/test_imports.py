@@ -41,3 +41,91 @@ def test_the_check_sees_a_private_import(tmp_path):
                      "from numpy import _globals\n", encoding="utf-8")
     assert _private_imports(probe) == [("linearized", "_kernels"),
                                        ("tot.continuation", "_damped_newton")]
+
+
+# ---------------------------------------------------------------------------
+# exports: every public name of ``tot`` is code that something runs
+
+ROOT = SRC.parents[1]
+
+# exports that only the acceptance criteria call, each with its criterion
+CRITERIA_NAMES = {
+    "monge_ampere_residual": "criteria 1 and 2: the residual of an assembled "
+                             "potential",
+    "apply_linearized": "criteria 2 and 3: the operator against central "
+                        "differences, and the solve's residual",
+    "c_concavity_margin": "criterion 3: the margin in the coercivity bound",
+    "project_zero_mean": "criteria 3 and 4: zero-mean right-hand sides",
+    "apply_linearized_t0": "criterion 4: the t = 0 forward recovery",
+}
+
+
+def _exports():
+    """Every name that ``tot/__init__.py`` imports from a ``tot`` module."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return sorted(alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def _used_names(path):
+    """Identifiers and attribute names that ``path`` loads, outside the
+    top-level definition of the name itself (a function calling itself or
+    a class naming itself is not a use)."""
+    used = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if (name is not None and name != own
+                    and isinstance(node.ctx, ast.Load)):
+                used.add(name)
+    return used
+
+
+def _tracer_targets(path):
+    """The names in the ``TARGETS`` strings of the benchmark's tracer:
+    module, class and function."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets] == ["TARGETS"]):
+            return {part for module, attr in ast.literal_eval(stmt.value)
+                    for part in (module, *attr.split("."))}
+    return set()
+
+
+def _program_names():
+    """Names that ``src/tot`` (its ``__init__`` aside), ``demos/`` and
+    ``bench/`` use."""
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _used_names(path)
+    for folder in ("demos", "bench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            used |= _used_names(path)
+    return used | _tracer_targets(ROOT / "bench" / "tracer.py")
+
+
+def test_every_export_is_used_by_the_program():
+    exports = _exports()
+    assert len(exports) > 50
+    unused = set(exports) - _program_names() - set(CRITERIA_NAMES)
+    assert sorted(unused) == []
+
+
+def test_criteria_names_are_exports_the_criteria_call():
+    exports = _exports()
+    calls = _used_names(ROOT / "tests" / "test_acceptance.py")
+    for name in CRITERIA_NAMES:
+        assert name in exports and name in calls, name
+
+
+def test_the_export_census_sees_uses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def alone(x):\n    return alone(x - 1)\n\n"
+                     "def caller():\n    return tot.used(alone)\n"
+                     "TARGETS = ((\"grid\", \"Poly.__call__\"),)\n"
+                     "stored = 1\n", encoding="utf-8")
+    assert _used_names(probe) == {"tot", "used", "alone", "x"}
+    assert _tracer_targets(probe) == {"grid", "Poly", "__call__"}

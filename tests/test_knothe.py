@@ -106,7 +106,8 @@ def test_rearrangement_identity(grid64):
 
 
 def test_rearrangement_product_structure(grid64):
-    pair = tot.product_pair(grid64)
+    pair = tot.make_density_pair(tot.CATALOG["product_f"],
+                                 tot.CATALOG["product_g"], grid64)
     sol = tot.knothe_solution(pair)
     # R1 is the 1D transport between the first factors
     f1 = tot.circle_density(closed_form=TrigPoly1D.from_modes([(1, 0.2, 0.0)]),

@@ -16,8 +16,9 @@ def test_cost_schedule_basics():
     cubic = tot.CostSchedule.power(3)
     assert abs(cubic.lam(0.5) - 0.125) < 1e-15
     assert abs(cubic.lam_dot(0.5) - 0.75) < 1e-15
-    with pytest.raises(ValueError):
-        tot.CostSchedule.custom(lambda t: t + 1.0, lambda t: 1.0)
+    for p in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            tot.CostSchedule.power(p)
     with pytest.raises(ValueError):
         lin.matrix(0.0)
     with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ def test_residual_mean_is_tiny_when_margin_positive(pair64):
     grid = pair64.grid
     u = tot.field(grid, admissible_potential(grid, 3, rng))
     r = tot.monge_ampere_residual(tot.identity_cost(), u, pair64)
-    assert abs(tot.integrate_mean(r)) < 1e-10
+    assert abs(np.mean(r.values)) < 1e-10
 
 
 def test_residual_relabel_symmetry(grid64):
@@ -163,12 +164,19 @@ def test_admissibility_errors_name_the_inequality(grid64, pair64):
     x1, x2 = grid64.mesh()
     bad_u1 = 0.1 * np.cos(2 * np.pi * grid64.nodes1())
     with pytest.raises(AdmissibilityError, match="d11 u1"):
-        check_admissible(0.0, bad_u1, np.zeros(grid64.shape),
-                         tot.CostSchedule.linear())
+        check_admissible(bad_u1, np.zeros(grid64.shape))
     bad_u2 = 0.1 * np.cos(2 * np.pi * x2) + 0.0 * x1
     with pytest.raises(AdmissibilityError, match="d22 u2"):
-        check_admissible(0.0, np.zeros(grid64.n1), bad_u2,
-                         tot.CostSchedule.linear())
+        check_admissible(np.zeros(grid64.n1), bad_u2)
+
+
+def test_decomposed_residual_raises_on_the_margin_at_positive_t(grid64, pair64):
+    # at t > 0 the margin of the residual state is the admissibility test
+    bad_u1 = 0.1 * np.cos(2 * np.pi * grid64.nodes1())
+    with pytest.raises(ConcavityError, match="not c-concave"):
+        tot.decomposed_residual(0.2, bad_u1, tot.zero_field(grid64), pair64)
+    with pytest.raises(AdmissibilityError, match="d11 u1"):
+        tot.decomposed_residual(0.0, bad_u1, tot.zero_field(grid64), pair64)
 
 
 # ---------------------------------------------------------------------------

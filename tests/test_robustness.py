@@ -1,5 +1,5 @@
 """Cross-cutting checks on less-traveled configurations: non-square
-grids, alternative schedules and gradings, costs with a22 > 1."""
+grids, alternative schedules, costs with a22 > 1."""
 
 import numpy as np
 import pytest
@@ -43,23 +43,6 @@ def test_solver_on_rectangular_grid(rect_pair):
     q = tot.apply_linearized(st, w)
     v = tot.solve_linearized(st, q, tol=1e-12)
     assert np.max(np.abs(v.values - w.values)) < 1e-10
-
-
-def test_uniform_step_grading(pair64):
-    opts = tot.ContinuationOptions(steps=8, step_grading="uniform", t0=0.1)
-    traj = tot.run(pair64, options=opts)
-    ts = traj.times()
-    assert np.allclose(np.diff(ts), np.diff(ts)[0])
-    assert traj.final.t == 1.0
-
-
-def test_explicit_grading_ratio(pair64):
-    opts = tot.ContinuationOptions(steps=4, grading_ratio=4.0, t0=1e-2)
-    traj = tot.run(pair64, options=opts)
-    ts = traj.times()
-    # climbs by the requested ratio until capped at t1
-    assert np.allclose(ts[:4], [1e-2, 4e-2, 16e-2, 64e-2])
-    assert traj.final.t == 1.0
 
 
 def test_run_starting_at_large_t0(pair64):

@@ -214,11 +214,34 @@ def test_shift_is_exact_where_the_nodes_miss_the_density_maximum():
 
 
 def test_map_rejects_a_density_negative_between_its_nodes():
-    f = trig_density([(1, 0.41, 3.88), (2, 0.36, 4.89)], m=8)
-    g = trig_density([(2, 1.107, -2.41)], m=8)
-    assert np.min(g.values) > 0.0
-    with pytest.raises(PositivityError, match="between its nodes"):
-        tot.monotone_circle_map(f, g)
+    # g's node minimum is 0.18 and its true minimum -0.11: circle_density
+    # refuses it, so no map, inversion or certificate is handed it
+    g_poly = TrigPoly1D.from_modes([(2, 1.107, -2.41)])
+    assert np.min(g_poly(np.arange(8) / 8)) > 0.0
+    with pytest.raises(PositivityError, match="not positive"):
+        tot.circle_density(g_poly, 8)
+
+
+def test_circle_density_keeps_its_floor(monkeypatch):
+    # rows: const - sum|a| > 0, a trough that needs the node scan, and a
+    # mode aliased onto the mean of 8 nodes, which rescales the closed form
+    poly = TrigPoly1D(np.ones(3), np.array([2, 4, 8]),
+                      np.array([[0.3, 0.2, 0.0], [0.6, 0.6, 0.0],
+                                [0.0, 0.0, 0.5]]),
+                      np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0]]))
+    d = tot.circle_density(poly, 8)
+    x = np.arange(4096) / 4096
+    assert np.all(d.floor > 0.0)
+    assert np.all(d.floor <= np.min(d.closed_form(x), axis=-1))
+    assert np.allclose(d.floor[[0, 2]], [0.5, 0.5 / 1.5], rtol=1e-14)
+    g = tot.circle_density(TrigPoly1D(np.ones(3), np.array([1]),
+                                      np.full((3, 1), 0.2),
+                                      np.full((3, 1), 0.3)), 8)
+    # the map reads the floor of its densities and derives none again
+    monkeypatch.setattr(tot.transport1d, "_density_floor", None)
+    tm = tot.monotone_circle_map(d, g)
+    assert np.max(np.abs(np.mean(tm.displacement, axis=-1))) <= 1e-12
 
 
 def test_cut_locus_violation_raises():
