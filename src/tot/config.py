@@ -8,10 +8,10 @@ the schema below.  Densities come either from the shipped catalog
 
 Overrides (the command-line flags) are ``key -> text`` like a file line
 and go through the same parsers.  The configuration builds the grid and
-the density pair, so every input, positivity on the configured grid
-included, is validated here.  Every violated constraint is reported with
-its key path; unknown keys get a closest-match suggestion.  Parse errors
-carry the line number.
+the density pair, so every input is validated here; the pair's certified
+lower bound (``make_density_pair``) is its only positivity test.  Every
+violated constraint is reported with its key path; unknown keys get a
+closest-match suggestion.  Parse errors carry the line number.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .continuation import ContinuationOptions
-from .densities import (CATALOG, DELTA_MIN, DensityPair, DensitySpec,
-                        make_density_pair)
+from .densities import CATALOG, DensityPair, DensitySpec, make_density_pair
 from .errors import ConfigError, PositivityError
 from .grid import build_grid
 from .monge_ampere import CostSchedule
@@ -170,12 +169,6 @@ def config_from_entries(entries):
 
     f_spec = _density_from_entries(merged, "f")
     g_spec = _density_from_entries(merged, "g")
-    for which, spec in (("f", f_spec), ("g", g_spec)):
-        lowest = spec.min_value()
-        if lowest < DELTA_MIN:
-            raise ConfigError(
-                f"{which}: density not positive: min = {lowest!r} "
-                f"< {DELTA_MIN:g}", key=f"{which}.modes")
 
     schedule = _schedule_from_entry(merged["lambda"])
     try:
@@ -190,7 +183,6 @@ def config_from_entries(entries):
     if not schedule.lam(options.t0) > 0.0:
         raise ConfigError(f"lambda: lambda(t0) = {schedule.lam(options.t0):g} "
                           f"at t0 = {options.t0:g} is not a cost", key="lambda")
-    # the pair's own scan runs on the 4x oversampled configured grid
     try:
         pair = make_density_pair(f_spec, g_spec, grid)
     except PositivityError as exc:

@@ -4,8 +4,9 @@ Restricting densities to finite cosine sums keeps every composition
 g(x - displacement) exactly evaluable, which the residual tolerances of
 the solvers require.  A density spec is a list of (k1, k2, amplitude,
 phase) cosine modes on top of the constant 1; the resulting function is
-normalized to unit mass and must stay above a positivity margin, checked
-on a 4x oversampled grid.
+normalized to unit mass and admitted only if a certified lower bound of
+its closed form, ``TrigPoly2D.floor`` on the 4x oversampled grid, is at
+least ``DELTA_MIN``: the one positivity test of a 2D density.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class DensitySpec:
 
     def trig(self):
         return TrigPoly2D.from_modes(self.modes, const=1.0).normalized()
-
-    def min_value(self):
-        """Minimum on the 512^2 grid (the 128^2 grid oversampled)."""
-        return self.trig().min_on_grid(OVERSAMPLE * 128, OVERSAMPLE * 128)
 
 
 def spec(*modes):
@@ -63,8 +60,8 @@ CATALOG = {
 class DensityPair:
     """Source/target densities with closed forms and a certified margin.
 
-    ``delta`` is the smaller of the two minima measured on the oversampled
-    grid; both densities integrate exactly to 1.
+    ``delta`` is the smaller of the two certified lower bounds
+    (``TrigPoly2D.floor``); both densities integrate exactly to 1.
     """
 
     f: ScalarField
@@ -89,7 +86,7 @@ class DensityPair:
 
     def on_grid(self, grid):
         """The same closed forms sampled on another grid, with this pair's
-        certified ``delta`` and no new positivity scan."""
+        ``delta``: a bound of the closed forms, so no grid needs a new one."""
         return DensityPair(density_field(self.f_poly, grid),
                            density_field(self.g_poly, grid), self.delta)
 
@@ -102,12 +99,13 @@ def density_field(density, grid):
 
 
 def make_density_pair(f, g, grid):
-    """Build a validated DensityPair from specs or closed forms."""
+    """Build a DensityPair from specs or closed forms: each is admitted by
+    its certified floor on the oversampled grid, the one 2D positivity test."""
     ff = density_field(f, grid)
     gf = density_field(g, grid)
     margins = []
     for name, fld in (("f", ff), ("g", gf)):
-        lowest = fld.closed_form.min_on_grid(OVERSAMPLE * grid.n1, OVERSAMPLE * grid.n2)
+        lowest = fld.closed_form.floor(OVERSAMPLE * grid.n1, OVERSAMPLE * grid.n2)
         if lowest < DELTA_MIN:
             raise PositivityError(
                 f"density not positive: min = {lowest!r} < {DELTA_MIN:g} ({name})")

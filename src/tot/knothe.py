@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, PositivityError
+from .errors import ConstructionError
 from .grid import ScalarField, VectorField
 from .monge_ampere import t0_margins
 from .transport1d import (CircleMap, circle_density, monotone_circle_map,
@@ -27,31 +27,24 @@ from .transport1d import (CircleMap, circle_density, monotone_circle_map,
 from .trig import frac
 
 
-def marginal_and_conditionals(f, *, certified=False):
+def marginal_and_conditionals(f):
     """Split a closed-form density into its x1-marginal and conditionals.
 
     Returns the marginal as a CircleDensity on n1 nodes and a callable
     giving the (unit-mass) conditional density on the fiber over any real
     x1, sampled on n2 nodes; an array of x1 values gives the stack of
-    their conditionals, one row each.  The closed form's positivity is
-    checked on the 4x oversampled grid unless it is ``certified`` already,
-    as the densities of a ``DensityPair`` are.
+    their conditionals, one row each.  Each is a ``circle_density``, whose
+    1D floor raises ``PositivityError`` on a closed form that is not
+    positive; the marginal's floor proves every fiber's mean positive.
     """
     if f.closed_form is None:
         raise ValueError("marginal/conditional split needs a closed-form density")
     poly = f.closed_form
     n1, n2 = f.grid.shape
-    if not certified and poly.min_on_grid(4 * n1, 4 * n2) <= 0.0:
-        raise PositivityError("density not positive")
     marginal = circle_density(closed_form=poly.marginal_x2(), m=n1)
 
     def conditional(x1):
-        fiber = poly.slice_x1(x1)
-        vanishing = np.asarray(fiber.const) <= 0.0
-        if np.any(vanishing):
-            at = np.asarray(x1)[vanishing].flat[0]
-            raise PositivityError(f"marginal vanishes at x1={at:g}")
-        return circle_density(closed_form=fiber.normalized(), m=n2)
+        return circle_density(closed_form=poly.slice_x1(x1).normalized(), m=n2)
 
     return marginal, conditional
 
@@ -92,8 +85,8 @@ class KnotheSolution:
 def knothe_solution(pair):
     """Build the full rearrangement (maps and potentials) for a pair."""
     grid = pair.grid
-    f1, f_fiber = marginal_and_conditionals(pair.f, certified=True)
-    g1, g_fiber = marginal_and_conditionals(pair.g, certified=True)
+    f1, f_fiber = marginal_and_conditionals(pair.f)
+    g1, g_fiber = marginal_and_conditionals(pair.g)
 
     r1 = monotone_circle_map(f1, g1)
     u1 = potential_from_map(r1)
@@ -113,8 +106,8 @@ def knothe_solution(pair):
 def fiber_pushforward_error(pair, solution, n_fibers=8):
     """Max quantile-test error of the fiber maps over sampled fibers."""
     grid = pair.grid
-    _, f_fiber = marginal_and_conditionals(pair.f, certified=True)
-    _, g_fiber = marginal_and_conditionals(pair.g, certified=True)
+    _, f_fiber = marginal_and_conditionals(pair.f)
+    _, g_fiber = marginal_and_conditionals(pair.g)
     images = solution.r1.map_values()
     idx = np.linspace(0, grid.n1 - 1, n_fibers).astype(int)
     return pushforward_quantile_error(

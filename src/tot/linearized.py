@@ -267,14 +267,18 @@ def solve_linearized(st, q, tol=1e-10):
     Raises
     ------
     ConvergenceError
-        If conjugate gradients exceed 10 (n1 + n2) iterations; carries the
-        final residual.
+        If conjugate gradients exceed 10 (n1 + n2) iterations (carrying the
+        final residual), or if B ~ 1/lambda overflows: never a NaN.
     """
     scale = 1.0 + float(np.max(np.abs(q.values)))
     if abs(float(np.mean(q.values))) > 1e-10 * scale:
         raise ValueError("right-hand side must have zero mean")
-    v, _ = _solve_with_coefficients(st.grid, *coefficient_arrays(st),
-                                    q.values, tol)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            v, _ = _solve_with_coefficients(st.grid, *coefficient_arrays(st),
+                                            q.values, tol)
+        except FloatingPointError as exc:
+            raise ConvergenceError(f"linearized solve: {exc}") from exc
     return ScalarField(st.grid, v, zero_mean=True)
 
 

@@ -108,15 +108,16 @@ def split_derivatives(u1_values, u2_values, lam):
             lam * d12, lam * d22)
 
 
-def _eigmin_2x2(m11, m12, m22):
-    half_trace = 0.5 * (m11 + m22)
-    radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + m12 ** 2)
-    return half_trace - radius
-
-
 def margin_values(cost, u11, u12, u22):
-    """Smallest eigenvalue of A - D^2(u) over the grid."""
-    return float(np.min(_eigmin_2x2(1.0 - u11, -u12, cost.a22 - u22)))
+    """Smallest eigenvalue of A - D^2(u) over the grid: det over the larger
+    one, since half-trace minus radius cancels at a small eigenvalue."""
+    m11, m22, square = 1.0 - u11, cost.a22 - u22, u12 * u12
+    half_trace = 0.5 * (m11 + m22)
+    radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + square)
+    larger = half_trace + radius
+    if np.min(larger) <= 0.0:       # both eigenvalues <= 0 somewhere
+        return float(np.min(half_trace - radius))
+    return float(np.min((m11 * m22 - square) / larger))
 
 
 def c_concavity_margin(cost, u):

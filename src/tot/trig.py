@@ -228,3 +228,14 @@ class TrigPoly2D:
         left = np.hstack([self.amps * np.cos(a), -self.amps * np.sin(a)])
         right = np.hstack([np.cos(b), np.sin(b)])
         return float(self.const + np.min(left @ right.T))
+
+    def floor(self, m1, m2):
+        """A lower bound of the polynomial everywhere, not only at nodes:
+        the larger of const - sum |a| and the minimum over the m1 x m2
+        nodes less the most the sum can dip between them, the bilinear
+        interpolation bound sum over axes and modes of (2 pi k_i/m_i)^2 |a|/8."""
+        amps = np.abs(self.amps)
+        dip = np.sum(((TWO_PI * self.k1 / m1) ** 2 + (TWO_PI * self.k2 / m2) ** 2)
+                     * amps) / 8.0
+        return max(float(self.const - np.sum(amps)),
+                   self.min_on_grid(m1, m2) - float(dip))

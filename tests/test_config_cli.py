@@ -353,14 +353,31 @@ def test_flags_are_schema_entries():
 
 
 def test_exit_code_density_not_positive_on_the_configured_grid(tmp_path, capsys):
-    # the minimum 0.0499999 lies between the points of the 512^2 scan of
-    # every config, and on a point of the 4x oversampled 256^2 grid
+    # the minimum 0.0499999 lies between the nodes of every oversampled
+    # grid but 1024^2; the certified bound sees it on each of them
     cfg = write_cfg(tmp_path, """
 f.modes = (0, 1, 0.9500001, 0.0061359231515425647)
 g.modes = (0, 1, 0.2, 0)
 """)
-    load_config(cfg)                    # accepted at the default 128^2
-    assert run_cli("knothe", "--config", str(cfg), "--grid", "256",
+    for grid in ("64", "128", "256"):
+        assert run_cli("knothe", "--config", str(cfg), "--grid", grid,
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tot: config error") and "density not positive" in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["brenier", "knothe"])
+def test_exit_code_density_negative_between_all_nodes(tmp_path, capsys, command):
+    # cos(2 pi 256 x2 + pi/2) vanishes on every node i/m with m | 512, so
+    # g reads 1 on every grid a 16^2 run scans while its minimum is -0.5
+    cfg = write_cfg(tmp_path, """
+f.modes = (1, 0, 0.3, 0)
+g.modes = (0, 256, 1.5, 1.5707963267948966)
+grid.n1 = 16
+grid.n2 = 16
+""")
+    assert run_cli(command, "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("tot: config error") and "density not positive" in err
@@ -368,8 +385,8 @@ g.modes = (0, 1, 0.2, 0)
 
 
 @pytest.mark.parametrize("phase,grid", [
-    ("0.0061359231515425647", "256"),   # the pair's scan on 1024^2
-    ("0", "128"),                       # the configuration's 512^2 scan
+    ("0.0061359231515425647", "256"),   # the minimum on a node of 1024^2
+    ("0", "128"),                       # and on a node of 512^2
 ])
 def test_positivity_message_shows_the_real_minimum(tmp_path, capsys, phase,
                                                    grid):

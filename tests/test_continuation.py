@@ -148,6 +148,16 @@ def test_newton_rejects_a_tolerance_that_is_not_positive_and_finite(
                                  knothe64.potentials.u2, pair64, tol=tol)
 
 
+def test_newton_split_certifies_where_lambda_is_below_rounding(pair64, knothe64):
+    # lambda = t^10 = 1e-30 at t = 1e-3: the margin, about lambda, is far
+    # below the rounding of 1 - d11 u, and still certifies the state
+    res = tot.newton_correct_split(1e-3, knothe64.potentials.u1,
+                                   knothe64.potentials.u2, pair64,
+                                   tot.CostSchedule.power(10))
+    assert 0.0 < res.margin < 1e-29
+    assert res.sup_residual <= 1e-10
+
+
 def test_newton_split_matches_assembled(pair64, knothe64):
     t = 0.05
     res = tot.newton_correct_split(t, knothe64.potentials.u1,

@@ -18,11 +18,15 @@ def test_marginal_and_conditionals_uniform(grid64):
 
 def test_unvalidated_closed_form_is_checked_for_positivity(grid64):
     # a closed form that dips below zero, not built through a DensityPair;
-    # its x1-marginal is the constant 1, so only the 2D scan can see it
+    # its x1-marginal is the constant 1, so the split succeeds and the 1D
+    # floor of the fibers refuses them
     poly = TrigPoly2D.from_modes([(1, 1, 1.2, 0.3)])
     f = tot.field(grid64, poly(*grid64.mesh()), closed_form=poly)
-    with pytest.raises(tot.PositivityError, match="not positive"):
-        tot.marginal_and_conditionals(f)
+    marginal, fiber = tot.marginal_and_conditionals(f)
+    assert np.max(np.abs(marginal.values - 1.0)) < 1e-14
+    for x1 in (0.37, grid64.nodes1()):
+        with pytest.raises(tot.PositivityError, match="not positive"):
+            fiber(x1)
 
 
 def test_certified_pair_is_not_scanned_again(pair64, monkeypatch):

@@ -34,6 +34,17 @@ def test_margin_of_plain_costs(grid64):
     assert abs(tot.c_concavity_margin(tot.identity_cost(), u) - 0.9) < 1e-12
 
 
+def test_margin_keeps_an_eigenvalue_far_below_rounding(grid64):
+    # a22 = 1e-30 is 1e-30 of 1 - d11 u: half-trace minus radius cancels to
+    # 0 there, and det over the larger eigenvalue keeps it to rounding
+    x1, x2 = grid64.mesh()
+    cost = tot.CostMatrix(1e-3, 1e-30, 1e-26)
+    for eps in (1e-4, 1e-3, 1e-2):
+        u = tot.field(grid64, eps * np.cos(2 * np.pi * x1) + 0 * x2)
+        margin = tot.c_concavity_margin(cost, u)
+        assert abs(margin - 1e-30) <= 4 * np.finfo(float).eps * 1e-30
+
+
 def test_residual_zero_for_equal_densities(grid64):
     pair = tot.make_density_pair(tot.CATALOG["standard_f"],
                                  tot.CATALOG["standard_f"], grid64)

@@ -290,6 +290,51 @@ def test_two_frequency_fibers_have_no_amplitude_floor():
         assert np.min(fibers(fine)) > 0.1
 
 
+# TrigPoly2D.floor on m1 x m2 nodes, m = 8..64, of cosine sums with at most
+# four modes, |k| <= 4.  The oracle is the minimum of __call__ on a 1024^2
+# mesh, which shares nothing with min_on_grid's matrix product: the floor
+# lies below it, and above it less the dip bounds of both grids.
+FUZZ_FLOOR = settings(max_examples=40, deadline=None)
+FLOOR_MESH = np.arange(1024) / 1024
+
+
+def _dip(poly, m1, m2):
+    return np.sum(((TWO_PI * poly.k1 / m1) ** 2 + (TWO_PI * poly.k2 / m2) ** 2)
+                  * np.abs(poly.amps)) / 8.0
+
+
+@FUZZ_FLOOR
+@example((TrigPoly2D.from_modes([(0, 1, 0.5, 0.0), (0, 2, 0.47, 0.0)]), 8, 8))
+@given(st.tuples(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                       st.floats(0.01, 1.0), st.floats(-np.pi, np.pi)).filter(
+        lambda m: m[:2] != (0, 0)), min_size=1, max_size=4).map(
+            TrigPoly2D.from_modes),
+    st.integers(8, 64), st.integers(8, 64)))
+def test_floor_is_a_lower_bound_within_the_dip(drawn):
+    poly, m1, m2 = drawn
+    lowest = np.min(poly(FLOOR_MESH[:, None], FLOOR_MESH[None, :]))
+    floor = poly.floor(m1, m2)
+    assert floor <= lowest + 1e-12
+    assert floor >= lowest - _dip(poly, m1, m2) - _dip(poly, 1024, 1024) - 1e-12
+
+
+def test_pair_admits_a_density_whose_amplitudes_exceed_its_depth():
+    # const - sum |a| = 0.03 is below DELTA_MIN, but the minimum is 0.46351
+    g = tot.spec((0, 1, 0.5, 0.0), (0, 2, 0.47, 0.0))
+    assert g.trig().const - np.sum(g.trig().amps) < DELTA_MIN
+    pair = tot.make_density_pair(tot.CATALOG["uniform"], g, build_grid(16, 16))
+    assert 0.46 < pair.delta < 0.46352
+
+
+def test_pair_refuses_a_density_negative_between_all_its_nodes():
+    # cos(2 pi 32 x2 + pi/2) vanishes on the 64 nodes of the oversampled
+    # 16^2 grid, where g reads 1; its minimum is -0.5
+    g = tot.spec((0, 32, 1.5, np.pi / 2))
+    with pytest.raises(PositivityError, match=r"min = -0\.5 < 0\.05 \(g\)"):
+        tot.make_density_pair(tot.CATALOG["uniform"], g, build_grid(16, 16))
+
+
 # cold Newton at 128^2 on cosine densities with |k|_inf <= 2: at most three
 # modes of amplitude <= 0.3 keep every density above 0.1
 FUZZ_SOLVE = settings(max_examples=50, deadline=None)
