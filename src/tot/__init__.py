@@ -27,7 +27,7 @@ from .linearized import (SplitCoefficients, apply_linearized,
                          solve_linearized_small_t, solve_linearized_t0,
                          split_coefficients)
 from .monge_ampere import (CostMatrix, CostSchedule, c_concavity_margin,
-                           check_admissible, decompose, decomposed_residual,
+                           check_admissible, decomposed_residual,
                            identity_cost, monge_ampere_residual,
                            pushforward_residual, t0_margins, transport_map)
 from .transport1d import (CircleDensity, CircleMap, circle_density,

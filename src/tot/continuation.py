@@ -49,7 +49,7 @@ from .grid import (PeriodicGrid, ScalarField, VectorField, deriv_values,
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (cost_rate_rhs, project_solvable, solve_linearized,
                          solve_linearized_small_t)
-from .monge_ampere import (CostSchedule, decompose, pushforward_residual,
+from .monge_ampere import (CostSchedule, pushforward_residual,
                            residual_state, split_values)
 
 __all__ = [
@@ -99,12 +99,12 @@ def _positive_int(value):
     return type(value) is int and value >= 1       # bool is not an int here
 
 
-def _velocity_split(t, u1, u2, pair, schedule, tol, warn=True):
-    """Velocity in decomposed coordinates: (v1, v2) with psi_dot = v1 +
-    lambda v2.  The cost-rate right-hand side comes from the decomposed
-    derivatives, so no 1/lambda cancellation touches the small component;
-    the right-hand side and the solve share one residual state."""
-    st = residual_state(schedule.matrix(t), u1, u2.values, pair)
+def _velocity_split(cost, u1, u2, pair, tol, warn=True):
+    """Velocity in decomposed coordinates at ``cost``: (v1, v2) with
+    psi_dot = v1 + lambda v2.  The cost-rate right-hand side comes from the
+    decomposed derivatives, so no 1/lambda cancellation touches the small
+    component; the right-hand side and the solve share one residual state."""
+    st = residual_state(cost, u1, u2, pair)
     if warn and st.sup_residual > RESIDUAL_WARN:
         warnings.warn(
             f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
@@ -122,14 +122,15 @@ def velocity(t, psi, pair, schedule=None, *, tol=VELOCITY_TOL):
     """Potential velocity psi_dot at an (approximately) solved state.
 
     Solves the linearized equation with the cost-rate right-hand side in
-    the decomposed coordinates of psi and reassembles v1 + lambda v2.
-    Warns if the state's residual exceeds 1e-6 (the equation then drifts
-    from the evolution it is meant to follow).
+    the decomposed coordinates of psi, t > 0 (``ValueError`` otherwise),
+    and reassembles v1 + lambda v2.  Warns if the state's residual exceeds
+    1e-6 (the equation then drifts from the evolution it is meant to
+    follow).
     """
-    schedule = schedule or CostSchedule.linear()
-    u1, u2 = decompose(t, psi, schedule)
-    v1, v2 = _velocity_split(t, u1, u2, pair, schedule, tol)
-    return _assemble(schedule.lam(t), v1, v2)
+    cost = (schedule or CostSchedule.linear()).matrix(t)  # rejects t <= 0
+    v1, v2 = _velocity_split(cost, *split_values(psi.values, cost.a22), pair,
+                             tol)
+    return _assemble(cost.a22, v1, v2)
 
 
 def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
@@ -562,9 +563,9 @@ def _predict(history, t_next, pair, schedule, warn=True):
         # u2 -> (lam_t (u2 + dt v2)) / lam_next
         dt = t_next - state.t
         if state.velocity is None:
-            state.velocity = _velocity_split(state.t, state.u1, state.u2,
-                                             pair, schedule, VELOCITY_TOL,
-                                             warn=warn)
+            state.velocity = _velocity_split(
+                schedule.matrix(state.t), state.u1, state.u2.values, pair,
+                VELOCITY_TOL, warn=warn)
         v1, v2 = state.velocity
         p1 = state.u1 + dt * v1
         p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next

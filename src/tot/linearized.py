@@ -35,9 +35,12 @@ In the decomposed coordinates (u1, u2) the t = 0 operator has an exact
 triangular inverse built from 1D primitives.  At t > 0 the same
 preconditioned solve serves the decomposed coordinates too: its solution
 is split as v1 = int v dx2, v2 = (v - v1) / lambda.  The splitting
-B = U + V / lambda, every stored entry O(1) as t -> 0, is kept as an
-independent form of the operator for checking those solutions; at t = 0
-its entries are the coefficients of the triangular limit operator.
+B = U + V / lambda, every stored entry O(1) as t -> 0, reads the
+``split_factors`` of the residual state, so it checks those solutions
+independently only in how it applies B to (v1, v2); the coefficients' own
+oracle is the central difference of the residual (acceptance criterion
+2).  At t = 0 its entries are the coefficients of the triangular limit
+operator.
 """
 
 from __future__ import annotations
@@ -129,12 +132,10 @@ def project_solvable(values):
 # coefficients
 
 def coefficient_arrays(st):
-    """B entries from a residual state: g(T) adj(A - D^2 u) / det A."""
-    a22 = st.cost.a22
-    b11 = st.g_at_t * (a22 - st.u22) / a22
-    b12 = st.g_at_t * st.u12 / a22
-    b22 = st.g_at_t * (1.0 - st.u11) / a22
-    return b11, b12, b22
+    """B entries from a residual state: g(T) adj(A - D^2 u) / det A, that is
+    (g fiber, g cross, g row / lambda) in the state's lambda-free factors."""
+    return (st.g_at_t * st.fiber, st.g_at_t * st.cross,
+            st.g_at_t * st.row / st.cost.a22)
 
 
 @dataclass
@@ -154,7 +155,7 @@ def split_coefficients(t, u1, u2, pair, schedule=None):
     c11, c21, c22 of the limit operator."""
     schedule = schedule or CostSchedule.linear()
     lam = schedule.lam(t)
-    g_at_t, row, fiber, cross = split_factors(u1, u2.values, lam, pair)
+    g_at_t, row, fiber, cross, *_ = split_factors(u1, u2.values, lam, pair)
     return SplitCoefficients(g_at_t * fiber, g_at_t * cross, g_at_t * row, lam)
 
 
@@ -178,12 +179,12 @@ def cost_rate_rhs(st):
     ``st``: Div((f - residual) [A - D^2 u]^{-1} Adot A^{-1} grad u).
 
     The potential velocity solves  apply_linearized(st, psi_dot) = this.
-    For A = diag(1, lambda): Adot A^{-1} grad u = (0, (lambda_dot/lambda) d2 u).
+    For A = diag(1, lambda): Adot A^{-1} grad u = (0, lambda_dot d2 u2).
     At states with zero residual the coefficient equals f, recovering the
     evolution equation's right-hand side.
     """
     _, b12, b22 = coefficient_arrays(st)
-    s2 = (st.cost.a22dot / st.cost.a22) * st.grad2
+    s2 = st.cost.a22dot * st.d2
     kern = _kernels(*st.grid.shape)
     out = irfft2(kern.div_spectrum(b12 * s2, b22 * s2), kern.shape)
     return ScalarField(st.grid, out, zero_mean=True)
@@ -205,7 +206,8 @@ def _pcg(apply_op, inverse, b, tol, max_iter):
 
     ``apply_op`` is negative definite and so is the pointwise inverse symbol
     ``inverse``; every sign cancels in the step lengths, so the iterates
-    are exactly those of CG on the negated, positive definite system.
+    are exactly those of CG on the negated, positive definite system.  The
+    first direction with p.Ap >= 0 raises ``ConvergenceError``.
     """
     norm_b = np.sqrt(_half_dot(b, b))
     if norm_b == 0.0:
@@ -219,7 +221,12 @@ def _pcg(apply_op, inverse, b, tol, max_iter):
         if np.sqrt(_half_dot(r, r)) <= tol * norm_b:
             return x, it
         ap = apply_op(p)
-        alpha = rz / _half_dot(p, ap)
+        curvature = _half_dot(p, ap)
+        if not curvature < 0.0:
+            raise ConvergenceError(
+                f"conjugate gradients broke down at iteration {it}: p.Ap = "
+                f"{curvature:.3g} >= 0, not negative definite", iterations=it)
+        alpha = rz / curvature
         x += alpha * p
         r -= alpha * ap
         np.multiply(inverse, r, out=z)

@@ -13,19 +13,18 @@ u = u1(x1) + lambda * u2(x1, x2), which extends smoothly to t = 0 where
 the determinant becomes triangular.
 
 ``residual_state`` forms the state of (u1, u2) at lambda = a22, t > 0:
-derivatives, residual, margin and the first component of the map T, on
-the pair's grid.  It is the one argument of the linearized operator, its
-cost-rate right-hand side and its solves; an assembled potential is split
-first with ``split_values``.
+the lambda-free factors, residual, margin and the first component of the
+map T, on the pair's grid.  It is the one argument of the linearized
+operator, its cost-rate right-hand side and its solves; an assembled
+potential is split first with ``split_values``.
 
-Residuals, coefficients and margins take their derivatives from
-``grid.derivative_bundle`` (one real FFT for all first and second
-derivatives of the 2D part) plus 1D derivatives of the x1-only part:
-``split_derivatives`` forms those of u1 + lambda u2 with lambda applied
-after differentiation, and ``split_factors`` the lambda-free factors that
-also serve t = 0.  All 2x2 linear algebra is in closed form; the
-composition with g always takes the analytic path, so the residual is
-quadrature-free.
+Residuals, coefficients and margins of (u1, u2) take one evaluation,
+``split_factors``: one ``grid.derivative_bundle`` of u2 (one real FFT for
+all its first and second derivatives) plus 1D derivatives of u1, formed
+into lambda-free factors that also serve t = 0.  The assembled forms
+``c_concavity_margin`` and ``transport_map`` take their own bundle of u.
+All 2x2 linear algebra is in closed form; the composition with g always
+takes the analytic path, so the residual is quadrature-free.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .trig import frac
 
 __all__ = [
     "CostMatrix", "CostSchedule", "identity_cost", "c_concavity_margin",
-    "monge_ampere_residual", "decompose", "decomposed_residual", "transport_map",
+    "monge_ampere_residual", "decomposed_residual", "transport_map",
     "pushforward_residual", "t0_margins",
 ]
 
@@ -97,27 +96,22 @@ def identity_cost():
 # ---------------------------------------------------------------------------
 # derivatives of potentials
 
-def split_derivatives(u1_values, u2_values, lam):
-    """(d1, d2, d11, d12, d22) of u1(x1) + lam * u2(x1, x2): the bundle of
-    u2, scaled by lam only after differentiation, plus the 1D derivatives
-    of u1."""
-    u1_values = np.asarray(u1_values, float)
-    d1, d2, d11, d12, d22 = derivative_bundle(np.asarray(u2_values, float))
-    return (deriv_values(u1_values, 0, 1)[:, None] + lam * d1, lam * d2,
-            deriv_values(u1_values, 0, 2)[:, None] + lam * d11,
-            lam * d12, lam * d22)
-
-
-def margin_values(cost, u11, u12, u22):
-    """Smallest eigenvalue of A - D^2(u) over the grid: det over the larger
-    one, since half-trace minus radius cancels at a small eigenvalue."""
-    m11, m22, square = 1.0 - u11, cost.a22 - u22, u12 * u12
+def margin_values(m11, m12, m22, det):
+    """Smallest eigenvalue over the grid of the symmetric matrices
+    [[m11, m12], [m12, m22]] of determinant ``det``: det over the larger
+    eigenvalue, since half-trace minus radius cancels at a small one."""
     half_trace = 0.5 * (m11 + m22)
-    radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + square)
+    radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + m12 * m12)
     larger = half_trace + radius
     if np.min(larger) <= 0.0:       # both eigenvalues <= 0 somewhere
         return float(np.min(half_trace - radius))
-    return float(np.min((m11 * m22 - square) / larger))
+    return float(np.min(det / larger))
+
+
+def _assembled_margin(cost, u11, u12, u22):
+    """Margin of A - D^2(u) from the second derivatives of an assembled u."""
+    m11, m22 = 1.0 - u11, cost.a22 - u22
+    return margin_values(m11, u12, m22, m11 * m22 - u12 * u12)
 
 
 def c_concavity_margin(cost, u):
@@ -127,25 +121,27 @@ def c_concavity_margin(cost, u):
     diffeomorphism of the torus; a negative value is the failure signal
     (no exception is raised here).
     """
-    return margin_values(cost, *derivative_bundle(u.values)[2:])
+    return _assembled_margin(cost, *derivative_bundle(u.values)[2:])
 
 
 @dataclass
 class ResidualState:
     """Everything the residual, its linearization, the velocity's
-    right-hand side and the map share at one state on ``grid`` (nothing
-    else is kept: a Newton step holds two states at once).  ``map1`` is
-    x1 - d1 u, the first component of T = id - A^{-1} grad u, unwrapped;
-    the second, x2 - d2 u2, needs no division by a22, and the holder of u2
-    forms it on access (``continuation.NewtonResult.tmap``)."""
+    right-hand side and the map share at one state u1 + lambda u2 on
+    ``grid``, lambda = cost.a22 (nothing else is kept: a Newton step holds
+    two states at once): the factors of ``split_factors``, with
+    A - D^2 u = [[row, -lambda cross], [-lambda cross, lambda fiber]].
+    ``map1`` is x1 - d1 u, the first component of T = id - A^{-1} grad u,
+    unwrapped; the second, x2 - ``d2``, needs no division by lambda, and
+    the holder of u2 forms it on access (``continuation.NewtonResult.tmap``)."""
 
     grid: PeriodicGrid
     cost: CostMatrix
     map1: np.ndarray
-    grad2: np.ndarray
-    u11: np.ndarray
-    u12: np.ndarray
-    u22: np.ndarray
+    d2: np.ndarray
+    row: np.ndarray
+    fiber: np.ndarray
+    cross: np.ndarray
     g_at_t: np.ndarray
     residual: np.ndarray
     margin: float
@@ -161,27 +157,25 @@ def residual_state(cost, u1_values, u2_values, pair):
     potential with ``split_values(values, cost.a22)`` first.  The
     ``linearized`` operators take the state itself.
 
-    The fiber component's derivatives are scaled by a22 = lambda_t only
-    after differentiation, so nothing is lost to rounding at small lambda
-    (the assembled field cannot carry it), and the x1-only component puts
-    no machine noise into the x2-derivatives that the 1/a22 divisions
-    amplify.  The margin certifies admissibility of the decomposed pair:
+    The factors are those of ``split_factors`` at lambda = a22: nothing is
+    lost to rounding at small lambda (the assembled field cannot carry it),
+    and nothing is divided by lambda.  One determinant,
+    D = row fiber - lambda cross^2 = det(A - D^2 u) / lambda, gives the
+    residual f - g D and the margin, lambda D over the larger eigenvalue.
     min(1 - d11 u) is at least the smaller eigenvalue, so a positive margin
     implies both inequalities of admissibility at t > 0; a margin <= 0
     raises ``ConcavityError``.
     """
-    g1, g2, u11, u12, u22 = split_derivatives(u1_values, u2_values, cost.a22)
-    margin = margin_values(cost, u11, u12, u22)
+    lam = cost.a22
+    g_at_t, row, fiber, cross, map1, d2 = split_factors(u1_values, u2_values,
+                                                        lam, pair)
+    det = row * fiber - lam * cross * cross
+    margin = margin_values(row, lam * cross, lam * fiber, lam * det)
     if margin <= 0.0:
         raise ConcavityError(
             f"not c-concave: min eig(A - D2 u) = {margin:.3g} <= 0")
-    x1, x2 = pair.grid.mesh()
-    t1 = x1 - g1
-    g_at_t = pair.g_poly(frac(t1), frac(x2 - g2 / cost.a22))
-    det = (1.0 - u11) * (1.0 - u22 / cost.a22) - (u12 * u12) / cost.a22
-    residual = pair.f_values - g_at_t * det
-    return ResidualState(pair.grid, cost, t1, g2, u11, u12, u22, g_at_t,
-                         residual, margin)
+    return ResidualState(pair.grid, cost, map1, d2, row, fiber, cross, g_at_t,
+                         pair.f_values - g_at_t * det, margin)
 
 
 def monge_ampere_residual(cost, u, pair):
@@ -231,35 +225,23 @@ def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
     """
     schedule = schedule or CostSchedule.linear()
     lam = 0.0 if t == 0.0 else schedule.lam(t)
-    g_at_t, row, fiber, cross = split_factors(u1_values, u2_values, lam, pair)
-    return pair.f_values - g_at_t * (row * fiber - lam * cross * cross)
+    g, row, fiber, cross, *_ = split_factors(u1_values, u2_values, lam, pair)
+    return pair.f_values - g * (row * fiber - lam * cross * cross)
 
 
 def split_factors(u1_values, u2_values, lam, pair):
-    """The O(1) factors of the split residual and coefficients of
-    u1 + lam u2, lam >= 0: (g(x1 - d1 u1 - lam d1 u2, x2 - d2 u2),
-    1 - d11 u1 - lam d11 u2, 1 - d22 u2, d12 u2)."""
+    """The O(1) factors of the residual and coefficients of u1 + lam u2,
+    lam >= 0: (g(map1, x2 - d2), row, fiber, cross, map1, d2) with map1 =
+    x1 - d1 u1 - lam d1 u2, d2 = d2 u2, row = 1 - d11 u1 - lam d11 u2,
+    fiber = 1 - d22 u2 and cross = d12 u2; lam multiplies derivatives of
+    u2 and never divides them."""
     u1_values = np.asarray(u1_values, float)
     d1, d2, d11, d12, d22 = derivative_bundle(np.asarray(u2_values, float))
     x1, x2 = pair.grid.mesh()
-    g_at_t = pair.g_poly(
-        frac(x1 - deriv_values(u1_values, 0, 1)[:, None] - lam * d1),
-        frac(x2 - d2))
+    map1 = x1 - deriv_values(u1_values, 0, 1)[:, None] - lam * d1
+    g_at_t = pair.g_poly(frac(map1), frac(x2 - d2))
     row = 1.0 - deriv_values(u1_values, 0, 2)[:, None] - lam * d11
-    return g_at_t, row, 1.0 - d22, d12
-
-
-def decompose(t, psi, schedule=None):
-    """Split psi into (psi1(x1), psi2(x1,x2)) with psi = psi1 + lambda*psi2
-    up to the overall mean; psi1 is zero-mean, psi2 fiberwise zero-mean.
-
-    Rejects t = 0, where the split has no lambda-free representation.
-    """
-    if not t > 0.0:
-        raise ValueError("decompose is defined for t > 0 only")
-    schedule = schedule or CostSchedule.linear()
-    psi1, psi2 = split_values(psi.values, schedule.lam(t))
-    return psi1, ScalarField(psi.grid, psi2)
+    return g_at_t, row, 1.0 - d22, d12, map1, d2
 
 
 def split_values(values, lam):
@@ -299,7 +281,7 @@ def transport_map(cost, u):
     (raises ``ConcavityError("not a diffeomorphism ...")`` otherwise).
     """
     g1, g2, u11, u12, u22 = derivative_bundle(u.values)
-    margin = margin_values(cost, u11, u12, u22)
+    margin = _assembled_margin(cost, u11, u12, u22)
     if margin <= 0.0:
         raise ConcavityError(
             f"not a diffeomorphism: margin = {margin:.3g} <= 0")

@@ -7,7 +7,7 @@ import tot
 from tot import continuation, linearized, monge_ampere
 from tot.errors import ConvergenceError, StepCollapseError
 from tot.linearized import coefficient_arrays, project_solvable
-from tot.monge_ampere import residual_state
+from tot.monge_ampere import residual_state, split_values
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
@@ -23,18 +23,19 @@ def test_decompose_inverts_assembly(grid64):
     b = band_limited(grid64, 3, rng)
     b -= b.mean(axis=1, keepdims=True)
     psi = tot.field(grid64, (a + 3.0)[:, None] + sched.lam(t) * b)
-    psi1, psi2 = tot.decompose(t, psi, sched)
+    psi1, psi2 = split_values(psi.values, sched.lam(t))
     assert np.max(np.abs(psi1 - a)) < 1e-12
-    assert np.max(np.abs(psi2.values - b)) < 1e-12
+    assert np.max(np.abs(psi2 - b)) < 1e-12
 
 
-def test_decompose_x1_only_field(grid64):
+def test_decompose_x1_only_field(grid64, pair64):
     x1, x2 = grid64.mesh()
     psi = tot.field(grid64, np.cos(2 * np.pi * x1) + 0 * x2)
-    psi1, psi2 = tot.decompose(0.37, psi)
-    assert np.max(np.abs(psi2.values)) < 1e-14
-    with pytest.raises(ValueError):
-        tot.decompose(0.0, psi)
+    psi1, psi2 = split_values(psi.values, 0.37)
+    assert np.max(np.abs(psi2)) < 1e-14
+    # lambda(0) = 0 splits nothing: the velocity refuses t = 0 first
+    with pytest.raises(ValueError, match="t > 0"):
+        tot.velocity(0.0, psi, pair64)
 
 
 def test_velocity_separable(product128, knothe_product128):
@@ -578,9 +579,9 @@ def _recorded_velocity_shapes(monkeypatch):
     shapes = []
     velocity = continuation._velocity_split
 
-    def recorded(t, u1, u2, pair, *args, **kwargs):
-        shapes.append(u2.values.shape)
-        return velocity(t, u1, u2, pair, *args, **kwargs)
+    def recorded(cost, u1, u2, pair, *args, **kwargs):
+        shapes.append(np.shape(u2))
+        return velocity(cost, u1, u2, pair, *args, **kwargs)
 
     monkeypatch.setattr(continuation, "_velocity_split", recorded)
     return shapes

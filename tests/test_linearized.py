@@ -3,10 +3,11 @@ import pytest
 
 import tot
 from tot.errors import ConvergenceError
-from tot.grid import deriv_values
+from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import (_half_dot, _kernels, _pcg, coefficient_arrays,
                             split_coefficients)
-from tot.monge_ampere import residual_state, split_values
+from tot.monge_ampere import residual_state
+from tot.trig import frac
 
 from tests.conftest import (admissible_potential, assembled_state,
                             band_limited, split_operator_residual)
@@ -141,6 +142,25 @@ def test_solve_iteration_cap_raises(pair64, grid64):
     assert info.value.residual > 1e-14 and info.value.iterations == 1
 
 
+def test_pcg_raises_at_once_on_an_indefinite_operator(grid64):
+    # symbol -1 on the even rows k1 and +3 on the odd ones: the first
+    # direction p = -b has p.Ap = 3 |b_odd|^2 - |b_even|^2 > 0 here, which
+    # no negative definite operator gives (CG with two eigenvalues would
+    # go on to a solution in 2 iterations)
+    kern = _kernels(*grid64.shape)
+    rhs = kern.solvable_spectrum(band_limited(grid64, 5, np.random.default_rng(28)))
+    symbol = np.where(np.arange(rhs.shape[0])[:, None] % 2 == 0, -1.0, 3.0)
+    applied = []
+
+    def apply_op(spec):
+        applied.append(1)
+        return symbol * spec
+
+    with pytest.raises(ConvergenceError, match="not negative definite") as info:
+        _pcg(apply_op, -np.ones(rhs.shape), rhs, 1e-10, 100)
+    assert len(applied) == 1 and info.value.iterations == 0
+
+
 def test_operator_symmetry(pair64, grid64):
     rng = np.random.default_rng(26)
     st = assembled_state(*random_state(grid64, pair64, rng), pair64)
@@ -182,23 +202,30 @@ def test_split_coefficients_reconstruct_b(pair64, knothe64):
     sched = tot.CostSchedule.linear()
     t = 5e-3
     lam = sched.lam(t)
-    # both sides see the same float64 potential: the rounding of
-    # u1 + lam * u2 (about eps * |u1|) reaches B12 amplified by k^2 / lam,
-    # which alone is of the size of the tolerance, so the split side takes
-    # the decomposition of the assembled field rather than (u1, u2)
-    combined = knothe64.potentials.u1[:, None] + lam * knothe64.potentials.u2.values
-    u1 = combined.mean(axis=1)
-    u2 = tot.field(pair64.grid, (combined - u1[:, None]) / lam)
+    u1, u2 = knothe64.potentials.u1, knothe64.potentials.u2
     split = split_coefficients(t, u1, u2, pair64, sched)
-    cost = sched.matrix(t)
-    b11, b12, b22 = coefficient_arrays(
-        residual_state(cost, *split_values(combined, cost.a22), pair64))
+    # reference: B = g(T) adj(A - D^2 u) / det A, det A = lam, with grad u
+    # and D^2 u of u1 + lam u2 scaled by lam after differentiation and
+    # T = x - A^{-1} grad u
+    d1, d2, d11, d12, d22 = derivative_bundle(u2.values)
+    grad1 = deriv_values(u1, 0, 1)[:, None] + lam * d1
+    grad2 = lam * d2
+    h11 = deriv_values(u1, 0, 2)[:, None] + lam * d11
+    h12, h22 = lam * d12, lam * d22
+    x1, x2 = pair64.grid.mesh()
+    g = pair64.g_poly(frac(x1 - grad1), frac(x2 - grad2 / lam))
+    b11, b12, b22 = g * (lam - h22) / lam, g * h12 / lam, g * (1.0 - h11) / lam
     assert np.max(np.abs(split.u11 - b11)) < 1e-11 * np.max(np.abs(b11))
     assert np.max(np.abs(split.u12 - b12)) \
         < 1e-11 * max(np.max(np.abs(b12)), 1e-3)
     assert np.max(np.abs(split.v22 / split.lam - b22)) \
         < 1e-11 * np.max(np.abs(b22))
     assert np.min(split.v22) > 0.0
+    # the residual state's B, from the same factors, against the reference
+    st = residual_state(sched.matrix(t), u1, u2.values, pair64)
+    for got, want in zip(coefficient_arrays(st), (b11, b12, b22)):
+        assert np.max(np.abs(got - want)) \
+            < 1e-11 * max(np.max(np.abs(want)), 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import pytest
 
 import tot
 from tot.errors import AdmissibilityError, ConcavityError
+from tot.grid import derivative_bundle
 from tot.monge_ampere import check_admissible, split_residual_values
 from tot.transport1d import potential_1d
-from tot.trig import TrigPoly1D
+from tot.trig import TrigPoly1D, frac
 
 from tests.conftest import admissible_potential
 
@@ -163,12 +164,19 @@ def test_decomposed_residual_continuous_at_zero(pair128, knothe128):
 
 
 def test_split_evaluation_matches_assembled(pair64, knothe64):
-    # the numerically robust split form is the same operator
+    # the numerically robust split form is the same operator as
+    # f - g(x - A^{-1} grad u) det(I - A^{-1} D^2 u) of the assembled u
     u1 = knothe64.potentials.u1
     u2 = knothe64.potentials.u2
-    r = tot.decomposed_residual(0.2, u1, u2, pair64)
-    s = split_residual_values(0.2, u1, u2.values, pair64)
-    assert np.max(np.abs(r.values - s)) < 1e-11
+    lam = 0.2
+    u = u1[:, None] + lam * u2.values
+    d1, d2, d11, d12, d22 = derivative_bundle(u)
+    x1, x2 = pair64.grid.mesh()
+    g = pair64.g_poly(frac(x1 - d1), frac(x2 - d2 / lam))
+    r = pair64.f_values - g * ((1.0 - d11) * (1.0 - d22 / lam) - d12 * d12 / lam)
+    for s in (split_residual_values(lam, u1, u2.values, pair64),
+              tot.decomposed_residual(lam, u1, u2, pair64).values):
+        assert np.max(np.abs(r - s)) < 1e-11
 
 
 def test_admissibility_errors_name_the_inequality(grid64, pair64):

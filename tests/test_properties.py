@@ -1,9 +1,9 @@
 """Property-based tests: config parsing, field files, circle densities and
-maps, and the cold solve.
+maps, the margin of a residual state, and the cold solve.
 
-Example counts are capped in ``FUZZ``, ``FUZZ_FIBERS`` and ``FUZZ_SOLVE``
-so the module adds seconds, not minutes, to the suite; raise
-``max_examples`` there for a longer search.
+Example counts are capped in ``FUZZ``, ``FUZZ_FIBERS``, ``FUZZ_FLOOR``,
+``FUZZ_MARGIN`` and ``FUZZ_SOLVE`` so the module adds seconds, not
+minutes, to the suite; raise ``max_examples`` there for a longer search.
 """
 
 import itertools
@@ -22,6 +22,7 @@ from tot.errors import (ConfigError, CutLocusError, PositivityError,
                         TransportError)
 from tot.fieldio import MAGIC, read_field_binary, write_field_binary
 from tot.grid import ScalarField, build_grid
+from tot.monge_ampere import residual_state
 from tot.transport1d import invert_lifted_cdf
 from tot.trig import TWO_PI, TrigPoly1D, TrigPoly2D
 
@@ -333,6 +334,60 @@ def test_pair_refuses_a_density_negative_between_all_its_nodes():
     g = tot.spec((0, 32, 1.5, np.pi / 2))
     with pytest.raises(PositivityError, match=r"min = -0\.5 < 0\.05 \(g\)"):
         tot.make_density_pair(tot.CATALOG["uniform"], g, build_grid(16, 16))
+
+
+# The margin of residual_state against LAPACK: u1 and u2 are cosine sums
+# with |k|_inf <= 4 on 16^2 and 32^2 grids, scaled so that every second
+# derivative of u1 is at most s1 and of u2 at most s2 in size.  By
+# Gershgorin, s1, s2 <= 0.45 keep A - D^2 u positive definite, with the
+# smaller eigenvalue at least min(1 - s1 - 2 lambda s2, lambda (1 - 2 s2)),
+# lambda <= 1.  The oracle
+# forms D^2 u from the modes in closed form and takes the smaller
+# eigenvalue of every node's matrix from np.linalg.eigvalsh; spectral
+# derivatives of these fields are exact up to rounding, so the two agree
+# to 1e-13, about 500 ulps of the O(1) entries (3000 draws stayed within
+# 1.7e-14).
+FUZZ_MARGIN = settings(max_examples=60, deadline=None)
+MARGIN_TOL = 1e-13
+_MARGIN_PAIRS = {n: tot.standard_pair(build_grid(n, n)) for n in (16, 32)}
+_wave = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.floats(0.01, 1.0),
+                  st.floats(-np.pi, np.pi))
+
+
+def _cosine_hessian(modes, x1, x2, size):
+    """(values, d11, d12, d22) of sum a cos(2 pi (k1 x1 + k2 x2) + phase),
+    scaled so that |d11|, |d12| and |d22| stay below ``size``."""
+    out = np.zeros((4, *np.broadcast(x1, x2).shape))
+    bound = 0.0
+    for k1, k2, a, phase in modes:
+        arg = TWO_PI * (k1 * x1 + k2 * x2) + phase
+        out[0] += a * np.cos(arg)
+        for row, (i, j) in enumerate(((k1, k1), (k1, k2), (k2, k2)), 1):
+            out[row] -= a * TWO_PI ** 2 * i * j * np.cos(arg)
+        bound += abs(a) * TWO_PI ** 2 * max(k1 * k1, k2 * k2)
+    return out * (size / bound) if bound > 0.0 else out
+
+
+@FUZZ_MARGIN
+@given(st.sampled_from(sorted(_MARGIN_PAIRS)),
+       st.lists(_wave.map(lambda w: (w[0], 0, *w[2:])), max_size=3),
+       st.lists(_wave.filter(lambda w: w[1] != 0), max_size=3),
+       st.floats(0.0, 0.45), st.floats(0.0, 0.45), st.floats(1e-3, 1.0))
+def test_residual_state_margin_is_the_smallest_eigenvalue(n, modes1, modes2,
+                                                          s1, s2, lam):
+    pair = _MARGIN_PAIRS[n]
+    x1, x2 = pair.grid.mesh()
+    u1, h11, _, _ = _cosine_hessian(modes1, x1[:, 0], 0.0, s1)
+    u2, d11, d12, d22 = _cosine_hessian(modes2, x1, x2, s2)
+    matrices = np.empty((*pair.grid.shape, 2, 2))
+    matrices[..., 0, 0] = 1.0 - h11[:, None] - lam * d11
+    matrices[..., 0, 1] = matrices[..., 1, 0] = -lam * d12
+    matrices[..., 1, 1] = lam * (1.0 - d22)
+    expected = float(np.min(np.linalg.eigvalsh(matrices)[..., 0]))
+    assert expected >= min(1.0 - s1 - 2.0 * lam * s2,
+                           lam * (1.0 - 2.0 * s2)) - MARGIN_TOL
+    state = residual_state(tot.CostMatrix(lam, lam, 1.0), u1, u2, pair)
+    assert abs(state.margin - expected) <= MARGIN_TOL
 
 
 # cold Newton at 128^2 on cosine densities with |k|_inf <= 2: at most three
