@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (ConcavityError, ConstructionError, ConvergenceError,
                      InitializationError, StepCollapseError)
 from .grid import (PeriodicGrid, ScalarField, VectorField, deriv_values,
-                   resample_values)
+                   level_shapes, resample_values)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (cost_rate_rhs, project_solvable, solve_linearized,
                          solve_linearized_small_t)
@@ -300,22 +300,13 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
         pairs, lambda level: _resampled(u1, u2, pairs[level].grid), solve)
 
 
-# smallest side of a coarse level.  A 32^2 level takes 5 steps and leaves
-# 1 for 64^2, so it costs more than it saves: cold solves of 8 benchmark
-# pairs at 256^2 took 56-57 ms with it against 40-46 ms without, and of the
-# standard pair at 128^2 27-29 against 20-23 ms (one thread, 2 shared cores)
-COARSEST_SIDE = 64
-
-
 def _levels(pair):
-    """``pair`` on the caller's grid, then on each coarser level: both
-    sides halved while they stay even and at least ``COARSEST_SIDE``."""
+    """``pair`` on the caller's grid, then on each coarser level of
+    ``level_shapes``."""
     pairs = [pair]
-    while True:
-        half = (pairs[-1].grid.n1 // 2, pairs[-1].grid.n2 // 2)
-        if not all(n >= COARSEST_SIDE and n % 2 == 0 for n in half):
-            return pairs
-        pairs.append(pairs[-1].on_grid(PeriodicGrid(*half)))
+    for shape in level_shapes(pair.grid.shape)[1:]:
+        pairs.append(pairs[-1].on_grid(PeriodicGrid(*shape)))
+    return pairs
 
 
 def _sequenced(pairs, start, solve):
@@ -630,7 +621,9 @@ def run(pair, schedule=None, options=None):
     only if Newton converges and the margin stays positive; a rejected step
     is split (halved in adaptive mode, bisected in log t at sqrt(t t_next)
     in fixed mode) and the run aborts with :class:`StepCollapseError` -
-    carrying the partial trajectory - if the step size falls below 1e-8.
+    carrying the partial trajectory - if the split step falls below 1e-8;
+    a step that was never rejected is attempted however short, so a
+    ladder may start from any t0.
     At t1 = 1 under the linear schedule the final record's map is the
     Brenier map for A = diag(1,1).
 
@@ -700,11 +693,11 @@ def run(pair, schedule=None, options=None):
                        ** (np.arange(1, opts.steps + 1) / opts.steps))
         while pending:
             t_next, t = pending[0], history[-1].t
-            if t_next - t < 1e-8:
-                collapse(t_next - t)
             trial = _step(history, t_next, pairs, schedule, opts)
             if trial is None:
                 pending.insert(0, math.sqrt(t * t_next))
+                if pending[0] - t < 1e-8:
+                    collapse(pending[0] - t)
                 continue
             pending.pop(0)
             accept(t_next, trial)

@@ -11,7 +11,9 @@ derivatives from :func:`deriv_values` along one axis or from
 :func:`derivative_bundle`, which returns all first and second derivatives
 of a 2D array from one forward transform, and ``linearized`` builds its
 operator kernels from the same table.  :func:`resample_values` moves a
-1D or 2D field between grids of different sizes in the same convention.
+1D or 2D field between grids of different sizes in the same convention,
+and :func:`level_shapes` is the one rule for the coarser grids that the
+Newton solvers and the Knothe fiber sweep solve on first.
 Every 2D transform of the package runs through :func:`rfft2` and
 :func:`irfft2`: numpy's real 2D transforms, bit for bit, as two axis
 passes.
@@ -32,6 +34,12 @@ from .errors import GridSizeError
 from .trig import TrigPoly2D
 
 MIN_SIZE = 8
+
+# smallest side of a coarse level.  A 32^2 level takes 5 steps and leaves
+# 1 for 64^2, so it costs more than it saves: cold solves of 8 benchmark
+# pairs at 256^2 took 56-57 ms with it against 40-46 ms without, and of the
+# standard pair at 128^2 27-29 against 20-23 ms (one thread, 2 shared cores)
+COARSEST_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,18 @@ def field(grid, values, zero_mean=False, closed_form=None):
 
 def zero_field(grid):
     return ScalarField(grid, np.zeros(grid.shape), zero_mean=True)
+
+
+def level_shapes(shape):
+    """``shape``, then each coarser level: both sides halved while they
+    stay even and at least ``COARSEST_SIDE``, so a grid with a side below
+    128 has no coarser level."""
+    shapes = [tuple(shape)]
+    while True:
+        half = tuple(n // 2 for n in shapes[-1])
+        if not all(n >= COARSEST_SIDE and n % 2 == 0 for n in half):
+            return shapes
+        shapes.append(half)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def circle_density(closed_form, m):
     return CircleDensity(values, closed_form, floor)
 
 
-def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None):
+def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real; the root of a level
@@ -92,20 +92,30 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None):
     An integer level, or a row whose warm start ``x0`` is at its roots,
     comes back unchanged.
 
-    theta's step is the Schur complement of the bordered system,
-    (mean(F/g) - mean(y - x)) / mean(1/g), and y takes the Newton step of
-    F - dtheta, its residual at the new level.  theta's bracket starts at
-    its reach |h(0)| max g (h(0), the mean displacement at theta = 0) and
-    narrows where the sign of h is certain.  A row whose residual grew
+    theta starts at 0, or per row at ``theta0``, a shift start that comes
+    with ``nodes``; the first levels are then floor(w + theta0), and
+    ``x0`` is clipped into their cells.  theta's step is the Schur
+    complement of the bordered system, (mean(F/g) - mean(y - x)) /
+    mean(1/g), and y takes the Newton step of F - dtheta, its residual at
+    the new level.  theta's bracket is centred on its start theta0 with
+    reach max g (|mean(y - x)| + mean|F| / g_low), and narrows where the
+    sign of h is certain.  The reach holds for any start:
+    h(theta) = mean(y(theta) - x), of the roots y(theta), increases with
+    slope mean(1/g(y)) >= 1 / max g, so its root lies within
+    max g |h(theta0)| of theta0, and |h(theta0)| is at most |mean(y - x)|
+    plus mean|y - y(theta0)| <= mean|F| / g_low.  A row whose residual grew
     moves theta only once its inverses have settled.
     """
     s = np.atleast_2d(np.asarray(w, float).reshape(*d.values.shape[:-1], -1))
-    base = np.floor(s)
-    r = s - base
-    y = s.copy() if x0 is None else np.clip(np.reshape(x0, s.shape), base, base + 1)
+    theta = np.zeros(len(s)) if theta0 is None else np.array(
+        theta0, float).reshape(len(s))
+    r = s + theta[:, None] if theta0 is not None else s.copy()
+    base = np.floor(r)
+    y = r.copy() if x0 is None else np.clip(np.reshape(x0, s.shape), base, base + 1)
+    r -= base
     # bracket ends carry residual bounds F(lo) <= flo <= 0 <= fhi <= F(hi)
     lo, hi, flo, fhi = base.copy(), base + 1.0, -r, 1.0 - r
-    out, out_theta, theta = np.empty_like(s), np.zeros(len(s)), np.zeros(len(s))
+    out, out_theta = np.empty_like(s), np.zeros(len(s))
     at = np.arange(len(s))                  # the rows kept in the arrays
     centre = nodes is not None
     if centre:
@@ -124,8 +134,8 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None):
         if centre:      # theta's bracket, from |h(theta) - mean_err| <= spread
             spread = np.mean(np.abs(err), axis=-1) / glow
             if k == 0:
-                thi = gmax * (np.abs(mean_err) + spread) * 1.001 + 1e-12
-                tlo = -thi
+                reach = gmax * (np.abs(mean_err) + spread) * 1.001 + 1e-12
+                tlo, thi = theta - reach, theta + reach
             thi = np.where(mean_err > spread, np.minimum(thi, theta), thi)
             tlo = np.where(mean_err < -spread, np.maximum(tlo, theta), tlo)
         done = (res <= tol) & (np.abs(mean_err) <= SHIFT_TOL)
@@ -204,10 +214,12 @@ class CircleMap:
 
     The lift satisfies T(x+1) = T(x) + 1; after shift selection the
     displacement has zero mean and the map is id - psi' for a periodic
-    potential psi.
+    potential psi.  ``shift`` is the theta of each row that a solve
+    selected (``invert_lifted_cdf``), None for a map given by its samples.
     """
 
     displacement: np.ndarray
+    shift: np.ndarray | None = None
 
     @property
     def m(self):
@@ -254,7 +266,7 @@ def _check_map(displacement, m):
             f"(sup = {np.max(np.abs(displacement)):.3g})")
 
 
-def monotone_circle_map(f, g):
+def monotone_circle_map(f, g, start=None):
     """Monotone transport map from f to g with zero-mean displacement.
 
     Parameters
@@ -262,20 +274,25 @@ def monotone_circle_map(f, g):
     f, g : CircleDensity
         Positive unit-mass densities, or stacks of as many rows each; the
         map is sampled at f's nodes.
+    start : CircleMap, optional
+        A guess of the map on f's nodes, with its ``shift``, from which the
+        Newton solve starts; the same tolerances and checks decide the map.
 
     Returns
     -------
     CircleMap
         Map with ``sup |x - T(x)| < 1/2`` and mean displacement below 1e-12,
-        row by row for stacks.
+        row by row for stacks, and the shift of each row.
     """
     m = f.m
     x = np.arange(m) / m
     s = f.closed_form.antiderivative(x)
-    y, _ = invert_lifted_cdf(g, s, tol=1e-15, nodes=x)
+    x0, theta0 = (None, None) if start is None else (x - start.displacement,
+                                                     start.shift)
+    y, theta = invert_lifted_cdf(g, s, x0, tol=1e-15, nodes=x, theta0=theta0)
     displacement = x - y
     _check_map(displacement, m)
-    return CircleMap(displacement)
+    return CircleMap(displacement, theta)
 
 
 def potential_1d(f, g):

@@ -112,7 +112,8 @@ class TrigPoly1D:
         reduced = frac(x)
         for j, k in enumerate(self.freqs):
             w = TWO_PI * k
-            cos, sin = np.cos(w * reduced), np.sin(w * reduced)
+            angle = w * reduced
+            cos, sin = np.cos(angle), np.sin(angle)
             # Re(c e^{i angle}) and Re(c (e^{i angle} - 1) / (i w)), c = re + i im
             value += re[..., j] * cos - im[..., j] * sin
             primitive += (re[..., j] * sin + im[..., j] * (cos - 1.0)) / w
@@ -204,15 +205,19 @@ class TrigPoly2D:
         amps = np.broadcast_to(self.amps[~flat], phases.shape).copy()
         return _one_mode_per_freq(const, np.abs(k2), amps, np.sign(k2) * phases)
 
-    def fourier_coefficient(self, k1, k2):
-        """int exp(-2i*pi*(k1*x1 + k2*x2)) * self(x) dx, exactly."""
-        out = complex(self.const) if (k1 == 0 and k2 == 0) else 0.0j
+    def fourier_table(self, K):
+        """The exact Fourier coefficients int exp(-2i*pi*k.x) * self(x) dx
+        for k1 = 0..K (rows) and k2 = -K..K (columns), in one pass over the
+        modes: a mode adds a e^{ip} / 2 at its wavevector and a e^{-ip} / 2
+        at the opposite one, where they are in the table."""
+        table = np.zeros((K + 1, 2 * K + 1), complex)
+        table[0, K] = self.const
         for m1, m2, a, p in zip(self.k1, self.k2, self.amps, self.phases):
-            if (k1, k2) == (m1, m2):
-                out += 0.5 * a * np.exp(1j * p)
-            if (k1, k2) == (-m1, -m2):
-                out += 0.5 * a * np.exp(-1j * p)
-        return out
+            for k1, k2, c in ((m1, m2, 0.5 * a * np.exp(1j * p)),
+                              (-m1, -m2, 0.5 * a * np.exp(-1j * p))):
+                if 0 <= k1 <= K and -K <= k2 <= K:
+                    table[k1, k2 + K] += c
+        return table
 
     def min_on_grid(self, n1, n2):
         """Minimum over the nodes (i/n1, j/n2).

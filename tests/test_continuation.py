@@ -558,9 +558,20 @@ def test_run_adaptive_mode(pair64):
         assert rec.sup_residual <= opts.newton_tol
 
 
+def test_fixed_ladder_from_a_small_t0_certifies(pair64):
+    # the first rung, 1e-8 (10^(8/32) - 1) = 7.8e-9, is below the collapse
+    # floor, but no step was rejected, so the ladder takes it
+    opts = tot.ContinuationOptions(t0=1e-8)
+    traj = tot.run(pair64, options=opts)
+    assert [rec.t for rec in traj.records][:2] == pytest.approx(
+        [1e-8, 1e-8 * 10 ** 0.25], rel=1e-12)
+    assert len(traj.records) == 33 and traj.final.t == 1.0
+    _certified_on(pair64, traj)
+
+
 def _single_grid(monkeypatch):
     """Make every grid too small to nest."""
-    monkeypatch.setattr(continuation, "COARSEST_SIDE", 1 << 20)
+    monkeypatch.setattr(tot.grid, "COARSEST_SIDE", 1 << 20)
 
 
 def _certified_on(pair, traj):
@@ -773,6 +784,8 @@ def test_failed_coarse_step_falls_back_to_the_single_grid_step(pair128,
 
     with monkeypatch.context() as patch:
         patch.setattr(continuation, "residual_state", no_coarse_state)
+        # the single-grid run's Knothe fibers are cold too: bit for bit
+        patch.setattr(tot.knothe, "level_shapes", lambda shape: [shape])
         fallback = tot.run(pair128, options=opts)
     _single_grid(monkeypatch)
     single = tot.run(pair128, options=opts)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import tot
-from tot.errors import PositivityError
+from tot.errors import ConvergenceError, CutLocusError, PositivityError
 from tot.grid import deriv_values
-from tot.trig import TrigPoly1D, TrigPoly2D
+from tot.transport1d import invert_lifted_cdf
+from tot.trig import TWO_PI, TrigPoly1D, TrigPoly2D
 
 from tests.test_transport1d import oracle_map
 
@@ -154,6 +155,15 @@ def test_fiber_pushforward_quantiles(pair64, knothe64):
     assert tot.fiber_pushforward_error(pair64, knothe64, n_fibers=8) < 1e-9
 
 
+def test_nested_fiber_sweeps_certify(pair128, knothe128, pair256, knothe256):
+    # 128^2 and 256^2 start their fiber stacks from 64^2 coarse fibers
+    for pair, sol in ((pair128, knothe128), (pair256, knothe256),
+                      (_benchmark_style_pair(128), None),
+                      (_benchmark_style_pair(256), None)):
+        sol = sol or tot.knothe_solution(pair)
+        assert tot.fiber_pushforward_error(pair, sol) < 1e-9
+
+
 def test_triangular_structure(knothe64):
     field = knothe64.map_field()
     assert np.max(np.ptp(field.v1.values, axis=1)) == 0.0
@@ -184,24 +194,37 @@ def test_requires_closed_form(grid64):
         tot.marginal_and_conditionals(f)
 
 
-def test_one_cdf_inversion_per_circle_map(monkeypatch):
-    # a benchmark-style pair at 256^2: three of the four wavevectors with
-    # |k|_inf = 1 per density, amplitude 0.15 each.  Each circle map inverts
-    # its cdfs and picks its shift in one call, and the fiber map takes few
-    # cdf-and-density passes (its levels' antiderivative included)
-    grid = tot.build_grid(256, 256)
-    pair = tot.make_density_pair(
+def _benchmark_style_pair(n):
+    # three of the four wavevectors with |k|_inf = 1 per density, amplitude
+    # 0.15 each
+    return tot.make_density_pair(
         tot.spec((0, 1, 0.15, 3.10), (1, 1, 0.15, 4.82), (1, -1, 0.15, 4.93)),
         tot.spec((1, 0, 0.15, 2.01), (1, 1, 0.15, 0.93), (1, -1, 0.15, 3.54)),
-        grid)
+        tot.build_grid(n, n))
+
+
+def _fiber_stacks(pair):
+    """The conditionals of f over the nodes and of g over their images."""
+    f1, f_fiber = tot.marginal_and_conditionals(pair.f)
+    g1, g_fiber = tot.marginal_and_conditionals(pair.g)
+    images = tot.monotone_circle_map(f1, g1).map_values()
+    return f_fiber(pair.grid.nodes1()), g_fiber(images)
+
+
+def test_one_cdf_inversion_per_circle_map(monkeypatch):
+    # at 256^2 each circle map inverts its cdfs and picks its shift in one
+    # call: r1, the 64^2 coarse fiber stack and the full stack.  Started
+    # from the prolonged coarse maps, the full stack takes at most 2 Newton
+    # passes (5 cold), plus its levels' antiderivative
+    pair = _benchmark_style_pair(256)
     maps = []         # per circle map: [cdf inversions, cdf-and-density passes]
     circle_map = tot.knothe.monotone_circle_map
     invert = tot.transport1d.invert_lifted_cdf
     value_and_primitive = TrigPoly1D.value_and_primitive
 
-    def counted_map(f, g):
+    def counted_map(f, g, *args, **kwargs):
         maps.append([0, 0])
-        return circle_map(f, g)
+        return circle_map(f, g, *args, **kwargs)
 
     def counted_invert(*args, **kwargs):
         maps[-1][0] += 1
@@ -216,8 +239,53 @@ def test_one_cdf_inversion_per_circle_map(monkeypatch):
     monkeypatch.setattr(tot.transport1d, "invert_lifted_cdf", counted_invert)
     monkeypatch.setattr(TrigPoly1D, "value_and_primitive", counted_pass)
     tot.knothe_solution(pair)
-    assert [inversions for inversions, _ in maps] == [1, 1]
-    assert maps[1][1] <= 8, maps
+    assert [inversions for inversions, _ in maps] == [1, 1, 1]
+    assert maps[2][1] <= 3, maps
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, CutLocusError])
+def test_failed_coarse_fibers_fall_back_to_the_cold_sweep(monkeypatch, error):
+    pair = _benchmark_style_pair(128)
+    with monkeypatch.context() as m:
+        m.setattr(tot.grid, "COARSEST_SIDE", 1 << 20)
+        cold = tot.knothe_solution(pair)
+    circle_map = tot.knothe.monotone_circle_map
+    raised = []
+
+    def coarse_raises(f, g, *args, **kwargs):
+        if f.m == 64:
+            raised.append(f.values.shape)
+            raise error("forced failure")
+        return circle_map(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(tot.knothe, "monotone_circle_map", coarse_raises)
+    sol = tot.knothe_solution(pair)
+    assert raised == [(64, 64)]
+    assert np.array_equal(sol.r2_displacement, cold.r2_displacement)
+    assert np.array_equal(sol.potentials.u2.values, cold.potentials.u2.values)
+    assert np.array_equal(sol.potentials.u1, cold.potentials.u1)
+
+
+def _warm_start_moves_nothing(f, g):
+    """A call started off the cold call's roots and shifts returns them."""
+    x = np.arange(f.m) / f.m
+    s = f.closed_form.antiderivative(x)
+    y, theta = invert_lifted_cdf(g, s, tol=1e-15, nodes=x)
+    rows = np.arange(len(theta))
+    for dx, dtheta in ((0.02, 0.03), (0.2, 0.3), (0.0, 0.5), (1e-9, 1e-9)):
+        x0 = y + dx * np.sin(TWO_PI * (x + rows[:, None] / 7))
+        theta0 = theta + dtheta * np.cos(rows)
+        warm, warm_theta = invert_lifted_cdf(g, s, x0, tol=1e-15, nodes=x,
+                                             theta0=theta0)
+        assert np.max(np.abs(warm - y)) <= 1e-13
+        assert np.max(np.abs(warm_theta - theta)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_warm_started_inversion_returns_the_cold_roots(n):
+    for pair in (tot.standard_pair(tot.build_grid(n, n)),
+                 _benchmark_style_pair(n)):
+        _warm_start_moves_nothing(*_fiber_stacks(pair))
 
 
 def test_fiber_shifts_are_exact_with_a_mode_at_half_the_fiber_nodes():
@@ -232,9 +300,12 @@ def test_fiber_shifts_are_exact_with_a_mode_at_half_the_fiber_nodes():
         g = tot.spec((1, 1, 0.15, rng.uniform(0.0, 6.28)),
                      (0, 8, rng.uniform(0.5, 0.9), rng.uniform(0.0, 6.28)))
         try:
-            sol = tot.knothe_solution(tot.make_density_pair(f, g, grid))
+            pair = tot.make_density_pair(f, g, grid)
+            sol = tot.knothe_solution(pair)
         except PositivityError:
             continue
         solved += 1
         assert np.max(np.abs(np.mean(sol.r2_displacement, axis=-1))) <= 1e-12
+        # a warm start too finds these shifts, from off their roots
+        _warm_start_moves_nothing(*_fiber_stacks(pair))
     assert solved > 100

@@ -259,22 +259,27 @@ def test_pushforward_residual_rejects_empty_test_set(grid64):
 def test_pushforward_residual_of_translation_is_closed_form(shape, K):
     # for T(x) = x + c the trapezoid rule is exact on these trig densities,
     # so the certificate is max |exp(-2i pi k.c) fhat(k) - ghat(k)|;
-    # 96 x 64 = 6,144 nodes is not a whole number of blocks
+    # 96 x 64 = 6,144 nodes is not a whole number of blocks.  fhat and ghat
+    # are the fft2 of f and g on n = 4 (K + 2) > 2K + 1 nodes per side,
+    # which no mode of these densities (|k|_inf <= K + 1) aliases onto
     grid = tot.build_grid(*shape)
     c1, c2 = 0.37, -0.21
     x1, x2 = grid.mesh()
     shift = tot.VectorField(tot.field(grid, x1 + c1 + 0 * x2),
                             tot.field(grid, x2 + c2 + 0 * x1))
+    n = 4 * (K + 2)
+    y1, y2 = tot.build_grid(n, n).mesh()
     # the second pair's worst mode is (1, -K): k1 != 0, k2 < 0, |k|_inf = K
     boundary = (tot.spec((1, -K, 0.3, 0.4), (0, 1, 0.1, 0.0)),
                 tot.spec((1, 1, 0.2, 1.0)))
     for f, g in ((tot.CATALOG["standard_f"], tot.CATALOG["standard_g"]),
                  boundary):
         pair = tot.make_density_pair(f, g, grid)
+        fhat, ghat = (np.fft.fft2(poly(y1, y2)) / n ** 2
+                      for poly in (pair.f_poly, pair.g_poly))
         defects = {
             (k1, k2): abs(np.exp(-2j * np.pi * (k1 * c1 + k2 * c2))
-                          * pair.f_poly.fourier_coefficient(k1, k2)
-                          - pair.g_poly.fourier_coefficient(k1, k2))
+                          * fhat[k1, k2] - ghat[k1, k2])
             for k1 in range(-K, K + 1) for k2 in range(-K, K + 1)}
         expected = max(defects.values())
         assert abs(tot.pushforward_residual(shift, pair, K) - expected) < 1e-13

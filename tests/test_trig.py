@@ -111,6 +111,21 @@ def test_2d_evaluation_matches_the_mode_sum():
     assert np.max(np.abs(poly(x1, x2) - sum_2d(MODES_2D, x1, x2))) < 1e-14
 
 
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_fourier_table_matches_fft2_of_samples(K):
+    # (1, 1) twice and (-2, 1) against (2, -1): modes that share a
+    # coefficient; K = 1 leaves (2, -1), (-2, 1) and (0, 2) outside the table
+    modes = MODES_2D + [(1, 1, 0.04, -0.6), (-2, 1, 0.07, 0.2)]
+    n = 16                          # > 2K + 1 and > K + 2: no aliasing
+    x = np.arange(n) / n
+    samples = sum_2d(modes, x[:, None], x[None, :], const=1.3)
+    spectrum = np.fft.fft2(samples) / n ** 2
+    expected = spectrum[np.arange(K + 1)[:, None], np.arange(-K, K + 1)]
+    table = TrigPoly2D.from_modes(modes, const=1.3).fourier_table(K)
+    assert table.shape == (K + 1, 2 * K + 1)
+    assert np.max(np.abs(table - expected)) < 1e-15
+
+
 @pytest.mark.parametrize("m", [16, 15])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_displacement_interpolant_matches_full_spectrum_sum(m, rows):
