@@ -180,6 +180,9 @@ def config_from_entries(entries):
         options.validated()
     except ValueError as exc:
         raise ConfigError(f"options: {exc}") from exc
+    if 2 * options.pushforward_k >= min(grid.shape):
+        raise ConfigError(f"pushforward_k: {options.pushforward_k} needs 2K < "
+                          f"min(n1, n2) = {min(grid.shape)}", key="pushforward_k")
     if not schedule.lam(options.t0) > 0.0:
         raise ConfigError(f"lambda: lambda(t0) = {schedule.lam(options.t0):g} "
                           f"at t0 = {options.t0:g} is not a cost", key="lambda")

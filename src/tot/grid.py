@@ -15,8 +15,8 @@ operator kernels from the same table.  :func:`resample_values` moves a
 and :func:`level_shapes` is the one rule for the coarser grids that the
 Newton solvers and the Knothe fiber sweep solve on first.
 Every 2D transform of the package runs through :func:`rfft2` and
-:func:`irfft2`: numpy's real 2D transforms, bit for bit, as two axis
-passes.
+:func:`irfft2`, numpy's real 2D transforms, bit for bit, as two axis
+passes, or through the axis passes of :func:`derivative_bundle`.
 
 All operations are pure: input fields are never mutated, so values may be
 shared read-only across threads.
@@ -201,13 +201,14 @@ def antideriv_values(values, axis):
 
 
 def derivative_bundle(values):
-    """(d1, d2, d11, d12, d22) of a 2D grid array from one forward
-    transform."""
-    n1, n2 = values.shape
-    s1, s2 = symbols(n1, half=False), symbols(n2)
-    spec = rfft2(values)
-    return tuple(irfft2(spec * symbol, values.shape) for symbol in (
-        s1.d1[:, None], s2.d1, s1.d2[:, None], s1.d1[:, None] * s2.d1, s2.d2))
+    """(d1, d2, d11, d12, d22) of a 2D grid array in 9 axis passes: d2 and
+    d22 make no round trip along x1, and d12 reuses d1's pass along x1."""
+    s1, s2 = symbols(values.shape[0], half=False), symbols(values.shape[1])
+    half = np.fft.rfft(values)
+    spec = np.fft.fft(half, axis=0)
+    d1, d11 = (np.fft.ifft(spec * s[:, None], axis=0) for s in (s1.d1, s1.d2))
+    return tuple(np.fft.irfft(h, values.shape[1]) for h in (
+        d1, half * s2.d1, d11, d1 * s2.d1, half * s2.d2))
 
 
 def resample_values(values, shape):

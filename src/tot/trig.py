@@ -6,10 +6,10 @@ composition, marginal, conditional and primitive exactly evaluable.
 A 1D polynomial carries one mode per frequency: ``from_modes`` and
 ``TrigPoly2D.slice_x1`` add up the modes that share a frequency as
 complex coefficients.  Each 1D call reduces its argument mod 1 once (with
-``frac``) and forms one angle per frequency from it; the joint
-``value_and_primitive`` takes the polynomial and its primitive from the
-cosine and sine of that one angle.  ``TrigPoly2D.__call__`` reduces
-nothing: its callers pass arguments already reduced mod 1.
+``frac``) and takes the polynomial, and in ``value_and_primitive`` its
+primitive too, from the cosine and sine of one angle per frequency and
+point.  ``TrigPoly2D.__call__`` reduces nothing: its callers pass
+arguments already reduced mod 1.
 """
 
 from __future__ import annotations
@@ -85,12 +85,16 @@ class TrigPoly1D:
         return (const,) + coefs
 
     def __call__(self, x):
+        """Value at x: a cos(angle + p) = re cos(angle) - im sin(angle), so a
+        stack on shared (m,) points takes m cosines and sines, not rows x m."""
         x = np.asarray(x, float)
-        const, amps, phases = self._columns(None, self.amps, self.phases)
+        const, re, im = self._columns(None, self.amps * np.cos(self.phases),
+                                      self.amps * np.sin(self.phases))
         out = const + np.zeros(x.shape)
         reduced = frac(x)
         for j, k in enumerate(self.freqs):
-            out += amps[..., j] * np.cos(TWO_PI * k * reduced + phases[..., j])
+            angle = TWO_PI * k * reduced
+            out += re[..., j] * np.cos(angle) - im[..., j] * np.sin(angle)
         return out
 
     def antiderivative(self, x):

@@ -291,6 +291,23 @@ def test_exit_code_invalid_option(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("k", [8, 100000000])
+def test_exit_code_pushforward_k_above_the_grid(tmp_path, capsys, k):
+    # 2K >= min(n1, n2): the grid's trapezoid rule resolves no such test
+    # function, and K = 10^8 would ask for exabytes of powers
+    cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 24\n"
+                    f"pushforward_k = {k}\n")
+    assert run_cli("brenier", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tot: config error: pushforward_k: {k} needs 2K < "
+                          "min(n1, n2) = 16")
+    assert not (tmp_path / "out").exists()
+    assert load_config(write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\n"
+                                 "grid.n2 = 24\npushforward_k = 7\n",
+                                 "ok.cfg")).options.pushforward_k == 7
+
+
 # keys of settings that are gone: the run no longer switches
 # representation (t_switch), every step after the second extrapolates
 # (predictor), the fixed ladder is always geometric (step_grading,

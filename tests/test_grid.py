@@ -150,6 +150,23 @@ def test_second_derivative_keeps_nyquist():
         assert np.max(np.abs(out - exact[i].T)) < tols[i]
 
 
+def test_derivative_bundle_matches_numpy_irfft2():
+    # oracle: numpy's 2D real transforms with symbols written out here, on
+    # a non-square field that has content in both Nyquist modes.  Odd
+    # symbols zero the Nyquist mode, even ones keep it
+    n1, n2 = 64, 96
+    u = np.random.default_rng(22).standard_normal((n1, n2))
+    k1 = np.fft.fftfreq(n1, 1.0 / n1)[:, None]
+    k2 = np.fft.rfftfreq(n2, 1.0 / n2)[None, :]
+    i1 = np.where(np.abs(k1) == n1 // 2, 0.0, 2j * np.pi * k1)
+    i2 = np.where(k2 == n2 // 2, 0.0, 2j * np.pi * k2)
+    spec = np.fft.rfft2(u)
+    for out, symbol in zip(derivative_bundle(u), (
+            i1, i2, -(2 * np.pi * k1) ** 2, i1 * i2, -(2 * np.pi * k2) ** 2)):
+        ref = np.fft.irfft2(spec * symbol, (n1, n2))
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_antiderivative_is_exact_primitive(k):
     # the primitive of cos(2 pi k x) is sin(2 pi k x) / (2 pi k); the
@@ -178,7 +195,8 @@ def test_2d_transforms_equal_numpy_bit_for_bit(shape):
 
 
 # numpy's n-d transforms; every 2D transform of tot runs through
-# grid.rfft2 and grid.irfft2 instead
+# grid.rfft2 and grid.irfft2 or the axis passes of grid.derivative_bundle
+# instead
 ND_TRANSFORMS = {"rfft2", "irfft2", "rfftn", "irfftn", "fft2", "ifft2"}
 
 

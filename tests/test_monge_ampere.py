@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,71 @@ def test_pushforward_residual_of_translation_is_closed_form(shape, K):
         assert abs(tot.pushforward_residual(shift, pair, K) - expected) < 1e-13
     assert max(defects, key=defects.get) in {(1, -K), (-1, K)}
     assert expected > 1.4 * sorted(defects.values())[-3]
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (96, 64), (10, 12)])
+@pytest.mark.parametrize("K", [1, 4, 8, 9])
+def test_pushforward_residual_of_curved_map_matches_direct_sums(shape, K):
+    # oracle: every quadrature mean(f exp(-2i pi (k1 T1 + k2 T2))) summed
+    # mode by mode, with one exp per mode and point, no powers and no
+    # product; ghat is the fft2 of g on 4 (K + 2) nodes per side, which no
+    # mode of g (|k|_inf <= 3) aliases onto.  Against the uniform g the
+    # defect is the largest quadrature itself.  The map's lifted values lie
+    # outside [0, 1), and no grid is a whole number of blocks
+    grid = tot.build_grid(*shape)
+    x1, x2 = grid.mesh()
+    t1 = x1 + 1.37 + 0.1 * np.sin(2 * np.pi * (x1 + 2 * x2))
+    t2 = x2 - 0.61 + 0.08 * np.cos(2 * np.pi * (3 * x1 - x2))
+    tmap = tot.VectorField(tot.field(grid, t1), tot.field(grid, t2))
+    n = 4 * (K + 2)
+    y1, y2 = tot.build_grid(n, n).mesh()
+    for g in (tot.spec((2, -3, 0.2, 0.7), (0, 1, 0.1, 0.0)),
+              tot.CATALOG["uniform"]):
+        pair = tot.make_density_pair(tot.CATALOG["standard_f"], g, grid)
+        if 2 * K >= min(shape):
+            with pytest.raises(ValueError, match="2K < min"):
+                tot.pushforward_residual(tmap, pair, K)
+            continue
+        ghat = np.fft.fft2(pair.g_poly(y1, y2)) / n ** 2
+        expected = max(
+            abs(np.mean(pair.f_values
+                        * np.exp(-2j * np.pi * (k1 * t1 + k2 * t2)))
+                - ghat[k1, k2])
+            for k1 in range(-K, K + 1) for k2 in range(-K, K + 1))
+        assert abs(tot.pushforward_residual(tmap, pair, K) - expected) < 1e-13
+
+
+def test_pushforward_residual_refuses_modes_the_grid_does_not_resolve():
+    grid = tot.build_grid(10, 12)
+    pair = tot.make_density_pair(tot.CATALOG["standard_f"],
+                                 tot.CATALOG["standard_g"], grid)
+    x1, x2 = grid.mesh()
+    identity = tot.VectorField(tot.field(grid, x1 + 0 * x2),
+                               tot.field(grid, x2 + 0 * x1))
+    # 2K >= min(n1, n2); 10**8 would ask for exabytes of powers
+    for k in (5, 6, 10 ** 8):
+        with pytest.raises(ValueError, match="2K < min"):
+            tot.pushforward_residual(identity, pair, k)
+    assert tot.pushforward_residual(identity, pair, 4) > 0.1
+
+
+def test_pushforward_residual_scratch_memory_is_bounded():
+    # one call at 256^2 and K = 8 allocates its powers block by block:
+    # a single complex array of the powers of one axis over the whole grid
+    # would take 9.4 MB, and the peak is the same at 128^2
+    peaks = []
+    for n in (128, 256):
+        grid = tot.build_grid(n, n)
+        pair = tot.make_density_pair(tot.CATALOG["standard_f"],
+                                     tot.CATALOG["standard_g"], grid)
+        x1, x2 = grid.mesh()
+        tmap = tot.VectorField(tot.field(grid, x1 + 0.3 + 0 * x2),
+                               tot.field(grid, x2 - 0.2 + 0 * x1))
+        tracemalloc.start()
+        try:
+            tot.pushforward_residual(tmap, pair, 8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5e6
+    assert peaks[1] <= 1.05 * peaks[0]

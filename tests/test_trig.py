@@ -89,6 +89,24 @@ def test_rows_evaluate_each_point_on_its_own_row():
     assert np.max(np.abs(taken(x[:, None])[:, 0] - sum_2d(MODES_2D, x1[rows], x))) < 1e-14
 
 
+def test_stack_on_shared_nodes_equals_each_row_alone():
+    # a stack evaluated on (m,) points shared by its rows takes its cosines
+    # and sines on the m points; each row is its own cosine sum
+    rng = np.random.default_rng(22)
+    freqs = np.array([1, 2, 4])
+    const = rng.uniform(0.8, 1.2, 5)
+    amps = rng.uniform(0.0, 0.1, (5, 3))
+    phases = rng.uniform(-np.pi, np.pi, (5, 3))
+    stack = TrigPoly1D(const, freqs, amps, phases)
+    nodes = np.arange(48) / 48
+    values = stack(nodes)
+    assert values.shape == (5, 48)
+    for row in range(5):
+        modes = zip(freqs, amps[row], phases[row])
+        assert np.max(np.abs(values[row] - sum_1d(modes, nodes, const[row]))) < 1e-15
+    assert np.array_equal(values, stack(np.broadcast_to(nodes, (5, 48))))
+
+
 @pytest.mark.parametrize("modes", [[], [(1, 0, 0.3, 0.2), (2, 0, 0.1, 0.0)]])
 def test_fibers_without_x2_modes_are_constant(modes):
     poly = TrigPoly2D.from_modes(modes)
