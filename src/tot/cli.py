@@ -77,6 +77,9 @@ def cmd_knothe(cfg, out_dir):
                    (fiber_err, u2_x1_variation))
     _say(cfg, f"[knothe] fiber pushforward max error {fiber_err:.3g}, "
               f"u2 variation along x1 {u2_x1_variation:.3g}")
+    if fiber_err > 1e-9:        # the criteria's bound; also under --quiet
+        print(f"tot: warning: fiber pushforward max error {fiber_err:.3g} "
+              "exceeds 1e-9; a finer grid resolves the fibers", file=sys.stderr)
 
 
 def cmd_brenier(cfg, out_dir):

@@ -45,12 +45,12 @@ import numpy as np
 from .errors import (ConcavityError, ConstructionError, ConvergenceError,
                      InitializationError, StepCollapseError)
 from .grid import (PeriodicGrid, ScalarField, VectorField, deriv_values,
-                   level_shapes, resample_values)
+                   level_shapes, resample_values, zero_field)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
 from .linearized import (cost_rate_rhs, project_solvable, solve_linearized,
                          solve_linearized_small_t)
-from .monge_ampere import (CostSchedule, pushforward_residual,
-                           residual_state, split_values)
+from .monge_ampere import (CostSchedule, check_pushforward_k,
+                           pushforward_residual, residual_state, split_values)
 
 __all__ = [
     "ContinuationOptions", "NewtonResult", "InitResult", "TrajectoryRecord",
@@ -266,6 +266,11 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
     its state supplies the result's ``map1``, from which ``tmap`` is
     formed.
 
+    A start of all 0.0 is the identity map (det = 1, g at the nodes), whose
+    residual here is f - g bit for bit.  Unless max|f - g| meets ``tol``,
+    each level starts from its own zeros, and the caller's grid forms no
+    state before the prolonged coarse result's.
+
     Parameters
     ----------
     psi_init : ScalarField
@@ -283,21 +288,29 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
     """
     _check_positive_finite("tol", tol)
     grid = pair.grid
-    # start in the solver subspace: updates live there
-    u1, u2 = split_values(project_solvable(psi_init.values), cost.a22)
-    u2 = ScalarField(grid, u2)
-    st = residual_state(cost, u1, u2.values, pair)
-    if st.sup_residual <= tol:
-        return NewtonResult(u1, u2, cost.a22, 0, st.sup_residual, st.margin,
-                            ((grid.shape, 0),), st.map1)
-    del st              # no fine state is held while the coarse levels run
+    zero = (not np.any(psi_init.values)
+            and np.max(np.abs(pair.f_values - pair.g.values)) > tol)
+    if not zero:
+        # start in the solver subspace: updates live there
+        u1, u2 = split_values(project_solvable(psi_init.values), cost.a22)
+        u2 = ScalarField(grid, u2)
+        st = residual_state(cost, u1, u2.values, pair)
+        if st.sup_residual <= tol:
+            return NewtonResult(u1, u2, cost.a22, 0, st.sup_residual,
+                                st.margin, ((grid.shape, 0),), st.map1)
+        del st          # no fine state is held while the coarse levels run
     pairs = _levels(pair)
+
+    def start(level):
+        level_grid = pairs[level].grid
+        if zero:
+            return np.zeros(level_grid.n1), zero_field(level_grid)
+        return _resampled(u1, u2, level_grid)
 
     def solve(level_pair, v1, v2, coarse):
         return _newton(cost, v1, v2, level_pair, tol, max_iter, coarse)
 
-    return _sequenced(
-        pairs, lambda level: _resampled(u1, u2, pairs[level].grid), solve)
+    return _sequenced(pairs, start, solve)
 
 
 def _levels(pair):
@@ -637,6 +650,7 @@ def run(pair, schedule=None, options=None):
     """
     schedule = schedule or CostSchedule.linear()
     opts = (options or ContinuationOptions()).validated()
+    check_pushforward_k(opts.pushforward_k, pair.grid)     # before any work
     init = init_from_knothe(pair, schedule, opts.t0,
                             newton_tol=opts.newton_tol,
                             max_newton=opts.max_newton)

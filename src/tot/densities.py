@@ -85,10 +85,17 @@ class DensityPair:
         return self.g.closed_form
 
     def on_grid(self, grid):
-        """The same closed forms sampled on another grid, with this pair's
-        ``delta``: a bound of the closed forms, so no grid needs a new one."""
-        return DensityPair(density_field(self.f_poly, grid),
-                           density_field(self.g_poly, grid), self.delta)
+        """The pair on a ``grid`` whose sides divide this pair's, with its
+        closed forms and ``delta``: node j/m there is node rj/n here exactly
+        in floating point, r = n/m, so the values are every r-th of these.
+        Other grids raise ``ValueError``."""
+        r1, r2 = self.grid.n1 // grid.n1, self.grid.n2 // grid.n2
+        if (r1 * grid.n1, r2 * grid.n2) != self.grid.shape:
+            raise ValueError(f"grid {grid.shape} does not divide the pair's "
+                             f"grid {self.grid.shape}")
+        return DensityPair(*(ScalarField(grid, fld.values[::r1, ::r2].copy(),
+                                         closed_form=fld.closed_form)
+                             for fld in (self.f, self.g)), self.delta)
 
 
 def density_field(density, grid):

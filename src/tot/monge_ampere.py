@@ -309,10 +309,7 @@ def pushforward_residual(tmap, pair, K):
     w^-k = conj(w^k), (rr + ii) + i (ir - ri) at (k1, -k2).  As f and g
     are real, the rows k1 = 0..K against k2 = -K..K cover every mode.
     """
-    if (isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1
-            or 2 * K >= min(pair.grid.shape)):
-        raise ValueError(f"pushforward_residual needs an integer K >= 1 with "
-                         f"2K < min(n1, n2) = {min(pair.grid.shape)}, got {K!r}")
+    check_pushforward_k(K, pair.grid)
     f = pair.f_values.ravel()
     t1, t2 = tmap.v1.values.ravel(), tmap.v2.values.ravel()
     gram = np.zeros((2 * K + 2, 2 * K + 2))
@@ -324,6 +321,14 @@ def pushforward_residual(tmap, pair, K):
     quad = np.hstack([((rr + ii) + 1j * (ir - ri))[:, :0:-1],
                       (rr - ii) + 1j * (ri + ir)])
     return float(np.max(np.abs(quad - pair.g_poly.fourier_table(K))))
+
+
+def check_pushforward_k(K, grid):
+    """``ValueError`` unless K >= 1 is an integer with 2K < min(n1, n2)."""
+    if (isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1
+            or 2 * K >= min(grid.shape)):
+        raise ValueError(f"pushforward_residual needs an integer K >= 1 with "
+                         f"2K < min(n1, n2) = {min(grid.shape)}, got {K!r}")
 
 
 def _powers(t, K, scale=1.0):

@@ -132,6 +132,34 @@ quiet = true
     assert values["u2_x1_variation"] < 1e-11
 
 
+def test_cmd_knothe_warns_of_an_unresolved_fiber_certificate(tmp_path,
+                                                            capsys):
+    # the fibers of g resolve at 256^2: the certificate reads 5.4e-6 at 64^2
+    cfg = write_cfg(tmp_path, """
+f.modes = (0, 1, 0.25, 0)
+g.modes = (0, 1, 0.75, 0)
+quiet = true
+""")
+    assert run_cli("knothe", "--config", str(cfg), "--grid", "64",
+                   "--out", str(tmp_path / "a")) == 0
+    out, err = capsys.readouterr()
+    row = (tmp_path / "a" / "diagnostics.csv").read_text().splitlines()[1]
+    error = float(row.split(",")[0])
+    assert 1e-6 < error < 1e-5 and out == ""
+    assert err == (f"tot: warning: fiber pushforward max error {error:.3g} "
+                   "exceeds 1e-9; a finer grid resolves the fibers\n")
+    assert run_cli("knothe", "--config", str(cfg), "--grid", "256",
+                   "--out", str(tmp_path / "b")) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cmd_knothe_standard_pair_writes_no_warning(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "f.name = standard_f\ng.name = standard_g\n")
+    assert run_cli("knothe", "--config", str(cfg), "--grid", "128",
+                   "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_brenier_equal_densities(tmp_path):
     cfg = write_cfg(tmp_path, """
 f.name = standard_g

@@ -242,6 +242,75 @@ def test_nested_newton_from_solution_does_no_coarse_work(
     assert shapes == [(128, 128)]
 
 
+def _recorded_work(monkeypatch):
+    """(shape, zero start) of each residual state that ``continuation``
+    forms, and the shape of each projection of a start."""
+    states, projections = [], []
+    state, project = continuation.residual_state, continuation.project_solvable
+
+    def counted_state(cost, u1, u2_values, pair):
+        states.append((u2_values.shape,
+                       not (np.any(u1) or np.any(u2_values))))
+        return state(cost, u1, u2_values, pair)
+
+    def counted_projection(values):
+        projections.append(values.shape)
+        return project(values)
+
+    monkeypatch.setattr(continuation, "residual_state", counted_state)
+    monkeypatch.setattr(continuation, "project_solvable", counted_projection)
+    return states, projections
+
+
+@pytest.mark.parametrize("modes, n", [(None, 128), ((STALL_F, STALL_G), 128),
+                                      ((STALL_F, STALL_G), 256)])
+def test_cold_solve_does_no_work_on_the_callers_grid_before_it_certifies(
+        modes, n, monkeypatch):
+    grid = tot.build_grid(n, n)
+    pair = (tot.standard_pair(grid) if modes is None else
+            tot.make_density_pair(tot.spec(*modes[0]), tot.spec(*modes[1]),
+                                  grid))
+    states, projections = _recorded_work(monkeypatch)
+    res = tot.newton_correct(tot.identity_cost(), tot.zero_field(grid), pair)
+    assert res.sup_residual <= 1e-10 and res.margin > 0.0
+    assert projections == []
+    # the coarsest level starts from its own zeros
+    assert states[0] == ((64, 64), True)
+    fine = [zero for shape, zero in states if shape == (n, n)]
+    # every state on the caller's grid corrects the prolonged coarse result
+    assert fine and not any(fine)
+    if res.levels[-1] == ((n, n), 0):
+        assert len(fine) == 1           # the certifying state alone
+
+
+def test_nonzero_cold_start_evaluates_its_own_state_first(
+        pair128, cold_newton128, monkeypatch):
+    start = tot.field(pair128.grid, 0.5 * cold_newton128.potential.values)
+    states, projections = _recorded_work(monkeypatch)
+    res = tot.newton_correct(tot.identity_cost(), start, pair128)
+    assert res.sup_residual <= 1e-10
+    assert projections == [(128, 128)]
+    assert states[0] == ((128, 128), False)
+    assert res.levels[0][0] == (64, 64)
+
+
+def test_zero_start_on_equal_densities_does_no_coarse_work(grid128,
+                                                           monkeypatch):
+    s = tot.CATALOG["standard_g"]
+    pair = tot.make_density_pair(s, s, grid128)
+
+    def no_coarse_pair(self, grid):
+        raise AssertionError("a coarse pair was built")
+
+    monkeypatch.setattr(tot.DensityPair, "on_grid", no_coarse_pair)
+    states, _ = _recorded_work(monkeypatch)
+    res = tot.newton_correct(tot.identity_cost(), tot.zero_field(grid128),
+                             pair)
+    assert res.iterations == 0
+    assert res.levels == ((grid128.shape, 0),)
+    assert states == [((128, 128), True)]
+
+
 def test_coarse_concavity_error_falls_back_to_the_start(pair128, monkeypatch):
     state = continuation.residual_state
 
@@ -833,6 +902,18 @@ def test_trajectory_summary_csv(traj32, tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == traj32.records[0].t
     assert first[5] == str(traj32.records[0].newton_iters)
+
+
+def test_run_refuses_a_pushforward_k_the_grid_cannot_resolve(pair64,
+                                                             monkeypatch):
+    def no_work(pair):
+        raise AssertionError("knothe_solution was called")
+
+    monkeypatch.setattr(continuation, "knothe_solution", no_work)
+    with pytest.raises(ValueError, match=r"^pushforward_residual needs an "
+                       r"integer K >= 1 with 2K < min\(n1, n2\) = 64, got 32$"):
+        tot.run(pair64, options=tot.ContinuationOptions(pushforward_k=32,
+                                                        steps=2))
 
 
 def test_options_validation():

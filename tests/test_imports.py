@@ -6,6 +6,9 @@ public form then check a wrapper rather than the code the program runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tot
@@ -129,3 +132,26 @@ def test_the_export_census_sees_uses(tmp_path):
                      "stored = 1\n", encoding="utf-8")
     assert _used_names(probe) == {"tot", "used", "alone", "x"}
     assert _tracer_targets(probe) == {"grid", "Poly", "__call__"}
+
+
+# ---------------------------------------------------------------------------
+# dependencies: numpy is the one third-party package that ``tot`` imports
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None         # any import of scipy now fails
+import tot, tot.cli
+pair = tot.standard_pair(tot.build_grid(16, 16))
+# 16^2 resolves the standard pair to about 2e-4, so the tolerance is loose
+res = tot.newton_correct(tot.identity_cost(), tot.zero_field(pair.grid), pair,
+                         tol=1e-3)
+assert res.iterations > 0 and res.sup_residual <= 1e-3, res
+"""
+
+
+def test_tot_solves_without_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -331,6 +331,31 @@ def test_pair_admits_a_density_whose_amplitudes_exceed_its_depth():
     assert 0.46 < pair.delta < 0.46352
 
 
+@pytest.mark.parametrize("shapes", [((256, 256), (128, 128), (64, 64)),
+                                    ((192, 128), (96, 64))])
+def test_pair_on_a_coarser_grid_equals_its_closed_forms_sampled_there(shapes):
+    f = tot.spec((1, 0, 0.15, 5.933142595308904), (0, 1, 0.15, 2.06316),
+                 (1, 1, 0.15, 3.419852972758504))
+    g = tot.spec((0, 1, 0.15, 5.536359867427846), (1, -1, 0.15, 0.0437))
+    fine = tot.make_density_pair(f, g, build_grid(*shapes[0]))
+    pair = fine
+    for shape in shapes[1:]:
+        grid = build_grid(*shape)
+        pair = pair.on_grid(grid)
+        assert pair.grid == grid and pair.delta == fine.delta
+        for coarse, poly in ((pair.f, fine.f_poly), (pair.g, fine.g_poly)):
+            assert coarse.closed_form is poly
+            assert np.array_equal(coarse.values,
+                                  tot.density_field(poly, grid).values)
+
+
+def test_pair_on_a_grid_that_does_not_divide_its_own_raises():
+    pair = tot.standard_pair(build_grid(128, 128))
+    for shape in ((96, 96), (128, 96), (256, 256)):
+        with pytest.raises(ValueError, match="does not divide"):
+            pair.on_grid(build_grid(*shape))
+
+
 def test_pair_refuses_a_density_negative_between_all_its_nodes():
     # cos(2 pi 32 x2 + pi/2) vanishes on the 64 nodes of the oversampled
     # 16^2 grid, where g reads 1; its minimum is -0.5
