@@ -26,10 +26,9 @@ from .linearized import (SplitCoefficients, apply_linearized,
                          apply_linearized_t0, cost_rate_rhs, solve_linearized,
                          solve_linearized_small_t, solve_linearized_t0,
                          split_coefficients)
-from .monge_ampere import (CostMatrix, CostSchedule, c_concavity_margin,
-                           check_admissible, decomposed_residual,
-                           identity_cost, monge_ampere_residual,
-                           pushforward_residual, t0_margins, transport_map)
+from .monge_ampere import (CostMatrix, CostSchedule, check_admissible,
+                           identity_cost, pushforward_residual, t0_margins,
+                           transport_map)
 from .transport1d import (CircleDensity, CircleMap, circle_density,
                           monotone_circle_map, potential_1d,
                           pushforward_quantile_error, transport_cost)

@@ -24,7 +24,7 @@ from .continuation import ContinuationOptions
 from .densities import CATALOG, DensityPair, DensitySpec, make_density_pair
 from .errors import ConfigError, PositivityError
 from .grid import build_grid
-from .monge_ampere import CostSchedule
+from .monge_ampere import CostSchedule, check_pushforward_k
 
 
 def _parse_bool(text):
@@ -180,9 +180,12 @@ def config_from_entries(entries):
         options.validated()
     except ValueError as exc:
         raise ConfigError(f"options: {exc}") from exc
-    if 2 * options.pushforward_k >= min(grid.shape):
+    try:
+        check_pushforward_k(options.pushforward_k, grid)
+    except ValueError as exc:
         raise ConfigError(f"pushforward_k: {options.pushforward_k} needs 2K < "
-                          f"min(n1, n2) = {min(grid.shape)}", key="pushforward_k")
+                          f"min(n1, n2) = {min(grid.shape)}",
+                          key="pushforward_k") from exc
     if not schedule.lam(options.t0) > 0.0:
         raise ConfigError(f"lambda: lambda(t0) = {schedule.lam(options.t0):g} "
                           f"at t0 = {options.t0:g} is not a cost", key="lambda")

@@ -398,9 +398,11 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
     sup-residual decreases and the margin stays positive.  The assembled
     potential stores the fiber component a factor lambda below the
     marginal one, so at small t float64 cannot represent it accurately
-    enough to push the residual below roughly eps * (pi n)^2 / lambda; the
-    decomposed iteration has no such floor.  The certifying state
-    supplies the result's ``map1``.
+    enough to push the residual below roughly eps * (pi n)^2 / lambda.
+    The decomposed state has no such floor, but its direction, split from
+    one assembled solve, does: about eps / lambda in v2
+    (``solve_linearized_small_t``).  The certifying state supplies the
+    result's ``map1``.
     """
     _check_positive_finite("tol", tol)
     return _newton((schedule or CostSchedule.linear()).matrix(t), u1, u2,

@@ -129,14 +129,14 @@ def _coarse_fibers(grid, images, f_fiber, g_fiber):
                      resample_values(coarse.shift, (grid.n1,)))
 
 
-def fiber_pushforward_error(pair, solution, n_fibers=8):
-    """Max quantile-test error of the fiber maps over sampled fibers: its
+def fiber_pushforward_error(pair, solution):
+    """Max quantile-test error of the fiber maps over 8 sampled fibers: its
     own cold inversions of the cdfs, independent of the sweep's start."""
     grid = pair.grid
     _, f_fiber = marginal_and_conditionals(pair.f)
     _, g_fiber = marginal_and_conditionals(pair.g)
     images = solution.r1.map_values()
-    idx = np.linspace(0, grid.n1 - 1, n_fibers).astype(int)
+    idx = np.linspace(0, grid.n1 - 1, 8).astype(int)
     return pushforward_quantile_error(
         f_fiber(grid.nodes1()[idx]), g_fiber(images[idx]),
         CircleMap(solution.r2_displacement[idx]))

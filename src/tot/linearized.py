@@ -32,9 +32,10 @@ Newton updates confined to that subspace converge quadratically to
 residual floors around 1e-12.
 
 In the decomposed coordinates (u1, u2) the t = 0 operator has an exact
-triangular inverse built from 1D primitives.  At t > 0 the same
-preconditioned solve serves the decomposed coordinates too: its solution
-is split as v1 = int v dx2, v2 = (v - v1) / lambda.  The splitting
+triangular inverse built from 1D primitives.  At t > 0 they reuse the
+assembled preconditioned solve, whose solution is split as
+v1 = int v dx2, v2 = (v - v1) / lambda, so v2 has a floor of about
+eps / lambda (``solve_linearized_small_t``).  The splitting
 B = U + V / lambda, every stored entry O(1) as t -> 0, reads the
 ``split_factors`` of the residual state, so it checks those solutions
 independently only in how it applies B to (v1, v2); the coefficients' own
@@ -373,6 +374,10 @@ def solve_linearized_small_t(st, q, tol=1e-10):
     ScalarField with zero mean along every fiber, so that v = v1 + lambda v2
     up to a constant.  Raises ``ConvergenceError`` if the solve misses
     ``tol``.
+
+    The split divides the rounding of v by lambda: v2 is accurate to about
+    eps / lambda, whatever ``tol`` (criterion 4's oracle read 4.8e-12 at
+    t = 1e-2 and 2.5e-6 at t = 1e-8; ROADMAP.md, item 4).
     """
     v1, v2 = split_values(solve_linearized(st, q, tol).values, st.cost.a22)
     return v1, ScalarField(st.grid, v2)

@@ -7,7 +7,7 @@ of the torus and the residual
 
     f - g(id - A^{-1} grad u) det(I - A^{-1} D^2 u)
 
-vanishes exactly at the optimal potential.  ``decomposed_residual``
+vanishes exactly at the optimal potential.  ``split_residual_values``
 evaluates the same operator in the decomposed coordinates
 u = u1(x1) + lambda * u2(x1, x2), which extends smoothly to t = 0 where
 the determinant becomes triangular.
@@ -21,8 +21,8 @@ potential is split first with ``split_values``.
 Residuals, coefficients and margins of (u1, u2) take one evaluation,
 ``split_factors``: one ``grid.derivative_bundle`` of u2 (one real FFT for
 all its first and second derivatives) plus 1D derivatives of u1, formed
-into lambda-free factors that also serve t = 0.  The assembled forms
-``c_concavity_margin`` and ``transport_map`` take their own bundle of u.
+into lambda-free factors that also serve t = 0.  The assembled
+``transport_map`` takes its own bundle of u.
 All 2x2 linear algebra is in closed form; the composition with g always
 takes the analytic path, so the residual is quadrature-free.
 """
@@ -41,8 +41,7 @@ from .grid import (PeriodicGrid, ScalarField, VectorField, derivative_bundle,
 from .trig import TWO_PI, frac
 
 __all__ = [
-    "CostMatrix", "CostSchedule", "identity_cost", "c_concavity_margin",
-    "monge_ampere_residual", "decomposed_residual", "transport_map",
+    "CostMatrix", "CostSchedule", "identity_cost", "transport_map",
     "pushforward_residual", "t0_margins",
 ]
 
@@ -108,22 +107,6 @@ def margin_values(m11, m12, m22, det):
     return float(np.min(det / larger))
 
 
-def _assembled_margin(cost, u11, u12, u22):
-    """Margin of A - D^2(u) from the second derivatives of an assembled u."""
-    m11, m22 = 1.0 - u11, cost.a22 - u22
-    return margin_values(m11, u12, m22, m11 * m22 - u12 * u12)
-
-
-def c_concavity_margin(cost, u):
-    """min over nodes of the smaller eigenvalue of A - D^2(u).
-
-    A positive margin certifies that id - A^{-1} grad(u) is a
-    diffeomorphism of the torus; a negative value is the failure signal
-    (no exception is raised here).
-    """
-    return _assembled_margin(cost, *derivative_bundle(u.values)[2:])
-
-
 @dataclass
 class ResidualState:
     """Everything the residual, its linearization, the velocity's
@@ -178,17 +161,6 @@ def residual_state(cost, u1_values, u2_values, pair):
                          pair.f_values - g_at_t * det, margin)
 
 
-def monge_ampere_residual(cost, u, pair):
-    """Pointwise residual f - g(id - A^{-1} grad u) det(I - A^{-1} D^2 u).
-
-    Precondition: A - D^2(u) positive definite everywhere (raises
-    ``ConcavityError`` otherwise).  The residual mean is a diagnostic and
-    is deliberately not projected out.
-    """
-    st = residual_state(cost, *split_values(u.values, cost.a22), pair)
-    return ScalarField(pair.grid, st.residual)
-
-
 def t0_margins(u1_values, u2_values):
     """(min(1 - d11 u1), min(1 - d22 u2)): the t = 0 admissibility margins."""
     d11 = deriv_values(np.asarray(u1_values, float), 0, 2)
@@ -209,8 +181,8 @@ def check_admissible(u1_values, u2_values):
             f"admissibility failed at t=0: min(1 - d22 u2) = {m2:.3g} <= 0")
 
 
-def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
-    """Residual of u1 + lambda_t u2 evaluated in split form.
+def split_residual_values(lam, u1_values, u2_values, pair):
+    """Residual of u1 + lam u2, lam >= 0, evaluated in split form.
 
     Mathematically identical to the assembled residual, but every term is
     O(1) in lambda:
@@ -223,8 +195,6 @@ def split_residual_values(t, u1_values, u2_values, pair, schedule=None):
     (floor ~ eps * (pi n)^2 / lambda); this form has no such floor, and
     unlike ``residual_state`` it extends to t = 0.
     """
-    schedule = schedule or CostSchedule.linear()
-    lam = 0.0 if t == 0.0 else schedule.lam(t)
     g, row, fiber, cross, *_ = split_factors(u1_values, u2_values, lam, pair)
     return pair.f_values - g * (row * fiber - lam * cross * cross)
 
@@ -251,29 +221,6 @@ def split_values(values, lam):
     return row - row.mean(), (values - row[:, None]) / lam
 
 
-def decomposed_residual(t, u1, u2, pair, schedule=None):
-    """Residual of the decomposed potential u1(x1) + lambda_t * u2(x1,x2).
-
-    For t > 0 this is exactly ``monge_ampere_residual`` at the assembled
-    potential (same code path, bitwise), whose margin raises
-    ``ConcavityError``.  At t = 0 it is the smooth limit
-
-        f - g(x1 - u1', x2 - d2 u2) (1 - d11 u1)(1 - d22 u2),
-
-    after ``check_admissible``.  ``u1`` is a 1D array of n1 samples; ``u2``
-    a ScalarField.
-    """
-    u1 = np.asarray(u1, float)
-    if t == 0.0:
-        check_admissible(u1, u2.values)
-        return ScalarField(u2.grid,
-                           split_residual_values(0.0, u1, u2.values, pair))
-    schedule = schedule or CostSchedule.linear()
-    combined = u1[:, None] + schedule.lam(t) * u2.values
-    return monge_ampere_residual(schedule.matrix(t),
-                                 ScalarField(u2.grid, combined), pair)
-
-
 def transport_map(cost, u):
     """T = id - A^{-1} grad(u) as a vector field of map values.
 
@@ -281,7 +228,8 @@ def transport_map(cost, u):
     (raises ``ConcavityError("not a diffeomorphism ...")`` otherwise).
     """
     g1, g2, u11, u12, u22 = derivative_bundle(u.values)
-    margin = _assembled_margin(cost, u11, u12, u22)
+    m11, m22 = 1.0 - u11, cost.a22 - u22
+    margin = margin_values(m11, u12, m22, m11 * m22 - u12 * u12)
     if margin <= 0.0:
         raise ConcavityError(
             f"not a diffeomorphism: margin = {margin:.3g} <= 0")

@@ -73,23 +73,21 @@ class TrigPoly1D:
         return _one_mode_per_freq(c, np.asarray(ks, dtype=int),
                                   np.asarray(amps, float), np.asarray(phases, float))
 
-    def _columns(self, rows, *coefs):
-        """const and per-mode coefficients shaped against the points: rows
-        gathered by ``rows`` (one stack row per point), or a stack's
-        (rows, 1) columns against its (rows, m) points."""
+    def _columns(self):
+        """const, re = amps cos(phases) and im = amps sin(phases), shaped
+        against the points: a stack's (rows, 1) columns against its (rows, m)
+        points."""
         const = self.const
-        if rows is not None:
-            return tuple(np.take(c, rows, axis=0) for c in (const,) + coefs)
+        re, im = self.amps * np.cos(self.phases), self.amps * np.sin(self.phases)
         if np.ndim(const) > 0:
-            return (const[:, None],) + tuple(c[:, None, :] for c in coefs)
-        return (const,) + coefs
+            return const[:, None], re[:, None, :], im[:, None, :]
+        return const, re, im
 
     def __call__(self, x):
         """Value at x: a cos(angle + p) = re cos(angle) - im sin(angle), so a
         stack on shared (m,) points takes m cosines and sines, not rows x m."""
         x = np.asarray(x, float)
-        const, re, im = self._columns(None, self.amps * np.cos(self.phases),
-                                      self.amps * np.sin(self.phases))
+        const, re, im = self._columns()
         out = const + np.zeros(x.shape)
         reduced = frac(x)
         for j, k in enumerate(self.freqs):
@@ -101,16 +99,11 @@ class TrigPoly1D:
         """Exact primitive from 0: int_0^x of the polynomial."""
         return self.value_and_primitive(x)[1]
 
-    def value_and_primitive(self, x, rows=None):
+    def value_and_primitive(self, x):
         """The polynomial and its exact primitive from 0 at x, both from the
-        cosine and sine of one angle per frequency.
-
-        For a stack, ``rows`` (an integer array of x's shape) evaluates each
-        point on its own row instead of every point on every row.
-        """
+        cosine and sine of one angle per frequency."""
         x = np.asarray(x, float)
-        const, re, im = self._columns(rows, self.amps * np.cos(self.phases),
-                                      self.amps * np.sin(self.phases))
+        const, re, im = self._columns()
         value = const + np.zeros(x.shape)
         primitive = const * x
         reduced = frac(x)

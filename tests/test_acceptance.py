@@ -49,8 +49,8 @@ def test_criterion_1_separable_exactness(product128):
     worst = 0.0
     for t in (1e-3, 1e-2, 0.1, 1.0):
         psi = tot.field(grid, u1[:, None] + sched.lam(t) * u2[None, :])
-        r = tot.monge_ampere_residual(sched.matrix(t), psi, product128)
-        worst = max(worst, float(np.max(np.abs(r.values))))
+        st = assembled_state(sched.matrix(t), psi, product128)
+        worst = max(worst, st.sup_residual)
     elapsed = time.time() - tic
     report("criterion 1 (separable exactness)",
            worst <= 1e-8 and elapsed < 10.0,
@@ -67,16 +67,16 @@ def test_criterion_2_linearization(pair64, grid64):
         cost = sched.matrix(t)
         u = tot.field(grid64, admissible_potential(grid64, 4, rng, a22=t))
         v = tot.field(grid64, admissible_potential(grid64, 4, rng, a22=t))
-        fp = tot.monge_ampere_residual(
-            cost, tot.field(grid64, u.values + h * v.values), pair64).values
-        fm = tot.monge_ampere_residual(
-            cost, tot.field(grid64, u.values - h * v.values), pair64).values
+        fp = assembled_state(
+            cost, tot.field(grid64, u.values + h * v.values), pair64).residual
+        fm = assembled_state(
+            cost, tot.field(grid64, u.values - h * v.values), pair64).residual
         st = assembled_state(cost, u, pair64)
         out = tot.apply_linearized(st, v).values
         worst_u = max(worst_u, np.linalg.norm((fp - fm) / (2 * h) - out)
                       / np.linalg.norm(out))
-        fp = tot.monge_ampere_residual(sched.matrix(t + h), u, pair64).values
-        fm = tot.monge_ampere_residual(sched.matrix(t - h), u, pair64).values
+        fp = assembled_state(sched.matrix(t + h), u, pair64).residual
+        fm = assembled_state(sched.matrix(t - h), u, pair64).residual
         rhs = tot.cost_rate_rhs(st).values
         worst_t = max(worst_t, np.linalg.norm((fp - fm) / (2 * h) + rhs)
                       / np.linalg.norm(rhs))
@@ -108,10 +108,9 @@ def test_criterion_3_elliptic_solver(pair128, knothe128):
     # symmetry / coercivity property suite at the anisotropic state
     cost = tot.CostMatrix(0.1, 0.1, 1.0)
     u = tot.field(grid, kn.u1[:, None] + 0.1 * kn.u2.values)
-    margin = tot.c_concavity_margin(cost, u)
-    delta = pair128.g_poly.min_on_grid(4 * grid.n1, 4 * grid.n2)
-    eps = margin / max(1.0, cost.a22)
     st = assembled_state(cost, u, pair128)
+    delta = pair128.g_poly.min_on_grid(4 * grid.n1, 4 * grid.n2)
+    eps = st.margin / max(1.0, cost.a22)
     sym_ok = coer_ok = True
     for _ in range(20):
         v = tot.field(grid, band_limited(grid, 5, rng))
@@ -221,9 +220,9 @@ def test_criterion_8_knothe_limit(traj32):
 
 def test_criterion_9_pushforward_certificates(pair256, knothe256,
                                               traj256_short):
-    # the final Brenier map of a continuation run at 256^2
-    tmap = tot.transport_map(tot.identity_cost(), traj256_short.final.psi)
-    brenier_res = tot.pushforward_residual(tmap, pair256, 8)
+    # the final Brenier map of a continuation run at 256^2, as the CLI
+    # writes it
+    brenier_res = tot.pushforward_residual(traj256_short.final.tmap, pair256, 8)
     knothe_res = tot.pushforward_residual(knothe256.map_field(), pair256, 8)
     report("criterion 9 (pushforward certification at 256^2)",
            brenier_res <= 1e-7 and knothe_res <= 1e-6,

@@ -11,7 +11,7 @@ from tot.monge_ampere import residual_state, split_values
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D
 
-from tests.conftest import band_limited, single_grid_newton
+from tests.conftest import assembled_state, band_limited, single_grid_newton
 
 
 def test_decompose_inverts_assembly(grid64):
@@ -119,7 +119,7 @@ def test_newton_equal_densities_returns_zero(grid64):
                                  tot.CATALOG["standard_g"], grid64)
     rng = np.random.default_rng(33)
     start = tot.field(grid64, 1e-3 * admissible_potential(grid64, 3, rng))
-    assert tot.c_concavity_margin(tot.identity_cost(), start) > 0.0
+    assert assembled_state(tot.identity_cost(), start, pair).margin > 0.0
     res = tot.newton_correct(tot.identity_cost(), start, pair, tol=1e-10)
     assert res.sup_residual <= 1e-10
     assert np.max(np.abs(res.potential.values)) < 1e-10
@@ -216,10 +216,8 @@ def test_nested_newton_certifies_past_a_stalling_coarse_level():
     # the 64^2 level stopped at its first step that failed to halve the
     # residual, long before the line search stalled
     assert coarse_iters < stall.value.iterations
-    residual = tot.monge_ampere_residual(tot.identity_cost(), res.potential,
-                                         pair)
-    assert np.max(np.abs(residual.values)) <= 1e-10
-    assert tot.c_concavity_margin(tot.identity_cost(), res.potential) > 0.0
+    st = assembled_state(tot.identity_cost(), res.potential, pair)
+    assert st.sup_residual <= 1e-10 and st.margin > 0.0
     values, _, _ = single_grid_newton(pair)
     assert np.max(np.abs(res.potential.values - values)) < 1e-12
 

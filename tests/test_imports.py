@@ -53,11 +53,8 @@ ROOT = SRC.parents[1]
 
 # exports that only the acceptance criteria call, each with its criterion
 CRITERIA_NAMES = {
-    "monge_ampere_residual": "criteria 1 and 2: the residual of an assembled "
-                             "potential",
     "apply_linearized": "criteria 2 and 3: the operator against central "
                         "differences, and the solve's residual",
-    "c_concavity_margin": "criterion 3: the margin in the coercivity bound",
     "project_zero_mean": "criteria 3 and 4: zero-mean right-hand sides",
     "apply_linearized_t0": "criterion 4: the t = 0 forward recovery",
 }

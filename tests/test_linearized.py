@@ -16,7 +16,7 @@ from tests.conftest import (admissible_potential, assembled_state,
 def random_state(grid, pair, rng, a22=1.0, t=1.0):
     cost = tot.CostMatrix(t, a22, 1.0)
     u = tot.field(grid, admissible_potential(grid, 4, rng, a22=a22))
-    assert tot.c_concavity_margin(cost, u) > 0.0
+    assert assembled_state(cost, u, pair).margin > 0.0
     return cost, u
 
 
@@ -46,11 +46,11 @@ def test_apply_matches_directional_difference(pair64, grid64):
     for _ in range(3):
         cost, u = random_state(grid64, pair64, rng)
         v = tot.field(grid64, admissible_potential(grid64, 4, rng))
-        fp = tot.monge_ampere_residual(
-            cost, tot.field(grid64, u.values + h * v.values), pair64)
-        fm = tot.monge_ampere_residual(
-            cost, tot.field(grid64, u.values - h * v.values), pair64)
-        fd = (fp.values - fm.values) / (2 * h)
+        fp = assembled_state(
+            cost, tot.field(grid64, u.values + h * v.values), pair64).residual
+        fm = assembled_state(
+            cost, tot.field(grid64, u.values - h * v.values), pair64).residual
+        fd = (fp - fm) / (2 * h)
         out = tot.apply_linearized(assembled_state(cost, u, pair64), v)
         rel = np.linalg.norm(fd - out.values) / np.linalg.norm(out.values)
         assert rel < 1e-7
@@ -85,9 +85,9 @@ def test_rhs_matches_cost_difference(pair64, grid64):
     t, h = 0.7, 1e-5
     for _ in range(3):
         cost, u = random_state(grid64, pair64, rng, a22=t, t=t)
-        fp = tot.monge_ampere_residual(sched.matrix(t + h), u, pair64)
-        fm = tot.monge_ampere_residual(sched.matrix(t - h), u, pair64)
-        fd = (fp.values - fm.values) / (2 * h)
+        fp = assembled_state(sched.matrix(t + h), u, pair64).residual
+        fm = assembled_state(sched.matrix(t - h), u, pair64).residual
+        fd = (fp - fm) / (2 * h)
         rhs = tot.cost_rate_rhs(assembled_state(cost, u, pair64))
         rel = np.linalg.norm(fd + rhs.values) / np.linalg.norm(rhs.values)
         assert rel < 1e-7
@@ -182,12 +182,11 @@ def test_operator_coercivity(pair64, grid64, a22):
     rng = np.random.default_rng(27)
     cost = tot.CostMatrix(a22, a22, 1.0)
     u = tot.field(grid64, admissible_potential(grid64, 4, rng, a22=a22))
-    margin = tot.c_concavity_margin(cost, u)
-    assert margin > 0.0
+    st = assembled_state(cost, u, pair64)
+    assert st.margin > 0.0
     oversampled = 4 * grid64.n1
     delta = pair64.g_poly.min_on_grid(oversampled, oversampled)
-    eps = margin / max(1.0, a22)
-    st = assembled_state(cost, u, pair64)
+    eps = st.margin / max(1.0, a22)
     for _ in range(20):
         v = tot.field(grid64, band_limited(grid64, 6, rng))
         lv = tot.apply_linearized(st, v).values

@@ -6,11 +6,12 @@ import pytest
 import tot
 from tot.errors import AdmissibilityError, ConcavityError
 from tot.grid import derivative_bundle
-from tot.monge_ampere import check_admissible, split_residual_values
+from tot.monge_ampere import (check_admissible, residual_state,
+                              split_residual_values)
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D, frac
 
-from tests.conftest import admissible_potential
+from tests.conftest import admissible_potential, assembled_state
 
 
 def test_cost_schedule_basics():
@@ -28,31 +29,32 @@ def test_cost_schedule_basics():
         tot.CostMatrix(0.0, 0.0, 1.0)
 
 
-def test_margin_of_plain_costs(grid64):
+def test_margin_of_plain_costs(grid64, pair64):
     cost = tot.CostMatrix(0.5, 0.5, 1.0)
-    assert abs(tot.c_concavity_margin(cost, tot.zero_field(grid64)) - 0.5) < 1e-14
+    margin = assembled_state(cost, tot.zero_field(grid64), pair64).margin
+    assert abs(margin - 0.5) < 1e-14
 
     x1, x2 = grid64.mesh()
     u = tot.field(grid64, 0.1 / (4 * np.pi ** 2) * np.cos(2 * np.pi * x1) + 0 * x2)
-    assert abs(tot.c_concavity_margin(tot.identity_cost(), u) - 0.9) < 1e-12
+    margin = assembled_state(tot.identity_cost(), u, pair64).margin
+    assert abs(margin - 0.9) < 1e-12
 
 
-def test_margin_keeps_an_eigenvalue_far_below_rounding(grid64):
-    # a22 = 1e-30 is 1e-30 of 1 - d11 u: half-trace minus radius cancels to
-    # 0 there, and det over the larger eigenvalue keeps it to rounding
-    x1, x2 = grid64.mesh()
+def test_margin_keeps_an_eigenvalue_far_below_rounding(grid64, pair64):
+    # a22 = 1e-30 is 1e-30 of 1 - d11 u1: half-trace minus radius cancels
+    # to 0 there, and det over the larger eigenvalue keeps it to rounding
     cost = tot.CostMatrix(1e-3, 1e-30, 1e-26)
     for eps in (1e-4, 1e-3, 1e-2):
-        u = tot.field(grid64, eps * np.cos(2 * np.pi * x1) + 0 * x2)
-        margin = tot.c_concavity_margin(cost, u)
+        u1 = eps * np.cos(2 * np.pi * grid64.nodes1())
+        margin = residual_state(cost, u1, np.zeros(grid64.shape), pair64).margin
         assert abs(margin - 1e-30) <= 4 * np.finfo(float).eps * 1e-30
 
 
 def test_residual_zero_for_equal_densities(grid64):
     pair = tot.make_density_pair(tot.CATALOG["standard_f"],
                                  tot.CATALOG["standard_f"], grid64)
-    r = tot.monge_ampere_residual(tot.identity_cost(), tot.zero_field(grid64), pair)
-    assert np.max(np.abs(r.values)) < 1e-13
+    r = assembled_state(tot.identity_cost(), tot.zero_field(grid64), pair)
+    assert np.max(np.abs(r.residual)) < 1e-13
 
 
 def test_residual_separable_exact(product128):
@@ -71,8 +73,8 @@ def test_residual_separable_exact(product128):
     sched = tot.CostSchedule.linear()
     t = 0.1
     psi = tot.field(grid, u1[:, None] + sched.lam(t) * u2[None, :])
-    r = tot.monge_ampere_residual(sched.matrix(t), psi, product128)
-    assert np.max(np.abs(r.values)) < 1e-8
+    r = assembled_state(sched.matrix(t), psi, product128).residual
+    assert np.max(np.abs(r)) < 1e-8
 
 
 def test_residual_first_order_expansion(grid128):
@@ -82,24 +84,24 @@ def test_residual_first_order_expansion(grid128):
     eps = 1e-6
     x1, x2 = grid128.mesh()
     u = tot.field(grid128, eps * np.cos(2 * np.pi * x1) + 0 * x2)
-    r = tot.monge_ampere_residual(tot.identity_cost(), u, pair)
+    r = assembled_state(tot.identity_cost(), u, pair).residual
     predicted = -4 * np.pi ** 2 * eps * np.cos(2 * np.pi * x1) + 0 * x2
-    assert np.max(np.abs(r.values - predicted)) < 1e-9
+    assert np.max(np.abs(r - predicted)) < 1e-9
 
 
 def test_residual_requires_concavity(grid64, pair64):
     x1, x2 = grid64.mesh()
     u = tot.field(grid64, 0.2 * np.cos(2 * np.pi * x1) + 0 * x2)
     with pytest.raises(ConcavityError, match="not c-concave"):
-        tot.monge_ampere_residual(tot.identity_cost(), u, pair64)
+        assembled_state(tot.identity_cost(), u, pair64)
 
 
 def test_residual_mean_is_tiny_when_margin_positive(pair64):
     rng = np.random.default_rng(11)
     grid = pair64.grid
     u = tot.field(grid, admissible_potential(grid, 3, rng))
-    r = tot.monge_ampere_residual(tot.identity_cost(), u, pair64)
-    assert abs(np.mean(r.values)) < 1e-10
+    r = assembled_state(tot.identity_cost(), u, pair64).residual
+    assert abs(np.mean(r)) < 1e-10
 
 
 def test_residual_relabel_symmetry(grid64):
@@ -113,56 +115,48 @@ def test_residual_relabel_symmetry(grid64):
     rng = np.random.default_rng(12)
     u = admissible_potential(grid64, 3, rng)
     cost = tot.identity_cost()
-    r = tot.monge_ampere_residual(cost, tot.field(grid64, u), pair)
-    r_swapped = tot.monge_ampere_residual(cost, tot.field(grid64, u.T), pair_swapped)
-    assert np.max(np.abs(r.values - r_swapped.values.T)) < 1e-12
+    r = assembled_state(cost, tot.field(grid64, u), pair).residual
+    r_swapped = assembled_state(cost, tot.field(grid64, u.T), pair_swapped).residual
+    assert np.max(np.abs(r - r_swapped.T)) < 1e-12
 
 
-def test_margin_recovers_under_damping(grid64):
+def test_margin_recovers_under_damping(grid64, pair64):
     rng = np.random.default_rng(13)
     raw = admissible_potential(grid64, 4, rng) * 8.0   # force a negative margin
     cost = tot.identity_cost()
-    assert tot.c_concavity_margin(cost, tot.field(grid64, raw)) < 0.0
-    margins = [tot.c_concavity_margin(cost, tot.field(grid64, s * raw))
+    with pytest.raises(ConcavityError, match="not c-concave"):
+        assembled_state(cost, tot.field(grid64, raw), pair64)
+    margins = [assembled_state(cost, tot.field(grid64, s * raw), pair64).margin
                for s in (0.2, 0.1, 0.05, 0.01)]
     assert margins[-1] > 0.0
     assert all(b > a for a, b in zip(margins, margins[1:]))
 
 
 # ---------------------------------------------------------------------------
-# decomposed residual
-
-def test_decomposed_residual_matches_plain_bitwise(pair64, knothe64):
-    u1 = knothe64.potentials.u1
-    u2 = knothe64.potentials.u2
-    sched = tot.CostSchedule.linear()
-    for t in (1.0, 0.1, 1e-3):
-        g = tot.decomposed_residual(t, u1, u2, pair64, sched)
-        combined = tot.field(pair64.grid, u1[:, None] + sched.lam(t) * u2.values)
-        f = tot.monge_ampere_residual(sched.matrix(t), combined, pair64)
-        assert np.array_equal(g.values, f.values)
-
+# residual of the decomposed potential u1 + lambda u2
 
 def test_decomposed_residual_knothe_identity_at_zero(pair128, knothe128):
-    r = tot.decomposed_residual(0.0, knothe128.potentials.u1,
-                                knothe128.potentials.u2, pair128)
-    assert np.max(np.abs(r.values)) < 1e-8
+    r = split_residual_values(0.0, knothe128.potentials.u1,
+                              knothe128.potentials.u2.values, pair128)
+    assert np.max(np.abs(r)) < 1e-8
 
 
 def test_decomposed_residual_zero_for_equal_densities(grid64):
     pair = tot.make_density_pair(tot.CATALOG["standard_g"],
                                  tot.CATALOG["standard_g"], grid64)
-    u1 = np.zeros(grid64.n1)
-    r = tot.decomposed_residual(0.0, u1, tot.zero_field(grid64), pair)
-    assert np.max(np.abs(r.values)) < 1e-13
+    r = split_residual_values(0.0, np.zeros(grid64.n1), np.zeros(grid64.shape),
+                              pair)
+    assert np.max(np.abs(r)) < 1e-13
 
 
 def test_decomposed_residual_continuous_at_zero(pair128, knothe128):
+    # the t = 0 limit operator against the residual state at t = 1e-4
     u1 = knothe128.potentials.u1
-    u2 = knothe128.potentials.u2
-    r0 = tot.decomposed_residual(0.0, u1, u2, pair128)
-    rt = tot.decomposed_residual(1e-4, u1, u2, pair128)
-    assert np.max(np.abs(rt.values - r0.values)) < 1e-3
+    u2 = knothe128.potentials.u2.values
+    r0 = split_residual_values(0.0, u1, u2, pair128)
+    cost = tot.CostSchedule.linear().matrix(1e-4)
+    rt = residual_state(cost, u1, u2, pair128).residual
+    assert np.max(np.abs(rt - r0)) < 1e-3
 
 
 def test_split_evaluation_matches_assembled(pair64, knothe64):
@@ -177,7 +171,8 @@ def test_split_evaluation_matches_assembled(pair64, knothe64):
     g = pair64.g_poly(frac(x1 - d1), frac(x2 - d2 / lam))
     r = pair64.f_values - g * ((1.0 - d11) * (1.0 - d22 / lam) - d12 * d12 / lam)
     for s in (split_residual_values(lam, u1, u2.values, pair64),
-              tot.decomposed_residual(lam, u1, u2, pair64).values):
+              residual_state(tot.CostMatrix(lam, lam, 1.0), u1, u2.values,
+                             pair64).residual):
         assert np.max(np.abs(r - s)) < 1e-11
 
 
@@ -194,10 +189,11 @@ def test_admissibility_errors_name_the_inequality(grid64, pair64):
 def test_decomposed_residual_raises_on_the_margin_at_positive_t(grid64, pair64):
     # at t > 0 the margin of the residual state is the admissibility test
     bad_u1 = 0.1 * np.cos(2 * np.pi * grid64.nodes1())
+    zero = np.zeros(grid64.shape)
     with pytest.raises(ConcavityError, match="not c-concave"):
-        tot.decomposed_residual(0.2, bad_u1, tot.zero_field(grid64), pair64)
+        residual_state(tot.CostMatrix(0.2, 0.2, 1.0), bad_u1, zero, pair64)
     with pytest.raises(AdmissibilityError, match="d11 u1"):
-        tot.decomposed_residual(0.0, bad_u1, tot.zero_field(grid64), pair64)
+        check_admissible(bad_u1, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,9 @@ def test_newton_evaluates_only_active_rows(monkeypatch):
     evaluated = []
     value_and_primitive = TrigPoly1D.value_and_primitive
 
-    def logged(self, x, rows=None):
+    def logged(self, x):
         evaluated.append(set(self.amps[:, 0]))
-        return value_and_primitive(self, x, rows)
+        return value_and_primitive(self, x)
 
     monkeypatch.setattr(TrigPoly1D, "value_and_primitive", logged)
     y = invert_lifted_cdf(g, w)
