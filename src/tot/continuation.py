@@ -457,8 +457,8 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
 @dataclass
 class TrajectoryRecord:
     """One accepted state: the decomposed pair (u1, psi2) as solved at t,
-    with lam = lambda_t.  The zero-mean ``psi1`` and the assembled ``psi``
-    are formed on access, so a record holds one grid array.
+    with lam = lambda_t.  The assembled ``psi`` is formed on access, so a
+    record holds one grid array.
     ``newton_iters`` counts the Newton steps of every grid level and
     ``levels`` holds (grid shape, iterations) per level, coarsest first,
     ending with the caller's grid."""
@@ -473,11 +473,6 @@ class TrajectoryRecord:
     l2_dist_to_knothe: float
     newton_iters: int
     levels: tuple
-
-    @property
-    def psi1(self):
-        """u1 with zero mean."""
-        return self.u1 - np.mean(self.u1)
 
     @property
     def psi(self):

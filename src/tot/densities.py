@@ -77,10 +77,6 @@ class DensityPair:
         return self.f.values
 
     @property
-    def f_poly(self):
-        return self.f.closed_form
-
-    @property
     def g_poly(self):
         return self.g.closed_form
 

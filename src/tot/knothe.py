@@ -37,8 +37,8 @@ def marginal_and_conditionals(f):
 
     Returns the marginal as a CircleDensity on n1 nodes and a callable
     giving the (unit-mass) conditional density on the fiber over any real
-    x1, sampled on n2 nodes or on the m of its second argument; an array
-    of x1 values gives the stack of their conditionals, one row each.
+    x1, on n2 nodes or on the m of its second argument; an array of x1
+    values gives the stack of their conditionals, one row each.
     Each is a ``circle_density``, whose 1D floor raises
     ``PositivityError`` on a closed form that is not positive; the
     marginal's floor proves every fiber's mean positive.

@@ -10,14 +10,15 @@ nodes and that shift are one Newton solve of G(y_j) = F(x_j) + theta,
 mean(y - x) = 0, whose Jacobian is the diagonal g(y) bordered by one row
 and one column: one cdf-and-density pass per step (``invert_lifted_cdf``).
 
-Every function here works on one density (samples of shape (m,)) or on a
-stack of them (shape (rows, m)), all rows at once; the single density is
+Every function here works on one density (a closed form with a scalar
+``const``, maps of shape (m,)) or on a stack of them (``const`` of shape
+(rows,), maps of shape (rows, m)), all rows at once; the single density is
 the one-row case of the same code.
 
-Densities are closed-form cosine sums, as on the torus, and cumulative
-functions are their exact primitives, with no interpolant of the
-samples; a density is positive if its closed form is, between the nodes
-too, and it keeps a positive lower bound per row (``circle_density``).
+Densities are closed-form cosine sums, as on the torus, held without
+samples, and cumulative functions are their exact primitives; a density
+is positive if its closed form is, between the nodes too, and it keeps a
+positive lower bound per row (``circle_density``).
 """
 
 from __future__ import annotations
@@ -33,44 +34,39 @@ from .trig import TWO_PI, TrigPoly1D, frac
 NEWTON_TOL = 1e-14
 SHIFT_TOL = 1e-13
 MAX_DISPLACEMENT = 0.5
+ROW_BLOCK = 2 ** 14      # entries of a stack that one Newton loop holds
 
 
 @dataclass
 class CircleDensity:
     """Positive density on the circle, renormalized to unit mass.
 
-    ``values`` are samples at nodes i/m of ``closed_form``, the exact
-    trigonometric definition (already normalized); ``floor`` holds a
-    positive lower bound of each row (``_density_floor``).
+    ``closed_form`` is the exact trigonometric definition, of unit mass
+    (const 1); ``floor`` holds a positive lower bound of each row
+    (``_density_floor``), and ``m`` is the number of nodes i/m on which
+    a map from the density is sampled.
     """
 
-    values: np.ndarray
     closed_form: TrigPoly1D
     floor: np.ndarray
+    m: int
 
     @property
-    def m(self):
-        return self.values.shape[-1]
+    def values(self):
+        """The closed form at the m nodes (computed on each call)."""
+        return self.closed_form(np.arange(self.m) / self.m)
 
 
 def circle_density(closed_form, m):
     """Build a validated, unit-mass CircleDensity (or stack, row by row)
-    from a closed form sampled at the m nodes i/m.  Positivity is that of
-    the closed form, between the nodes too: ``_density_floor`` raises
-    ``PositivityError`` unless its lower bound is positive."""
+    on the m nodes i/m.  Positivity is that of the closed form, between
+    the nodes too: ``_density_floor`` raises ``PositivityError`` unless its
+    lower bound is positive.  A mode aliased onto the nodes' mean (k a
+    multiple of m) keeps its place in the closed form, whose mass stays 1."""
     if m < 4:
         raise ValueError("need at least 4 samples")
     closed_form = closed_form.normalized()
-    floor = _density_floor(closed_form)
-    values = closed_form(np.arange(m) / m)
-    mean = values.mean(axis=-1)
-    values /= mean[..., None]
-    # a mean off 1 by rounding keeps the closed form's bits; any more (modes
-    # aliased onto the mean) rescales it, so the samples stay its values
-    if np.any(np.abs(mean - 1.0) > 16 * np.finfo(float).eps):
-        closed_form = closed_form.scaled(1.0 / mean)
-        floor = floor / mean
-    return CircleDensity(values, closed_form, floor)
+    return CircleDensity(closed_form, _density_floor(closed_form), m)
 
 
 def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None):
@@ -88,7 +84,10 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None)
     F = G(y - base) - frac(w + theta); a Newton step that leaves the
     bracket takes its false position.  A row is done on its residuals only,
     every |F| <= tol and, with the shift, |mean(y - x)| <= SHIFT_TOL; it
-    keeps its values, and done rows leave the arrays once they are half.
+    keeps its values.  Rows done at the start leave the arrays before any
+    bracket is built; later, done rows leave once they are half.  Rows are
+    independent, so a stack runs in blocks of ROW_BLOCK entries: each
+    array of the loop stays at 128 KB, whatever the size of the stack.
     An integer level, or a row whose warm start ``x0`` is at its roots,
     comes back unchanged.
 
@@ -106,51 +105,69 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None)
     plus mean|y - y(theta0)| <= mean|F| / g_low.  A row whose residual grew
     moves theta only once its inverses have settled.
     """
-    s = np.atleast_2d(np.asarray(w, float).reshape(*d.values.shape[:-1], -1))
-    theta = np.zeros(len(s)) if theta0 is None else np.array(
-        theta0, float).reshape(len(s))
+    s = np.atleast_2d(np.asarray(w, float).reshape(*np.shape(d.closed_form.const), -1))
+    y, theta = np.empty_like(s), np.zeros(len(s))
+    step = max(1, ROW_BLOCK // s.shape[1])
+    for b in (slice(i, i + step) for i in range(0, len(s), step)):
+        part = d if step >= len(s) else CircleDensity(d.closed_form.take(b),
+                                                      d.floor[b], d.m)
+        _newton_rows(part, s[b], None if x0 is None else np.reshape(x0, s.shape)[b],
+                     None if theta0 is None else np.reshape(theta0, len(s))[b],
+                     tol, nodes, y[b], theta[b])
+    y = y.reshape(np.shape(w))
+    return (y, theta.reshape(y.shape[:-1])) if nodes is not None else y
+
+
+def _newton_rows(d, s, x0, theta0, tol, nodes, out, out_theta):
+    """The loop of ``invert_lifted_cdf`` on the rows of ``d``, one block of
+    the stack, which writes their roots and shifts into ``out`` and
+    ``out_theta``."""
+    theta = np.zeros(len(s)) if theta0 is None else np.asarray(theta0, float)
     r = s + theta[:, None] if theta0 is not None else s.copy()
     base = np.floor(r)
-    y = r.copy() if x0 is None else np.clip(np.reshape(x0, s.shape), base, base + 1)
+    y = r.copy() if x0 is None else np.clip(x0, base, base + 1)
     r -= base
-    # bracket ends carry residual bounds F(lo) <= flo <= 0 <= fhi <= F(hi)
-    lo, hi, flo, fhi = base.copy(), base + 1.0, -r, 1.0 - r
-    out, out_theta = np.empty_like(s), np.zeros(len(s))
     at = np.arange(len(s))                  # the rows kept in the arrays
     centre = nodes is not None
     if centre:
         gmax = d.closed_form.const + np.sum(np.abs(d.closed_form.amps), axis=-1)
-        glow = np.broadcast_to(d.floor, theta.shape)
-        joint, last = np.ones(len(s), bool), np.full(len(s), np.inf)
+        glow, gmax = (np.broadcast_to(a, theta.shape) for a in (d.floor, gmax))
     for k in range(100):
         rows = d.closed_form.take(at) if at.size < len(out) else d.closed_form
         value, err = rows.value_and_primitive(y - base)
         err -= r                            # F, in place of the cdf
+        res = np.max(np.abs(err), axis=-1)
+        mean_err = np.mean(y - nodes, axis=-1) if centre else theta
+        done = (res <= tol) & (np.abs(mean_err) <= SHIFT_TOL)
+        # rows done in the first pass leave before any bracket is built
+        if (k == 0 and done.any()) or 2 * np.count_nonzero(done) >= len(done):
+            out[at[done]], out_theta[at[done]] = y[done], theta[done]
+            if done.all():
+                return
+            keep = np.flatnonzero(~done)
+            (at, s, base, r, y, err, value, theta, mean_err, res, done) = (
+                a[keep] for a in (at, s, base, r, y, err, value, theta, mean_err,
+                                  res, done))
+            if centre:
+                glow, gmax = glow[keep], gmax[keep]
+            if k:
+                lo, hi, flo, fhi = (a[keep] for a in (lo, hi, flo, fhi))
+                if centre:
+                    tlo, thi, joint, last = (a[keep] for a in (tlo, thi, joint, last))
+        if k == 0:
+            # bracket ends carry residual bounds F(lo) <= flo <= 0 <= fhi <= F(hi)
+            lo, hi, flo, fhi = base.copy(), base + 1.0, -r, 1.0 - r
         for end, bound, side in ((lo, flo, err < 0), (hi, fhi, err > 0)):
             np.copyto(end, y, where=side)
             np.copyto(bound, err, where=side)
-        res = np.max(np.abs(err), axis=-1)
-        mean_err = np.mean(y - nodes, axis=-1) if centre else theta
         if centre:      # theta's bracket, from |h(theta) - mean_err| <= spread
             spread = np.mean(np.abs(err), axis=-1) / glow
             if k == 0:
                 reach = gmax * (np.abs(mean_err) + spread) * 1.001 + 1e-12
                 tlo, thi = theta - reach, theta + reach
+                joint, last = np.ones(len(s), bool), np.full(len(s), np.inf)
             thi = np.where(mean_err > spread, np.minimum(thi, theta), thi)
             tlo = np.where(mean_err < -spread, np.maximum(tlo, theta), tlo)
-        done = (res <= tol) & (np.abs(mean_err) <= SHIFT_TOL)
-        if 2 * np.count_nonzero(done) >= len(done):
-            out[at[done]], out_theta[at[done]] = y[done], theta[done]
-            if done.all():
-                y = out.reshape(np.shape(w))
-                return (y, out_theta.reshape(y.shape[:-1])) if centre else y
-            keep = np.flatnonzero(~done)
-            (at, s, base, r, y, lo, hi, flo, fhi, err, value, theta, mean_err, res,
-             done) = (a[keep] for a in (at, s, base, r, y, lo, hi, flo, fhi, err,
-                                        value, theta, mean_err, res, done))
-            if centre:
-                glow, tlo, thi, joint, last = (
-                    a[keep] for a in (glow, tlo, thi, joint, last))
         err[done] = 0.0
         slope = np.divide(1.0, value, out=value)
         if centre:
@@ -324,7 +341,7 @@ def pushforward_quantile_error(f, g, tmap):
     per row and the maximum runs over all rows.
     """
     u = (np.arange(256) + 0.5) / 256
-    x = invert_lifted_cdf(f, np.broadcast_to(u, f.values.shape[:-1] + u.shape))
+    x = invert_lifted_cdf(f, np.broadcast_to(u, np.shape(f.closed_form.const) + u.shape))
     tx = tmap(x)
     values = (np.floor(tx) + g.closed_form.antiderivative(frac(tx))
               - f.closed_form.antiderivative(frac(x)))

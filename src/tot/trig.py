@@ -73,27 +73,9 @@ class TrigPoly1D:
         return _one_mode_per_freq(c, np.asarray(ks, dtype=int),
                                   np.asarray(amps, float), np.asarray(phases, float))
 
-    def _columns(self):
-        """const, re = amps cos(phases) and im = amps sin(phases), shaped
-        against the points: a stack's (rows, 1) columns against its (rows, m)
-        points."""
-        const = self.const
-        re, im = self.amps * np.cos(self.phases), self.amps * np.sin(self.phases)
-        if np.ndim(const) > 0:
-            return const[:, None], re[:, None, :], im[:, None, :]
-        return const, re, im
-
     def __call__(self, x):
-        """Value at x: a cos(angle + p) = re cos(angle) - im sin(angle), so a
-        stack on shared (m,) points takes m cosines and sines, not rows x m."""
-        x = np.asarray(x, float)
-        const, re, im = self._columns()
-        out = const + np.zeros(x.shape)
-        reduced = frac(x)
-        for j, k in enumerate(self.freqs):
-            angle = TWO_PI * k * reduced
-            out += re[..., j] * np.cos(angle) - im[..., j] * np.sin(angle)
-        return out
+        """Value at x (``value_and_primitive``)."""
+        return self.value_and_primitive(x)[0]
 
     def antiderivative(self, x):
         """Exact primitive from 0: int_0^x of the polynomial."""
@@ -101,19 +83,32 @@ class TrigPoly1D:
 
     def value_and_primitive(self, x):
         """The polynomial and its exact primitive from 0 at x, both from the
-        cosine and sine of one angle per frequency."""
+        cosine and sine of one angle per frequency: a cos(angle + p) =
+        re cos(angle) - im sin(angle), so a stack on shared (m,) points
+        takes m cosines and sines, not rows x m.  Each frequency's sums go
+        into the same few buffers."""
         x = np.asarray(x, float)
-        const, re, im = self._columns()
+        const = self.const
+        re, im = self.amps * np.cos(self.phases), self.amps * np.sin(self.phases)
+        if np.ndim(const) > 0:      # (rows, 1) columns against the points
+            const, re, im = const[:, None], re[:, None, :], im[:, None, :]
         value = const + np.zeros(x.shape)
         primitive = const * x
         reduced = frac(x)
+        cos, sin = np.empty_like(reduced), np.empty_like(reduced)
+        term, other = np.empty_like(value), np.empty_like(value)
         for j, k in enumerate(self.freqs):
             w = TWO_PI * k
-            angle = w * reduced
-            cos, sin = np.cos(angle), np.sin(angle)
+            np.sin(np.multiply(w, reduced, out=cos), out=sin)
+            np.cos(cos, out=cos)
             # Re(c e^{i angle}) and Re(c (e^{i angle} - 1) / (i w)), c = re + i im
-            value += re[..., j] * cos - im[..., j] * sin
-            primitive += (re[..., j] * sin + im[..., j] * (cos - 1.0)) / w
+            np.multiply(re[..., j], cos, out=term)
+            value += np.subtract(term, np.multiply(im[..., j], sin, out=other),
+                                 out=term)
+            cos -= 1.0
+            np.multiply(re[..., j], sin, out=term)
+            term += np.multiply(im[..., j], cos, out=other)
+            primitive += np.divide(term, w, out=term)
         return value, primitive
 
     def take(self, rows):
@@ -121,17 +116,13 @@ class TrigPoly1D:
         return TrigPoly1D(self.const[rows], self.freqs, self.amps[rows],
                           self.phases[rows])
 
-    def scaled(self, factor):
-        """Multiply by ``factor``: a scalar, or one factor per row."""
-        factor = np.asarray(factor, float)
-        return TrigPoly1D(self.const * factor, self.freqs,
-                          self.amps * factor[..., None], self.phases)
-
     def normalized(self):
         """Rescale so the mean (= const) is exactly 1, row by row."""
         if not np.all(self.const > 0.0):
             raise ValueError("cannot normalize: mean is not positive")
-        return self.scaled(1.0 / self.const)
+        factor = np.asarray(1.0 / self.const, float)
+        return TrigPoly1D(self.const * factor, self.freqs,
+                          self.amps * factor[..., None], self.phases)
 
 
 @dataclass(frozen=True)
@@ -170,14 +161,12 @@ class TrigPoly2D:
             out += a * np.cos(TWO_PI * (k1 * x1 + k2 * x2) + p)
         return out
 
-    def scaled(self, factor):
-        return TrigPoly2D(self.const * factor, self.k1, self.k2,
-                          self.amps * factor, self.phases)
-
     def normalized(self):
         if not self.const > 0.0:
             raise ValueError("cannot normalize: mean is not positive")
-        return self.scaled(1.0 / self.const)
+        factor = 1.0 / self.const
+        return TrigPoly2D(self.const * factor, self.k1, self.k2,
+                          self.amps * factor, self.phases)
 
     def marginal_x2(self):
         """Integrate the second variable out; a polynomial in x1."""

@@ -153,6 +153,26 @@ quiet = true
     assert capsys.readouterr() == ("", "")
 
 
+def test_cmd_knothe_takes_a_mode_aliased_onto_the_coarse_fibers(tmp_path,
+                                                               capsys):
+    # k2 = 64 falls on the mean of the 64 nodes of each fiber: the closed
+    # form keeps its unit mass, so Glift(y + 1) = Glift(y) + 1 holds, the
+    # fiber maps solve, and the unresolved mode shows in the certificate's
+    # warning
+    cfg = write_cfg(tmp_path, """
+f.name = standard_f
+g.modes = (1, 64, 0.2, 0.0); (0, 1, 0.1, 0.0)
+quiet = true
+""")
+    assert run_cli("knothe", "--config", str(cfg), "--grid", "64",
+                   "--out", str(tmp_path / "a")) == 0
+    out, err = capsys.readouterr()
+    row = (tmp_path / "a" / "diagnostics.csv").read_text().splitlines()[1]
+    error = float(row.split(",")[0])
+    assert 1e-4 < error < 1e-2 and out == ""
+    assert err.startswith("tot: warning: fiber pushforward max error")
+
+
 def test_cmd_knothe_standard_pair_writes_no_warning(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "f.name = standard_f\ng.name = standard_g\n")
     assert run_cli("knothe", "--config", str(cfg), "--grid", "128",

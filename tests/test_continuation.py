@@ -646,7 +646,7 @@ def _certified_on(pair, traj):
     # stored fields, not from what the run reported
     sched = traj.schedule
     for rec in traj.records:
-        st = residual_state(sched.matrix(rec.t), rec.psi1, rec.psi2.values,
+        st = residual_state(sched.matrix(rec.t), rec.u1, rec.psi2.values,
                             pair)
         assert st.sup_residual <= traj.options.newton_tol
         assert st.margin > 0.0

@@ -114,6 +114,36 @@ def test_every_export_is_used_by_the_program():
     assert sorted(unused) == []
 
 
+def _public_members(cls):
+    """The public methods and properties that the body of ``cls`` defines
+    (dataclass fields are data, not members)."""
+    return sorted(name for name, member in vars(cls).items()
+                  if not name.startswith("_") and (
+                      callable(member)
+                      or isinstance(member, (property, classmethod, staticmethod))))
+
+
+def _exported_classes():
+    return [cls for cls in (getattr(tot, name) for name in _exports())
+            if isinstance(cls, type) and cls.__module__.startswith("tot.")]
+
+
+def test_every_member_of_an_exported_class_is_used_by_the_program():
+    used = _program_names()
+    unused = [f"{cls.__name__}.{name}" for cls in _exported_classes()
+              for name in _public_members(cls) if name not in used]
+    assert unused == []
+
+
+def test_the_member_census_sees_methods_and_properties():
+    assert len(_exported_classes()) > 20
+    assert _public_members(tot.TrigPoly1D) == [
+        "antiderivative", "from_modes", "normalized", "take",
+        "value_and_primitive"]
+    assert _public_members(tot.CircleDensity) == ["values"]
+    assert _public_members(tot.CostSchedule) == ["linear", "matrix", "power"]
+
+
 def test_criteria_names_are_exports_the_criteria_call():
     exports = _exports()
     calls = _used_names(ROOT / "tests" / "test_acceptance.py")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ def test_fibers_match_fine_grid_oracle(pair64, knothe64):
     images = knothe64.r1.map_values()
     for i in (0, 21, 50):
         x1 = grid.nodes1()[i]
-        disp = oracle_map(lambda x2: pair64.f_poly(x1, x2),
+        disp = oracle_map(lambda x2: pair64.f.closed_form(x1, x2),
                           lambda x2: pair64.g_poly(images[i], x2), grid.n2)
         assert np.max(np.abs(knothe64.r2_displacement[i] - disp)) < 1e-8
 
@@ -215,32 +217,40 @@ def test_one_cdf_inversion_per_circle_map(monkeypatch):
     # at 256^2 each circle map inverts its cdfs and picks its shift in one
     # call: r1, the 64^2 coarse fiber stack and the full stack.  Started
     # from the prolonged coarse maps, the full stack takes at most 2 Newton
-    # passes (5 cold), plus its levels' antiderivative
+    # passes (5 cold).  The call runs the stack in blocks of rows, which
+    # are independent, so the stack's passes are those of its slowest
+    # block: each block is held to 2
     pair = _benchmark_style_pair(256)
-    maps = []         # per circle map: [cdf inversions, cdf-and-density passes]
+    maps = []         # per circle map: [cdf inversions, passes per block]
     circle_map = tot.knothe.monotone_circle_map
     invert = tot.transport1d.invert_lifted_cdf
+    newton_rows = tot.transport1d._newton_rows
     value_and_primitive = TrigPoly1D.value_and_primitive
 
     def counted_map(f, g, *args, **kwargs):
-        maps.append([0, 0])
+        maps.append([0, []])
         return circle_map(f, g, *args, **kwargs)
 
     def counted_invert(*args, **kwargs):
         maps[-1][0] += 1
         return invert(*args, **kwargs)
 
+    def counted_block(*args, **kwargs):
+        maps[-1][1].append(0)
+        return newton_rows(*args, **kwargs)
+
     def counted_pass(self, *args, **kwargs):
-        if maps:
-            maps[-1][1] += 1
+        if maps and maps[-1][1]:
+            maps[-1][1][-1] += 1
         return value_and_primitive(self, *args, **kwargs)
 
     monkeypatch.setattr(tot.knothe, "monotone_circle_map", counted_map)
     monkeypatch.setattr(tot.transport1d, "invert_lifted_cdf", counted_invert)
+    monkeypatch.setattr(tot.transport1d, "_newton_rows", counted_block)
     monkeypatch.setattr(TrigPoly1D, "value_and_primitive", counted_pass)
     tot.knothe_solution(pair)
     assert [inversions for inversions, _ in maps] == [1, 1, 1]
-    assert maps[2][1] <= 3, maps
+    assert len(maps[2][1]) == 4 and max(maps[2][1]) <= 2, maps
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, CutLocusError])
@@ -309,3 +319,52 @@ def test_fiber_shifts_are_exact_with_a_mode_at_half_the_fiber_nodes():
         # a warm start too finds these shifts, from off their roots
         _warm_start_moves_nothing(*_fiber_stacks(pair))
     assert solved > 100
+
+
+def test_nested_sweep_takes_a_mode_aliased_onto_the_coarse_fibers(monkeypatch):
+    # g's k2 = 64 mode falls on the mean of the 64 nodes of each coarse
+    # fiber: its closed form keeps unit mass there, so the coarse maps
+    # start the full stack as for any pair and the sweep equals the cold one
+    pair = tot.make_density_pair(tot.CATALOG["standard_f"],
+                                 tot.spec((1, 64, 0.2, 0.0), (0, 1, 0.1, 0.0)),
+                                 tot.build_grid(256, 256))
+    sol = tot.knothe_solution(pair)
+    with monkeypatch.context() as m:
+        m.setattr(tot.grid, "COARSEST_SIDE", 1 << 20)
+        cold = tot.knothe_solution(pair)
+    assert np.max(np.abs(sol.r2_displacement - cold.r2_displacement)) <= 1e-14
+    assert np.max(np.abs(sol.potentials.u2.values
+                         - cold.potentials.u2.values)) <= 1e-14
+
+
+def test_sweep_memory_is_bounded():
+    # at 256^2 the full fiber stack runs in blocks of 64 rows, and the
+    # sweep's peak is about 8.3 arrays of the grid's size (4.4 MB).  One
+    # loop over the whole stack reads 15.2 (8.0 MB); with samples of the
+    # densities, brackets for the rows that the start solves and a
+    # temporary per product of the cosine sums, 23 (12.2 MB)
+    grid = tot.build_grid(256, 256)
+    pair = tot.standard_pair(grid)
+    tracemalloc.start()
+    try:
+        tot.knothe_solution(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * grid.n1 * grid.n2
+
+
+def test_blocks_of_rows_change_no_bit(monkeypatch):
+    # rows are independent: at 256^2 the nested sweep and a cold map of the
+    # fiber stack, in blocks of 64 rows, equal their runs in one block,
+    # maps and shifts bit for bit
+    pair = _benchmark_style_pair(256)
+    runs = []
+    for block in (tot.transport1d.ROW_BLOCK, 1 << 20):
+        monkeypatch.setattr(tot.transport1d, "ROW_BLOCK", block)
+        runs.append((tot.knothe_solution(pair),
+                     tot.monotone_circle_map(*_fiber_stacks(pair))))
+    (sol, cold), (sol_whole, cold_whole) = runs
+    assert np.array_equal(sol.r2_displacement, sol_whole.r2_displacement)
+    assert np.array_equal(cold.displacement, cold_whole.displacement)
+    assert np.array_equal(cold.shift, cold_whole.shift)

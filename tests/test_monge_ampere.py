@@ -274,7 +274,7 @@ def test_pushforward_residual_of_translation_is_closed_form(shape, K):
                  boundary):
         pair = tot.make_density_pair(f, g, grid)
         fhat, ghat = (np.fft.fft2(poly(y1, y2)) / n ** 2
-                      for poly in (pair.f_poly, pair.g_poly))
+                      for poly in (pair.f.closed_form, pair.g_poly))
         defects = {
             (k1, k2): abs(np.exp(-2j * np.pi * (k1 * c1 + k2 * c2))
                           * fhat[k1, k2] - ghat[k1, k2])

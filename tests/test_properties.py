@@ -26,7 +26,8 @@ from tot.errors import (ConcavityError, ConfigError, CutLocusError,
 from tot.fieldio import MAGIC, read_field_binary, write_field_binary
 from tot.grid import ScalarField, build_grid
 from tot.monge_ampere import residual_state
-from tot.transport1d import invert_lifted_cdf
+from tot.knothe import _coarse_fibers
+from tot.transport1d import CircleDensity, CircleMap, invert_lifted_cdf
 from tot.trig import TWO_PI, TrigPoly1D, TrigPoly2D
 
 from tests.conftest import assembled_state, single_grid_newton
@@ -124,10 +125,10 @@ def test_binary_accepts_only_valid_sizes_matching_payload(tmp_path, n1, n2,
     assert valid and field.grid.shape == (n1, n2)
 
 
-# circle densities: closed-form cosine sums sampled on m nodes.  Frequencies
-# reach 2m, so modes alias onto the samples (k = m and 2m onto the mean),
-# and the constructor has to rescale the closed form to unit node mass;
-# four modes of amplitude <= 0.2 keep every sum above 0.2
+# circle densities: closed-form cosine sums on m nodes.  Frequencies reach
+# 2m, so modes alias onto the nodes (k = m and 2m onto the mean), and the
+# closed form keeps its unit mass all the same; four modes of amplitude
+# <= 0.2 keep every sum above 0.2
 _node_counts = st.integers(4, 64)
 
 
@@ -154,12 +155,22 @@ def closed_forms(draw):
 @FUZZ
 @given(closed_forms())
 def test_circle_density_samples_its_unit_mass_closed_form(drawn):
+    # the closed form keeps unit mass, aliased modes included: the node
+    # mean is 1 plus a cos p of each mode whose frequency is a multiple of
+    # m, and the lifted cdf steps by exactly 1 per period
     poly, m = drawn
     d = tot.circle_density(poly, m)
     nodes = np.arange(m) / m
+    form = d.closed_form
+    assert np.max(np.abs(np.asarray(form.const) - 1.0)) <= 1e-15
     assert d.values.shape == np.shape(poly(nodes))
-    assert np.max(np.abs(d.values - d.closed_form(nodes))) <= 1e-14
-    assert np.max(np.abs(d.values.mean(axis=-1) - 1.0)) <= 1e-14
+    aliased = np.sum(np.where(poly.freqs % m == 0,
+                              poly.amps * np.cos(poly.phases), 0.0),
+                     axis=-1) / poly.const
+    assert np.max(np.abs(d.values.mean(axis=-1) - 1.0 - aliased)) <= 1e-14
+    assert np.max(np.abs(form.antiderivative(np.ones_like(nodes)) - 1.0)) <= 1e-14
+    identity = CircleMap(np.zeros(np.shape(form.const) + (m,)))
+    assert tot.pushforward_quantile_error(d, d, identity) <= 1e-13
 
 
 @FUZZ
@@ -343,7 +354,7 @@ def test_pair_on_a_coarser_grid_equals_its_closed_forms_sampled_there(shapes):
         grid = build_grid(*shape)
         pair = pair.on_grid(grid)
         assert pair.grid == grid and pair.delta == fine.delta
-        for coarse, poly in ((pair.f, fine.f_poly), (pair.g, fine.g_poly)):
+        for coarse, poly in ((pair.f, fine.f.closed_form), (pair.g, fine.g_poly)):
             assert coarse.closed_form is poly
             assert np.array_equal(coarse.values,
                                   tot.density_field(poly, grid).values)
@@ -488,3 +499,37 @@ def test_nested_fiber_sweep_matches_the_cold_one(f_modes, g_modes):
     cold_error = tot.fiber_pushforward_error(
         pair, replace(sol, r2_displacement=cold.displacement))
     assert abs(error - cold_error) <= 1e-13
+
+
+# each row of a stacked inversion against that row solved alone, on the
+# Knothe fiber stacks of the draws above at 128^2: rows leave the stack at
+# different passes (done at the start, or once half are done), and none of
+# that may reach a row's bits, from cold starts or from the prolonged 64^2
+# fiber maps that start the nested sweep
+FUZZ_ROWS = settings(max_examples=10, deadline=None)
+
+
+@FUZZ_ROWS
+@example([(0, 1, 0.15, 3.10), (1, 1, 0.15, 4.82), (1, -1, 0.15, 4.93)],
+         [(1, 0, 0.15, 2.01), (1, 1, 0.15, 0.93), (1, -1, 0.15, 3.54)])
+@given(_modes4, _modes4)
+def test_stacked_inversion_solves_each_row_as_alone(f_modes, g_modes):
+    pair = tot.make_density_pair(tot.spec(*f_modes), tot.spec(*g_modes),
+                                 GRID128)
+    f1, f_fiber = tot.marginal_and_conditionals(pair.f)
+    g1, g_fiber = tot.marginal_and_conditionals(pair.g)
+    images = tot.monotone_circle_map(f1, g1).map_values()
+    g = g_fiber(images)
+    x = GRID128.nodes2()
+    s = f_fiber(GRID128.nodes1()).closed_form.antiderivative(x)
+    nested = _coarse_fibers(GRID128, images, f_fiber, g_fiber)
+    assume(nested is not None)
+    starts = ((None, None), (x - nested.displacement, nested.shift))
+    for x0, theta0 in starts:
+        y, theta = invert_lifted_cdf(g, s, x0, tol=1e-15, nodes=x, theta0=theta0)
+        for i in range(GRID128.n1):
+            row = CircleDensity(g.closed_form.take([i]), g.floor[[i]], g.m)
+            alone, alone_theta = invert_lifted_cdf(
+                row, s[i], None if x0 is None else x0[i], tol=1e-15, nodes=x,
+                theta0=None if theta0 is None else theta0[[i]])
+            assert np.array_equal(alone, y[i]) and alone_theta == theta[i]

@@ -11,6 +11,13 @@ form of the solution.
   differently (u1 is the row mean, u2 the fiberwise rest), so the swapped
   problem runs that asymmetric code with the roles of the axes exchanged,
   at lambda = 1.
+- Reflection.  Negating every phase of both densities, x -> -x, reflects
+  the Knothe potentials and the cold potential: node j to node
+  (n - j) mod n along each axis.
+- Inverse maps.  The Knothe map from g to f inverts the one from f to g.
+  The test composes them with its own interpolant, a direct trigonometric
+  sum over the DFT coefficients of the displacements, which shares no code
+  with ``CircleMap.displacement_at``.
 
 Each oracle compares two solves of different problems, so neither checks
 a function against itself.  The margins of the certifying states, min
@@ -22,8 +29,14 @@ potentials agreed to 6e-17 and the cold potentials to 6e-17, except where
 one orientation took one more Newton step (2.3e-14, pair (600, 1) at
 128^2, whose margins, of second derivatives, then differed by 3.1e-12).
 Two potentials that both meet the tolerance 1e-10 may differ by about
-1e-10 / (4 pi^2 min g), hence 1e-11 for the cold solves.
+1e-10 / (4 pi^2 min g), hence 1e-11 for the cold solves.  Reflection read
+at most 4.8e-17 (Knothe) and 1.7e-17 (cold), with margins 2.6e-13 apart.
+The composed maps read 1.4e-15 to 2.0e-15 from the identity at 128^2, and
+4.9e-12 to 3.2e-10 at 64^2, where 64 nodes resolve the maps of pair
+(600, 1) less well.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +66,7 @@ SHIFT = (3, 5)          # nodes along x1 and x2
 KNOTHE_BOUND = 1e-13
 COLD_BOUND = 1e-11
 MARGIN_BOUND = 1e-10
+INVERSE_BOUND = {64: 1e-9, 128: 1e-14}
 
 
 def shifted(modes, shape):
@@ -69,6 +83,44 @@ def swapped(modes):
 
 def roll(values):
     return np.roll(values, SHIFT[:values.ndim], axis=tuple(range(values.ndim)))
+
+
+def reflect(values):
+    """Node j to node (n - j) mod n along every axis: u(-x) on the grid."""
+    axes = tuple(range(values.ndim))
+    return np.roll(np.flip(values, axes), 1, axes)
+
+
+def interpolation_rows(y, n):
+    """Rows that take a function's n-node DFT coefficients (``dft``) to its
+    trigonometric interpolant at the points y: frequencies -n/2..n/2, the
+    two Nyquist ends at half weight (their sum is c cos(pi n y))."""
+    k = np.arange(-n // 2, n // 2 + 1)
+    weight = np.where(np.abs(k) == n // 2, 0.5, 1.0)
+    return weight * np.exp(2j * np.pi * np.multiply.outer(y, k))
+
+
+def dft(n):
+    """The coefficients c_k = mean_j v_j exp(-2 pi i k j / n), k = -n/2..n/2."""
+    k = np.arange(-n // 2, n // 2 + 1)
+    return np.exp(-2j * np.pi * np.multiply.outer(k, np.arange(n)) / n) / n
+
+
+def knothe_inverse_error(fg, gf):
+    """sup |K_gf(K_fg(x)) - x| over the nodes, each map read from its
+    displacements by a direct trigonometric sum.  K = (r1(x1), r2(x1, x2)),
+    so the image of row i has one y1 = r1(x1_i): the 2D sum contracts x1's
+    frequencies once per row, then x2's at that row's n points."""
+    n1, n2 = fg.grid.shape
+    x1, x2 = fg.grid.nodes1(), fg.grid.nodes2()
+    y1 = fg.r1.map_values()
+    y2 = x2 - fg.r2_displacement
+    back1 = y1 - (interpolation_rows(y1, n1) @ (dft(n1) @ gf.r1.displacement)).real
+    coef = dft(n1) @ gf.r2_displacement @ dft(n2).T
+    rows = interpolation_rows(y1, n1) @ coef
+    back2 = y2 - np.array([(interpolation_rows(y2[i], n2) @ rows[i]).real
+                           for i in range(n1)])
+    return max(np.max(np.abs(back1 - x1)), np.max(np.abs(back2 - x2)))
 
 
 def cold(pair):
@@ -91,6 +143,16 @@ def case(request):
     pair = pair_of(lambda modes: modes)
     moved = pair_of(lambda modes: shifted(modes, grid.shape))
     return pair, moved, pair_of(swapped), cold(pair)
+
+
+@pytest.fixture(scope="module")
+def mirror(case):
+    """The case's pair with every phase negated, and its cold solve."""
+    pair = case[0]
+    mirrored = tot.make_density_pair(
+        *(replace(poly, phases=-poly.phases)
+          for poly in (pair.f.closed_form, pair.g.closed_form)), pair.grid)
+    return mirrored, cold(mirrored)
 
 
 def test_the_shift_rolls_the_densities(case):
@@ -126,3 +188,30 @@ def test_axis_swap_transposes_the_cold_potential_at_the_identity(case):
     gap = np.max(np.abs(res.potential.values - reference.potential.values.T))
     assert gap <= COLD_BOUND
     assert abs(res.margin - reference.margin) <= MARGIN_BOUND
+
+
+def test_reflection_reflects_the_knothe_potentials(case, mirror):
+    pair = case[0]
+    kn = tot.knothe_solution(pair).potentials
+    kn_mirror = tot.knothe_solution(mirror[0]).potentials
+    assert np.max(np.abs(kn_mirror.u1 - reflect(kn.u1))) <= KNOTHE_BOUND
+    assert (np.max(np.abs(kn_mirror.u2.values - reflect(kn.u2.values)))
+            <= KNOTHE_BOUND)
+    assert np.allclose(kn_mirror.margins, kn.margins, rtol=0.0,
+                       atol=MARGIN_BOUND)
+
+
+def test_reflection_reflects_the_cold_potential(case, mirror):
+    reference, res = case[3], mirror[1]
+    assert res.sup_residual <= 1e-10
+    gap = np.max(np.abs(res.potential.values - reflect(reference.potential.values)))
+    assert gap <= COLD_BOUND
+    assert abs(res.margin - reference.margin) <= MARGIN_BOUND
+
+
+def test_the_knothe_maps_of_both_directions_are_inverses(case):
+    pair = case[0]
+    back = tot.make_density_pair(pair.g.closed_form, pair.f.closed_form, pair.grid)
+    error = knothe_inverse_error(tot.knothe_solution(pair),
+                                 tot.knothe_solution(back))
+    assert error <= INVERSE_BOUND[pair.grid.n1]

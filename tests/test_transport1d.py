@@ -224,7 +224,7 @@ def test_map_rejects_a_density_negative_between_its_nodes():
 
 def test_circle_density_keeps_its_floor(monkeypatch):
     # rows: const - sum|a| > 0, a trough that needs the node scan, and a
-    # mode aliased onto the mean of 8 nodes, which rescales the closed form
+    # mode aliased onto the mean of 8 nodes, which keeps its closed form
     poly = TrigPoly1D(np.ones(3), np.array([2, 4, 8]),
                       np.array([[0.3, 0.2, 0.0], [0.6, 0.6, 0.0],
                                 [0.0, 0.0, 0.5]]),
@@ -234,7 +234,9 @@ def test_circle_density_keeps_its_floor(monkeypatch):
     x = np.arange(4096) / 4096
     assert np.all(d.floor > 0.0)
     assert np.all(d.floor <= np.min(d.closed_form(x), axis=-1))
-    assert np.allclose(d.floor[[0, 2]], [0.5, 0.5 / 1.5], rtol=1e-14)
+    assert np.allclose(d.floor[[0, 2]], [0.5, 0.5], rtol=1e-14)
+    assert np.array_equal(d.closed_form.const, np.ones(3))
+    assert np.array_equal(d.closed_form.amps, poly.amps)
     g = tot.circle_density(TrigPoly1D(np.ones(3), np.array([1]),
                                       np.full((3, 1), 0.2),
                                       np.full((3, 1), 0.3)), 8)
@@ -242,6 +244,23 @@ def test_circle_density_keeps_its_floor(monkeypatch):
     monkeypatch.setattr(tot.transport1d, "_density_floor", None)
     tm = tot.monotone_circle_map(d, g)
     assert np.max(np.abs(np.mean(tm.displacement, axis=-1))) <= 1e-12
+
+
+def test_a_mode_aliased_onto_the_node_mean_keeps_unit_mass():
+    # 1 + 0.3 cos 16 pi x reads 1.3 at each of its 8 nodes.  Rescaled to
+    # unit mass on the nodes, its mass over a period would be 1/1.3, the
+    # lifted cdf would not step by 1, and the map's inversions would not
+    # converge; kept as it is, it is a mode the nodes do not resolve, which
+    # the map's own certificate sees (1.2e-2)
+    g = trig_density([(8, 0.3, 0.0)], m=8)
+    f = trig_density([(1, 0.2, 0.5)], m=8)
+    assert np.max(np.abs(g.values - 1.3)) <= 1e-15
+    cdf = g.closed_form.antiderivative
+    y = np.linspace(-0.7, 0.9, 13)
+    assert np.max(np.abs(cdf(y + 1.0) - cdf(y) - 1.0)) <= 1e-15
+    tm = tot.monotone_circle_map(f, g)
+    assert abs(np.mean(tm.displacement)) <= 1e-12
+    assert 1e-3 < tot.pushforward_quantile_error(f, g, tm) < 0.05
 
 
 def test_cut_locus_violation_raises():
