@@ -40,11 +40,11 @@ print(f"  min (1 - psi'')            = {np.min(1.0 - deriv_values(psi, 0, 2)):.4
 # the selected shift is also the cost minimizer: scan competing shifts
 x = tmap.nodes()
 levels = f.closed_form.antiderivative(x)
-best = transport_cost(f, g, tmap.displacement)
+best = transport_cost(f, tmap.displacement)
 costs = []
 y = x - tmap.displacement
 for theta in np.linspace(-0.2, 0.2, 81):
     y = invert_lifted_cdf(g, levels + theta, x0=y)
-    costs.append(transport_cost(f, g, x - y))
+    costs.append(transport_cost(f, x - y))
 print(f"  cost at selected shift     = {best:.8f}")
 print(f"  best cost over a shift scan= {min(costs):.8f}  (never beats it)")

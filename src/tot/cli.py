@@ -26,8 +26,7 @@ from .errors import ConfigError, ConvergenceError, TransportError
 from .fieldio import write_field_binary, write_field_csv
 from .grid import ScalarField, zero_field
 from .knothe import fiber_pushforward_error, knothe_solution
-from .monge_ampere import (identity_cost, pushforward_residual,
-                           residual_state)
+from .monge_ampere import identity_cost, pushforward_residual
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,14 +88,12 @@ def cmd_brenier(cfg, out_dir):
                             tol=cfg.options.newton_tol,
                             max_iter=cfg.options.max_newton)
     psi = result.potential
-    # the residual the certifying state held, from the decomposed pair
-    residual = residual_state(cost, result.u1, result.u2.values, pair).residual
     tmap = result.tmap
     _emit_field(cfg, out_dir, "brenier_psi", psi)
     _emit_field(cfg, out_dir, "brenier_map1", tmap.v1)
     _emit_field(cfg, out_dir, "brenier_map2", tmap.v2)
     _emit_field(cfg, out_dir, "brenier_residual",
-                ScalarField(pair.grid, residual))
+                ScalarField(pair.grid, result.residual))
     pf = pushforward_residual(tmap, pair, cfg.options.pushforward_k)
     _write_csv_row(os.path.join(out_dir, "brenier_diagnostics.csv"),
                    ("sup_residual", "margin", "pushforward_residual",

@@ -201,7 +201,7 @@ class NewtonResult:
     level, failed corrections included; ``levels`` holds (grid shape,
     iterations) per level, coarsest first, ending with the caller's grid.
     ``map1`` is the first component of the map of the state that certified
-    the result."""
+    the result, and ``residual`` that state's residual values."""
 
     u1: np.ndarray
     u2: ScalarField
@@ -211,6 +211,7 @@ class NewtonResult:
     margin: float
     levels: tuple
     map1: np.ndarray
+    residual: np.ndarray
 
     @property
     def potential(self):
@@ -248,7 +249,7 @@ def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
         direction, tol, max_iter, coarse=coarse)
     return NewtonResult(u1, ScalarField(grid, u2_values), cost.a22,
                         iterations, st.sup_residual, st.margin,
-                        ((grid.shape, iterations),), st.map1)
+                        ((grid.shape, iterations),), st.map1, st.residual)
 
 
 def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
@@ -297,7 +298,8 @@ def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
         st = residual_state(cost, u1, u2.values, pair)
         if st.sup_residual <= tol:
             return NewtonResult(u1, u2, cost.a22, 0, st.sup_residual,
-                                st.margin, ((grid.shape, 0),), st.map1)
+                                st.margin, ((grid.shape, 0),), st.map1,
+                                st.residual)
         del st          # no fine state is held while the coarse levels run
     pairs = _levels(pair)
 
@@ -675,6 +677,8 @@ def run(pair, schedule=None, options=None):
         del history[:-3]
 
     accept(init.t0, init)
+    # a result holds its state's map1 and residual: none is kept once recorded
+    del init
 
     def collapse(dt):
         partial = Trajectory(records, kn, opts, schedule)
@@ -694,6 +698,7 @@ def run(pair, schedule=None, options=None):
                     collapse(dt)
                 continue
             accept(t_next, trial)
+            del trial
             easy_streak = easy_streak + 1 if records[-1].newton_iters <= 3 else 0
             if easy_streak >= 3:
                 dt *= 2.0
@@ -712,5 +717,6 @@ def run(pair, schedule=None, options=None):
                 continue
             pending.pop(0)
             accept(t_next, trial)
+            del trial
 
     return Trajectory(records, kn, opts, schedule)

@@ -256,14 +256,29 @@ def pushforward_residual(tmap, pair, K):
     rr, ri, ir, ii give (rr - ii) + i (ri + ir) at (k1, k2) and, as
     w^-k = conj(w^k), (rr + ii) + i (ir - ri) at (k1, -k2).  As f and g
     are real, the rows k1 = 0..K against k2 = -K..K cover every mode.
+
+    Where T1 is constant along every row of the grid (a Knothe map, a
+    translation: one exact comparison decides it), the same sum is taken
+    row first, by Fubini: f E2^T is summed over x2 in blocks of whole rows,
+    and E1 is taken on the n1 row values only, one (2K + 2) x n1 product.
     """
     check_pushforward_k(K, pair.grid)
-    f = pair.f_values.ravel()
-    t1, t2 = tmap.v1.values.ravel(), tmap.v2.values.ravel()
-    gram = np.zeros((2 * K + 2, 2 * K + 2))
-    for lo in range(0, f.size, _PUSHFORWARD_BLOCK):
-        block = slice(lo, lo + _PUSHFORWARD_BLOCK)
-        gram += _powers(t1[block], K, f[block]) @ _powers(t2[block], K).T
+    f, t1, t2 = pair.f_values, tmap.v1.values, tmap.v2.values
+    if (t1 == t1[:, :1]).all():
+        n1, n2 = f.shape
+        rows = max(1, _PUSHFORWARD_BLOCK // n2)
+        sums = np.empty((n1, 2 * K + 2))
+        for lo in range(0, n1, rows):
+            block = slice(lo, lo + rows)
+            e2 = _powers(t2[block].ravel(), K).reshape(2 * K + 2, -1, n2)
+            sums[block] = np.einsum("kij,ij->ik", e2, f[block])
+        gram = _powers(t1[:, 0], K) @ sums
+    else:
+        f, t1, t2 = f.ravel(), t1.ravel(), t2.ravel()
+        gram = np.zeros((2 * K + 2, 2 * K + 2))
+        for lo in range(0, f.size, _PUSHFORWARD_BLOCK):
+            block = slice(lo, lo + _PUSHFORWARD_BLOCK)
+            gram += _powers(t1[block], K, f[block]) @ _powers(t2[block], K).T
     gram /= f.size
     (rr, ri), (ir, ii) = gram.reshape(2, K + 1, 2, K + 1).swapaxes(1, 2)
     quad = np.hstack([((rr + ii) + 1j * (ir - ri))[:, :0:-1],

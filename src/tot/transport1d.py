@@ -252,21 +252,35 @@ class CircleMap:
         """Trigonometric interpolation of the displacement at arbitrary x.
 
         The sum runs over the rfft half spectrum (modes 0 < k < m/2 count
-        twice, then the real part): Horner's scheme in e = exp(2 pi i x),
-        so one ``exp`` per point and one multiply-add per mode, with a
-        rounding error of about k eps on mode k.  A stack's rows interpolate
-        at their own rows of x.
+        twice, then the real part), a polynomial in e = exp(2 pi i x) taken
+        baby step, giant step: the b ~ sqrt(m/2) baby powers e^0..e^(b-1),
+        one ``matmul`` against the coefficients in rows of b gives each
+        giant block's sum, and Horner's scheme in e^b runs over the blocks
+        only.  One ``exp`` per point; the rounding error of mode k stays
+        about k eps.  A stack's rows interpolate at their own rows of x.
         """
         m = self.m
         c = np.fft.rfft(self.displacement) / m
         c[..., 1:(m + 1) // 2] *= 2.0
-        coefs = c.T[..., None] if c.ndim == 2 else c    # coefs[k]: a row column
-        e = np.exp(2j * np.pi * frac(np.asarray(x, float)))
-        out = np.zeros(e.shape, complex)
-        for ck in coefs[::-1]:
-            out *= e
-            out += ck
-        return out.real
+        b = round(np.sqrt(m / 2))
+        giants = -(-c.shape[-1] // b)
+        # blocks[..., i, j]: the coefficient of mode i b + j
+        blocks = np.zeros(c.shape[:-1] + (giants * b,), complex)
+        blocks[..., :c.shape[-1]] = c
+        blocks = blocks.reshape(c.shape[:-1] + (giants, b))
+        x = np.asarray(x, float)
+        e = np.exp(2j * np.pi * frac(np.atleast_1d(x)))
+        powers = np.empty(e.shape[:-1] + (b,) + e.shape[-1:], complex)
+        powers[..., 0, :] = 1.0
+        for j in range(1, b):
+            np.multiply(powers[..., j - 1, :], e, out=powers[..., j, :])
+        sums = blocks @ powers          # sums[..., i, :]: giant block i at x
+        giant = powers[..., -1, :] * e
+        out = sums[..., -1, :]
+        for i in range(giants - 2, -1, -1):
+            out *= giant
+            out += sums[..., i, :]
+        return out.real.reshape(x.shape)
 
     def __call__(self, x):
         return np.asarray(x, float) - self.displacement_at(x)
@@ -328,7 +342,7 @@ def potential_from_map(tmap):
     return antideriv_values(d - np.mean(d, axis=-1, keepdims=True), axis=-1)
 
 
-def transport_cost(f, g, displacement):
+def transport_cost(f, displacement):
     """Quadratic transport cost 0.5 * int (x - T(x))^2 f(x) dx (trapezoid)."""
     return 0.5 * float(np.mean(displacement ** 2 * f.values))
 

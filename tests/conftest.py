@@ -14,6 +14,26 @@ from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import split_coefficients
 from tot.monge_ampere import residual_state, split_values
 
+# the standard pair and two pairs of the benchmark's class (seed 600,
+# instances 0 and 1: three of the four |k|_inf = 1 wavevectors at
+# amplitude 0.15, random phases)
+PAIRS = {
+    "standard": (tot.CATALOG["standard_f"].modes,
+                 tot.CATALOG["standard_g"].modes),
+    "bench600-0": (((1, 0, 0.15, 0.0658327413554176),
+                    (0, 1, 0.15, 3.625767832644896),
+                    (1, -1, 0.15, 5.650503810266992)),
+                   ((1, 0, 0.15, 4.030714720830465),
+                    (0, 1, 0.15, 0.6646441064147512),
+                    (1, -1, 0.15, 3.661318256080821))),
+    "bench600-1": (((0, 1, 0.15, 3.095094474464738),
+                    (1, 1, 0.15, 4.817858535451407),
+                    (1, -1, 0.15, 4.926992068447078)),
+                   ((1, 0, 0.15, 2.0098195457802652),
+                    (1, 1, 0.15, 0.9328072015687682),
+                    (1, -1, 0.15, 3.5355579920422486))),
+}
+
 
 def band_limited(grid, kmax, rng, include_x1_only=True):
     """Random zero-mean trigonometric polynomial with |k|_inf <= kmax."""

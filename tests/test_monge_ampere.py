@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tot
+from tot import monge_ampere
 from tot.errors import AdmissibilityError, ConcavityError
 from tot.grid import derivative_bundle
 from tot.monge_ampere import (check_admissible, residual_state,
@@ -11,7 +12,7 @@ from tot.monge_ampere import (check_admissible, residual_state,
 from tot.transport1d import potential_1d
 from tot.trig import TrigPoly1D, frac
 
-from tests.conftest import admissible_potential, assembled_state
+from tests.conftest import PAIRS, admissible_potential, assembled_state
 
 
 def test_cost_schedule_basics():
@@ -288,19 +289,14 @@ def test_pushforward_residual_of_translation_is_closed_form(shape, K):
 @pytest.mark.parametrize("shape", [(64, 64), (96, 64), (10, 12)])
 @pytest.mark.parametrize("K", [1, 4, 8, 9])
 def test_pushforward_residual_of_curved_map_matches_direct_sums(shape, K):
-    # oracle: every quadrature mean(f exp(-2i pi (k1 T1 + k2 T2))) summed
-    # mode by mode, with one exp per mode and point, no powers and no
-    # product; ghat is the fft2 of g on 4 (K + 2) nodes per side, which no
-    # mode of g (|k|_inf <= 3) aliases onto.  Against the uniform g the
-    # defect is the largest quadrature itself.  The map's lifted values lie
-    # outside [0, 1), and no grid is a whole number of blocks
+    # against the uniform g the defect is the largest quadrature itself.
+    # The map's lifted values lie outside [0, 1), and no grid is a whole
+    # number of blocks
     grid = tot.build_grid(*shape)
     x1, x2 = grid.mesh()
     t1 = x1 + 1.37 + 0.1 * np.sin(2 * np.pi * (x1 + 2 * x2))
     t2 = x2 - 0.61 + 0.08 * np.cos(2 * np.pi * (3 * x1 - x2))
     tmap = tot.VectorField(tot.field(grid, t1), tot.field(grid, t2))
-    n = 4 * (K + 2)
-    y1, y2 = tot.build_grid(n, n).mesh()
     for g in (tot.spec((2, -3, 0.2, 0.7), (0, 1, 0.1, 0.0)),
               tot.CATALOG["uniform"]):
         pair = tot.make_density_pair(tot.CATALOG["standard_f"], g, grid)
@@ -308,13 +304,68 @@ def test_pushforward_residual_of_curved_map_matches_direct_sums(shape, K):
             with pytest.raises(ValueError, match="2K < min"):
                 tot.pushforward_residual(tmap, pair, K)
             continue
-        ghat = np.fft.fft2(pair.g_poly(y1, y2)) / n ** 2
-        expected = max(
-            abs(np.mean(pair.f_values
-                        * np.exp(-2j * np.pi * (k1 * t1 + k2 * t2)))
-                - ghat[k1, k2])
-            for k1 in range(-K, K + 1) for k2 in range(-K, K + 1))
+        expected = _direct_certificate(pair, t1, t2, K)
         assert abs(tot.pushforward_residual(tmap, pair, K) - expected) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (96, 64)])
+@pytest.mark.parametrize("K", [1, 4, 8])
+def test_pushforward_residual_of_knothe_map_matches_direct_sums(shape, K):
+    # a Knothe map's T1 depends on x1 alone and is nonlinear in it, so the
+    # certificate takes its row-first sum.  Against its own g it reads
+    # about 1e-15; against the uniform g the defect is the largest
+    # quadrature itself.  At 96 x 64 the 40-row blocks do not cover the
+    # grid a whole number of times
+    grid = tot.build_grid(*shape)
+    for f_modes, g_modes in PAIRS.values():
+        f = tot.spec(*f_modes)
+        pair = tot.make_density_pair(f, tot.spec(*g_modes), grid)
+        tmap = tot.knothe_solution(pair).map_field()
+        t1, t2 = tmap.v1.values, tmap.v2.values
+        assert np.ptp(t1[:, 0] - grid.nodes1()) > 1e-3       # not a translation
+        for target in (pair, tot.make_density_pair(f, tot.CATALOG["uniform"], grid)):
+            expected = _direct_certificate(target, t1, t2, K)
+            assert abs(tot.pushforward_residual(tmap, target, K) - expected) < 1e-13
+        assert expected > 0.01
+
+
+def _direct_certificate(pair, t1, t2, K):
+    """The oracle of the certificate: every quadrature mean(f exp(-2i pi
+    (k1 T1 + k2 T2))) summed mode by mode, with one exp per mode and point,
+    no powers and no product, less ghat, the fft2 of g on 4 (K + 2) nodes
+    per side, which no mode of these g (|k|_inf <= 3) aliases onto."""
+    n = 4 * (K + 2)
+    y1, y2 = tot.build_grid(n, n).mesh()
+    ghat = np.fft.fft2(pair.g_poly(y1, y2)) / n ** 2
+    return max(
+        abs(np.mean(pair.f_values * np.exp(-2j * np.pi * (k1 * t1 + k2 * t2)))
+            - ghat[k1, k2])
+        for k1 in range(-K, K + 1) for k2 in range(-K, K + 1))
+
+
+def test_pushforward_residual_takes_row_constant_t1_powers_per_row(monkeypatch):
+    # the sizes of the point sets whose powers the certificate forms: a
+    # map whose T1 is constant along every row takes its x1 powers on the
+    # n1 row values, and a map whose T1 varies along a row on all n1 n2
+    grid = tot.build_grid(96, 64)
+    pair = tot.make_density_pair(tot.CATALOG["standard_f"],
+                                 tot.CATALOG["standard_g"], grid)
+    x1, x2 = grid.mesh()
+    sizes = []
+    powers = monge_ampere._powers
+    monkeypatch.setattr(monge_ampere, "_powers",
+                        lambda t, *a: sizes.append(t.size) or powers(t, *a))
+    row_constant = tot.knothe_solution(pair).map_field()
+    curved = tot.VectorField(
+        tot.field(grid, x1 + 0.01 * np.sin(2 * np.pi * x2)),
+        tot.field(grid, x2 + 0 * x1))
+    tot.pushforward_residual(row_constant, pair, 4)
+    # the 96 row values, and x2 in blocks of 40, 40 and 16 whole rows
+    assert sorted(sizes) == [96, 16 * 64, 40 * 64, 40 * 64]
+    sizes.clear()
+    tot.pushforward_residual(curved, pair, 4)
+    assert sum(sizes) == 2 * grid.n1 * grid.n2
+    assert grid.n1 not in sizes
 
 
 def test_pushforward_residual_refuses_modes_the_grid_does_not_resolve():
