@@ -178,8 +178,8 @@ def config_from_entries(entries):
     options = ContinuationOptions(**{f.name: merged[f.name] for f in _OPTIONS})
     try:
         options.validated()
-    except ValueError as exc:
-        raise ConfigError(f"options: {exc}") from exc
+    except ValueError as exc:   # each message starts with the option
+        raise ConfigError(f"options: {exc}", key=str(exc).split()[0]) from exc
     try:
         check_pushforward_k(options.pushforward_k, grid)
     except ValueError as exc:
@@ -192,7 +192,10 @@ def config_from_entries(entries):
     try:
         pair = make_density_pair(f_spec, g_spec, grid)
     except PositivityError as exc:
-        raise ConfigError(f"grid {grid.n1}x{grid.n2}: {exc}") from exc
+        which = str(exc)[-2]        # the message ends with "(f)" or "(g)"
+        key = f"{which}.name" if merged[f"{which}.name"] else f"{which}.modes"
+        raise ConfigError(f"grid {grid.n1}x{grid.n2}: {exc}",
+                          key=key) from exc
     return RunConfig(pair, schedule, options, merged["out"], merged["emit.csv"],
                      merged["emit.binary"], merged["emit.steps"],
                      merged["quiet"])

@@ -20,7 +20,7 @@ psi = u1(x1) + lambda_t u2(x1, x2), in which the residual, its
 linearization and the velocity stay O(1) as lambda_t -> 0; the assembled
 psi is formed only for the records.  t0 stays strictly positive: the
 t = 0 state is represented by the Knothe potentials themselves, and
-``init_from_knothe`` bridges the gap.
+``init_from_knothe`` corrects them once at t0, where the path starts.
 
 A cold ``newton_correct`` at A = diag(1, a22) is the same Newton
 iteration at lambda = a22, and both solvers share one grid-sequencing
@@ -413,47 +413,32 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
 
 @dataclass
 class InitResult(NewtonResult):
-    """The corrected state at the t0 actually used, and the rearrangement
-    it started from."""
+    """The corrected state at t0, and the rearrangement it started from."""
 
-    t0: float
     knothe: KnotheSolution
-
-
-MAX_HALVINGS = 8       # of t0, before init_from_knothe gives up
 
 
 def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
                      max_newton=20):
-    """Converged potential at small t0 from the Knothe predictor.
-
-    The predictor (u1, lambda_{t0} u2) is Newton-corrected at A_{t0} in
-    decomposed coordinates; if Newton stalls the time is halved (at most
-    ``MAX_HALVINGS`` = 8 times, and never to a t where lambda_t is 0), so
-    the returned result carries the t0 actually used.  The assembled
-    potential, the exact decomposed pair and the certifying state's map
-    are all returned.
+    """Converged potential at t0 > 0: the Knothe predictor
+    (u1, lambda_{t0} u2) Newton-corrected once at A_{t0}, in decomposed
+    coordinates, with the certifying state's map.  A failed correction
+    raises ``InitializationError`` naming t0, lambda(t0) and Newton's own
+    message; a smaller t0 would not help, since the path starts at the
+    Knothe pair and the fibers' truncation floor is highest at small t.
     """
     schedule = schedule or CostSchedule.linear()
     kn = knothe_solution(pair)
-    t = float(t0)
-    for _ in range(MAX_HALVINGS + 1):
-        lam = schedule.lam(t)
-        if not lam > 0.0:           # A_t = diag(1, lambda_t) is no cost
-            raise InitializationError(
-                f"lambda({t:.3g}) = {lam:g}: the schedule degenerates before "
-                "the rearrangement's state converges; try a larger t0")
-        try:
-            res = newton_correct_split(t, kn.potentials.u1, kn.potentials.u2,
-                                       pair, schedule, tol=newton_tol,
-                                       max_iter=max_newton)
-        except (ConvergenceError, ConcavityError):
-            t *= 0.5
-            continue
-        return InitResult(**vars(res), t0=t, knothe=kn)
-    raise InitializationError(
-        f"could not initialize from the rearrangement down to t0 = {t * 2:.3g}; "
-        "try a larger grid or smoother densities")
+    try:
+        res = newton_correct_split(t0, kn.potentials.u1, kn.potentials.u2,
+                                   pair, schedule, tol=newton_tol,
+                                   max_iter=max_newton)
+    except (ConvergenceError, ConcavityError) as exc:
+        raise InitializationError(
+            f"could not initialize from the rearrangement at t0 = {t0:.3g} "
+            f"(lambda = {schedule.lam(t0):.3g}): {exc}; try a larger grid "
+            "or smoother densities") from exc
+    return InitResult(**vars(res), knothe=kn)
 
 
 @dataclass
@@ -628,14 +613,13 @@ def run(pair, schedule=None, options=None):
     are extrapolated over unequal spacing; the first two steps, before
     three states exist, take an Euler step on the velocity, so a run
     solves two velocities.  Fixed steps climb the geometric ladder
-    t0 (t1 / t0)^(k / steps) from the t0 that the initialization used, as
-    lambda_t = t degenerates geometrically toward 0.  Steps are accepted
-    only if Newton converges and the margin stays positive; a rejected step
-    is split (halved in adaptive mode, bisected in log t at sqrt(t t_next)
-    in fixed mode) and the run aborts with :class:`StepCollapseError` -
-    carrying the partial trajectory - if the split step falls below 1e-8;
-    a step that was never rejected is attempted however short, so a
-    ladder may start from any t0.
+    t0 (t1 / t0)^(k / steps) from t0, as lambda_t = t degenerates
+    geometrically toward 0.  Steps are accepted only if Newton converges
+    and the margin stays positive; a rejected step is split (halved in
+    adaptive mode, bisected in log t at sqrt(t t_next) in fixed mode) and
+    the run aborts with :class:`StepCollapseError` - carrying the partial
+    trajectory - if the split step falls below 1e-8; a step that was never
+    rejected is attempted however short, so a ladder may start from any t0.
     At t1 = 1 under the linear schedule the final record's map is the
     Brenier map for A = diag(1,1).
 
@@ -645,11 +629,14 @@ def run(pair, schedule=None, options=None):
     prolonged result on the caller's grid; if either fails, the attempt
     falls back to the caller's-grid predictor and corrector before it
     counts as rejected.  A record's ``newton_iters`` counts the steps of
-    every level.  The initialization at t0 stays single-grid.
+    every level.  The initialization is one single-grid correction at t0;
+    a schedule with lambda(t0) = 0 raises ``ValueError`` before any work.
     """
     schedule = schedule or CostSchedule.linear()
     opts = (options or ContinuationOptions()).validated()
-    check_pushforward_k(opts.pushforward_k, pair.grid)     # before any work
+    # before any work: a K the grid cannot resolve, and lambda(t0) = 0
+    check_pushforward_k(opts.pushforward_k, pair.grid)
+    schedule.matrix(opts.t0)
     init = init_from_knothe(pair, schedule, opts.t0,
                             newton_tol=opts.newton_tol,
                             max_newton=opts.max_newton)
@@ -676,7 +663,7 @@ def run(pair, schedule=None, options=None):
         history.append(_State(t, result.u1, result.u2))
         del history[:-3]
 
-    accept(init.t0, init)
+    accept(opts.t0, init)
     # a result holds its state's map1 and residual: none is kept once recorded
     del init
 
@@ -687,7 +674,7 @@ def run(pair, schedule=None, options=None):
             f"{history[-1].t:.6g}", trajectory=partial)
 
     if opts.steps == "adaptive":
-        dt = history[-1].t
+        dt = opts.t0
         easy_streak = 0
         while history[-1].t < opts.t1 * (1.0 - 1e-14):
             t_next = min(history[-1].t + dt, opts.t1)
@@ -704,8 +691,7 @@ def run(pair, schedule=None, options=None):
                 dt *= 2.0
                 easy_streak = 0
     else:
-        t0 = history[-1].t
-        pending = list(t0 * (opts.t1 / t0)
+        pending = list(opts.t0 * (opts.t1 / opts.t0)
                        ** (np.arange(1, opts.steps + 1) / opts.steps))
         while pending:
             t_next, t = pending[0], history[-1].t

@@ -60,7 +60,8 @@ class CostMatrix:
 
     def __post_init__(self):
         if not (self.a22 > 0.0 and math.isfinite(self.a22)):
-            raise ValueError(f"a22 must be positive and finite, got {self.a22}")
+            raise ValueError(f"a22 = lambda({self.t:g}) must be positive and "
+                             f"finite, got {self.a22}")
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,17 @@ def test_config_rejects_negative_density(tmp_path):
 f.modes = (1, 0, 2.0, 0)
 g.modes = (0, 1, 0.2, 0)
 """)
-    with pytest.raises(ConfigError, match="density not positive: min"):
+    with pytest.raises(ConfigError, match="density not positive: min") as info:
         load_config(cfg_path)
+    assert info.value.key == "f.modes"
+    # the key names the refused density and the form it was given in
+    cfg_path = write_cfg(tmp_path, """
+f.name = standard_f
+g.modes = (0, 1, 0.96, 0)
+""")
+    with pytest.raises(ConfigError, match=r"density not positive.*\(g\)$") as info:
+        load_config(cfg_path)
+    assert info.value.key == "g.modes"
 
 
 def test_config_suggests_close_key(tmp_path):
@@ -337,6 +346,9 @@ def test_exit_code_invalid_option(tmp_path, capsys, entry):
                    "--out", str(tmp_path / "out")) == 2
     assert f"options: {entry.split()[0]}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert info.value.key == entry.split()[0]
 
 
 @pytest.mark.parametrize("k", [8, 100000000])
@@ -382,15 +394,17 @@ def test_exit_code_schedule_that_vanishes_at_t0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_code_schedule_that_vanishes_while_t0_halves(tmp_path, capsys):
-    # lambda = t^60 is positive at t0 = 1e-3, and init_from_knothe halves t0
-    # until it would underflow to 0.0
+def test_exit_code_schedule_too_steep_to_initialize(tmp_path, capsys):
+    # lambda = t^60 is positive at t0 = 1e-3 (1e-180), but the correction of
+    # the Knothe pair breaks down there, and t0 is tried once
     cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n"
                     "lambda = t^60\nsteps = 2\n")
     assert run_cli("continue", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
-    assert err.startswith("tot: solver error: lambda(") and "Traceback" not in err
+    assert err.startswith("tot: solver error: could not initialize from the "
+                          "rearrangement at t0 = 0.001 (lambda = 1e-180): ")
+    assert "larger grid" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, text", [("--steps", "abc"), ("--steps", "1.5"),

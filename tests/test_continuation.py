@@ -525,7 +525,7 @@ def test_forcing_floor_keeps_the_newton_steps_and_ladder(pair64):
 
 def test_init_product_predictor_is_nearly_exact(product128):
     init = tot.init_from_knothe(product128, t0=1e-3)
-    assert init.t0 == 1e-3
+    assert init.lam == 1e-3         # corrected at the t0 it was given
     assert init.iterations <= 2
 
 
@@ -543,14 +543,15 @@ def test_init_distance_to_predictor(pair128, knothe128):
     sched = tot.CostSchedule.linear()
     t0 = 1e-3
     init = tot.init_from_knothe(pair128, sched, t0)
-    lam = sched.lam(init.t0)
+    lam = sched.lam(t0)
+    assert init.lam == lam
     predictor = knothe128.potentials.u1[:, None] + lam * knothe128.potentials.u2.values
     predictor = predictor - predictor.mean()
     err = np.max(np.abs(init.potential.values - predictor))
-    c_measured = err / (init.t0 * lam)
-    print(f"init gap at t0={init.t0:g}: {err:.3e}; "
-          f"err/(t0*lambda) = {c_measured:.3f}; err/t0 = {err / init.t0:.3e}")
-    assert err <= 0.5 * init.t0 * lam
+    c_measured = err / (t0 * lam)
+    print(f"init gap at t0={t0:g}: {err:.3e}; "
+          f"err/(t0*lambda) = {c_measured:.3f}; err/t0 = {err / t0:.3e}")
+    assert err <= 0.5 * t0 * lam
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +913,19 @@ def test_run_refuses_a_pushforward_k_the_grid_cannot_resolve(pair64,
                        r"integer K >= 1 with 2K < min\(n1, n2\) = 64, got 32$"):
         tot.run(pair64, options=tot.ContinuationOptions(pushforward_k=32,
                                                         steps=2))
+
+
+def test_run_refuses_a_schedule_that_vanishes_at_t0(pair64, monkeypatch):
+    def no_work(pair):
+        raise AssertionError("knothe_solution was called")
+
+    monkeypatch.setattr(continuation, "knothe_solution", no_work)
+    # lambda = t^110 underflows to 0.0 at t0 = 1e-3: A_t0 is no cost
+    with pytest.raises(ValueError,
+                       match=r"^a22 = lambda\(0\.001\) must be positive and "
+                             r"finite, got 0\.0$"):
+        tot.run(pair64, tot.CostSchedule.power(110),
+                tot.ContinuationOptions(steps=2))
 
 
 def test_options_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tot
+from tot import continuation
 from tot.grid import deriv_values
 from tot.monge_ampere import split_residual_values
 
@@ -83,7 +84,7 @@ def test_strong_density_pair_end_to_end():
     assert tot.pushforward_residual(tmap, pair, 6) < 1e-9
 
 
-def test_under_resolved_pair_raises_initialization_advice():
+def test_under_resolved_pair_raises_initialization_advice(monkeypatch):
     # amplitude-0.5 modes leave conditional minima near 0.19: the fiber
     # transports have fat spectral tails and a 64^2 grid cannot certify
     # the default tolerance; the driver must say so rather than mislead
@@ -91,8 +92,22 @@ def test_under_resolved_pair_raises_initialization_advice():
     f = tot.spec((1, 0, 0.5, 0.0), (1, 1, 0.2, 0.7), (0, 2, 0.15, 0.0))
     g = tot.spec((0, 1, 0.45, 0.2), (2, -1, 0.2, 0.0), (1, 0, 0.2, 1.3))
     pair = tot.make_density_pair(f, g, grid)
-    with pytest.raises(tot.InitializationError, match="larger grid"):
+    corrections = []
+    correct = continuation.newton_correct_split
+
+    def counted(*args, **kwargs):
+        corrections.append(args[0])
+        return correct(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct_split", counted)
+    with pytest.raises(tot.InitializationError, match="larger grid") as info:
         tot.run(pair, options=tot.ContinuationOptions(steps=8))
+    # one correction, at the t0 the run was given, named with lambda(t0)
+    # and Newton's own message
+    assert corrections == [1e-3]
+    assert str(info.value).startswith(
+        "could not initialize from the rearrangement at t0 = 0.001 "
+        "(lambda = 0.001): newton ")
 
 
 def test_coercivity_with_a22_above_one(pair64, grid64):
