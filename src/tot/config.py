@@ -179,7 +179,10 @@ def config_from_entries(entries):
     try:
         options.validated()
     except ValueError as exc:   # each message starts with the option
-        raise ConfigError(f"options: {exc}", key=str(exc).split()[0]) from exc
+        key = str(exc).split()[0]
+        if key == "t1" and "t1" not in entries:
+            key = "t0"          # t0 >= t1 is worded from t1's side
+        raise ConfigError(f"options: {exc}", key=key) from exc
     try:
         check_pushforward_k(options.pushforward_k, grid)
     except ValueError as exc:

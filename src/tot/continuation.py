@@ -24,9 +24,9 @@ t = 0 state is represented by the Knothe potentials themselves, and
 
 A cold ``newton_correct`` at A = diag(1, a22) is the same Newton
 iteration at lambda = a22, and both solvers share one grid-sequencing
-routine: a start is solved on the halved grids first and the caller's
-grid certifies; if a coarse level raises, or the caller's grid cannot
-correct its prolonged result, the caller's own start is corrected there.
+loop, run from the coarsest of the halved grids up to the caller's grid,
+which certifies: each level corrects the prolonged result of the level
+below, or its own start if that level failed or the correction raises.
 The state that certifies a result supplies the first component of its map,
 on which a record's pushforward and L2 certificates are evaluated.  Newton
 and the velocity solve the linearized equation through the public
@@ -133,67 +133,6 @@ def velocity(t, psi, pair, schedule=None, *, tol=VELOCITY_TOL):
     return _assemble(cost.a22, v1, v2)
 
 
-def _damped_newton(x, evaluate, solve, tol, max_iter, *, coarse=False):
-    """Damped Newton on an iterate x given as a tuple of arrays.
-
-    ``evaluate(x)`` returns the residual state at x and raises
-    ``ConcavityError`` where the margin is not positive.
-    ``solve(st, q, inner_tol)`` returns the direction, shaped like x, that
-    solves the linearized equation at st for the zero-mean residual q (a
-    ScalarField) to the relative CG tolerance (inexact Newton)
-
-        inner_tol = min(1e-2, max(1e-12, 1e-2 sup, 0.1 tol / sup)).
-
-    The term 0.1 tol / sup keeps the last step from over-solving
-    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996; Kelley, *Iterative
-    Methods for Linear and Nonlinear Equations*, SIAM 1995, 6.3): it binds
-    only once sup < sqrt(10 tol), when one step can reach ``tol``, so no
-    earlier step is loosened.  Each step backtracks (s halved from 1)
-    until the sup-residual decreases and the margin stays positive.
-    Returns (x, state, iterations).
-
-    A ``coarse`` loop only supplies a starting guess: it also stops after
-    the first step that fails to halve the sup-residual, and where the
-    plain loop raises it hands back its last accepted iterate.
-    """
-    st = evaluate(x)
-    previous = np.inf
-    for iteration in range(max_iter + 1):
-        sup = st.sup_residual
-        if sup <= tol or coarse and (iteration == max_iter
-                                     or sup > 0.5 * previous):
-            return x, st, iteration
-        if iteration == max_iter:
-            break
-        q = ScalarField(st.grid, st.residual - np.mean(st.residual))
-        inner_tol = min(1e-2, max(1e-12, 1e-2 * sup, 0.1 * tol / sup))
-        delta = solve(st, q, inner_tol)
-        s = 1.0
-        while s >= 2.0 ** -20:
-            candidate = tuple(a - s * d for a, d in zip(x, delta))
-            try:
-                cand_st = evaluate(candidate)
-            except ConcavityError:
-                s *= 0.5
-                continue
-            if cand_st.sup_residual < sup:
-                x, st = candidate, cand_st
-                break
-            s *= 0.5
-        else:
-            if coarse:
-                return x, st, iteration
-            raise ConvergenceError(
-                f"newton line search stalled at iteration {iteration} "
-                f"(sup|residual| = {sup:.3g}, margin = {st.margin:.3g})",
-                residual=sup, iterations=iteration)
-        previous = sup
-    raise ConvergenceError(
-        f"newton did not reach {tol:g} in {max_iter} iterations "
-        f"(sup|residual| = {st.sup_residual:.3g})",
-        residual=st.sup_residual, iterations=max_iter)
-
-
 @dataclass
 class NewtonResult:
     """A solve of the decomposed potential u1 + lam u2, assembled on access
@@ -235,21 +174,64 @@ def _map(map1, u2):
 
 
 def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
-    """:func:`newton_correct_split` at ``cost``, lambda = a22, with the
-    coarse-mode loop of :func:`_damped_newton` when ``coarse``."""
+    """:func:`newton_correct_split` at ``cost``, lambda = a22.
+
+    Each step solves the linearized equation to the relative CG tolerance
+    (inexact Newton)
+
+        inner_tol = min(1e-2, max(1e-12, 1e-2 sup, 0.1 tol / sup)).
+
+    The term 0.1 tol / sup keeps the last step from over-solving
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996; Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, 6.3): it binds
+    only once sup < sqrt(10 tol), when one step can reach ``tol``, so no
+    earlier step is loosened.
+
+    A ``coarse`` loop only supplies a starting guess: it also stops after
+    the first step that fails to halve the sup-residual, and where the
+    plain loop raises it returns its last accepted iterate.
+    """
     grid = pair.grid
-
-    def direction(st, q, inner_tol):
-        return split_values(solve_linearized(st, q, inner_tol).values,
-                            cost.a22)
-
-    (u1, u2_values), st, iterations = _damped_newton(
-        (np.asarray(u1, float).copy(), u2.values),
-        lambda x: residual_state(cost, x[0], x[1], pair),
-        direction, tol, max_iter, coarse=coarse)
-    return NewtonResult(u1, ScalarField(grid, u2_values), cost.a22,
-                        iterations, st.sup_residual, st.margin,
-                        ((grid.shape, iterations),), st.map1, st.residual)
+    u1, u2 = np.asarray(u1, float).copy(), u2.values
+    st = residual_state(cost, u1, u2, pair)
+    previous = np.inf
+    for iteration in range(max_iter + 1):
+        sup = st.sup_residual
+        if sup <= tol or coarse and (iteration == max_iter
+                                     or sup > 0.5 * previous):
+            break
+        if iteration == max_iter:
+            raise ConvergenceError(
+                f"newton did not reach {tol:g} in {max_iter} iterations "
+                f"(sup|residual| = {sup:.3g})",
+                residual=sup, iterations=max_iter)
+        q = ScalarField(grid, st.residual - np.mean(st.residual))
+        inner_tol = min(1e-2, max(1e-12, 1e-2 * sup, 0.1 * tol / sup))
+        d1, d2 = split_values(solve_linearized(st, q, inner_tol).values,
+                              cost.a22)
+        s = 1.0
+        while s >= 2.0 ** -20:
+            c1, c2 = u1 - s * d1, u2 - s * d2
+            try:
+                cand_st = residual_state(cost, c1, c2, pair)
+            except ConcavityError:
+                s *= 0.5
+                continue
+            if cand_st.sup_residual < sup:
+                u1, u2, st = c1, c2, cand_st
+                break
+            s *= 0.5
+        else:
+            if coarse:
+                break
+            raise ConvergenceError(
+                f"newton line search stalled at iteration {iteration} "
+                f"(sup|residual| = {sup:.3g}, margin = {st.margin:.3g})",
+                residual=sup, iterations=iteration)
+        previous = sup
+    return NewtonResult(u1, ScalarField(grid, u2), cost.a22, iteration,
+                        st.sup_residual, st.margin,
+                        ((grid.shape, iteration),), st.map1, st.residual)
 
 
 def newton_correct(cost, psi_init, pair, tol=1e-10, max_iter=20):
@@ -329,17 +311,44 @@ def _sequenced(pairs, start, solve):
     the pair on ever coarser grids (Kelley, *Solving Nonlinear Equations
     with Newton's Method*, SIAM 2003).
 
-    Each level solves the next coarser one, recursively, and corrects the
-    prolonged result; if the coarser level raises, or that correction
-    fails, it corrects its own start, ``start(level)`` = (u1, u2) on
-    ``pairs[level].grid``.  ``solve(pair, u1, u2, coarse)`` corrects one
-    level.  ``iterations`` and ``levels`` of the result, and of a raised
-    ``ConvergenceError``, count every level, failed corrections included;
-    the error's message ends with ``newton_text`` of its levels.
+    One loop runs from the coarsest level up.  Each level corrects the
+    prolonged result of the next coarser one; if that level failed, or the
+    correction raises, it corrects its own start, ``start(level)`` =
+    (u1, u2) on ``pairs[level].grid``, and a coarse level whose start
+    raises fails in turn.  Only a failure of the caller's grid propagates.
+    ``solve(pair, u1, u2, coarse)`` corrects one level.  ``iterations`` and
+    ``levels`` of the result, and of a raised ``ConvergenceError``, count
+    every level, failed corrections included; the error's message ends
+    with ``newton_text`` of its levels.
     """
     spent = Counter()
+
+    def correct(level, u1, u2):
+        pair = pairs[level]
+        try:
+            res = solve(pair, u1, u2, level > 0)
+        except ConvergenceError as exc:
+            spent[pair.grid.shape] += exc.iterations or 0
+            raise
+        spent[pair.grid.shape] += res.iterations
+        return res
+
+    res = None                  # the coarser level's result; None if it failed
     try:
-        res = _on_level(pairs, 0, start, solve, spent)
+        for level in reversed(range(len(pairs))):
+            if res is not None:
+                try:
+                    res = correct(level, *_resampled(res.u1, res.u2,
+                                                     pairs[level].grid))
+                    continue
+                except (ConcavityError, ConvergenceError):
+                    pass        # correct this level's own start instead
+            try:
+                res = correct(level, *start(level))
+            except (ConcavityError, ConvergenceError):
+                if level == 0:
+                    raise
+                res = None
     except ConvergenceError as exc:
         exc.iterations = sum(spent.values())
         exc.levels = tuple(sorted(spent.items()))
@@ -355,29 +364,6 @@ def newton_text(levels):
     total = sum(iters for _, iters in levels)
     per_level = ", ".join(f"{n1}x{n2}: {iters}" for (n1, n2), iters in levels)
     return f"{total} ({per_level})"
-
-
-def _on_level(pairs, level, start, solve, spent):
-    # one level of _sequenced: a closure that called itself would be a
-    # reference cycle, keeping every level's arrays until a collection
-    pair = pairs[level]
-
-    def correct(u1, u2):
-        try:
-            res = solve(pair, u1, u2, level > 0)
-        except ConvergenceError as exc:
-            spent[pair.grid.shape] += exc.iterations or 0
-            raise
-        spent[pair.grid.shape] += res.iterations
-        return res
-
-    if level + 1 < len(pairs):
-        try:
-            guess = _on_level(pairs, level + 1, start, solve, spent)
-            return correct(*_resampled(guess.u1, guess.u2, pair.grid))
-        except (ConcavityError, ConvergenceError):
-            pass                # correct this level's own start instead
-    return correct(*start(level))
 
 
 def _resampled(u1, u2, grid):
@@ -426,8 +412,10 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
     raises ``InitializationError`` naming t0, lambda(t0) and Newton's own
     message; a smaller t0 would not help, since the path starts at the
     Knothe pair and the fibers' truncation floor is highest at small t.
+    A schedule with lambda(t0) = 0 raises ``ValueError`` before any work.
     """
     schedule = schedule or CostSchedule.linear()
+    schedule.matrix(t0)
     kn = knothe_solution(pair)
     try:
         res = newton_correct_split(t0, kn.potentials.u1, kn.potentials.u2,
@@ -634,9 +622,8 @@ def run(pair, schedule=None, options=None):
     """
     schedule = schedule or CostSchedule.linear()
     opts = (options or ContinuationOptions()).validated()
-    # before any work: a K the grid cannot resolve, and lambda(t0) = 0
+    # before any work: a K the grid cannot resolve
     check_pushforward_k(opts.pushforward_k, pair.grid)
-    schedule.matrix(opts.t0)
     init = init_from_knothe(pair, schedule, opts.t0,
                             newton_tol=opts.newton_tol,
                             max_newton=opts.max_newton)

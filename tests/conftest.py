@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import tot
-from tot.continuation import _damped_newton
 from tot.grid import derivative_bundle, deriv_values
 from tot.linearized import split_coefficients
 from tot.monge_ampere import residual_state, split_values
@@ -82,15 +81,13 @@ def split_operator_residual(t, u1, u2, pair, q, v1, v2):
 
 
 def single_grid_newton(pair, start=None, tol=1e-10, max_iter=20):
-    """Damped Newton at A = I on the pair's grid alone, from zero by
-    default."""
-    grid, cost = pair.grid, tot.identity_cost()
-    (values,), st, iterations = _damped_newton(
-        (np.zeros(grid.shape) if start is None else start,),
-        lambda x: residual_state(cost, *split_values(x[0], cost.a22), pair),
-        lambda st, q, inner_tol: (tot.solve_linearized(st, q, inner_tol).values,),
-        tol, max_iter)
-    return values, st, iterations
+    """Damped Newton at A = I (t = 1) on the pair's grid alone, from zero
+    by default: (potential values, result, iterations)."""
+    grid = pair.grid
+    u1, u2 = split_values(np.zeros(grid.shape) if start is None else start, 1.0)
+    res = tot.newton_correct_split(1.0, u1, tot.field(grid, u2), pair,
+                                   tol=tol, max_iter=max_iter)
+    return res.potential.values, res, res.iterations
 
 
 @pytest.fixture(scope="session")

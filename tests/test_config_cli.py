@@ -339,16 +339,22 @@ def test_exit_code_config_error(tmp_path, capsys):
                                    # non-finite values: an infinite tolerance
                                    # would certify any state
                                    "t0 = nan", "t1 = inf", "newton_tol = inf",
-                                   "newton_tol = nan"])
+                                   "newton_tol = nan",
+                                   # t0 >= t1, with t1 left at its default
+                                   # and with t1 set
+                                   "t0 = 5", "t1 = 0.0001"])
 def test_exit_code_invalid_option(tmp_path, capsys, entry):
+    key = entry.split()[0]
+    # the message words t0 >= t1 from t1's side; the key is the entry set
+    named = "t1" if entry == "t0 = 5" else key
     cfg = write_cfg(tmp_path, MINIMAL + "grid.n1 = 16\ngrid.n2 = 16\n" + entry + "\n")
     assert run_cli("continue", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
-    assert f"options: {entry.split()[0]}" in capsys.readouterr().err
+    assert f"options: {named}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError) as info:
         load_config(cfg)
-    assert info.value.key == entry.split()[0]
+    assert info.value.key == key
 
 
 @pytest.mark.parametrize("k", [8, 100000000])

@@ -383,6 +383,34 @@ def test_raising_coarse_level_counts_its_iterations(pair128, cold_newton128,
     assert res.iterations == coarse[0] + iterations
 
 
+def test_failed_level_corrects_its_own_start_and_the_next_certifies(
+        pair256, monkeypatch):
+    # three levels from zero: the first 128^2 correction, of the prolonged
+    # 64^2 result, runs and raises; 128^2 then corrects its own start (zero)
+    # and 256^2 certifies the prolonged result of that correction
+    newton = continuation._newton
+    calls = []
+
+    def first_128_raises(cost, u1, u2, pair, *args):
+        res = newton(cost, u1, u2, pair, *args)
+        calls.append((pair.grid.shape, u2.values.copy(), res))
+        if [shape for shape, _, _ in calls] == [(64, 64), (128, 128)]:
+            raise ConvergenceError("forced failure", iterations=res.iterations)
+        return res
+
+    monkeypatch.setattr(continuation, "_newton", first_128_raises)
+    res = tot.newton_correct(tot.identity_cost(), tot.zero_field(pair256.grid),
+                             pair256)
+    assert [shape for shape, _, _ in calls] == [(64, 64), (128, 128),
+                                               (128, 128), (256, 256)]
+    (_, coarse, _), (_, prolonged, _), (_, own, corrected), (_, fine, _) = calls
+    assert not np.any(coarse) and np.any(prolonged) and not np.any(own)
+    assert np.array_equal(
+        fine, continuation.resample_values(corrected.u2.values, (256, 256)))
+    assert res.levels == (((64, 64), 4), ((128, 128), 4), ((256, 256), 0))
+    assert res.sup_residual <= 1e-10
+
+
 def test_max_iter_caps_every_level(pair128, monkeypatch):
     solves = []
     solve = continuation.solve_linearized
@@ -926,6 +954,23 @@ def test_run_refuses_a_schedule_that_vanishes_at_t0(pair64, monkeypatch):
                              r"finite, got 0\.0$"):
         tot.run(pair64, tot.CostSchedule.power(110),
                 tot.ContinuationOptions(steps=2))
+
+
+def test_init_refuses_a_schedule_that_vanishes_at_t0(monkeypatch):
+    pair = tot.standard_pair(tot.build_grid(16, 16))
+    calls = []
+    knothe = continuation.knothe_solution
+
+    def counted(pair):
+        calls.append(pair.grid.shape)
+        return knothe(pair)
+
+    monkeypatch.setattr(continuation, "knothe_solution", counted)
+    # lambda = t^110 underflows to 0.0 at t0 = 1e-3: A_t0 is no cost
+    with pytest.raises(ValueError, match=r"^a22 = lambda\(0\.001\)"):
+        continuation.init_from_knothe(pair, tot.CostSchedule.power(110),
+                                      1e-3)
+    assert calls == []
 
 
 def test_options_validation():

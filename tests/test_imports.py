@@ -40,10 +40,10 @@ def test_no_module_imports_a_private_name_of_another():
 def test_the_check_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .linearized import _kernels, coefficient_arrays\n"
-                     "from tot.continuation import _damped_newton\n"
+                     "from tot.continuation import _sequenced\n"
                      "from numpy import _globals\n", encoding="utf-8")
     assert _private_imports(probe) == [("linearized", "_kernels"),
-                                       ("tot.continuation", "_damped_newton")]
+                                       ("tot.continuation", "_sequenced")]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ form of the solution.
 - Reflection.  Negating every phase of both densities, x -> -x, reflects
   the Knothe potentials and the cold potential: node j to node
   (n - j) mod n along each axis.
-- Inverse maps.  The Knothe map from g to f inverts the one from f to g.
-  The test composes them with its own interpolant, a direct trigonometric
-  sum over the DFT coefficients of the displacements, which shares no code
-  with ``CircleMap.displacement_at``.
+- Inverse maps.  The Knothe map from g to f inverts the one from f to g,
+  and so does the optimal map at one cost A_t: the cold solve's at A = I,
+  and the continuation's at each t of its ladder.  The tests compose them
+  with their own interpolant, a direct trigonometric sum over the DFT
+  coefficients of the displacements, which shares no code with
+  ``CircleMap.displacement_at`` or the solvers.
 
 Each oracle compares two solves of different problems, so neither checks
 a function against itself.  The margins of the certifying states, min
@@ -31,9 +33,12 @@ one orientation took one more Newton step (2.3e-14, pair (600, 1) at
 Two potentials that both meet the tolerance 1e-10 may differ by about
 1e-10 / (4 pi^2 min g), hence 1e-11 for the cold solves.  Reflection read
 at most 4.8e-17 (Knothe) and 1.7e-17 (cold), with margins 2.6e-13 apart.
-The composed maps read 1.4e-15 to 2.0e-15 from the identity at 128^2, and
-4.9e-12 to 3.2e-10 at 64^2, where 64 nodes resolve the maps of pair
-(600, 1) less well.
+The composed Knothe maps read 1.4e-15 to 2.0e-15 from the identity at
+128^2, and 4.9e-12 to 3.2e-10 at 64^2, where 64 nodes resolve the maps of
+pair (600, 1) less well.  The composed optimal maps are checked at 128^2
+only (the standard pair from g to f does not certify at 64^2): the cold
+maps read 7.0e-15 to 5.4e-13, and the continuation's, at t0, the middle
+of an 8-step ladder and t1, at most 2.5e-13; bound 1e-11 for both.
 """
 
 from dataclasses import replace
@@ -50,6 +55,7 @@ KNOTHE_BOUND = 1e-13
 COLD_BOUND = 1e-11
 MARGIN_BOUND = 1e-10
 INVERSE_BOUND = {64: 1e-9, 128: 1e-14}
+MAP_INVERSE_BOUND = 1e-11
 
 
 def shifted(modes, shape):
@@ -104,6 +110,31 @@ def knothe_inverse_error(fg, gf):
     back2 = y2 - np.array([(interpolation_rows(y2[i], n2) @ rows[i]).real
                            for i in range(n1)])
     return max(np.max(np.abs(back1 - x1)), np.max(np.abs(back2 - x2)))
+
+
+def map_inverse_error(forward, back):
+    """sup |S(T(x)) - x| (mod 1) over the nodes, for T = ``forward`` and
+    S = ``back``, vector fields of map values on one grid.  S is read at
+    T(x) from its displacement x - S(x) by a direct trigonometric sum,
+    one row of points at a time."""
+    grid = forward.grid
+    n1, n2 = grid.shape
+    y1, y2 = forward.v1.values, forward.v2.values
+    error = 0.0
+    for x, y, s in zip(grid.mesh(), (y1, y2), (back.v1.values, back.v2.values)):
+        coef = dft(n1) @ (x - s) @ dft(n2).T
+        shift = np.array([np.sum((interpolation_rows(y1[i], n1) @ coef)
+                                 * interpolation_rows(y2[i], n2), axis=1).real
+                          for i in range(n1)])
+        gap = (y - shift - x + 0.5) % 1.0 - 0.5
+        error = max(error, np.max(np.abs(gap)))
+    return error
+
+
+def reversed_pair(pair):
+    """The pair from g to f on the same grid."""
+    return tot.make_density_pair(pair.g.closed_form, pair.f.closed_form,
+                                 pair.grid)
 
 
 def cold(pair):
@@ -194,7 +225,30 @@ def test_reflection_reflects_the_cold_potential(case, mirror):
 
 def test_the_knothe_maps_of_both_directions_are_inverses(case):
     pair = case[0]
-    back = tot.make_density_pair(pair.g.closed_form, pair.f.closed_form, pair.grid)
     error = knothe_inverse_error(tot.knothe_solution(pair),
-                                 tot.knothe_solution(back))
+                                 tot.knothe_solution(reversed_pair(pair)))
     assert error <= INVERSE_BOUND[pair.grid.n1]
+
+
+@pytest.fixture(scope="module", params=list(PAIRS))
+def pair_at_128(request):
+    f_modes, g_modes = PAIRS[request.param]
+    return tot.make_density_pair(tot.spec(*f_modes), tot.spec(*g_modes),
+                                 tot.build_grid(128, 128))
+
+
+def test_the_cold_maps_of_both_directions_are_inverses(pair_at_128):
+    error = map_inverse_error(cold(pair_at_128).tmap,
+                              cold(reversed_pair(pair_at_128)).tmap)
+    assert error <= MAP_INVERSE_BOUND
+
+
+def test_the_continuation_maps_of_both_directions_are_inverses(pair_at_128):
+    options = tot.ContinuationOptions(steps=8)
+    forward = tot.run(pair_at_128, options=options)
+    back = tot.run(reversed_pair(pair_at_128), options=options)
+    assert np.array_equal(forward.times(), back.times())
+    for i in (0, 4, -1):
+        error = map_inverse_error(forward.records[i].tmap,
+                                  back.records[i].tmap)
+        assert error <= MAP_INVERSE_BOUND
