@@ -6,21 +6,22 @@ The Kantorovich potential solves, along the cost schedule,
 
 with initial behaviour pinned by the rearrangement's potential pair at
 t = 0.  The continuation is a predictor-corrector.  The potential evolves
-smoothly in t, so each certified state samples a smooth curve: the next
-potential is predicted by quadratic extrapolation through the three
-newest certified states (an Euler step on the velocity field for the
-first two steps, before three exist), and a damped Newton iteration on
-the nonlinear residual corrects it, so every accepted state is an exact
-(to tolerance) Monge-Ampere solution - the trajectory's accuracy is
-certified pointwise rather than by step-size analysis.  Fixed steps are
-geometric, matching the lambda_t = t degeneration toward t0.
+smoothly in t, and the Knothe pair is its t = 0 limit, so the Knothe pair
+and each certified state sample one smooth curve: the next potential is
+predicted by Lagrange extrapolation through the two or three newest of
+them, and a damped Newton iteration on the nonlinear residual corrects it,
+so every accepted state is an exact (to tolerance) Monge-Ampere solution -
+the trajectory's accuracy is certified pointwise rather than by step-size
+analysis.  Fixed steps are geometric, matching the lambda_t = t
+degeneration toward t0.
 
 The state is carried from t0 to t1 in the decomposed coordinates
 psi = u1(x1) + lambda_t u2(x1, x2), in which the residual, its
 linearization and the velocity stay O(1) as lambda_t -> 0; the assembled
 psi is formed only for the records.  t0 stays strictly positive: the
-t = 0 state is represented by the Knothe potentials themselves, and
-``init_from_knothe`` corrects them once at t0, where the path starts.
+t = 0 state is represented by the Knothe potentials themselves, which
+``init_from_knothe`` corrects once at t0, where the records start, and
+which stay the predictor's node at t = 0 for the first two steps.
 
 A cold ``newton_correct`` at A = diag(1, a22) is the same Newton
 iteration at lambda = a22, and both solvers share one grid-sequencing
@@ -29,7 +30,7 @@ which certifies: each level corrects the prolonged result of the level
 below, or its own start if that level failed or the correction raises.
 The state that certifies a result supplies the first component of its map,
 on which a record's pushforward and L2 certificates are evaluated.  Newton
-and the velocity solve the linearized equation through the public
+and ``velocity`` solve the linearized equation through the public
 ``linearized`` operators, on the residual state they already hold.
 """
 
@@ -47,7 +48,7 @@ from .errors import (ConcavityError, ConstructionError, ConvergenceError,
 from .grid import (PeriodicGrid, ScalarField, VectorField, deriv_values,
                    level_shapes, resample_values, zero_field)
 from .knothe import KnotheSolution, knothe_solution, l2_map_distance
-from .linearized import (cost_rate_rhs, project_solvable, solve_linearized,
+from .linearized import (cost_rate_rhs, project_solvable,
                          solve_linearized_small_t)
 from .monge_ampere import (CostSchedule, check_pushforward_k,
                            pushforward_residual, residual_state, split_values)
@@ -99,13 +100,13 @@ def _positive_int(value):
     return type(value) is int and value >= 1       # bool is not an int here
 
 
-def _velocity_split(cost, u1, u2, pair, tol, warn=True):
+def _velocity_split(cost, u1, u2, pair, tol):
     """Velocity in decomposed coordinates at ``cost``: (v1, v2) with
     psi_dot = v1 + lambda v2.  The cost-rate right-hand side comes from the
     decomposed derivatives, so no 1/lambda cancellation touches the small
     component; the right-hand side and the solve share one residual state."""
     st = residual_state(cost, u1, u2, pair)
-    if warn and st.sup_residual > RESIDUAL_WARN:
+    if st.sup_residual > RESIDUAL_WARN:
         warnings.warn(
             f"velocity evaluated at sup|residual| = {st.sup_residual:.3g} > "
             f"{RESIDUAL_WARN:g}; the state is far from solved", stacklevel=3)
@@ -207,11 +208,10 @@ def _newton(cost, u1, u2, pair, tol, max_iter, coarse=False):
                 residual=sup, iterations=max_iter)
         q = ScalarField(grid, st.residual - np.mean(st.residual))
         inner_tol = min(1e-2, max(1e-12, 1e-2 * sup, 0.1 * tol / sup))
-        d1, d2 = split_values(solve_linearized(st, q, inner_tol).values,
-                              cost.a22)
+        d1, d2 = solve_linearized_small_t(st, q, inner_tol)
         s = 1.0
         while s >= 2.0 ** -20:
-            c1, c2 = u1 - s * d1, u2 - s * d2
+            c1, c2 = u1 - s * d1, u2 - s * d2.values
             try:
                 cand_st = residual_state(cost, c1, c2, pair)
             except ConcavityError:
@@ -501,14 +501,13 @@ def trajectory_summary_csv(trajectory, path):
 
 @dataclass
 class _State:
-    """A certified continuation state on one grid: the decomposed pair at
-    t, its velocity (v1, v2) and its restriction to the next coarser
-    grid, each computed on first use."""
+    """A certified continuation state on one grid, or the Knothe pair as
+    the path's node at t = 0: the decomposed pair at t and its restriction
+    to the next coarser grid, computed on first use."""
 
     t: float
     u1: np.ndarray
     u2: ScalarField
-    velocity: tuple = None
     coarse: "_State" = None
 
     def restricted(self, grid):
@@ -518,64 +517,47 @@ class _State:
         return self.coarse
 
 
-def _predict(history, t_next, pair, schedule, warn=True):
+def _predict(history, t_next, pair, schedule):
     """Predictor (u1, u2) at t_next on ``pair.grid`` from the newest
-    certified states ``history``, oldest first.
+    nodes of the path ``history``, oldest first: two or three certified
+    states, or the Knothe pair at t = 0 and one or two of them.
 
-    From three states: quadratic Lagrange extrapolation in t of u1 and of
-    lambda u2, with the states' true times as nodes.  The corrector cannot
-    change the Nyquist modes, and the extrapolation weights, which sum to
-    1 but are not all in [0, 1], would amplify their rounding step after
-    step, so the increment over the newest state is projected onto the solver
-    subspace.  From fewer states: an Euler step on the velocity at the
-    newest state (``warn`` as for that velocity), whose increment has no
-    Nyquist content.
+    Lagrange extrapolation in t of u1 and of lambda u2, with the nodes'
+    true times, so it is linear through two nodes and quadratic through
+    three; at t = 0, lambda u2 = 0.  The corrector cannot change the
+    Nyquist modes, and the extrapolation weights, which sum to 1 but are
+    not all in [0, 1], would amplify their rounding step after step, so
+    the increment over the newest node is projected onto the solver
+    subspace.
     """
     state = history[-1]
-    lam_t = schedule.lam(state.t)
-    lam_next = schedule.lam(t_next)
-    if len(history) < 3:
-        # exact decomposed arithmetic: u1 += dt v1,
-        # u2 -> (lam_t (u2 + dt v2)) / lam_next
-        dt = t_next - state.t
-        if state.velocity is None:
-            state.velocity = _velocity_split(
-                schedule.matrix(state.t), state.u1, state.u2.values, pair,
-                VELOCITY_TOL, warn=warn)
-        v1, v2 = state.velocity
-        p1 = state.u1 + dt * v1
-        p2v = lam_t * (state.u2.values + dt * v2.values) / lam_next
-    else:
-        # the newest node's weight multiplies a zero difference
-        a, b = history[-3:-1]
-        ta, tb, tc = a.t, b.t, state.t
-        wa = (t_next - tb) * (t_next - tc) / ((ta - tb) * (ta - tc))
-        wb = (t_next - ta) * (t_next - tc) / ((tb - ta) * (tb - tc))
-        d1 = wa * (a.u1 - state.u1) + wb * (b.u1 - state.u1)
-        lu2 = lam_t * state.u2.values
-        d2 = (wa * (schedule.lam(ta) * a.u2.values - lu2)
-              + wb * (schedule.lam(tb) * b.u2.values - lu2))
-        p1 = state.u1 + resample_values(d1, d1.shape)
-        p2v = (lu2 + resample_values(d2, d2.shape)) / lam_next
+    lu2 = schedule.lam(state.t) * state.u2.values
+    d1 = d2 = 0.0
+    # the newest node's weight multiplies a zero difference
+    for node in history[:-1]:
+        others = [other.t for other in history if other is not node]
+        w = (math.prod(t_next - t for t in others)
+             / math.prod(node.t - t for t in others))
+        d1 += w * (node.u1 - state.u1)
+        d2 += w * (schedule.lam(node.t) * node.u2.values - lu2)
+    p1 = state.u1 + resample_values(d1, d1.shape)
+    p2v = (lu2 + resample_values(d2, d2.shape)) / schedule.lam(t_next)
     return p1, ScalarField(pair.grid, p2v - p2v.mean(axis=1, keepdims=True))
 
 
 def _step(history, t_next, pairs, schedule, opts):
-    """Predictor-corrector step from the certified states ``history``
-    (oldest first, at most three) to t_next, grid-sequenced over
-    ``pairs`` by :func:`_sequenced`: the result, or None when the step is
-    rejected.  A level's start is the predictor from the history restricted
-    to its grid; ``newton_correct_split`` certifies on the caller's grid."""
+    """Predictor-corrector step from the nodes ``history`` (oldest first,
+    at most three) to t_next, grid-sequenced over ``pairs`` by
+    :func:`_sequenced`: the result, or None when the step is rejected.  A
+    level's start is the predictor from the history restricted to its
+    grid; ``newton_correct_split`` certifies on the caller's grid."""
     cost = schedule.matrix(t_next)
 
     def start(level):
         states = history
         for coarse in pairs[1:level + 1]:
             states = [s.restricted(coarse.grid) for s in states]
-        # a coarse state is a certified one restricted: its residual is the
-        # coarse grid's truncation floor, which says nothing about the path
-        return _predict(states, t_next, pairs[level], schedule,
-                        warn=level == 0)
+        return _predict(states, t_next, pairs[level], schedule)
 
     def solve(pair, u1, u2, coarse):
         if coarse:
@@ -596,11 +578,12 @@ def run(pair, schedule=None, options=None):
 
     Returns a :class:`Trajectory`.  The state is carried and corrected in
     the decomposed coordinates (u1, u2) throughout.  Each step is
-    predicted by quadratic extrapolation in t through the three newest
-    certified states, at their true times, so bisected and adaptive steps
-    are extrapolated over unequal spacing; the first two steps, before
-    three states exist, take an Euler step on the velocity, so a run
-    solves two velocities.  Fixed steps climb the geometric ladder
+    predicted by Lagrange extrapolation in t through the three newest
+    nodes of the path, at their true times, so bisected and adaptive steps
+    are extrapolated over unequal spacing.  The Knothe pair is the node
+    at t = 0, though not a record: the first step is linear through
+    (0, t0) and the second quadratic through (0, t0, t1), so a run solves
+    no velocity.  Fixed steps climb the geometric ladder
     t0 (t1 / t0)^(k / steps) from t0, as lambda_t = t degenerates
     geometrically toward 0.  Steps are accepted only if Newton converges
     and the margin stays positive; a rejected step is split (halved in
@@ -612,8 +595,8 @@ def run(pair, schedule=None, options=None):
     Brenier map for A = diag(1,1).
 
     Each step is grid-sequenced like a cold ``newton_correct``: the whole
-    predictor-corrector first runs on the halved grids, from the certified
-    states restricted there, and ``newton_correct_split`` certifies the
+    predictor-corrector first runs on the halved grids, from the nodes
+    restricted there, and ``newton_correct_split`` certifies the
     prolonged result on the caller's grid; if either fails, the attempt
     falls back to the caller's-grid predictor and corrector before it
     counts as rejected.  A record's ``newton_iters`` counts the steps of
@@ -630,9 +613,9 @@ def run(pair, schedule=None, options=None):
     kn = init.knothe
     knothe_field = kn.map_field()
     records = []
-    # the newest certified states, oldest first; they share their arrays
-    # with the records
-    history = []
+    # the newest nodes of the path, oldest first: the Knothe pair at t = 0,
+    # then the certified states, which share their arrays with the records
+    history = [_State(0.0, kn.potentials.u1, kn.potentials.u2)]
     pairs = _levels(pair)
 
     def accept(t, result):
@@ -678,8 +661,9 @@ def run(pair, schedule=None, options=None):
                 dt *= 2.0
                 easy_streak = 0
     else:
-        pending = list(opts.t0 * (opts.t1 / opts.t0)
-                       ** (np.arange(1, opts.steps + 1) / opts.steps))
+        # the last rung is t1 itself, which the power may miss by an ulp
+        pending = [*(opts.t0 * (opts.t1 / opts.t0)
+                     ** (np.arange(1, opts.steps) / opts.steps)), opts.t1]
         while pending:
             t_next, t = pending[0], history[-1].t
             trial = _step(history, t_next, pairs, schedule, opts)

@@ -9,6 +9,7 @@ workloads or test module (which sets up output directories on import).
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,3 +96,35 @@ def test_every_bench_binding_resolves(names):
     for name in names:
         assert hasattr(target, name), ".".join(names)
         target = getattr(target, name)
+
+
+def test_a_nested_run_exercises_the_counters_the_benchmark_requires(
+        monkeypatch):
+    # bench/test_repeatability.py requires, on its CLI workload, PCG solves
+    # that solve_linearized_small_t makes (linearized.small_t_fallbacks)
+    # and iterations of newton_correct_split: a nested run at 128^2 must
+    # reach both, or those counters read 0 and the benchmark's self-test
+    # fails outside the test path
+    small_t = tot.linearized.solve_linearized_small_t.__code__
+    solve = tot.linearized.solve_linearized
+    inside_small_t = []
+
+    def spied_solve(*args, **kwargs):
+        inside_small_t.append(sys._getframe(1).f_code is small_t)
+        return solve(*args, **kwargs)
+
+    correct = tot.continuation.newton_correct_split
+    corrections = []
+
+    def spied_correct(*args, **kwargs):
+        corrections.append(args[0])
+        return correct(*args, **kwargs)
+
+    monkeypatch.setattr(tot.linearized, "solve_linearized", spied_solve)
+    monkeypatch.setattr(tot.continuation, "newton_correct_split",
+                        spied_correct)
+    pair = tot.standard_pair(tot.build_grid(128, 128))
+    traj = tot.run(pair, options=tot.ContinuationOptions(steps=4))
+    assert len(traj.records) == 5
+    assert any(inside_small_t)
+    assert corrections

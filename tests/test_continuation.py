@@ -413,13 +413,13 @@ def test_failed_level_corrects_its_own_start_and_the_next_certifies(
 
 def test_max_iter_caps_every_level(pair128, monkeypatch):
     solves = []
-    solve = continuation.solve_linearized
+    solve = continuation.solve_linearized_small_t
 
     def counted(st, *args):
         solves.append(st.grid.shape)
         return solve(st, *args)
 
-    monkeypatch.setattr(continuation, "solve_linearized", counted)
+    monkeypatch.setattr(continuation, "solve_linearized_small_t", counted)
     with pytest.raises(ConvergenceError, match="in 1 iterations"):
         tot.newton_correct(tot.identity_cost(), tot.zero_field(pair128.grid),
                            pair128, max_iter=1)
@@ -524,8 +524,10 @@ def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
 
 
 # per-record Newton steps and t ladder of the default 32-step run on the
-# standard pair at 64^2 before the forcing term had its floor
-LADDER_NEWTON_ITERS = [2] + [1] * 15 + [2] * 17
+# standard pair at 64^2.  The t ladder is the one from before the forcing
+# term had its floor; the steps are those of the predictor through the
+# Knothe node, whose linear first step takes 2 where the Euler step took 1
+LADDER_NEWTON_ITERS = [2, 2] + [1] * 14 + [2] * 17
 LADDER_T = [
     0.001, 0.0012409377607517195, 0.0015399265260594918, 0.0019109529749704406,
     0.002371373705661655, 0.002942727176209282, 0.003651741272548377,
@@ -543,7 +545,7 @@ LADDER_T = [
 def test_forcing_floor_keeps_the_newton_steps_and_ladder(pair64):
     traj = tot.run(pair64)
     assert [rec.newton_iters for rec in traj.records] == LADDER_NEWTON_ITERS
-    assert sum(LADDER_NEWTON_ITERS) == 51
+    assert sum(LADDER_NEWTON_ITERS) == 52
     assert [rec.t for rec in traj.records] == LADDER_T
     _certified_on(pair64, traj)
 
@@ -665,6 +667,16 @@ def test_fixed_ladder_from_a_small_t0_certifies(pair64):
     _certified_on(pair64, traj)
 
 
+def test_fixed_ladder_ends_at_t1_itself(pair64):
+    # the last rung of t0 (t1 / t0)^(k / steps), k = steps, misses t1 = 1 by
+    # an ulp at t0 = 1e-5
+    opts = tot.ContinuationOptions(t0=1e-5, steps=2)
+    assert opts.t0 * (opts.t1 / opts.t0) ** 1.0 != opts.t1
+    traj = tot.run(pair64, options=opts)
+    assert traj.final.t == opts.t1
+    _certified_on(pair64, traj)
+
+
 def _single_grid(monkeypatch):
     """Make every grid too small to nest."""
     monkeypatch.setattr(tot.grid, "COARSEST_SIDE", 1 << 20)
@@ -694,13 +706,13 @@ def _recorded_velocity_shapes(monkeypatch):
     return shapes
 
 
-def test_run_single_grid_solves_two_velocities(pair64, monkeypatch):
-    # steps 1 and 2 take Euler from the velocity; from step 3 on, three
-    # certified states exist and the predictor extrapolates through them
+def test_run_single_grid_solves_no_velocity(pair64, monkeypatch):
+    # steps 1 and 2 extrapolate through the Knothe node at t = 0; from
+    # step 3 on, through the three newest certified states
     shapes = _recorded_velocity_shapes(monkeypatch)
     opts = tot.ContinuationOptions(steps=8)
     traj = tot.run(pair64, options=opts)
-    assert shapes == [(64, 64)] * 2
+    assert shapes == []
     assert len(traj.records) == 9 and traj.final.t == 1.0
     _certified_on(pair64, traj)
 
@@ -732,12 +744,64 @@ def test_predictor_reproduces_a_quadratic_path(pair64):
 
     history = [continuation._State(t, path(t)[0], tot.field(grid, path(t)[1]))
                for t in (0.3, 0.42, 0.6)]
-    opts = tot.ContinuationOptions()
     for t_next in (0.6 + 1e-3, 0.8, 1.0):
-        p1, p2 = continuation._predict(history, t_next, pair64, sched, opts)
+        p1, p2 = continuation._predict(history, t_next, pair64, sched)
         exact1, exact2 = path(t_next)
         assert np.max(np.abs(p1 - exact1)) < 1e-13
         assert np.max(np.abs(p2.values - exact2)) < 1e-13
+
+
+def test_predictor_through_the_knothe_node_reproduces_a_linear_path(pair64):
+    # u1 and lambda u2 linear in t, with lambda_0 u2 = 0 at the node t = 0
+    # whatever u2 is there: extrapolation through (0, t0) is exact
+    rng = np.random.default_rng(11)
+    grid = pair64.grid
+    x1 = np.arange(grid.n1) / grid.n1
+    sched = tot.CostSchedule.power(2)
+
+    def fiber():
+        b = 0.1 * band_limited(grid, 4, rng)
+        return b - b.mean(axis=1, keepdims=True)
+
+    c1 = [sum(rng.normal() * np.cos(2 * np.pi * k * x1 + rng.normal())
+              for k in range(1, 5)) for _ in range(2)]
+    slope2 = fiber()
+
+    def path(t):
+        return c1[0] + t * c1[1], t * slope2 / sched.lam(t)
+
+    node = continuation._State(0.0, c1[0], tot.field(grid, fiber()))
+    t0 = 0.3
+    history = [node, continuation._State(t0, path(t0)[0],
+                                         tot.field(grid, path(t0)[1]))]
+    for t_next in (t0 + 1e-3, 0.6, 1.0):
+        p1, p2 = continuation._predict(history, t_next, pair64, sched)
+        exact1, exact2 = path(t_next)
+        assert np.max(np.abs(p1 - exact1)) < 1e-13
+        assert np.max(np.abs(p2.values - exact2)) < 1e-13
+
+
+def test_run_predicts_its_first_two_steps_through_the_knothe_node(pair64,
+                                                                  monkeypatch):
+    nodes = []
+    predict = continuation._predict
+
+    def recorded(history, t_next, *args, **kwargs):
+        nodes.append(([s.t for s in history], t_next, history[0].u1))
+        return predict(history, t_next, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "_predict", recorded)
+    traj = tot.run(pair64, options=tot.ContinuationOptions(steps=8))
+    t = traj.times()
+    assert traj.records[0].t == traj.options.t0 == t[0]
+    # 64^2 does not nest: one prediction per step
+    assert len(nodes) == 8
+    assert nodes[0][:2] == ([0.0, t[0]], t[1])
+    assert nodes[1][:2] == ([0.0, t[0], t[1]], t[2])
+    assert nodes[2][:2] == (list(t[:3]), t[3])
+    # the node at t = 0 is the Knothe pair itself
+    assert nodes[0][2] is nodes[1][2] is traj.knothe.potentials.u1
+    _certified_on(pair64, traj)
 
 
 def test_extrapolation_keeps_an_under_resolved_pair_on_the_ladder(monkeypatch):
@@ -907,12 +971,12 @@ def test_run_below_128_does_not_nest(pair64, monkeypatch):
                for rec in traj.records)
 
 
-def test_nested_run_solves_two_velocities_on_64(pair128, cold_newton128,
-                                                monkeypatch):
+def test_nested_run_solves_no_velocity(pair128, cold_newton128,
+                                       monkeypatch):
     velocity_shapes = _recorded_velocity_shapes(monkeypatch)
     traj = tot.run(pair128, options=tot.ContinuationOptions(steps=16))
-    # Euler for steps 1 and 2, both on 64^2; then extrapolation
-    assert velocity_shapes == [(64, 64)] * 2
+    # every step extrapolates, on 64^2 and on 128^2
+    assert velocity_shapes == []
     assert all(rec.levels[0][0] == (64, 64) for rec in traj.records[1:])
     _certified_on(pair128, traj)
     diff = traj.final.psi.values - cold_newton128.potential.values

@@ -1,11 +1,11 @@
 """Property-based tests: config parsing, field files, circle densities and
-maps, the margin of a residual state, the cold solve and the nested Knothe
-fiber sweep.
+maps, the margin of a residual state, the cold solve, the nested Knothe
+fiber sweep and the continuation.
 
 Example counts are capped in ``FUZZ``, ``FUZZ_FIBERS``, ``FUZZ_FLOOR``,
-``FUZZ_MARGIN``, ``FUZZ_SOLVE`` and ``FUZZ_KNOTHE`` so the module adds
-seconds, not minutes, to the suite; raise ``max_examples`` there for a
-longer search.
+``FUZZ_MARGIN``, ``FUZZ_SOLVE``, ``FUZZ_KNOTHE`` and ``FUZZ_RUN`` so the
+module adds seconds, not minutes, to the suite; raise ``max_examples``
+there for a longer search.
 """
 
 import itertools
@@ -21,8 +21,8 @@ from hypothesis.extra.numpy import arrays
 import tot
 from tot.config import _SCHEMA, _parse_lines
 from tot.densities import DELTA_MIN
-from tot.errors import (ConcavityError, ConfigError, CutLocusError,
-                        PositivityError, TransportError)
+from tot.errors import (ConcavityError, ConfigError, ConstructionError,
+                        CutLocusError, PositivityError, TransportError)
 from tot.fieldio import MAGIC, read_field_binary, write_field_binary
 from tot.grid import ScalarField, build_grid
 from tot.monge_ampere import residual_state
@@ -533,3 +533,60 @@ def test_stacked_inversion_solves_each_row_as_alone(f_modes, g_modes):
                 row, s[i], None if x0 is None else x0[i], tol=1e-15, nodes=x,
                 theta0=None if theta0 is None else theta0[[i]])
             assert np.array_equal(alone, y[i]) and alone_theta == theta[i]
+
+
+# the continuation at 32^2 (which does not nest) across schedules, t0 and
+# step settings: every draw certifies t1 or raises a TransportError, and
+# every record, of a full or a partial trajectory, is finite and
+# certified.  Densities are of the benchmark's class (three of the four
+# |k|_inf <= 1 wavevectors at amplitude 0.15) or of a wider one (1-3
+# modes with |k|_inf <= 2 and a total amplitude in [0.05, 0.5] split at
+# random), so every density stays above 0.5
+FUZZ_RUN = settings(max_examples=100, deadline=None)
+GRID32 = build_grid(32, 32)
+_BENCH_WAVEVECTORS = ((1, 0), (0, 1), (1, 1), (1, -1))
+_phase = st.floats(0.0, 2 * np.pi, exclude_max=True)
+_bench_density = st.tuples(st.integers(0, 3), st.lists(
+    _phase, min_size=3, max_size=3)).map(lambda d: [
+        (k1, k2, 0.15, phase) for (k1, k2), phase in zip(
+            [k for i, k in enumerate(_BENCH_WAVEVECTORS) if i != d[0]], d[1])])
+_wide_density = st.tuples(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), _phase,
+                       st.floats(1e-6, 1.0, exclude_max=True)).filter(
+                           lambda m: m[:2] != (0, 0)),
+             min_size=1, max_size=3),
+    st.floats(0.05, 0.5)).map(lambda d: [
+        (k1, k2, d[1] * -np.log(u) / sum(-np.log(m[3]) for m in d[0]), phase)
+        for k1, k2, phase, u in d[0]])
+_pair_modes = st.one_of(
+    st.tuples(st.just("bench"), _bench_density, _bench_density),
+    st.tuples(st.just("wide"), _wide_density, _wide_density))
+
+
+def _assert_certified(records, tol):
+    for rec in records:
+        assert all(np.isfinite(value) for value in (
+            rec.t, rec.lam, rec.margin, rec.sup_residual,
+            rec.pushforward_residual, rec.l2_dist_to_knothe))
+        assert np.all(np.isfinite(rec.u1))
+        assert np.all(np.isfinite(rec.psi2.values))
+        assert rec.sup_residual <= tol and rec.margin > 0.0
+
+
+@FUZZ_RUN
+@given(_pair_modes, st.integers(1, 10), st.floats(-10.0, -2.0),
+       st.sampled_from([2, 8, "adaptive"]))
+def test_run_certifies_or_raises_typed_error(modes, p, log_t0, steps):
+    _, f_modes, g_modes = modes
+    pair = tot.make_density_pair(tot.spec(*f_modes), tot.spec(*g_modes),
+                                 GRID32)
+    opts = tot.ContinuationOptions(t0=10.0 ** log_t0, steps=steps)
+    try:
+        traj = tot.run(pair, tot.CostSchedule.power(p), opts)
+    except TransportError as exc:
+        assert not isinstance(exc, ConstructionError), exc
+        partial = getattr(exc, "trajectory", None)
+        _assert_certified(partial.records if partial else [], opts.newton_tol)
+        return
+    assert traj.times()[0] == opts.t0 and traj.final.t == opts.t1
+    _assert_certified(traj.records, opts.newton_tol)
