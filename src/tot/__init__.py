@@ -22,10 +22,9 @@ from .grid import (PeriodicGrid, ScalarField, VectorField, build_grid, field,
 from .knothe import (KnothePotentials, KnotheSolution, fiber_pushforward_error,
                      knothe_solution, l2_map_distance,
                      marginal_and_conditionals)
-from .linearized import (SplitCoefficients, apply_linearized,
-                         apply_linearized_t0, cost_rate_rhs, solve_linearized,
-                         solve_linearized_small_t, solve_linearized_t0,
-                         split_coefficients)
+from .linearized import (apply_linearized, apply_linearized_t0, cost_rate_rhs,
+                         solve_linearized, solve_linearized_small_t,
+                         solve_linearized_t0, split_coefficients)
 from .monge_ampere import (CostMatrix, CostSchedule, check_admissible,
                            identity_cost, pushforward_residual, t0_margins,
                            transport_map)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from .continuation import ContinuationOptions
 from .densities import CATALOG, DensityPair, DensitySpec, make_density_pair
 from .errors import ConfigError, PositivityError
-from .grid import build_grid
+from .grid import MIN_SIZE, build_grid
 from .monge_ampere import CostSchedule, check_pushforward_k
 
 
@@ -171,10 +171,13 @@ def config_from_entries(entries):
     g_spec = _density_from_entries(merged, "g")
 
     schedule = _schedule_from_entry(merged["lambda"])
+    n1 = merged["grid.n1"]
     try:
-        grid = build_grid(merged["grid.n1"], merged["grid.n2"])
+        grid = build_grid(n1, merged["grid.n2"])
     except Exception as exc:
-        raise ConfigError(f"grid: {exc}", key="grid.n1") from exc
+        # the side that failed; n1 when both do, as with --grid
+        key = "grid.n1" if n1 < MIN_SIZE or n1 % 2 else "grid.n2"
+        raise ConfigError(f"grid: {exc}", key=key) from exc
     options = ContinuationOptions(**{f.name: merged[f.name] for f in _OPTIONS})
     try:
         options.validated()

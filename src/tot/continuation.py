@@ -375,17 +375,19 @@ def _resampled(u1, u2, grid):
             ScalarField(grid, resample_values(u2.values, grid.shape)))
 
 
-def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
-                         max_iter=20):
-    """Damped Newton on the decomposed potential u1 + lambda_t u2, t > 0,
-    on the caller's grid alone.
+def newton_correct_split(cost, u1, u2, pair, tol=1e-10, max_iter=20):
+    """Damped Newton on the decomposed potential u1 + lambda u2 at the cost
+    A = diag(1, lambda), lambda = ``cost.a22`` > 0, on the caller's grid
+    alone.  As for :func:`newton_correct`, the caller builds the cost, so
+    no schedule is assumed here: ``init_from_knothe`` and ``run``'s steps
+    pass ``schedule.matrix(t)``.
 
     Each step solves the linearized equation for the zero-mean projected
     residual, splits the direction v as v1 = int v dx2,
     v2 = (v - v1) / lambda, and backtracks (s halved from 1) until the
     sup-residual decreases and the margin stays positive.  The assembled
     potential stores the fiber component a factor lambda below the
-    marginal one, so at small t float64 cannot represent it accurately
+    marginal one, so at small lambda float64 cannot represent it accurately
     enough to push the residual below roughly eps * (pi n)^2 / lambda.
     The decomposed state has no such floor, but its direction, split from
     one assembled solve, does: about eps / lambda in v2
@@ -393,8 +395,7 @@ def newton_correct_split(t, u1, u2, pair, schedule=None, tol=1e-10,
     result's ``map1``.
     """
     _check_positive_finite("tol", tol)
-    return _newton((schedule or CostSchedule.linear()).matrix(t), u1, u2,
-                   pair, tol, max_iter)
+    return _newton(cost, u1, u2, pair, tol, max_iter)
 
 
 @dataclass
@@ -414,17 +415,15 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
     Knothe pair and the fibers' truncation floor is highest at small t.
     A schedule with lambda(t0) = 0 raises ``ValueError`` before any work.
     """
-    schedule = schedule or CostSchedule.linear()
-    schedule.matrix(t0)
+    cost = (schedule or CostSchedule.linear()).matrix(t0)
     kn = knothe_solution(pair)
     try:
-        res = newton_correct_split(t0, kn.potentials.u1, kn.potentials.u2,
-                                   pair, schedule, tol=newton_tol,
-                                   max_iter=max_newton)
+        res = newton_correct_split(cost, kn.potentials.u1, kn.potentials.u2,
+                                   pair, tol=newton_tol, max_iter=max_newton)
     except (ConvergenceError, ConcavityError) as exc:
         raise InitializationError(
             f"could not initialize from the rearrangement at t0 = {t0:.3g} "
-            f"(lambda = {schedule.lam(t0):.3g}): {exc}; try a larger grid "
+            f"(lambda = {cost.a22:.3g}): {exc}; try a larger grid "
             "or smoother densities") from exc
     return InitResult(**vars(res), knothe=kn)
 
@@ -563,8 +562,7 @@ def _step(history, t_next, pairs, schedule, opts):
         if coarse:
             return _newton(cost, u1, u2, pair, opts.newton_tol,
                            opts.max_newton, coarse=True)
-        return newton_correct_split(t_next, u1, u2, pair, schedule,
-                                    tol=opts.newton_tol,
+        return newton_correct_split(cost, u1, u2, pair, tol=opts.newton_tol,
                                     max_iter=opts.max_newton)
 
     try:

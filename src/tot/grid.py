@@ -108,8 +108,10 @@ class VectorField:
         return self.v1.grid
 
 
-def field(grid, values, zero_mean=False, closed_form=None):
-    return ScalarField(grid, values, zero_mean=zero_mean, closed_form=closed_form)
+def field(grid, values):
+    """The values on ``grid`` as a ScalarField, without flags or a closed
+    form."""
+    return ScalarField(grid, values)
 
 
 def zero_field(grid):

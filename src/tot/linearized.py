@@ -36,17 +36,16 @@ triangular inverse built from 1D primitives.  At t > 0 they reuse the
 assembled preconditioned solve, whose solution is split as
 v1 = int v dx2, v2 = (v - v1) / lambda, so v2 has a floor of about
 eps / lambda (``solve_linearized_small_t``).  The splitting
-B = U + V / lambda, every stored entry O(1) as t -> 0, reads the
-``split_factors`` of the residual state, so it checks those solutions
-independently only in how it applies B to (v1, v2); the coefficients' own
-oracle is the central difference of the residual (acceptance criterion
-2).  At t = 0 its entries are the coefficients of the triangular limit
-operator.
+B = U + V / lambda (``split_coefficients``, at the lambda it is given),
+every entry O(1) as lambda -> 0, reads the same ``split_factors`` as the
+residual state, so it checks those solutions independently only in how
+it applies B to (v1, v2); the coefficients' own oracle is the central
+difference of the residual (acceptance criterion 2).  At lambda = 0 its
+arrays are the coefficients of the triangular limit operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,11 +53,10 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grid import (ScalarField, antideriv_values, deriv_values, irfft2, rfft2,
                    symbols)
-from .monge_ampere import (CostSchedule, check_admissible, split_factors,
-                           split_values)
+from .monge_ampere import check_admissible, split_factors, split_values
 
 __all__ = [
-    "SplitCoefficients", "split_coefficients", "project_solvable",
+    "split_coefficients", "project_solvable",
     "apply_linearized", "cost_rate_rhs", "solve_linearized",
     "apply_linearized_t0", "solve_linearized_t0", "solve_linearized_small_t",
 ]
@@ -139,25 +137,14 @@ def coefficient_arrays(st):
             st.g_at_t * st.row / st.cost.a22)
 
 
-@dataclass
-class SplitCoefficients:
-    """B = U + V / lambda with U22 = V11 = V12 = 0 and V22 > 0:
-    B11 = u11, B12 = u12 and B22 = v22 / lambda."""
-
-    u11: np.ndarray
-    u12: np.ndarray
-    v22: np.ndarray
-    lam: float
-
-
-def split_coefficients(t, u1, u2, pair, schedule=None):
-    """Splitting of B in the decomposed coordinates, t >= 0; every stored
-    entry is O(1) as t -> 0, and at t = 0 they are the coefficients
-    c11, c21, c22 of the limit operator."""
-    schedule = schedule or CostSchedule.linear()
-    lam = schedule.lam(t)
+def split_coefficients(lam, u1, u2, pair):
+    """Splitting B = U + V / lambda in the decomposed coordinates at
+    lambda = ``lam`` >= 0, with U22 = V11 = V12 = 0 and V22 > 0: the arrays
+    (u11, u12, v22), so that B11 = u11, B12 = u12 and B22 = v22 / lambda.
+    Every entry is O(1) as lambda -> 0, and at lambda = 0 they are the
+    coefficients c11, c21, c22 of the limit operator."""
     g_at_t, row, fiber, cross, *_ = split_factors(u1, u2.values, lam, pair)
-    return SplitCoefficients(g_at_t * fiber, g_at_t * cross, g_at_t * row, lam)
+    return g_at_t * fiber, g_at_t * cross, g_at_t * row
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +288,7 @@ def apply_linearized_t0(u1, u2, pair, v1, v2):
     with c11 = g0 (1 - d22 u2), c21 = g0 d12 u2, c22 = g0 (1 - d11 u1)
     and g0 the target density composed with the limit map.
     """
-    c = split_coefficients(0.0, u1, u2, pair)
-    c11, c21, c22 = c.u11, c.u12, c.v22
+    c11, c21, c22 = split_coefficients(0.0, u1, u2, pair)
     v1p = deriv_values(np.asarray(v1, float), 0, 1)[:, None]
     w1 = c11 * v1p
     w2 = c21 * v1p + c22 * deriv_values(v2.values, 1, 1)
@@ -344,8 +330,7 @@ def solve_linearized_t0(u1, u2, pair, q):
     scale = 1.0 + float(np.max(np.abs(qv)))
     if abs(float(np.mean(qv))) > 1e-10 * scale:
         raise ValueError("right-hand side must have zero mean")
-    c = split_coefficients(0.0, u1, u2, pair)
-    c11, c21, c22 = c.u11, c.u12, c.v22
+    c11, c21, c22 = split_coefficients(0.0, u1, u2, pair)
 
     big_g = c11.mean(axis=1)
     if np.min(big_g) <= 0.0:

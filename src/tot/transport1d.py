@@ -31,8 +31,9 @@ from .errors import ConstructionError, ConvergenceError, CutLocusError, Positivi
 from .grid import antideriv_values
 from .trig import TWO_PI, TrigPoly1D, frac
 
-NEWTON_TOL = 1e-14
-SHIFT_TOL = 1e-13
+# the stopping tolerance of every inversion, on each cdf residual and on
+# the mean displacement: a warm start stops where a cold one does
+NEWTON_TOL = 1e-15
 MAX_DISPLACEMENT = 0.5
 ROW_BLOCK = 2 ** 14      # entries of a stack that one Newton loop holds
 
@@ -69,7 +70,7 @@ def circle_density(closed_form, m):
     return CircleDensity(closed_form, _density_floor(closed_form), m)
 
 
-def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None):
+def invert_lifted_cdf(d, w, x0=None, *, nodes=None, theta0=None):
     """Solve Glift(y) = w for the lifted cumulative function of ``d``.
 
     Glift(y + 1) = Glift(y) + 1, so w may be any real; the root of a level
@@ -83,11 +84,12 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None)
     narrows each entry's bracket by the sign of its residual
     F = G(y - base) - frac(w + theta); a Newton step that leaves the
     bracket takes its false position.  A row is done on its residuals only,
-    every |F| <= tol and, with the shift, |mean(y - x)| <= SHIFT_TOL; it
-    keeps its values.  Rows done at the start leave the arrays before any
-    bracket is built; later, done rows leave once they are half.  Rows are
-    independent, so a stack runs in blocks of ROW_BLOCK entries: each
-    array of the loop stays at 128 KB, whatever the size of the stack.
+    every |F| and, with the shift, |mean(y - x)| at most the one tolerance
+    NEWTON_TOL, from a warm start as from a cold one; it keeps its values.
+    Rows done at the start leave the arrays before any bracket is built;
+    later, done rows leave once they are half.  Rows are independent, so
+    a stack runs in blocks of ROW_BLOCK entries: each array of the loop
+    stays at 128 KB, whatever the size of the stack.
     An integer level, or a row whose warm start ``x0`` is at its roots,
     comes back unchanged.
 
@@ -113,12 +115,12 @@ def invert_lifted_cdf(d, w, x0=None, tol=NEWTON_TOL, *, nodes=None, theta0=None)
                                                       d.floor[b], d.m)
         _newton_rows(part, s[b], None if x0 is None else np.reshape(x0, s.shape)[b],
                      None if theta0 is None else np.reshape(theta0, len(s))[b],
-                     tol, nodes, y[b], theta[b])
+                     nodes, y[b], theta[b])
     y = y.reshape(np.shape(w))
     return (y, theta.reshape(y.shape[:-1])) if nodes is not None else y
 
 
-def _newton_rows(d, s, x0, theta0, tol, nodes, out, out_theta):
+def _newton_rows(d, s, x0, theta0, nodes, out, out_theta):
     """The loop of ``invert_lifted_cdf`` on the rows of ``d``, one block of
     the stack, which writes their roots and shifts into ``out`` and
     ``out_theta``."""
@@ -138,7 +140,7 @@ def _newton_rows(d, s, x0, theta0, tol, nodes, out, out_theta):
         err -= r                            # F, in place of the cdf
         res = np.max(np.abs(err), axis=-1)
         mean_err = np.mean(y - nodes, axis=-1) if centre else theta
-        done = (res <= tol) & (np.abs(mean_err) <= SHIFT_TOL)
+        done = (res <= NEWTON_TOL) & (np.abs(mean_err) <= NEWTON_TOL)
         # rows done in the first pass leave before any bracket is built
         if (k == 0 and done.any()) or 2 * np.count_nonzero(done) >= len(done):
             out[at[done]], out_theta[at[done]] = y[done], theta[done]
@@ -307,7 +309,7 @@ def monotone_circle_map(f, g, start=None):
         map is sampled at f's nodes.
     start : CircleMap, optional
         A guess of the map on f's nodes, with its ``shift``, from which the
-        Newton solve starts; the same tolerances and checks decide the map.
+        Newton solve starts; the same tolerance and checks decide the map.
 
     Returns
     -------
@@ -320,7 +322,7 @@ def monotone_circle_map(f, g, start=None):
     s = f.closed_form.antiderivative(x)
     x0, theta0 = (None, None) if start is None else (x - start.displacement,
                                                      start.shift)
-    y, theta = invert_lifted_cdf(g, s, x0, tol=1e-15, nodes=x, theta0=theta0)
+    y, theta = invert_lifted_cdf(g, s, x0, nodes=x, theta0=theta0)
     displacement = x - y
     _check_map(displacement, m)
     return CircleMap(displacement, theta)

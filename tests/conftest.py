@@ -61,9 +61,10 @@ def assembled_state(cost, u, pair):
     return residual_state(cost, *split_values(u.values, cost.a22), pair)
 
 
-def split_operator_residual(t, u1, u2, pair, q, v1, v2):
-    """Relative L2 residual of Div(B grad(v1 + lambda v2)) = q, with B in
-    the split form U + V / lambda of ``split_coefficients``.
+def split_operator_residual(lam, u1, u2, pair, q, v1, v2):
+    """Relative L2 residual of Div(B grad(v1 + lambda v2)) = q at
+    lambda = ``lam``, with B in the split form U + V / lambda of
+    ``split_coefficients``.
 
     Every term is formed from (v1, v2) and O(1) coefficients, so the check
     does not share the assembled coefficients the PCG solve uses:
@@ -71,12 +72,11 @@ def split_operator_residual(t, u1, u2, pair, q, v1, v2):
         d1[U11 w + lambda U12 d2 v2] + d2[U12 w + V22 d2 v2],
         w = d1 v1 + lambda d1 v2.
     """
-    split = split_coefficients(t, u1, u2, pair)
-    lam, u11, u12 = split.lam, split.u11, split.u12
+    u11, u12, v22 = split_coefficients(lam, u1, u2, pair)
     w = deriv_values(v1, 0, 1)[:, None] + lam * deriv_values(v2.values, 0, 1)
     d2v2 = deriv_values(v2.values, 1, 1)
     out = (deriv_values(u11 * w + lam * u12 * d2v2, 0, 1)
-           + deriv_values(u12 * w + split.v22 * d2v2, 1, 1))
+           + deriv_values(u12 * w + v22 * d2v2, 1, 1))
     return float(np.sqrt(np.mean((out - q.values) ** 2) / np.mean(q.values ** 2)))
 
 
@@ -85,8 +85,9 @@ def single_grid_newton(pair, start=None, tol=1e-10, max_iter=20):
     by default: (potential values, result, iterations)."""
     grid = pair.grid
     u1, u2 = split_values(np.zeros(grid.shape) if start is None else start, 1.0)
-    res = tot.newton_correct_split(1.0, u1, tot.field(grid, u2), pair,
-                                   tol=tol, max_iter=max_iter)
+    res = tot.newton_correct_split(tot.identity_cost(), u1,
+                                   tot.field(grid, u2), pair, tol=tol,
+                                   max_iter=max_iter)
     return res.potential.values, res, res.iterations
 
 

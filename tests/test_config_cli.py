@@ -357,6 +357,17 @@ def test_exit_code_invalid_option(tmp_path, capsys, entry):
     assert info.value.key == key
 
 
+# (9, 9) is what --grid 9 sets: both sides fail, and n1 is named
+@pytest.mark.parametrize("n1, n2, key", [(64, 7, "grid.n2"), (7, 64, "grid.n1"),
+                                         (6, 64, "grid.n1"), (64, 4, "grid.n2"),
+                                         (9, 9, "grid.n1")])
+def test_grid_error_names_the_side_that_failed(tmp_path, n1, n2, key):
+    cfg = write_cfg(tmp_path, MINIMAL + f"grid.n1 = {n1}\ngrid.n2 = {n2}\n")
+    with pytest.raises(ConfigError, match="grid size must be even") as info:
+        load_config(cfg)
+    assert info.value.key == key
+
+
 @pytest.mark.parametrize("k", [8, 100000000])
 def test_exit_code_pushforward_k_above_the_grid(tmp_path, capsys, k):
     # 2K >= min(n1, n2): the grid's trapezoid rule resolves no such test

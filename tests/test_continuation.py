@@ -145,25 +145,26 @@ def test_newton_rejects_a_tolerance_that_is_not_positive_and_finite(
         tot.newton_correct(tot.identity_cost(), tot.zero_field(pair64.grid),
                            pair64, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        tot.newton_correct_split(0.5, knothe64.potentials.u1,
+        tot.newton_correct_split(tot.CostSchedule.linear().matrix(0.5),
+                                 knothe64.potentials.u1,
                                  knothe64.potentials.u2, pair64, tol=tol)
 
 
 def test_newton_split_certifies_where_lambda_is_below_rounding(pair64, knothe64):
     # lambda = t^10 = 1e-30 at t = 1e-3: the margin, about lambda, is far
     # below the rounding of 1 - d11 u, and still certifies the state
-    res = tot.newton_correct_split(1e-3, knothe64.potentials.u1,
-                                   knothe64.potentials.u2, pair64,
-                                   tot.CostSchedule.power(10))
+    res = tot.newton_correct_split(tot.CostSchedule.power(10).matrix(1e-3),
+                                   knothe64.potentials.u1,
+                                   knothe64.potentials.u2, pair64)
     assert 0.0 < res.margin < 1e-29
     assert res.sup_residual <= 1e-10
 
 
 def test_newton_split_matches_assembled(pair64, knothe64):
     t = 0.05
-    res = tot.newton_correct_split(t, knothe64.potentials.u1,
-                                   knothe64.potentials.u2, pair64, tol=1e-11)
     sched = tot.CostSchedule.linear()
+    res = tot.newton_correct_split(sched.matrix(t), knothe64.potentials.u1,
+                                   knothe64.potentials.u2, pair64, tol=1e-11)
     assembled = tot.field(pair64.grid,
                           res.u1[:, None] + sched.lam(t) * res.u2.values)
     plain = tot.newton_correct(sched.matrix(t), assembled, pair64, tol=1e-10)
@@ -512,7 +513,7 @@ def test_last_newton_step_does_not_over_solve(pair64, monkeypatch):
         return v, iters
 
     monkeypatch.setattr(linearized, "_solve_with_coefficients", counted)
-    res = tot.newton_correct_split(t, solved.u1, u2, pair64, tol=tol)
+    res = tot.newton_correct_split(cost, solved.u1, u2, pair64, tol=tol)
     assert res.iterations == 1 and res.sup_residual <= tol
     ((inner_tol, iters),) = solves
     assert inner_tol == min(1e-2, 0.1 * tol / st.sup_residual)
@@ -826,11 +827,11 @@ def test_rejected_step_is_bisected_and_becomes_a_node(pair64, monkeypatch):
     correct = continuation.newton_correct_split
     calls = []
 
-    def fails_once(t, *args, **kwargs):
-        calls.append(t)
+    def fails_once(cost, *args, **kwargs):
+        calls.append(cost.t)
         if len(calls) == 6:             # the init, then steps 1-4
             raise ConvergenceError("forced failure", iterations=0)
-        return correct(t, *args, **kwargs)
+        return correct(cost, *args, **kwargs)
 
     nodes = []
     predict = continuation._predict
@@ -859,10 +860,10 @@ def test_run_aborts_with_partial_trajectory(pair64, monkeypatch):
     # step's corrector is forced to fail, so the step size collapses
     correct = continuation.newton_correct_split
 
-    def fails_after_t0(t, *args, **kwargs):
-        if t > 0.1:
+    def fails_after_t0(cost, *args, **kwargs):
+        if cost.t > 0.1:
             raise ConvergenceError("forced failure")
-        return correct(t, *args, **kwargs)
+        return correct(cost, *args, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct_split", fails_after_t0)
     with pytest.raises(StepCollapseError) as info:

@@ -263,7 +263,7 @@ def test_mixed_derivatives_commute():
 def test_binary_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     g = tot.build_grid(16, 32)
-    f = tot.field(g, rng.normal(size=g.shape), zero_mean=False)
+    f = tot.field(g, rng.normal(size=g.shape))
     path = tmp_path / "field.totf"
     write_field_binary(f, path)
     raw = path.read_bytes()

@@ -162,6 +162,110 @@ def test_the_export_census_sees_uses(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# parameters: every optional parameter of a public function is a setting
+# that some call of the program makes
+
+# optional parameters that no call sets, each with its reason
+UNSET_PARAMETERS = {
+    ("velocity", "schedule"): "ROADMAP item 3 deletes velocity once the "
+                              "benchmark's tracer no longer wraps it",
+    ("velocity", "tol"): "ROADMAP item 3, as velocity's schedule",
+}
+
+
+def _optional_parameters(path):
+    """{(function, parameter): position} for each parameter with a default
+    of a public function, or of a public method of a public class, that
+    ``path`` defines.  A method's position does not count its ``self`` or
+    ``cls``; the position of a keyword-only parameter is None."""
+    found = {}
+
+    def visit(fn, method):
+        if fn.name.startswith("_"):
+            return
+        args = fn.args.posonlyargs + fn.args.args
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in fn.decorator_list)
+        if method and not static:
+            args = args[1:]
+        for i, arg in enumerate(args[len(args) - len(fn.args.defaults):],
+                                len(args) - len(fn.args.defaults)):
+            found[fn.name, arg.arg] = i
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found[fn.name, arg.arg] = None
+
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.FunctionDef):
+            visit(stmt, False)
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for node in stmt.body:
+                if isinstance(node, ast.FunctionDef):
+                    visit(node, True)
+    return found
+
+
+def _set_parameters(path):
+    """(function name, keyword) for each keyword that a call in ``path``
+    passes, and (function name, position) for each positional argument;
+    a call with ``*args`` or ``**kwargs`` sets every parameter (keyword
+    and position None)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = (node.func.id if isinstance(node.func, ast.Name) else
+                node.func.attr if isinstance(node.func, ast.Attribute)
+                else None)
+        if name is None:
+            continue
+        for i, arg in enumerate(node.args):
+            found.add((name, None if isinstance(arg, ast.Starred) else i))
+        found |= {(name, kw.arg) for kw in node.keywords}
+    return found
+
+
+def _unset_parameters():
+    """The optional parameters of ``src/tot`` that no call in ``src/tot``,
+    ``demos/`` or ``bench/`` sets."""
+    params, calls = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        params.update(_optional_parameters(path))
+    for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        calls |= _set_parameters(path)
+    return sorted((fn, param) for (fn, param), pos in params.items()
+                  if not {(fn, param), (fn, pos), (fn, None)} & calls)
+
+
+def test_every_optional_parameter_is_set_by_the_program():
+    assert _unset_parameters() == sorted(UNSET_PARAMETERS)
+
+
+def test_the_parameter_census_sees_keywords_and_positions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def solve(a, tol=1e-10, steps=3, *, scale=1.0, quiet=False):\n"
+        "    return solve(a, 1e-12, quiet=True)\n\n"
+        "class Poly:\n"
+        "    def take(self, rows, copy=True, view=None):\n"
+        "        return self.take(rows, False)\n\n"
+        "    @staticmethod\n"
+        "    def power(p, q=2):\n"
+        "        return Poly.power(p, *p)\n\n"
+        "    def _private(self, x=1):\n"
+        "        return x\n",
+        encoding="utf-8")
+    assert _optional_parameters(probe) == {
+        ("solve", "tol"): 1, ("solve", "steps"): 2, ("solve", "scale"): None,
+        ("solve", "quiet"): None, ("take", "copy"): 1, ("take", "view"): 2,
+        ("power", "q"): 1}
+    assert _set_parameters(probe) == {
+        ("solve", 0), ("solve", 1), ("solve", "quiet"), ("take", 0),
+        ("take", 1), ("power", 0), ("power", None)}
+
+
+# ---------------------------------------------------------------------------
 # dependencies: numpy is the one third-party package that ``tot`` imports
 
 NO_SCIPY = """

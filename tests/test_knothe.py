@@ -24,7 +24,7 @@ def test_unvalidated_closed_form_is_checked_for_positivity(grid64):
     # its x1-marginal is the constant 1, so the split succeeds and the 1D
     # floor of the fibers refuses them
     poly = TrigPoly2D.from_modes([(1, 1, 1.2, 0.3)])
-    f = tot.field(grid64, poly(*grid64.mesh()), closed_form=poly)
+    f = tot.ScalarField(grid64, poly(*grid64.mesh()), closed_form=poly)
     marginal, fiber = tot.marginal_and_conditionals(f)
     assert np.max(np.abs(marginal.values - 1.0)) < 1e-14
     for x1 in (0.37, grid64.nodes1()):
@@ -280,12 +280,12 @@ def _warm_start_moves_nothing(f, g):
     """A call started off the cold call's roots and shifts returns them."""
     x = np.arange(f.m) / f.m
     s = f.closed_form.antiderivative(x)
-    y, theta = invert_lifted_cdf(g, s, tol=1e-15, nodes=x)
+    y, theta = invert_lifted_cdf(g, s, nodes=x)
     rows = np.arange(len(theta))
     for dx, dtheta in ((0.02, 0.03), (0.2, 0.3), (0.0, 0.5), (1e-9, 1e-9)):
         x0 = y + dx * np.sin(TWO_PI * (x + rows[:, None] / 7))
         theta0 = theta + dtheta * np.cos(rows)
-        warm, warm_theta = invert_lifted_cdf(g, s, x0, tol=1e-15, nodes=x,
+        warm, warm_theta = invert_lifted_cdf(g, s, x0, nodes=x,
                                              theta0=theta0)
         assert np.max(np.abs(warm - y)) <= 1e-13
         assert np.max(np.abs(warm_theta - theta)) <= 1e-13

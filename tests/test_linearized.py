@@ -95,7 +95,8 @@ def test_rhs_matches_cost_difference(pair64, grid64):
 
 def test_solve_poisson_mode(uniform_pair64, grid64):
     x1, x2 = grid64.mesh()
-    q = tot.field(grid64, np.cos(2 * np.pi * x1) + 0 * x2, zero_mean=True)
+    q = tot.ScalarField(grid64, np.cos(2 * np.pi * x1) + 0 * x2,
+                        zero_mean=True)
     v = tot.solve_linearized(zero_state(uniform_pair64), q, tol=1e-12)
     expected = -np.cos(2 * np.pi * x1) / (4 * np.pi ** 2) + 0 * x2
     assert np.max(np.abs(v.values - expected)) < 1e-13
@@ -202,7 +203,7 @@ def test_split_coefficients_reconstruct_b(pair64, knothe64):
     t = 5e-3
     lam = sched.lam(t)
     u1, u2 = knothe64.potentials.u1, knothe64.potentials.u2
-    split = split_coefficients(t, u1, u2, pair64, sched)
+    u11, u12, v22 = split_coefficients(lam, u1, u2, pair64)
     # reference: B = g(T) adj(A - D^2 u) / det A, det A = lam, with grad u
     # and D^2 u of u1 + lam u2 scaled by lam after differentiation and
     # T = x - A^{-1} grad u
@@ -214,12 +215,12 @@ def test_split_coefficients_reconstruct_b(pair64, knothe64):
     x1, x2 = pair64.grid.mesh()
     g = pair64.g_poly(frac(x1 - grad1), frac(x2 - grad2 / lam))
     b11, b12, b22 = g * (lam - h22) / lam, g * h12 / lam, g * (1.0 - h11) / lam
-    assert np.max(np.abs(split.u11 - b11)) < 1e-11 * np.max(np.abs(b11))
-    assert np.max(np.abs(split.u12 - b12)) \
+    assert np.max(np.abs(u11 - b11)) < 1e-11 * np.max(np.abs(b11))
+    assert np.max(np.abs(u12 - b12)) \
         < 1e-11 * max(np.max(np.abs(b12)), 1e-3)
-    assert np.max(np.abs(split.v22 / split.lam - b22)) \
+    assert np.max(np.abs(v22 / lam - b22)) \
         < 1e-11 * np.max(np.abs(b22))
-    assert np.min(split.v22) > 0.0
+    assert np.min(v22) > 0.0
     # the residual state's B, from the same factors, against the reference
     st = residual_state(sched.matrix(t), u1, u2.values, pair64)
     for got, want in zip(coefficient_arrays(st), (b11, b12, b22)):
@@ -240,7 +241,8 @@ def test_solve_t0_zero_rhs(pair64, knothe64, grid64):
 
 def test_solve_t0_decoupled_poisson(uniform_pair64, grid64):
     x1, x2 = grid64.mesh()
-    q = tot.field(grid64, np.cos(2 * np.pi * x1) + 0 * x2, zero_mean=True)
+    q = tot.ScalarField(grid64, np.cos(2 * np.pi * x1) + 0 * x2,
+                        zero_mean=True)
     v1, v2 = tot.solve_linearized_t0(np.zeros(grid64.n1),
                                      tot.zero_field(grid64), uniform_pair64, q)
     expected = -np.cos(2 * np.pi * grid64.nodes1()) / (4 * np.pi ** 2)
@@ -269,8 +271,9 @@ def test_small_t_pure_fiber_data(uniform_pair64, grid64):
     # int q dx2 = 0 for every x1 and decoupled coefficients: the averaged
     # equation has zero data and v1 = 0; a single fiber solve suffices
     x1, x2 = grid64.mesh()
-    q = tot.field(grid64, np.sin(2 * np.pi * x2) * (1 + 0.3 * np.cos(2 * np.pi * x1)),
-                  zero_mean=True)
+    q = tot.ScalarField(
+        grid64, np.sin(2 * np.pi * x2) * (1 + 0.3 * np.cos(2 * np.pi * x1)),
+        zero_mean=True)
     st = zero_state(uniform_pair64, tot.CostSchedule.linear().matrix(1e-4))
     v1, v2 = tot.solve_linearized_small_t(st, q, tol=1e-11)
     assert np.max(np.abs(v1)) < 1e-12

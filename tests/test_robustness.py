@@ -96,7 +96,7 @@ def test_under_resolved_pair_raises_initialization_advice(monkeypatch):
     correct = continuation.newton_correct_split
 
     def counted(*args, **kwargs):
-        corrections.append(args[0])
+        corrections.append(args[0].t)
         return correct(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_correct_split", counted)
