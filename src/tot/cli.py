@@ -22,7 +22,8 @@ import numpy as np
 from .config import load_config
 from .continuation import (newton_correct, newton_text, run,
                            trajectory_summary_csv)
-from .errors import ConfigError, ConvergenceError, TransportError
+from .errors import (ConfigError, ConvergenceError, StepCollapseError,
+                     TransportError)
 from .fieldio import write_field_binary, write_field_csv
 from .grid import ScalarField, zero_field
 from .knothe import fiber_pushforward_error, knothe_solution
@@ -106,8 +107,16 @@ def cmd_brenier(cfg, out_dir):
 
 
 def cmd_continue(cfg, out_dir):
-    traj = run(cfg.pair, cfg.schedule, cfg.options)
-    trajectory_summary_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+    """Continuation run; records keep their fields only for step files, and
+    a collapsed run writes the rows it certified before it raises."""
+    summary = os.path.join(out_dir, "trajectory.csv")
+    try:
+        traj = run(cfg.pair, cfg.schedule, cfg.options,
+                   keep_potentials=cfg.emit_steps)
+    except StepCollapseError as exc:
+        trajectory_summary_csv(exc.trajectory, summary)
+        raise
+    trajectory_summary_csv(traj, summary)
     final = traj.final
     _emit_field(cfg, out_dir, "final_psi", final.psi)
     tmap = final.tmap
@@ -128,9 +137,10 @@ def cmd_continue(cfg, out_dir):
 
 
 def cmd_compare(cfg, out_dir):
-    traj = cmd_continue(cfg, out_dir)
+    # only the final potential is held while the cold solve runs
+    psi = cmd_continue(cfg, out_dir).final.psi
     cold = cmd_brenier(cfg, out_dir)
-    diff = traj.final.psi.values - cold.values
+    diff = psi.values - cold.values
     sup_diff = float(np.max(np.abs(diff)))
     l2_diff = float(np.sqrt(np.mean(diff ** 2)))
     _write_csv_row(os.path.join(out_dir, "compare.csv"),

@@ -432,7 +432,8 @@ def init_from_knothe(pair, schedule=None, t0=1e-3, *, newton_tol=1e-10,
 class TrajectoryRecord:
     """One accepted state: the decomposed pair (u1, psi2) as solved at t,
     with lam = lambda_t.  The assembled ``psi`` is formed on access, so a
-    record holds one grid array.
+    record holds at most one grid array: ``psi2``, which is None once a
+    run with ``keep_potentials=False`` has recorded a newer state.
     ``newton_iters`` counts the Newton steps of every grid level and
     ``levels`` holds (grid shape, iterations) per level, coarsest first,
     ending with the caller's grid."""
@@ -448,19 +449,25 @@ class TrajectoryRecord:
     newton_iters: int
     levels: tuple
 
+    def _field(self):
+        if self.psi2 is None:
+            raise ValueError(f"the record at t = {self.t:.6g} kept no field; "
+                             "run(..., keep_potentials=True) keeps them all")
+        return self.psi2
+
     @property
     def psi(self):
         """The zero-mean assembled potential u1 + lam psi2."""
-        return _assemble(self.lam, self.u1, self.psi2)
+        return _assemble(self.lam, self.u1, self._field())
 
     @property
     def tmap(self):
         """The map T = id - A^{-1} grad psi from the decomposed pair:
         T1 = x1 - d1 u1 - lam d1 psi2 and T2 = x2 - d2 psi2."""
-        x1 = self.psi2.grid.mesh()[0]
-        t1 = (x1 - deriv_values(self.u1, 0)[:, None]
-              - self.lam * deriv_values(self.psi2.values, 0))
-        return _map(t1, self.psi2)
+        psi2 = self._field()
+        t1 = (psi2.grid.mesh()[0] - deriv_values(self.u1, 0)[:, None]
+              - self.lam * deriv_values(psi2.values, 0))
+        return _map(t1, psi2)
 
 
 @dataclass
@@ -571,7 +578,7 @@ def _step(history, t_next, pairs, schedule, opts):
         return None
 
 
-def run(pair, schedule=None, options=None):
+def run(pair, schedule=None, options=None, *, keep_potentials=True):
     """Integrate the potential from t0 to t1 with Newton defect correction.
 
     Returns a :class:`Trajectory`.  The state is carried and corrected in
@@ -590,7 +597,9 @@ def run(pair, schedule=None, options=None):
     trajectory - if the split step falls below 1e-8; a step that was never
     rejected is attempted however short, so a ladder may start from any t0.
     At t1 = 1 under the linear schedule the final record's map is the
-    Brenier map for A = diag(1,1).
+    Brenier map for A = diag(1,1).  With ``keep_potentials=False`` a
+    record drops its field once a newer state is recorded, so a run holds
+    the fields of its three newest nodes, not one per record.
 
     Each step is grid-sequenced like a cold ``newton_correct``: the whole
     predictor-corrector first runs on the halved grids, from the nodes
@@ -628,6 +637,8 @@ def run(pair, schedule=None, options=None):
             pushforward_residual(tmap, pair, opts.pushforward_k),
             l2_map_distance(tmap, knothe_field, pair.f),
             result.iterations, result.levels))
+        if not keep_potentials and len(records) > 1:
+            records[-2].psi2 = None     # the history keeps its own reference
         history.append(_State(t, result.u1, result.u2))
         del history[:-3]
 

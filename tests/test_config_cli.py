@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tot
+from tot import continuation
 from tot.cli import _FLAG_KEYS, _build_parser, cmd_continue, main
 from tot.config import _SCHEMA, load_config
 from tot.errors import ConfigError
@@ -309,6 +310,54 @@ quiet = true
     a = read_field_binary(out8 / "final_psi.totf")
     b = read_field_binary(out16 / "final_psi.totf")
     assert np.max(np.abs(a.values - b.values)) <= 1e-7
+
+
+def test_step_files_are_the_records_of_the_default_run(tmp_path):
+    # emit.steps keeps every record's field; the step files match a run
+    # that keeps them by default, record by record
+    cfg_path = write_cfg(tmp_path, """
+f.name = standard_f
+g.name = standard_g
+grid.n1 = 64
+grid.n2 = 64
+steps = 4
+emit.csv = false
+emit.steps = true
+quiet = true
+""")
+    out = tmp_path / "out"
+    assert run_cli("continue", "--config", str(cfg_path), "--out",
+                   str(out)) == 0
+    cfg = load_config(cfg_path)
+    traj = tot.run(cfg.pair, cfg.schedule, cfg.options)
+    steps = sorted(out.glob("step_*_psi.totf"))
+    assert len(steps) == len(traj.records) == 5
+    for path, rec in zip(steps, traj.records):
+        assert np.array_equal(read_field_binary(path).values, rec.psi.values)
+
+
+def test_collapsed_run_writes_the_rows_it_certified(tmp_path, capsys):
+    # lambda = t^10 initializes at t0 = 1e-3, then its first step collapses
+    cfg = write_cfg(tmp_path, """
+f.name = standard_f
+g.name = standard_g
+grid.n1 = 64
+grid.n2 = 64
+lambda = t^10
+steps = 8
+quiet = true
+""")
+    out = tmp_path / "out"
+    assert run_cli("continue", "--config", str(cfg), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tot: solver did not converge: continuation step "
+                          "collapsed to dt = ")
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    assert header == continuation.SUMMARY_HEADER
+    assert len(rows) == 1
+    t, sup, margin = map(float, rows[0].split(",")[:3])
+    assert t == 1e-3 and sup <= 1e-10 and margin > 0.0
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

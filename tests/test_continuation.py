@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -871,6 +872,73 @@ def test_run_aborts_with_partial_trajectory(pair64, monkeypatch):
     partial = info.value.trajectory
     assert partial is not None and len(partial.records) >= 1
     assert partial.records[0].t == 0.1
+
+
+def _traced_peak(pair, steps, keep):
+    tracemalloc.start()
+    try:
+        tot.run(pair, options=tot.ContinuationOptions(steps=steps),
+                keep_potentials=keep)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_without_potentials_holds_no_field_per_record(pair64):
+    # 24 more records: the default run holds one more grid array for each,
+    # a run that drops them holds its three newest nodes whatever the ladder
+    array_bytes = pair64.grid.n1 * pair64.grid.n2 * 8
+    tot.run(pair64, options=tot.ContinuationOptions(steps=2))  # warm caches
+    growth = {keep: _traced_peak(pair64, 32, keep) - _traced_peak(pair64, 8, keep)
+              for keep in (True, False)}
+    assert growth[False] < 2 * array_bytes
+    assert growth[True] >= 20 * array_bytes
+
+
+def test_run_without_potentials_records_the_same_path(pair64):
+    opts = tot.ContinuationOptions(steps=8)
+    kept = tot.run(pair64, options=opts)
+    dropped = tot.run(pair64, options=opts, keep_potentials=False)
+    assert len(kept.records) == len(dropped.records) == 9
+    for a, b in zip(kept.records, dropped.records):
+        assert (a.t, a.lam, a.margin, a.sup_residual, a.pushforward_residual,
+                a.l2_dist_to_knothe, a.newton_iters, a.levels) == (
+                    b.t, b.lam, b.margin, b.sup_residual,
+                    b.pushforward_residual, b.l2_dist_to_knothe,
+                    b.newton_iters, b.levels)
+        assert np.array_equal(a.u1, b.u1)
+    assert np.array_equal(kept.final.psi.values, dropped.final.psi.values)
+    a, b = kept.final.tmap, dropped.final.tmap
+    assert np.array_equal(a.v1.values, b.v1.values)
+    assert np.array_equal(a.v2.values, b.v2.values)
+    # a dropped record names the keyword that keeps its field
+    for rec in dropped.records[:-1]:
+        assert rec.psi2 is None
+        with pytest.raises(ValueError, match="keep_potentials=True"):
+            rec.psi
+        with pytest.raises(ValueError, match="keep_potentials=True"):
+            rec.tmap
+
+
+def test_partial_trajectory_keeps_its_newest_field(pair64, monkeypatch):
+    # the ladder 0.1, 0.178, 0.316, ... certifies 0.1 and 0.178, then every
+    # step past 0.2 is forced to fail: the bisected steps below it certify
+    # until they collapse
+    correct = continuation.newton_correct_split
+
+    def fails_past(cost, *args, **kwargs):
+        if cost.t > 0.2:
+            raise ConvergenceError("forced failure")
+        return correct(cost, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct_split", fails_past)
+    with pytest.raises(StepCollapseError) as info:
+        tot.run(pair64, options=tot.ContinuationOptions(steps=4, t0=0.1),
+                keep_potentials=False)
+    *older, newest = info.value.trajectory.records
+    assert len(older) >= 2 and newest.t <= 0.2
+    assert all(rec.psi2 is None for rec in older)
+    assert np.all(np.isfinite(newest.psi.values))
 
 
 # ---------------------------------------------------------------------------

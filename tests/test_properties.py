@@ -544,17 +544,27 @@ def test_stacked_inversion_solves_each_row_as_alone(f_modes, g_modes):
 # every record, of a full or a partial trajectory, is finite and
 # certified, and a run that certifies t1 = 1 meets cold Newton there.
 # Densities are of the benchmark's class (three of the four |k|_inf <= 1
-# wavevectors at amplitude 0.15) or of a wider one (1-3 modes with
+# wavevectors at amplitude 0.15), of ROADMAP D3's (the same wavevectors at
+# a total amplitude in [0.6, 0.95]) or of a wider one (1-3 modes with
 # |k|_inf <= 2 and a total amplitude in [0.05, 0.5] split at random), so
-# every density stays above 0.5
+# every density stays above 0.05
 FUZZ_RUN = settings(max_examples=100, deadline=None)
 GRID32 = build_grid(32, 32)
 _BENCH_WAVEVECTORS = ((1, 0), (0, 1), (1, 1), (1, -1))
 _phase = st.floats(0.0, 2 * np.pi, exclude_max=True)
-_bench_density = st.tuples(st.integers(0, 3), st.lists(
-    _phase, min_size=3, max_size=3)).map(lambda d: [
-        (k1, k2, 0.15, phase) for (k1, k2), phase in zip(
-            [k for i, k in enumerate(_BENCH_WAVEVECTORS) if i != d[0]], d[1])])
+
+
+def _three_wavevectors(amplitude):
+    """Every |k|_inf <= 1 wavevector but one, each at ``amplitude``."""
+    return st.tuples(st.integers(0, 3), st.lists(
+        _phase, min_size=3, max_size=3), amplitude).map(lambda d: [
+            (k1, k2, d[2], phase) for (k1, k2), phase in zip(
+                [k for i, k in enumerate(_BENCH_WAVEVECTORS) if i != d[0]],
+                d[1])])
+
+
+_bench_density = _three_wavevectors(st.just(0.15))
+_d3_density = _three_wavevectors(st.floats(0.6 / 3, 0.95 / 3))
 _wide_density = st.tuples(
     st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), _phase,
                        st.floats(1e-6, 1.0, exclude_max=True)).filter(
@@ -565,6 +575,7 @@ _wide_density = st.tuples(
         for k1, k2, phase, u in d[0]])
 _pair_modes = st.one_of(
     st.tuples(st.just("bench"), _bench_density, _bench_density),
+    st.tuples(st.just("d3"), _d3_density, _d3_density),
     st.tuples(st.just("wide"), _wide_density, _wide_density))
 
 
